@@ -213,9 +213,13 @@ def voterank(g: AttributedGraph, k: int) -> tuple[list[int], ScoreVector]:
     elected: list[int] = []
     elected_mask = np.zeros(n, dtype=bool)
     src, dst = g.edge_src, g.edge_dst
-    scores = np.zeros(n)
+
+    def votes():
+        # weighted bincount of an empty edge list is int64, which cannot hold -inf
+        return np.bincount(src, weights=ability[dst], minlength=n).astype(np.float64, copy=False)
+
     for _ in range(k):
-        scores = np.bincount(src, weights=ability[dst], minlength=n)
+        scores = votes()
         scores[elected_mask] = -np.inf
         winner = int(np.argmax(scores))  # argmax ties resolve to smallest id
         elected.append(winner)
@@ -223,7 +227,7 @@ def voterank(g: AttributedGraph, k: int) -> tuple[list[int], ScoreVector]:
         ability[winner] = 0.0
         for u in g.out_neighbors(winner):
             ability[u] = max(0.0, ability[u] - suppression)
-    final = np.bincount(src, weights=ability[dst], minlength=n)
+    final = votes()
     final[elected_mask] = 0.0
     # lift elected nodes above all remaining scores, preserving election order
     lift = final.max() + 1.0

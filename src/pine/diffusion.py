@@ -4,26 +4,37 @@ LT+ and IC+ drive activation with per-edge influence weights that blend a
 structural term (1/in-degree of the destination) and a semantic term
 (edge-softmax of feature cosine similarities); SIR is the classical
 epidemic model run along out-edges.
+
+``run_lt_plus``, ``run_ic_plus`` and ``run_sir`` simulate one cascade step by
+step and define the models.  ``influence_spread`` samples the same final
+spread through the live-edge equivalence (Kempe, Kleinberg and Tardos, KDD
+2003): each run draws a random live subgraph, and the cascade reaches
+exactly the nodes reachable from the seeds in it.  Many runs are stacked
+into one block-diagonal graph and searched with a single breadth-first
+traversal.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 
-from .graph import AttributedGraph
+from .graph import AttributedGraph, EmptyGraphError
 
 MODELS = ("ltp", "icp", "sir")
 
+# Edge and node slots per chunk of stacked Monte Carlo runs; it bounds peak
+# memory whatever num_runs is, and does not change any result.
+CHUNK_BUDGET = 1 << 20
+
 
 def worker_count() -> int:
-    env = os.environ.get("PINE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    """Monte Carlo runs execute in the calling thread; kept because bench
+    output reports it."""
+    return 1
 
 
 @dataclass
@@ -97,6 +108,7 @@ class DiffusionResult:
 def critical_sir_beta(g: AttributedGraph) -> float:
     """1.5 x the epidemic threshold <k>/(<k^2>-<k>) of the undirected
     degree sequence, clipped to [0, 1]."""
+    _require_nodes(g)
     # undirected simple degrees: distinct neighbors in either direction
     n = g.num_nodes
     pairs = np.unique(
@@ -112,6 +124,11 @@ def critical_sir_beta(g: AttributedGraph) -> float:
     if k2 - k <= 0:
         return 1.0
     return float(np.clip(1.5 * k / (k2 - k), 0.0, 1.0))
+
+
+def _require_nodes(g: AttributedGraph) -> None:
+    if g.num_nodes == 0:
+        raise EmptyGraphError("graph has no nodes; spread and epidemic threshold are per-node averages")
 
 
 def _seed_mask(g: AttributedGraph, seeds) -> np.ndarray:
@@ -200,23 +217,80 @@ def run_sir(
     return infected | recovered
 
 
-def _single_run(g, config, weights, beta, seeds, run_index) -> int:
-    rng = np.random.default_rng([config.rng_seed, run_index])
+def _segment_cumsum(values: np.ndarray, in_ptr: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of ``values`` within each destination segment.
+
+    Doubling scan (Hillis and Steele): rounding stays relative to each
+    segment's own total, not to the running total of all edges before it.
+    """
+    out = values.astype(np.float64)
+    pos = np.arange(out.size) - in_ptr[dst]
+    shift = 1
+    while out.size and shift <= pos.max():
+        out[shift:] += np.where(pos[shift:] >= shift, out[:-shift], 0.0)
+        shift *= 2
+    return out
+
+
+def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig, weights, beta):
+    """Function of a run's RNG returning its live-edge mask in canonical order."""
+    n, src, dst = g.num_nodes, g.edge_src, g.edge_dst
     if config.model == "ltp":
-        mask = run_lt_plus(g, weights, seeds, rng)
-    elif config.model == "icp":
-        mask = run_ic_plus(g, weights, seeds, rng)
-    else:
-        mask = run_sir(g, beta, config.sir_gamma, seeds, rng, config.max_steps)
-    return int(mask.sum())
+        # A node keeps in-edge e when its uniform threshold falls in e's slice
+        # [lo, hi) of the node's cumulative in-influence: at most one edge,
+        # edge e with probability weight[e].
+        hi = _segment_cumsum(weights.combined, g.in_ptr, dst)
+        lo = np.zeros_like(hi)
+        lo[1:] = hi[:-1]
+        lo[g.in_ptr[dst] == np.arange(dst.size)] = 0.0
+
+        def ltp(rng):
+            theta = rng.random(n)[dst]
+            return (lo <= theta) & (theta < hi)
+
+        return ltp
+    if config.model == "icp":
+        influence = weights.combined
+        return lambda rng: rng.random(dst.size) < influence
+    gamma = config.sir_gamma
+    if gamma == 1.0:  # every infectious period is one step
+        return lambda rng: rng.random(dst.size) < beta
+
+    def sir(rng):
+        # a node infectious for T steps infects each out-neighbour with
+        # probability 1 - (1 - beta)^T; with gamma = 0 it never recovers
+        period = rng.geometric(gamma, n) if gamma > 0 else np.full(n, np.inf)
+        return rng.random(dst.size) < (1.0 - (1.0 - beta) ** period)[src]
+
+    return sir
+
+
+def _reached_counts(g: AttributedGraph, live: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Nodes reachable from the seeds in each row's live subgraph, seeds
+    included.  ``live`` is a (runs, M) mask in out-CSR order."""
+    n = g.num_nodes
+    runs = live.shape[0]
+    root = runs * n  # super-source with an edge to every run's seeds
+    out_src, out_dst = g.edge_src[g.out_perm], g.edge_dst[g.out_perm]
+    run, e = np.nonzero(live)  # row-major, so sorted by (run, source)
+    indptr = np.zeros(root + 2, dtype=np.int64)
+    np.cumsum(np.bincount(run * n + out_src[e], minlength=root), out=indptr[1:-1])
+    indptr[-1] = indptr[-2] + runs * seeds.size
+    indices = np.concatenate([run * n + out_dst[e], (np.arange(runs)[:, None] * n + seeds).ravel()])
+    adj = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(root + 1, root + 1))
+    order = breadth_first_order(adj, root, directed=True, return_predecessors=False)
+    return np.bincount(order // n, minlength=runs + 1)[:runs]
 
 
 def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> DiffusionResult:
     """Mean fraction of activated nodes over independent Monte Carlo runs.
 
-    Each run owns an RNG stream keyed by (rng_seed, run_index), so results
-    are bit-identical regardless of worker count or scheduling.
+    Run r draws from its own stream ``default_rng([rng_seed, r])``, so the
+    counts do not depend on how runs are grouped.  SIR with ``max_steps``
+    set runs the step-wise simulator, since a step cap has no live-edge form.
     """
+    _require_nodes(g)
+    seed_ids = np.flatnonzero(_seed_mask(g, seeds))
     weights = None
     beta = config.sir_beta
     if config.model in ("ltp", "icp"):
@@ -224,18 +298,21 @@ def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> Diff
     elif beta is None:
         beta = critical_sir_beta(g)
 
-    seeds = sorted(int(s) for s in seeds)
-    counts = np.zeros(config.num_runs, dtype=np.int64)
-    workers = min(worker_count(), config.num_runs)
-    if workers <= 1:
-        for r in range(config.num_runs):
-            counts[r] = _single_run(g, config, weights, beta, seeds, r)
+    def stream(r):
+        return np.random.default_rng([config.rng_seed, r])
+
+    if config.model == "sir" and config.max_steps is not None:
+        counts = np.array([
+            run_sir(g, beta, config.sir_gamma, seed_ids, stream(r), config.max_steps).sum()
+            for r in range(config.num_runs)
+        ], dtype=np.int64)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, c in enumerate(pool.map(
-                lambda r: _single_run(g, config, weights, beta, seeds, r),
-                range(config.num_runs),
-            )):
-                counts[r] = c
+        sample = _live_edge_sampler(g, config, weights, beta)
+        chunk = max(1, CHUNK_BUDGET // (g.num_nodes + g.num_edges))
+        counts = np.empty(config.num_runs, dtype=np.int64)
+        for start in range(0, config.num_runs, chunk):
+            runs = range(start, min(start + chunk, config.num_runs))
+            live = np.stack([sample(stream(r)) for r in runs])
+            counts[runs.start : runs.stop] = _reached_counts(g, live[:, g.out_perm], seed_ids)
     spreads = counts / g.num_nodes
     return DiffusionResult(float(spreads.mean()), float(spreads.std()), counts)

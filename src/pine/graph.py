@@ -25,6 +25,10 @@ class DimensionError(ValueError):
     """Feature matrix does not match the node universe."""
 
 
+class EmptyGraphError(ValueError):
+    """The graph has no nodes, so a per-node quantity is undefined."""
+
+
 @dataclass
 class AttributedGraph:
     num_nodes: int
@@ -200,6 +204,9 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
             feats = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as exc:
             raise GraphFormatError(f"{path}: cannot parse feature CSV: {exc}") from exc
+    bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad_rows.size:
+        raise GraphFormatError(f"{path}: feature row {bad_rows[0] + 1} holds a NaN or infinite value")
     if expected_nodes is not None and feats.shape[0] != expected_nodes:
         raise DimensionError(
             f"{path}: {feats.shape[0]} feature rows but {expected_nodes} nodes in the edge list"

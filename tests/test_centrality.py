@@ -313,6 +313,12 @@ class TestVoteRank:
         with pytest.raises(ValueError):
             ct.voterank(path3(), 10)
 
+    def test_edgeless_graph_elects_by_id(self):
+        g = build_graph(4, [], [], np.ones((4, 1)))
+        elected, sv = ct.voterank(g, 2)
+        assert elected == [0, 1]
+        assert sv.ranking()[:2].tolist() == elected
+
     def test_score_vector_ranks_elected_first(self, rng):
         g = random_graph(15, 0.2, rng)
         elected, sv = ct.voterank(g, 4)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pine import diffusion
 from pine.diffusion import (
     DiffusionConfig,
     compute_influence_weights,
@@ -12,7 +13,7 @@ from pine.diffusion import (
     run_lt_plus,
     run_sir,
 )
-from pine.graph import build_graph
+from pine.graph import EmptyGraphError, build_graph
 
 from conftest import random_graph
 
@@ -246,3 +247,62 @@ class TestInfluenceSpread:
         scrambled = influence_spread(g, config, [0, 1])
         # identical weights => identical RNG stream => identical outcomes
         assert np.array_equal(base.activated_counts, scrambled.activated_counts)
+
+
+class TestLiveEdgeEngine:
+    """influence_spread samples live-edge graphs; the step-wise simulators
+    are its reference."""
+
+    @pytest.mark.parametrize("model, gamma", [("ltp", 1.0), ("icp", 1.0), ("sir", 1.0), ("sir", 0.4)])
+    def test_matches_reference_simulators(self, model, gamma):
+        rng = np.random.default_rng(77)
+        runs, seeds, beta = 3000, [0, 1], 0.3
+        for trial in range(3):
+            g = random_graph(10, 0.25, rng)
+            w = compute_influence_weights(g)
+            config = DiffusionConfig(model=model, sir_beta=beta, sir_gamma=gamma, num_runs=runs, rng_seed=trial)
+            engine = influence_spread(g, config, seeds).activated_counts
+            reference = np.empty(runs)
+            for r in range(runs):
+                stream = np.random.default_rng([1000 + trial, r])
+                if model == "ltp":
+                    mask = run_lt_plus(g, w, seeds, stream)
+                elif model == "icp":
+                    mask = run_ic_plus(g, w, seeds, stream)
+                else:
+                    mask = run_sir(g, beta, gamma, seeds, stream)
+                reference[r] = mask.sum()
+            pooled = np.sqrt(engine.var(ddof=1) / runs + reference.var(ddof=1) / runs)
+            assert abs(engine.mean() - reference.mean()) <= 4 * pooled + 1e-12
+
+    @pytest.mark.parametrize("model", ["ltp", "icp", "sir"])
+    def test_counts_independent_of_chunk_size(self, model, rng, monkeypatch):
+        g = random_graph(20, 0.15, rng)
+        config = DiffusionConfig(model=model, sir_gamma=0.5, num_runs=40, rng_seed=3)
+        default = influence_spread(g, config, [0, 1]).activated_counts
+        for runs_per_chunk in (1, 3):  # 3 does not divide num_runs
+            monkeypatch.setattr(diffusion, "CHUNK_BUDGET", runs_per_chunk * (g.num_nodes + g.num_edges))
+            assert np.array_equal(influence_spread(g, config, [0, 1]).activated_counts, default)
+
+    def test_sir_without_recovery_reaches_all_descendants(self):
+        # gamma = 0: an infected node retries every step, so each out-edge fires
+        g = build_graph(5, [0, 1, 2, 4], [1, 2, 3, 0], np.ones((5, 1)))
+        config = DiffusionConfig(model="sir", sir_beta=0.2, sir_gamma=0.0, num_runs=20)
+        assert influence_spread(g, config, [1]).activated_counts.tolist() == [3] * 20
+
+    def test_max_steps_keeps_stepwise_sir(self, rng):
+        g = random_graph(20, 0.2, rng)
+        config = DiffusionConfig(model="sir", sir_beta=0.4, sir_gamma=0.5, max_steps=3, num_runs=30, rng_seed=8)
+        counts = influence_spread(g, config, [0, 5]).activated_counts
+        expected = [
+            run_sir(g, 0.4, 0.5, [0, 5], np.random.default_rng([8, r]), max_steps=3).sum() for r in range(30)
+        ]
+        assert counts.tolist() == expected
+
+    @pytest.mark.parametrize("model", ["ltp", "icp", "sir"])
+    def test_empty_graph_is_named_error(self, model):
+        g = build_graph(0, [], [], np.zeros((0, 2)))
+        with pytest.raises(EmptyGraphError, match="no nodes"):
+            influence_spread(g, DiffusionConfig(model=model, num_runs=3), [])
+        with pytest.raises(EmptyGraphError, match="no nodes"):
+            critical_sir_beta(g)

@@ -80,6 +80,19 @@ class TestLoadGraph:
         loaded = load_features(path, expected_nodes=4)
         assert np.allclose(loaded, feats)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_non_finite_feature_names_row(self, tmp_path, bad, binary):
+        feats = np.ones((3, 2))
+        feats[1, 1] = bad
+        if binary:
+            path = tmp_path / "f.bin"
+            write_features_binary(path, feats)
+        else:
+            path = write_csv(tmp_path, feats.tolist())
+        with pytest.raises(GraphFormatError, match="row 2 "):
+            load_features(path)
+
     def test_edge_list_roundtrip_isomorphic(self, tmp_path, rng):
         g = random_graph(20, 0.2, rng)
         out = tmp_path / "rt.txt"
