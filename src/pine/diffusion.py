@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order
 
 from .graph import AttributedGraph, EmptyGraphError
 
@@ -253,8 +252,6 @@ def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig, weights, bet
         influence = weights.combined
         return lambda rng: rng.random(dst.size) < influence
     gamma = config.sir_gamma
-    if gamma == 1.0:  # every infectious period is one step
-        return lambda rng: rng.random(dst.size) < beta
 
     def sir(rng):
         # a node infectious for T steps infects each out-neighbour with
@@ -268,6 +265,10 @@ def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig, weights, bet
 def _reached_counts(g: AttributedGraph, live: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Nodes reachable from the seeds in each row's live subgraph, seeds
     included.  ``live`` is a (runs, M) mask in out-CSR order."""
+    # imported here so that commands which never sample spread do not pay
+    # for loading scipy.sparse.csgraph
+    from scipy.sparse.csgraph import breadth_first_order
+
     n = g.num_nodes
     runs = live.shape[0]
     root = runs * n  # super-source with an edge to every run's seeds
