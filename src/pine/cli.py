@@ -214,11 +214,12 @@ def build_parser():
 
     p = sub.add_parser("score", help="attention-based importance scores")
     _add_graph_args(p)
-    p.add_argument("--model", default=None, help="trained model file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", default=None, help="trained model file")
+    source.add_argument("--labels", default=None, help="validation labels TSV for edge-typed graphs")
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--calibrate", choices=["none", "log-degree"], default="none")
     p.add_argument("--out", default=None)
-    p.add_argument("--labels", default=None, help="validation labels TSV for edge-typed graphs")
     p.add_argument("--top-types", type=int, default=100)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--hidden", type=int, default=512)

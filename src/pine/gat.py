@@ -1,12 +1,20 @@
 """Single-head graph attention layers trained on link prediction.
 
-Forward and backward passes are written directly against the CSR edge
-arrays: per edge (j -> i) the unnormalized coefficient is
-LeakyReLU((U h_j, s) + (U h_i, t)), softmax-normalized over the edges
-incoming to i, and the updated embedding of i is the attention-weighted
-sum of its in-neighbors' projections -- the node's own representation is
-deliberately left out.  Nodes without in-edges map to the zero vector.
-Gradients are accumulated by reverse-mode traversal of the same graph.
+Forward and backward passes are written directly against the graph's CSR
+over destinations (``in_ptr``, ``edge_src``): per edge (j -> i) the
+unnormalized coefficient is LeakyReLU((U h_j, s) + (U h_i, t)),
+softmax-normalized over the edges incoming to i, and the updated embedding
+of i is the attention-weighted sum of its in-neighbors' projections -- the
+node's own representation is deliberately left out.  Nodes without in-edges
+map to the zero vector.  Gradients are accumulated by reverse-mode
+traversal of the same graph.
+
+The layer-0 input is the feature matrix as ``scipy.sparse`` CSR
+(``input_matrix``), so bag-of-words features cost only their nonzeros in
+``X @ U^T`` and in the projection gradient ``X^T d``.  A training loop
+builds it once and passes it to every ``forward``, and hands each taped
+forward to ``loss_and_gradients`` so one forward per epoch serves both the
+validation score and the next gradient.
 """
 
 from __future__ import annotations
@@ -94,19 +102,26 @@ def _elu(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LayerTape:
-    h_in: np.ndarray
+    h_in: np.ndarray | sparse.csr_matrix  # CSR at layer 0, dense after
     projected: np.ndarray
     pre_act: np.ndarray  # per-edge coefficient before LeakyReLU
     alpha: np.ndarray
+    adj: sparse.csr_matrix  # alpha laid on the graph's CSR, rows = destinations
     aggregated: np.ndarray  # node embeddings before inter-layer activation
 
 
-def forward(model: GatModel, g: AttributedGraph, keep_tape: bool = False):
+def input_matrix(features: np.ndarray, dtype) -> sparse.csr_matrix:
+    """The layer-0 input: the feature matrix as CSR in the model's dtype."""
+    return sparse.csr_matrix(features, dtype=dtype)
+
+
+def forward(model: GatModel, g: AttributedGraph, keep_tape: bool = False, x: sparse.csr_matrix | None = None):
     """Run the attention layers over the graph's features.
 
-    Returns final node embeddings; caches per-layer attention on the model.
-    With ``keep_tape`` the intermediates needed for the backward pass are
-    returned as a second value.
+    ``x`` is the layer-0 input from ``input_matrix``; it is built from
+    ``g.features`` when not given.  Returns final node embeddings; caches
+    per-layer attention on the model.  With ``keep_tape`` the intermediates
+    needed for the backward pass are returned as a second value.
     """
     if model.layers[0].d_in != g.feature_dim:
         raise ValueError(
@@ -115,7 +130,10 @@ def forward(model: GatModel, g: AttributedGraph, keep_tape: bool = False):
     dtype = model.layers[0].proj.dtype
     src, dst = g.edge_src, g.edge_dst
     n = g.num_nodes
-    h = g.features.astype(dtype)
+    in_deg = np.diff(g.in_ptr)
+    has_in = in_deg > 0
+    seg_starts = g.in_ptr[:-1][has_in]
+    h = input_matrix(g.features, dtype) if x is None else x
     tapes: list[_LayerTape] = []
     attention: list[np.ndarray] = []
     for li, layer in enumerate(model.layers):
@@ -124,16 +142,19 @@ def forward(model: GatModel, g: AttributedGraph, keep_tape: bool = False):
         score_dst = projected @ layer.attn_dst
         pre_act = score_src[src] + score_dst[dst]
         w = _leaky(pre_act, model.leaky_slope)
-        seg_max = np.full(n, -np.inf, dtype=dtype)
-        np.maximum.at(seg_max, dst, w)
-        exp = np.exp(w - seg_max[dst]) if w.size else w
-        denom = np.bincount(dst, weights=exp, minlength=n).astype(dtype)
-        alpha = (exp / denom[dst]).astype(dtype) if w.size else exp
-        adj = sparse.csr_matrix((alpha, (dst, src)), shape=(n, n), dtype=dtype)
+        if w.size:
+            # in-edges of a node are contiguous in canonical order
+            seg_max = np.repeat(np.maximum.reduceat(w, seg_starts), in_deg[has_in])
+            exp = np.exp(w - seg_max)
+            denom = np.bincount(dst, weights=exp, minlength=n).astype(dtype)
+            alpha = (exp / denom[dst]).astype(dtype)
+        else:
+            alpha = w
+        adj = sparse.csr_matrix((alpha, src, g.in_ptr), shape=(n, n))
         aggregated = adj @ projected
         attention.append(alpha)
         if keep_tape:
-            tapes.append(_LayerTape(h, projected, pre_act, alpha, aggregated))
+            tapes.append(_LayerTape(h, projected, pre_act, alpha, adj, aggregated))
         h = _elu(aggregated) if li < model.num_layers - 1 else aggregated
     model.attention = attention
     model.attention_edges = (src, dst)
@@ -164,9 +185,19 @@ def edge_scores(h_out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return _sigmoid(logits)
 
 
-def loss_and_gradients(model: GatModel, g: AttributedGraph, pos_edges: np.ndarray, neg_edges: np.ndarray):
+def loss_and_gradients(
+    model: GatModel,
+    g: AttributedGraph,
+    pos_edges: np.ndarray,
+    neg_edges: np.ndarray,
+    taped_forward: tuple | None = None,
+):
     """Binary cross-entropy over the balanced batch plus analytic gradients
     for every projection and attention vector.
+
+    ``taped_forward`` is the ``(h_out, tapes)`` pair that
+    ``forward(model, g, keep_tape=True)`` returned for the current
+    parameters; without it the forward runs here.
 
     Probabilities are clamped to [eps, 1-eps] before the logs; inside the
     clamp the loss gradient w.r.t. the logit is the usual (z - y), and a
@@ -174,7 +205,8 @@ def loss_and_gradients(model: GatModel, g: AttributedGraph, pos_edges: np.ndarra
     keeps finite differences of the computed loss exact.
     """
     dtype = model.layers[0].proj.dtype
-    h_out, tapes = forward(model, g, keep_tape=True)
+    n = g.num_nodes
+    h_out, tapes = taped_forward if taped_forward is not None else forward(model, g, keep_tape=True)
     pairs = np.concatenate([np.asarray(pos_edges).reshape(-1, 2), np.asarray(neg_edges).reshape(-1, 2)]).astype(np.int64)
     labels = np.concatenate([np.ones(len(pos_edges)), np.zeros(len(neg_edges))])
 
@@ -184,9 +216,9 @@ def loss_and_gradients(model: GatModel, g: AttributedGraph, pos_edges: np.ndarra
 
     inside = (z > PROB_EPS) & (z < 1.0 - PROB_EPS)
     dlogit = np.where(inside, z - labels, 0.0).astype(dtype)
-    d_h = np.zeros_like(h_out)
-    np.add.at(d_h, pairs[:, 0], dlogit[:, None] * h_out[pairs[:, 1]])
-    np.add.at(d_h, pairs[:, 1], dlogit[:, None] * h_out[pairs[:, 0]])
+    # logit_k = h[a_k] . h[b_k]: d_h[a] += dlogit h[b] and d_h[b] += dlogit h[a]
+    pair_grad = sparse.csr_matrix((dlogit, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    d_h = pair_grad @ h_out + pair_grad.T @ h_out
 
     grads = _backward(model, g, tapes, d_h)
     return float(loss), grads
@@ -210,8 +242,7 @@ def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_ou
         alpha, projected = tape.alpha, tape.projected
         # aggregated_i = sum_e alpha_e projected[src_e]
         d_alpha = np.einsum("ij,ij->i", d_agg[dst], projected[src])
-        adj = sparse.csr_matrix((alpha, (dst, src)), shape=(n, n), dtype=dtype)
-        d_proj = adj.T @ d_agg
+        d_proj = tape.adj.T @ d_agg
         # softmax over in-edge segments
         seg = np.bincount(dst, weights=alpha * d_alpha, minlength=n)
         d_w = alpha * (d_alpha - seg[dst])
@@ -221,8 +252,9 @@ def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_ou
         d_attn_src = projected.T @ d_score_src.astype(dtype)
         d_attn_dst = projected.T @ d_score_dst.astype(dtype)
         d_proj = d_proj + d_score_src[:, None].astype(dtype) * layer.attn_src + d_score_dst[:, None].astype(dtype) * layer.attn_dst
-        d_u = d_proj.T @ tape.h_in
-        d_h = d_proj @ layer.proj
+        d_u = np.ascontiguousarray((tape.h_in.T @ d_proj).T)  # laid out like proj
+        if li > 0:  # the input features carry no gradient
+            d_h = d_proj @ layer.proj
         grads.append((d_u, d_attn_src, d_attn_dst))
     grads.reverse()
     return grads
@@ -243,16 +275,30 @@ def save_model(model: GatModel, path) -> None:
 
 
 def load_model(path) -> GatModel:
+    """Read a ``save_model`` file.  A file cut short or with bytes after the
+    last layer raises ``ValueError`` naming the path and the layer."""
     with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != MAGIC_MODEL:
-            raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
-        (num_layers,) = struct.unpack("<Q", fh.read(8))
-        dims = [struct.unpack("<QQ", fh.read(16)) for _ in range(num_layers)]
-        layers = []
-        for d_in, d_out in dims:
-            proj = np.fromfile(fh, dtype="<f4", count=d_in * d_out).reshape(d_out, d_in)
-            s = np.fromfile(fh, dtype="<f4", count=d_out)
-            t = np.fromfile(fh, dtype="<f4", count=d_out)
-            layers.append(GatLayer(proj.astype(np.float32), s.astype(np.float32), t.astype(np.float32)))
+        data = fh.read()
+    if data[:6] != MAGIC_MODEL:
+        raise ValueError(f"{path}: not a model file (bad magic {data[:6]!r})")
+    if len(data) < 14:
+        raise ValueError(f"{path}: truncated before the layer count")
+    (num_layers,) = struct.unpack_from("<Q", data, 6)
+    offset = 14 + 16 * num_layers
+    if len(data) < offset:
+        raise ValueError(f"{path}: truncated in the dimensions of {num_layers} layers")
+    dims = [struct.unpack_from("<QQ", data, 14 + 16 * k) for k in range(num_layers)]
+    layers = []
+    for li, (d_in, d_out) in enumerate(dims, start=1):
+        blobs = []
+        for count in (d_in * d_out, d_out, d_out):
+            end = offset + 4 * count
+            if end > len(data):
+                raise ValueError(f"{path}: layer {li} is truncated ({len(data) - offset} of {4 * count} bytes)")
+            blobs.append(np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float32))
+            offset = end
+        proj, s, t = blobs
+        layers.append(GatLayer(proj.reshape(d_out, d_in), s, t))
+    if offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} trailing bytes after layer {num_layers}")
     return GatModel(layers)

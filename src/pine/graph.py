@@ -72,16 +72,20 @@ class AttributedGraph:
             return 0.0
         return float(np.dot(xj, xi) / (nj * ni))
 
-    def unit_features(self) -> np.ndarray:
-        """Row-normalized feature matrix; zero rows stay zero."""
-        norms = np.linalg.norm(self.features, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        return self.features / safe
-
     def edge_cosine(self) -> np.ndarray:
-        """Per-edge cosine similarity sim(src, dst) in canonical order."""
-        unit = self.unit_features()
-        return np.einsum("ij,ij->i", unit[self.edge_src], unit[self.edge_dst])
+        """Per-edge cosine similarity sim(src, dst) in canonical order; 0.0
+        where either feature vector has zero norm.  Endpoint features are
+        gathered in chunks of about 2^18 values, so temporaries stay small
+        for wide features."""
+        x = self.features
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+        dots = np.empty(self.num_edges)
+        step = max(1, (1 << 18) // max(1, x.shape[1]))
+        for lo in range(0, self.num_edges, step):
+            src, dst = self.edge_src[lo : lo + step], self.edge_dst[lo : lo + step]
+            dots[lo : lo + step] = np.einsum("ij,ij->i", x[src], x[dst])
+        denom = norms[self.edge_src] * norms[self.edge_dst]
+        return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
 
     def has_edge_types(self) -> bool:
         return self.edge_type is not None

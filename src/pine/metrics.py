@@ -35,19 +35,10 @@ def ndcg_at_k(predicted, truth, k: int) -> float:
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged (fractional ranks)."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties averaged (fractional ranks).  A tie group of c
+    values ending at rank e gets e - (c - 1) / 2, exact in float64."""
+    _values, group, counts = np.unique(np.asarray(x, dtype=np.float64), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman(predicted, truth) -> float:

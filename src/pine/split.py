@@ -38,33 +38,56 @@ class EdgeSplit:
         )
 
 
-def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
-    return pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
+def _pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """``dst * n + src``: sorted for pairs in the canonical (dst, src) order."""
+    return np.asarray(dst, dtype=np.int64) * n + np.asarray(src, dtype=np.int64)
 
 
-def sample_negatives(g: AttributedGraph, count: int, rng: np.random.Generator, forbidden: set | None = None) -> np.ndarray:
+def _isin_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of each of ``keys`` in the sorted array ``sorted_keys``."""
+    if not sorted_keys.size:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
+
+
+def sample_negatives(
+    g: AttributedGraph,
+    count: int,
+    rng: np.random.Generator,
+    forbidden: np.ndarray | None = None,
+) -> np.ndarray:
     """Uniformly sampled ordered node pairs that are not edges, not
-    self-pairs, and distinct within the returned batch."""
+    self-pairs, not in the (E, 2) ``forbidden`` pairs, and distinct within
+    the returned batch.
+
+    Candidate pairs are drawn in batches and accepted in draw order; after
+    ``100 * count + 1000`` draws without ``count`` acceptances the graph is
+    taken to have too few non-edges and ``SplitError`` is raised."""
     n = g.num_nodes
-    existing = set(_edge_keys(np.stack([g.edge_src, g.edge_dst], axis=1), n).tolist())
-    if forbidden:
-        existing |= forbidden
-    out = []
-    seen = set()
-    max_attempts = 100 * max(count, 1) + 1000
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > max_attempts:
+    blocked = _pair_keys(g.edge_src, g.edge_dst, n)
+    if forbidden is not None and len(forbidden):
+        forbidden = np.asarray(forbidden).reshape(-1, 2)
+        blocked = np.sort(np.concatenate([blocked, _pair_keys(forbidden[:, 0], forbidden[:, 1], n)]))
+    budget = 100 * max(count, 1) + 1000
+    accepted = np.empty(0, dtype=np.int64)  # in draw order
+    drawn = 0
+    while accepted.size < count:
+        if drawn >= budget or n == 0:
             raise SplitError(f"could not sample {count} negatives from a graph with N={n}, M={g.num_edges}")
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        key = u * n + v
-        if u == v or key in existing or key in seen:
-            continue
-        seen.add(key)
-        out.append((u, v))
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
+        need = count - accepted.size
+        # expected share of draws that are new non-edges, floored so one
+        # batch stays a bounded multiple of what is still needed
+        free = max(0.1, 1.0 - (blocked.size + n + accepted.size) / float(n * n))
+        batch = min(budget - drawn, int(1.1 * need / free) + 64)
+        drawn += batch
+        uv = rng.integers(0, n, size=(batch, 2))
+        keys = _pair_keys(uv[:, 0], uv[:, 1], n)
+        keys = keys[(uv[:, 0] != uv[:, 1]) & ~_isin_sorted(blocked, keys) & ~_isin_sorted(np.sort(accepted), keys)]
+        _unique, first = np.unique(keys, return_index=True)
+        accepted = np.concatenate([accepted, keys[np.sort(first)][:need]])
+    dst, src = np.divmod(accepted, max(n, 1))
+    return np.stack([src, dst], axis=1)
 
 
 def split_edges(
@@ -95,7 +118,7 @@ def split_edges(
     train, val, test = pairs[:n_train], pairs[n_train : n_train + n_val], pairs[n_train + n_val :]
     supervision, message = train[:n_sup], train[n_sup:]
     val_neg = sample_negatives(g, n_val, rng)
-    test_neg = sample_negatives(g, n_test, rng, forbidden=set(_edge_keys(val_neg, g.num_nodes).tolist()))
+    test_neg = sample_negatives(g, n_test, rng, forbidden=val_neg)
     return EdgeSplit(
         message_edges=message,
         supervision_pos=supervision,

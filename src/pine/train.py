@@ -1,5 +1,8 @@
 """Adam training loop for the link-prediction objective, with per-epoch
-negative resampling, validation-AUC early stopping, and ROC AUC."""
+negative resampling, validation-AUC early stopping, and ROC AUC.
+
+Each epoch runs one forward pass: the taped forward after the Adam step
+scores the validation pairs and is handed to the next epoch's gradient."""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import numpy as np
 
 from . import gat
 from .graph import AttributedGraph
+from .metrics import average_ranks
 from .split import EdgeSplit, sample_negatives
 
 
@@ -49,24 +53,9 @@ def roc_auc(scores, labels) -> float:
     neg = scores[labels == 0]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("need at least one positive and one negative label")
-    ranks = _average_ranks(scores)
+    ranks = average_ranks(scores)
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 class Adam:
@@ -90,8 +79,17 @@ class Adam:
             p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
 
 
-def evaluate_auc(model: gat.GatModel, message_graph: AttributedGraph, pos: np.ndarray, neg: np.ndarray) -> float:
-    h = gat.forward(model, message_graph)
+def evaluate_auc(
+    model: gat.GatModel,
+    message_graph: AttributedGraph,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    h: np.ndarray | None = None,
+) -> float:
+    """Validation ROC AUC of the model's edge scores; ``h`` is the final
+    embedding of a forward already run on ``message_graph``."""
+    if h is None:
+        h = gat.forward(model, message_graph)
     scores = np.concatenate([gat.edge_scores(h, pos), gat.edge_scores(h, neg)])
     labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
     return roc_auc(scores, labels)
@@ -109,9 +107,11 @@ def train(g: AttributedGraph, split: EdgeSplit, config: TrainConfig) -> tuple[ga
     best_params = None
     since_best = 0
     n_sup = len(split.supervision_pos)
+    x = gat.input_matrix(mg.features, config.dtype)
+    taped = gat.forward(model, mg, keep_tape=True, x=x)
     for epoch in range(config.max_epochs):
         neg = sample_negatives(g, n_sup, rng)
-        loss, grads = gat.loss_and_gradients(model, mg, split.supervision_pos, neg)
+        loss, grads = gat.loss_and_gradients(model, mg, split.supervision_pos, neg, taped_forward=taped)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"loss became non-finite at epoch {epoch}; try a smaller learning rate "
@@ -119,7 +119,8 @@ def train(g: AttributedGraph, split: EdgeSplit, config: TrainConfig) -> tuple[ga
             )
         flat_grads = [a for triple in grads for a in triple]
         optimizer.step(list(model.parameters()), flat_grads)
-        val_auc = evaluate_auc(model, mg, split.val_pos, split.val_neg)
+        taped = gat.forward(model, mg, keep_tape=True, x=x)
+        val_auc = evaluate_auc(model, mg, split.val_pos, split.val_neg, h=taped[0])
         log.epochs.append({"epoch": epoch, "loss": loss, "val_auc": val_auc})
         if val_auc > log.best_val_auc:
             log.best_val_auc = val_auc

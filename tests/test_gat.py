@@ -167,3 +167,117 @@ class TestSerialization:
         path.write_bytes(b"NOTPIN\x00\x00")
         with pytest.raises(ValueError, match="magic"):
             gat.load_model(path)
+
+
+def bag_of_words_graph(rng, n=14, d=30):
+    """Sparse nonnegative integer features with one all-zero row; node 3
+    keeps its out-edges but has no in-edges."""
+    g = random_graph(n, 0.25, rng, d=1)
+    feats = (rng.random((n, d)) < 0.15) * rng.integers(1, 4, (n, d))
+    feats[0] = 0
+    keep = g.edge_dst != 3
+    return build_graph(n, g.edge_src[keep], g.edge_dst[keep], feats.astype(np.float64))
+
+
+def assert_gradients_match_finite_differences(model, g, pos, neg, grads, eps=1e-6):
+    for li, layer in enumerate(model.layers):
+        for arr, analytic in zip([layer.proj, layer.attn_src, layer.attn_dst], grads[li]):
+            assert analytic.shape == arr.shape
+            flat = arr.reshape(-1)
+            targets = np.random.default_rng(li).choice(flat.size, size=min(8, flat.size), replace=False)
+            for idx in targets:
+                orig = flat[idx]
+                flat[idx] = orig + eps
+                lp, _ = gat.loss_and_gradients(model, g, pos, neg)
+                flat[idx] = orig - eps
+                lm, _ = gat.loss_and_gradients(model, g, pos, neg)
+                flat[idx] = orig
+                fd = (lp - lm) / (2 * eps)
+                an = analytic.reshape(-1)[idx]
+                assert abs(fd - an) <= 1e-4 * max(1e-8, abs(fd) + abs(an)) + 1e-9
+
+
+class TestSparseInput:
+    """The CSR layer-0 input and the CSR attention matrix against the dense
+    node-loop oracle and finite differences."""
+
+    def test_input_matrix_is_csr_of_features(self, rng):
+        g = bag_of_words_graph(rng)
+        x = gat.input_matrix(g.features, np.float32)
+        assert x.format == "csr" and x.dtype == np.float32
+        assert np.array_equal(x.toarray(), g.features.astype(np.float32))
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_forward_matches_dense_oracle(self, layers, rng):
+        g = bag_of_words_graph(rng)
+        assert g.in_degrees()[3] == 0 and g.out_degrees()[3] > 0
+        model = randomized_model(g.feature_dim, 5, layers, rng)
+        h = gat.forward(model, g)
+        assert np.allclose(h, dense_forward_oracle(model, g), atol=1e-9)
+        assert np.allclose(h[3], 0.0)
+        h_given = gat.forward(model, g, x=gat.input_matrix(g.features, np.float64))
+        assert np.array_equal(h, h_given)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_gradients_match_finite_differences(self, layers, rng):
+        g = bag_of_words_graph(rng)
+        model = randomized_model(g.feature_dim, 4, layers, rng)
+        pos = np.stack([g.edge_src[:6], g.edge_dst[:6]], axis=1)
+        neg = np.array([[0, 7], [3, 9], [11, 2], [6, 1], [8, 4], [5, 3]])
+        loss, grads = gat.loss_and_gradients(model, g, pos, neg)
+        assert_gradients_match_finite_differences(model, g, pos, neg, grads)
+        taped = gat.forward(model, g, keep_tape=True, x=gat.input_matrix(g.features, np.float64))
+        loss_given, grads_given = gat.loss_and_gradients(model, g, pos, neg, taped_forward=taped)
+        assert loss_given == loss
+        for triple, triple_given in zip(grads, grads_given):
+            for a, b in zip(triple, triple_given):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_edgeless_graph(self, layers, rng):
+        feats = (rng.random((6, 9)) < 0.3).astype(np.float64)
+        g = build_graph(6, [], [], feats)
+        model = randomized_model(9, 4, layers, rng)
+        h = gat.forward(model, g)
+        assert h.shape == (6, 4) and np.all(h == 0.0)
+        assert all(alpha.size == 0 for alpha in model.attention)
+        pos, neg = np.array([[0, 1], [2, 3]]), np.array([[4, 5]])
+        loss, grads = gat.loss_and_gradients(model, g, pos, neg)
+        assert loss == pytest.approx(3 * np.log(2.0))
+        for triple in grads:
+            for a in triple:
+                assert np.all(a == 0.0)
+
+    def test_gradients_are_c_contiguous(self, rng):
+        g = bag_of_words_graph(rng)
+        model = randomized_model(g.feature_dim, 4, 2, rng)
+        _, grads = gat.loss_and_gradients(model, g, np.array([[0, 1]]), np.array([[2, 5]]))
+        for layer, triple in zip(model.layers, grads):
+            assert triple[0].shape == layer.proj.shape and triple[0].flags["C_CONTIGUOUS"]
+
+
+class TestLoadModelChecks:
+    def saved(self, tmp_path, rng):
+        path = tmp_path / "m.bin"
+        gat.save_model(randomized_model(6, 4, 2, rng, dtype=np.float32), path)
+        return path
+
+    @pytest.mark.parametrize("cut", [1, 10, 4 * 4 + 1])
+    def test_truncated_blob_names_path_and_layer(self, cut, tmp_path, rng):
+        path = self.saved(tmp_path, rng)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=r"m\.bin: layer 2 is truncated"):
+            gat.load_model(path)
+
+    def test_truncated_header(self, tmp_path, rng):
+        path = self.saved(tmp_path, rng)
+        for size in (10, 14 + 16):
+            path.write_bytes(path.read_bytes()[:size])
+            with pytest.raises(ValueError, match=r"m\.bin: truncated"):
+                gat.load_model(path)
+
+    def test_trailing_bytes(self, tmp_path, rng):
+        path = self.saved(tmp_path, rng)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=r"m\.bin: 1 trailing bytes after layer 2"):
+            gat.load_model(path)

@@ -155,6 +155,22 @@ class TestCosineSimilarity:
         assert -1.0 - 1e-12 <= sab <= 1.0 + 1e-12
 
 
+class TestEdgeCosine:
+    @pytest.mark.parametrize("d", [3, 1 << 16])
+    def test_matches_pairwise_cosine(self, d, rng):
+        # at d = 2^16 endpoint features are gathered four edges at a time
+        g0 = random_graph(7, 0.4, rng, d=1)
+        feats = rng.normal(size=(7, d))
+        feats[2] = 0.0
+        g = build_graph(7, g0.edge_src, g0.edge_dst, feats)
+        assert g.num_edges > 4 and g.in_degrees()[2] + g.out_degrees()[2] > 0
+        expected = [g.cosine_similarity(int(j), int(i)) for j, i in zip(g.edge_src, g.edge_dst)]
+        assert np.allclose(g.edge_cosine(), expected, rtol=1e-12, atol=1e-15)
+
+    def test_edgeless(self):
+        assert build_graph(3, [], [], np.ones((3, 2))).edge_cosine().shape == (0,)
+
+
 class TestEdgeTypes:
     def test_select_single_type(self):
         g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)), edge_type=[0, 1])

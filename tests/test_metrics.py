@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pine.metrics import ndcg_at_k, precision_at_k, spearman
+from pine.metrics import average_ranks, ndcg_at_k, precision_at_k, spearman
 
 
 class TestNdcg:
@@ -64,6 +64,16 @@ class TestSpearman:
         rb = np.array([1.0, 2.0, 3.0, 4.0])
         expected = np.corrcoef(ra, rb)[0, 1]
         assert spearman(a, b) == pytest.approx(expected)
+
+
+class TestAverageRanks:
+    @given(st.lists(st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_counting_definition(self, values):
+        # rank of x = #(values < x) + (#(values == x) + 1) / 2, exact halves
+        x = np.array(values, dtype=np.float64)
+        expected = np.array([np.sum(x < v) + (np.sum(x == v) + 1) / 2.0 for v in x])
+        assert np.array_equal(average_ranks(x), expected)
 
 
 class TestPrecisionAtK:

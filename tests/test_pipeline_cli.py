@@ -262,3 +262,11 @@ class TestCli:
         rc = main(["centrality", "--graph", str(tmp_path / "nope.txt"), "--method", "degree"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_score_needs_model_or_labels(self, graph_files, capsys):
+        _g, edges, feats = graph_files
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--graph", edges, "--features", feats])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "--labels" in err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pine import gat
 from pine.graph import build_graph
@@ -170,3 +171,61 @@ class TestTrain:
         assert [e["loss"] for e in log1.epochs] == [e["loss"] for e in log2.epochs]
         for a, b in zip(m1.layers, m2.layers):
             assert np.array_equal(a.proj, b.proj)
+
+
+class TestFusedEpoch:
+    def test_matches_unfused_sequence(self):
+        # train() runs one taped forward per epoch and hands it to the next
+        # gradient; the plain sequence forwards inside each call
+        from pine.train import Adam, evaluate_auc
+
+        rng = np.random.default_rng(4)
+        g = build_graph(
+            40, rng.integers(0, 40, 200), rng.integers(0, 40, 200), (rng.random((40, 25)) < 0.2).astype(float)
+        )
+        config = TrainConfig(learning_rate=5e-3, hidden_size=8, num_layers=2, max_epochs=12, patience=12, rng_seed=9)
+        split = split_edges(g, rng_seed=9)
+        _model, log = train(g, split, config)
+
+        rng = np.random.default_rng(config.rng_seed)
+        model = gat.init_model(g.feature_dim, config.hidden_size, config.num_layers, rng, dtype=config.dtype)
+        mg = split.message_graph(g)
+        optimizer = Adam(list(model.parameters()), config)
+        expected = []
+        for epoch in range(config.max_epochs):
+            neg = sample_negatives(g, len(split.supervision_pos), rng)
+            loss, grads = gat.loss_and_gradients(model, mg, split.supervision_pos, neg)
+            optimizer.step(list(model.parameters()), [a for t in grads for a in t])
+            expected.append({"epoch": epoch, "loss": loss, "val_auc": evaluate_auc(model, mg, split.val_pos, split.val_neg)})
+        assert log.epochs == expected
+
+
+def pairs_of(arr):
+    return list(map(tuple, np.asarray(arr).reshape(-1, 2).tolist()))
+
+
+class TestSampleNegativesProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 7),
+        edge_bits=st.integers(0, 2**49 - 1),
+        forbidden_bits=st.integers(0, 2**49 - 1),
+        count=st.integers(0, 45),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_contract(self, n, edge_bits, forbidden_bits, count, seed):
+        ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = [p for k, p in enumerate(ordered) if edge_bits >> k & 1]
+        forbidden = np.array([p for k, p in enumerate(ordered) if forbidden_bits >> k & 1], dtype=np.int64)
+        g = build_graph(n, [u for u, _ in edges], [v for _, v in edges], np.ones((n, 1)))
+        free = set(ordered) - set(edges) - set(pairs_of(forbidden))
+        rng = np.random.default_rng(seed)
+        if count > len(free):
+            with pytest.raises(SplitError):
+                sample_negatives(g, count, rng, forbidden=forbidden)
+            return
+        out = sample_negatives(g, count, rng, forbidden=forbidden)
+        assert out.shape == (count, 2) and out.dtype == np.int64
+        got = pairs_of(out)
+        assert len(set(got)) == count  # no repeats
+        assert set(got) <= free  # no edges, self-pairs or forbidden pairs
