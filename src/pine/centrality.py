@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .graph import AttributedGraph
 from .scores import ScoreVector
@@ -59,6 +60,8 @@ def pagerank(
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie in (0, 1)")
     n = g.num_nodes
+    if n == 0:
+        return ScoreVector(np.zeros(0), "pagerank")
     out_deg = g.out_degrees().astype(np.float64)
     dangling = out_deg == 0
     r = np.full(n, 1.0 / n)
@@ -117,40 +120,30 @@ def katz(
         norm = np.linalg.norm(x)
         if norm > 0:
             x = x / norm
-        else:  # empty-edge graph: uniform scores
+        elif n > 0:  # empty-edge graph: uniform scores
             x = np.full(n, 1.0 / np.sqrt(n))
     return ScoreVector(x, "katz")
 
 
-def _bfs_distances(g: AttributedGraph, source: int) -> np.ndarray:
-    dist = np.full(g.num_nodes, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in g.out_neighbors(v):
-                if dist[u] < 0:
-                    dist[u] = d
-                    nxt.append(int(u))
-        frontier = nxt
-    return dist
+# source rows per shortest_path call, so one chunk holds about 2^20 distances
+_CLOSENESS_CHUNK_CELLS = 1 << 20
 
 
 def closeness(g: AttributedGraph) -> ScoreVector:
     """Out-direction closeness with the Wasserman-Faust correction for
     graphs that are not strongly connected."""
     n = g.num_nodes
+    adj = g.adjacency()
     values = np.zeros(n)
-    for i in range(n):
-        dist = _bfs_distances(g, i)
-        reached = dist >= 0
-        r = int(reached.sum())  # includes the source itself
-        total = int(dist[reached].sum())
-        if r > 1 and total > 0:
-            values[i] = ((r - 1) / (n - 1)) * ((r - 1) / total) if n > 1 else 0.0
+    step = max(1, _CLOSENESS_CHUNK_CELLS // max(n, 1))
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        dist = csgraph.shortest_path(adj, unweighted=True, indices=rows)
+        reached = np.isfinite(dist)
+        r = reached.sum(axis=1) - 1  # nodes reached, the source excluded
+        total = np.where(reached, dist, 0.0).sum(axis=1)
+        hit = total > 0
+        values[rows[hit]] = (r[hit] / (n - 1)) * (r[hit] / total[hit])
     return ScoreVector(values, "closeness")
 
 
@@ -230,22 +223,11 @@ def voterank(g: AttributedGraph, k: int) -> tuple[list[int], ScoreVector]:
     final = votes()
     final[elected_mask] = 0.0
     # lift elected nodes above all remaining scores, preserving election order
-    lift = final.max() + 1.0
+    lift = final.max(initial=0.0) + 1.0
     for pos, node in enumerate(elected):
         final[node] = lift + (k - pos)
     return elected, ScoreVector(final, f"voterank[{k}]")
 
-
-EXACT_MEASURES = {
-    "degree": degree,
-    "out_degree": out_degree,
-    "weighted_out_degree": weighted_out_degree,
-    "relative_out_degree": relative_out_degree,
-    "pagerank": pagerank,
-    "katz": katz,
-    "closeness": closeness,
-    "betweenness": betweenness,
-}
 
 # exact all-pairs traversals become impractical beyond this many nodes
 GLOBAL_MEASURE_NODE_BUDGET = 50_000

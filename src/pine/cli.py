@@ -18,6 +18,8 @@ from .pine_score import (
     select_edge_types,
 )
 from .pipeline import (
+    METHODS,
+    PipelineConfig,
     PipelineError,
     benchmark,
     compute_method_scores,
@@ -56,20 +58,15 @@ def _emit_scores(scores: ScoreVector, out_path):
 
 def cmd_centrality(args):
     g = _load(args)
-    if args.method == "voterank":
-        k = args.k if args.k is not None else max(1, int(0.1 * g.num_nodes))
-        _elected, scores = ct.voterank(g, k)
-    elif args.method in ("closeness", "betweenness") and g.num_nodes > args.node_budget:
-        raise PipelineError(args.method, f"refused above {args.node_budget} nodes (N={g.num_nodes})")
-    elif args.method == "pagerank":
-        scores = ct.pagerank(g, damping=args.damping)
-    elif args.method == "katz":
-        scores = ct.katz(g, attenuation=args.attenuation)
-    elif args.method == "relative_out_degree":
-        scores = ct.relative_out_degree(g, args.tuning)
-    else:
-        scores = ct.EXACT_MEASURES[args.method](g)
-    _emit_scores(scores, args.out)
+    config = PipelineConfig(
+        edges=args.graph,
+        damping=args.damping,
+        attenuation=args.attenuation,
+        tuning=args.tuning,
+        node_budget=args.node_budget,
+    )
+    k = args.k if args.k is not None else max(1, int(0.1 * g.num_nodes))
+    _emit_scores(compute_method_scores(g, args.method, config, k), args.out)
 
 
 def cmd_train(args):
@@ -192,7 +189,7 @@ def build_parser():
 
     p = sub.add_parser("centrality", help="classical importance measures")
     _add_graph_args(p)
-    p.add_argument("--method", required=True, choices=list(ct.EXACT_MEASURES) + ["voterank"])
+    p.add_argument("--method", required=True, choices=[m for m in METHODS if m != "pine"])
     p.add_argument("--out", default=None)
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--attenuation", type=float, default=0.005)

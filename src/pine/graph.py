@@ -13,6 +13,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 MAGIC_FEATURES = b"PINEF1"
 
@@ -87,8 +89,12 @@ class AttributedGraph:
         denom = norms[self.edge_src] * norms[self.edge_dst]
         return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
 
-    def has_edge_types(self) -> bool:
-        return self.edge_type is not None
+    def adjacency(self) -> sparse.csr_matrix:
+        """Unit-weight CSR matrix whose row j holds j's out-neighbours."""
+        n = self.num_nodes
+        return sparse.csr_matrix(
+            (np.ones(self.num_edges), self.edge_dst[self.out_perm], self.out_ptr), shape=(n, n)
+        )
 
     def write_edge_list(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -322,29 +328,19 @@ def induced_subgraph(g: AttributedGraph, nodes: np.ndarray) -> AttributedGraph:
 
 
 def weak_components(g: AttributedGraph) -> np.ndarray:
-    """Component label per node under edge-direction-blind connectivity."""
-    labels = -np.ones(g.num_nodes, dtype=np.int64)
-    current = 0
-    for start in range(g.num_nodes):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            v = stack.pop()
-            for u in np.concatenate([g.in_neighbors(v), g.out_neighbors(v)]):
-                if labels[u] < 0:
-                    labels[u] = current
-                    stack.append(u)
-        current += 1
+    """Component label per node under edge-direction-blind connectivity.
+    Labels are numbered in ascending order of each component's smallest
+    node id."""
+    _count, labels = csgraph.connected_components(g.adjacency(), connection="weak")
     return labels
 
 
 def largest_weak_component(g: AttributedGraph) -> AttributedGraph:
     """Induced subgraph on the largest weakly connected component; size ties
-    go to the component containing the smallest node id."""
+    go to the component containing the smallest node id.  A graph with no
+    nodes gives an empty graph."""
     labels = weak_components(g)
-    sizes = np.bincount(labels)
-    best = int(np.argmax(sizes))  # argmax takes the first maximum; labels are
-    # assigned in ascending order of smallest member id, so ties resolve right
+    if labels.size == 0:
+        return induced_subgraph(g, labels)
+    best = int(np.argmax(np.bincount(labels)))  # the first maximum: the tie rule
     return induced_subgraph(g, np.nonzero(labels == best)[0])

@@ -7,11 +7,7 @@ import warnings
 
 import numpy as np
 
-
-def _descending_order(scores: np.ndarray) -> np.ndarray:
-    """Node order by descending score, ties by ascending id."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.lexsort((np.arange(scores.size), -scores))
+from .scores import descending_order
 
 
 def _dcg(gains: np.ndarray) -> float:
@@ -29,8 +25,8 @@ def ndcg_at_k(predicted, truth, k: int) -> float:
     if not np.any(truth > 0):
         raise ValueError("NDCG undefined: ground-truth importance is all zero")
     k = min(k, truth.size)
-    dcg = _dcg(truth[_descending_order(predicted)][:k])
-    idcg = _dcg(truth[_descending_order(truth)][:k])
+    dcg = _dcg(truth[descending_order(predicted)][:k])
+    idcg = _dcg(truth[descending_order(truth)][:k])
     return dcg / idcg
 
 
@@ -69,6 +65,6 @@ def precision_at_k(predicted, truth, k: int) -> float:
         raise ValueError("k must be >= 1")
     if predicted.size != truth.size:
         raise ValueError("predicted and truth lengths differ")
-    top_pred = set(_descending_order(predicted)[:k].tolist())
-    top_true = set(_descending_order(truth)[:k].tolist())
+    top_pred = set(descending_order(predicted)[:k].tolist())
+    top_true = set(descending_order(truth)[:k].tolist())
     return len(top_pred & top_true) / k

@@ -7,10 +7,7 @@ import configparser
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import centrality as ct
-from . import gat
 from .diffusion import DiffusionConfig, influence_spread, worker_count
 from .graph import AttributedGraph, load_graph
 from .pine_score import calibrate_by_out_degree, score_graph
@@ -30,23 +27,9 @@ _KNOWN_KEYS = {
     "pipeline": {"methods", "models", "seed_fraction"},
     "diffusion": {"runs", "alpha1", "alpha2", "sir_beta", "sir_gamma", "max_steps", "seed"},
     "train": {"layers", "hidden", "lr", "max_epochs", "patience", "seed"},
-    "centrality": {"damping", "attenuation", "tuning", "voterank_k", "node_budget"},
+    "centrality": {"damping", "attenuation", "tuning", "node_budget"},
     "score": {"layer", "calibrate"},
 }
-
-METHOD_NAMES = (
-    "degree",
-    "out_degree",
-    "weighted_out_degree",
-    "relative_out_degree",
-    "pagerank",
-    "katz",
-    "closeness",
-    "betweenness",
-    "voterank",
-    "pine",
-)
-
 
 @dataclass
 class PipelineConfig:
@@ -133,48 +116,53 @@ def load_config(path) -> PipelineConfig:
         calibrate=get(s, "calibrate", str, "none"),
     )
     for m in config.methods:
-        if m not in METHOD_NAMES:
-            raise PipelineError("config", f"unknown method {m!r}; choose from {METHOD_NAMES}")
+        if m not in METHODS:
+            raise PipelineError("config", f"unknown method {m!r}; choose from {tuple(METHODS)}")
     return config
 
 
-def select_top_fraction(scores: ScoreVector, fraction: float) -> np.ndarray:
-    """floor(fraction * N) highest-scoring nodes, boundary ties by id."""
-    return scores.top_fraction(fraction)
+def _split_and_train(g: AttributedGraph, config: TrainConfig):
+    """The edge split and the GAT trained on it, from one seed."""
+    split = split_edges(g, rng_seed=config.rng_seed)
+    model, log = train(g, split, config)
+    return split, model, log
+
+
+def _pine(g: AttributedGraph, config: PipelineConfig, _seed_count: int) -> ScoreVector:
+    _split, model, _log = _split_and_train(g, config.train)
+    scores = score_graph(g, model, config.score_layer)
+    if config.calibrate == "log-degree":
+        scores = calibrate_by_out_degree(scores, g)
+    return scores
+
+
+# Every scoring method, as (graph, config, seed_count) -> ScoreVector.  The
+# entries look functions up on their modules when called, so a wrapper set
+# on a module attribute (as the benchmark's tracer does) is the one that runs.
+METHODS = {
+    "degree": lambda g, c, k: ct.degree(g),
+    "out_degree": lambda g, c, k: ct.out_degree(g),
+    "weighted_out_degree": lambda g, c, k: ct.weighted_out_degree(g),
+    "relative_out_degree": lambda g, c, k: ct.relative_out_degree(g, c.tuning),
+    "pagerank": lambda g, c, k: ct.pagerank(g, damping=c.damping),
+    "katz": lambda g, c, k: ct.katz(g, attenuation=c.attenuation),
+    "closeness": lambda g, c, k: ct.closeness(g),
+    "betweenness": lambda g, c, k: ct.betweenness(g),
+    "voterank": lambda g, c, k: ct.voterank(g, k)[1],
+    "pine": _pine,
+}
 
 
 def compute_method_scores(g: AttributedGraph, method: str, config: PipelineConfig, seed_count: int) -> ScoreVector:
+    """Scores of one method; VoteRank elects ``seed_count`` nodes.  Exact
+    closeness and betweenness are refused above ``config.node_budget``."""
+    if method not in METHODS:
+        raise PipelineError("scoring", f"unknown method {method!r}")
     if method in ("closeness", "betweenness") and g.num_nodes > config.node_budget:
         raise PipelineError(
             method, f"exact {method} refused above {config.node_budget} nodes (N={g.num_nodes})"
         )
-    if method == "degree":
-        return ct.degree(g)
-    if method == "out_degree":
-        return ct.out_degree(g)
-    if method == "weighted_out_degree":
-        return ct.weighted_out_degree(g)
-    if method == "relative_out_degree":
-        return ct.relative_out_degree(g, config.tuning)
-    if method == "pagerank":
-        return ct.pagerank(g, damping=config.damping)
-    if method == "katz":
-        return ct.katz(g, attenuation=config.attenuation)
-    if method == "closeness":
-        return ct.closeness(g)
-    if method == "betweenness":
-        return ct.betweenness(g)
-    if method == "voterank":
-        _elected, sv = ct.voterank(g, seed_count)
-        return sv
-    if method == "pine":
-        split = split_edges(g, rng_seed=config.train.rng_seed)
-        model, _log = train(g, split, config.train)
-        scores = score_graph(g, model, config.score_layer)
-        if config.calibrate == "log-degree":
-            scores = calibrate_by_out_degree(scores, g)
-        return scores
-    raise PipelineError("scoring", f"unknown method {method!r}")
+    return METHODS[method](g, config, seed_count)
 
 
 def _report_header(g: AttributedGraph, config: PipelineConfig, seed_count: int) -> list[str]:
@@ -208,7 +196,7 @@ def run_pipeline(config_path) -> str:
     for method in config.methods:
         try:
             scores = compute_method_scores(g, method, config, seed_count)
-            seeds = select_top_fraction(scores, config.seed_fraction)
+            seeds = scores.top_fraction(config.seed_fraction)
         except PipelineError:
             raise
         except Exception as exc:
@@ -248,8 +236,7 @@ def benchmark(config_path) -> str:
     for method in config.methods:
         if method == "pine":
             t0 = time.perf_counter()
-            split = split_edges(g, rng_seed=config.train.rng_seed)
-            model, _log = train(g, split, config.train)
+            _split, model, _log = _split_and_train(g, config.train)
             t1 = time.perf_counter()
             score_graph(g, model, config.score_layer)
             t2 = time.perf_counter()
@@ -264,8 +251,6 @@ def benchmark(config_path) -> str:
 
 def train_and_test_auc(g: AttributedGraph, config: TrainConfig):
     """Convenience wrapper: split, train, report test ROC AUC."""
-    split = split_edges(g, rng_seed=config.rng_seed)
-    model, log = train(g, split, config)
-    mg = split.message_graph(g)
-    auc = evaluate_auc(model, mg, split.test_pos, split.test_neg)
+    split, model, log = _split_and_train(g, config)
+    auc = evaluate_auc(model, split.message_graph(g), split.test_pos, split.test_neg)
     return model, log, auc

@@ -7,6 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Indices sorted by descending value, ties by ascending index."""
+    return np.lexsort((np.arange(values.size), -values))
+
+
 @dataclass
 class ScoreVector:
     values: np.ndarray
@@ -24,7 +29,7 @@ class ScoreVector:
 
     def ranking(self) -> np.ndarray:
         """Node ids sorted by descending score, ties by ascending id."""
-        return np.lexsort((np.arange(self.values.size), -self.values))
+        return descending_order(self.values)
 
     def top_fraction(self, fraction: float) -> np.ndarray:
         """The floor(fraction * N) highest-scoring node ids, deterministic

@@ -1,5 +1,7 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, strategies as st
 
 from pine.graph import build_graph
 
@@ -14,6 +16,40 @@ def random_graph(n, edge_prob, rng, d=4, typed=None):
                 dst.append(j)
     etype = rng.integers(0, typed, len(src)) if typed else None
     return build_graph(n, np.array(src), np.array(dst), rng.normal(size=(n, d)), edge_type=etype)
+
+
+@st.composite
+def small_digraphs(draw, max_nodes=8):
+    """(N, edge pairs) with N in [0, max_nodes]; self-loops and repeats are
+    allowed, build_graph drops them."""
+    n = draw(st.integers(0, max_nodes))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=3 * n))
+
+
+# N = 0, 1 and 2, edgeless and multi-component graphs, run on every example
+DEGENERATE_GRAPHS = [(0, []), (1, []), (2, []), (2, [(0, 1)]), (5, []), (6, [(0, 1), (1, 2), (4, 3)])]
+
+
+def with_degenerate_graphs(test):
+    for case in DEGENERATE_GRAPHS:
+        test = example(case)(test)
+    return test
+
+
+def graph_from_pairs(n, pairs):
+    src = np.array([p[0] for p in pairs], dtype=np.int64)
+    dst = np.array([p[1] for p in pairs], dtype=np.int64)
+    return build_graph(n, src, dst, np.ones((n, 1)))
+
+
+def to_networkx(g):
+    G = nx.DiGraph()
+    G.add_nodes_from(range(g.num_nodes))
+    G.add_edges_from(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
+    return G
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pine import centrality as ct
-from pine.graph import build_graph
+from pine.graph import build_graph, largest_weak_component
+from pine.pipeline import METHODS, PipelineConfig, compute_method_scores
 
-from conftest import random_graph
+from conftest import graph_from_pairs, random_graph, small_digraphs, to_networkx, with_degenerate_graphs
 
 
 def path3():
@@ -196,6 +199,16 @@ class TestCloseness:
         g = random_graph(50, 0.06, rng)
         assert np.allclose(ct.closeness(g).values, closeness_bfs_oracle(g))
 
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=60, deadline=None)
+    def test_matches_networkx(self, case):
+        # networkx measures distances into a node; the reverse graph turns
+        # them into distances out of it
+        g = graph_from_pairs(*case)
+        expected = nx.closeness_centrality(to_networkx(g).reverse(), wf_improved=True)
+        assert np.array_equal(ct.closeness(g).values, [expected[v] for v in range(g.num_nodes)])
+
 
 def betweenness_enumeration_oracle(g):
     """Brute force: enumerate all shortest paths between every ordered pair."""
@@ -331,5 +344,16 @@ class TestPermutationEquivariance:
         g = random_graph(12, 0.3, rng)
         perm = rng.permutation(12)
         g2 = build_graph(12, perm[g.edge_src], perm[g.edge_dst], g.features[np.argsort(perm)])
-        fn = ct.EXACT_MEASURES[measure]
+        fn = getattr(ct, measure)
         assert np.allclose(fn(g).values, fn(g2).values[perm])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("target", [m for m in METHODS if m != "pine"] + ["largest_weak_component"])
+def test_empty_and_single_node_graphs(target, n):
+    g = build_graph(n, [], [], np.ones((n, 2)))
+    if target == "largest_weak_component":
+        assert largest_weak_component(g).num_nodes == n
+    else:
+        assert len(compute_method_scores(g, target, PipelineConfig(edges=""), seed_count=n)) == n

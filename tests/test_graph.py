@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +12,11 @@ from pine.graph import (
     load_features,
     load_graph,
     subgraph_by_edge_type,
+    weak_components,
     write_features_binary,
 )
 
-from conftest import random_graph
+from conftest import graph_from_pairs, random_graph, small_digraphs, to_networkx, with_degenerate_graphs
 
 
 def write_edges(tmp_path, text, name="edges.txt"):
@@ -235,6 +237,20 @@ class TestLargestWeakComponent:
         g = build_graph(4, [0, 2], [1, 3], np.ones((4, 1)))
         sub = largest_weak_component(g)
         assert sub.id_map == ["0", "1"]
+
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=60, deadline=None)
+    def test_components_match_networkx(self, case):
+        g = graph_from_pairs(*case)
+        expected = {frozenset(c) for c in nx.weakly_connected_components(to_networkx(g))}
+        labels = weak_components(g)
+        assert {frozenset(np.flatnonzero(labels == c).tolist()) for c in set(labels.tolist())} == expected
+        # labels count up in order of each component's smallest node: the tie rule
+        ids, first = np.unique(labels, return_index=True)
+        assert np.array_equal(ids, np.arange(len(expected)))
+        assert np.all(np.diff(first) > 0)
+        assert largest_weak_component(g).num_nodes == max(map(len, expected), default=0)
 
 
 class TestInducedSubgraph:

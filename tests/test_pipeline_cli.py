@@ -1,13 +1,20 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pine.pipeline as pp
 from pine.cli import main
+from pine.graph import load_graph
 from pine.pipeline import (
+    METHODS,
+    PipelineConfig,
     PipelineError,
     benchmark,
+    compute_method_scores,
     load_config,
     run_pipeline,
-    select_top_fraction,
 )
 from pine.scores import ScoreVector, read_score_tsv
 
@@ -80,6 +87,14 @@ class TestConfig:
         with pytest.raises(PipelineError, match="eigenvector"):
             load_config(path)
 
+    def test_voterank_k_rejected(self, tmp_path, graph_files):
+        # VoteRank elects the pipeline's seed count; the key was never read
+        _g, edges, feats = graph_files
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[graph]\nedges = {edges}\n[centrality]\nvoterank_k = 5\n")
+        with pytest.raises(PipelineError, match="voterank_k"):
+            load_config(path)
+
     def test_missing_edges_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[pipeline]\nmethods = out_degree\n")
@@ -94,19 +109,19 @@ class TestConfig:
 class TestTopFraction:
     def test_floor_of_fraction(self):
         sv = ScoreVector(np.arange(10.0), "x")
-        assert select_top_fraction(sv, 0.25).size == 2
+        assert sv.top_fraction(0.25).size == 2
 
     def test_highest_scores_selected(self):
         sv = ScoreVector(np.array([5.0, 1.0, 9.0, 3.0]), "x")
-        assert set(select_top_fraction(sv, 0.5)) == {0, 2}
+        assert set(sv.top_fraction(0.5)) == {0, 2}
 
     def test_boundary_tie_by_id(self):
         sv = ScoreVector(np.array([1.0, 2.0, 2.0, 2.0]), "x")
-        assert list(select_top_fraction(sv, 0.5)) == [1, 2]
+        assert list(sv.top_fraction(0.5)) == [1, 2]
 
     def test_zero_when_tiny_fraction(self):
         sv = ScoreVector(np.arange(5.0), "x")
-        assert select_top_fraction(sv, 0.1).size == 0
+        assert sv.top_fraction(0.1).size == 0
 
 
 class TestPipeline:
@@ -166,7 +181,35 @@ class TestBenchmark:
         assert all(float(row.split("\t")[1]) >= 0 for row in body[1:])
 
 
+# non-default flag values, so a flag the CLI failed to pass on would show
+CLI_FLAGS = {
+    "relative_out_degree": (["--tuning", "0.3"], {"tuning": 0.3}),
+    "pagerank": (["--damping", "0.7"], {"damping": 0.7}),
+    "katz": (["--attenuation", "0.01"], {"attenuation": 0.01}),
+}
+CLI_CASES = [(m, *CLI_FLAGS.get(m, ([], {}))) for m in METHODS if m != "pine"]
+CLI_CASES.append(("voterank", ["--k", "7"], {}))
+
+
 class TestCli:
+    @pytest.mark.parametrize("method, flags, overrides", CLI_CASES)
+    def test_centrality_matches_pipeline_scores(self, tmp_path, graph_files, method, flags, overrides):
+        _g, edges, feats = graph_files
+        out = tmp_path / "cli.tsv"
+        argv = ["centrality", "--graph", edges, "--features", feats, "--method", method, "--out", str(out)]
+        assert main(argv + flags) == 0
+        g = load_graph(edges, feats)
+        k = int(flags[-1]) if "--k" in flags else max(1, int(0.1 * g.num_nodes))
+        expected = tmp_path / "pipeline.tsv"
+        compute_method_scores(g, method, PipelineConfig(edges=edges, **overrides), k).write_tsv(expected)
+        assert out.read_text() == expected.read_text()
+
+    @pytest.mark.parametrize("method", ["closeness", "betweenness"])
+    def test_centrality_node_budget_refusal(self, graph_files, capsys, method):
+        _g, edges, _feats = graph_files
+        assert main(["centrality", "--graph", edges, "--method", method, "--node-budget", "10"]) == 1
+        assert "refused" in capsys.readouterr().err
+
     def test_centrality_stdout_and_tsv(self, tmp_path, graph_files, capsys):
         g, edges, feats = graph_files
         out = tmp_path / "scores.tsv"
@@ -270,3 +313,40 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--model" in err and "--labels" in err
+
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+
+
+@pytest.fixture()
+def benchmark_tracer(monkeypatch):
+    """The benchmark's Tracer, installed; every attribute it wraps is put
+    back when the test ends."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, path, _label in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        *parents, attr = path.split(".")
+        for p in parents:
+            owner = getattr(owner, p)
+        if hasattr(owner, attr):
+            monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    return tracer.Tracer().install()
+
+
+class TestBenchmarkTracer:
+    def test_every_method_layer_is_traced(self, tmp_path, graph_files, benchmark_tracer):
+        _g, edges, feats = graph_files
+        path = tmp_path / "all.ini"
+        path.write_text(
+            f"[graph]\nedges = {edges}\nfeatures = {feats}\n"
+            f"[pipeline]\nmethods = {', '.join(METHODS)}\nmodels = ltp\n"
+            "[diffusion]\nruns = 5\n"
+            "[train]\nhidden = 4\nmax_epochs = 2\npatience = 1\nlr = 0.01\n"
+        )
+        pp.run_pipeline(path)
+        assert benchmark_tracer.missing_targets == []
+        names = {span["name"] for span in benchmark_tracer.spans}
+        assert {f"centrality.{m}" for m in METHODS if m != "pine"} <= names
+        assert {"split.split_edges", "train.train", "pine_score.score_graph"} <= names
