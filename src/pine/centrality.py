@@ -125,20 +125,29 @@ def katz(
     return ScoreVector(x, "katz")
 
 
-# source rows per shortest_path call, so one chunk holds about 2^20 distances
-_CLOSENESS_CHUNK_CELLS = 1 << 20
+# source rows per shortest_path call: each array of a chunk holds about 2^20
+# values, so temporaries stay at a few MB whatever the graph's size
+_CHUNK_CELLS = 1 << 20
+
+
+def _distance_chunks(adj, row_cells: int):
+    """Yield (rows, dist) over consecutive runs of source nodes, about
+    _CHUNK_CELLS // row_cells at a time; dist[i, v] is the hop distance
+    from rows[i] to v, inf where v is unreached.  ``row_cells`` is how many
+    values the caller keeps per source."""
+    n = adj.shape[0]
+    step = max(1, _CHUNK_CELLS // max(row_cells, 1))
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        yield rows, csgraph.shortest_path(adj, unweighted=True, indices=rows)
 
 
 def closeness(g: AttributedGraph) -> ScoreVector:
     """Out-direction closeness with the Wasserman-Faust correction for
     graphs that are not strongly connected."""
     n = g.num_nodes
-    adj = g.adjacency()
     values = np.zeros(n)
-    step = max(1, _CLOSENESS_CHUNK_CELLS // max(n, 1))
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        dist = csgraph.shortest_path(adj, unweighted=True, indices=rows)
+    for rows, dist in _distance_chunks(g.adjacency(), n):
         reached = np.isfinite(dist)
         r = reached.sum(axis=1) - 1  # nodes reached, the source excluded
         total = np.where(reached, dist, 0.0).sum(axis=1)
@@ -149,39 +158,65 @@ def closeness(g: AttributedGraph) -> ScoreVector:
 
 def betweenness(g: AttributedGraph) -> ScoreVector:
     """Exact directed betweenness by Brandes' accumulation, normalized by
-    (N-1)(N-2)."""
+    (N-1)(N-2).
+
+    Sources go in chunks, and within a chunk level by level.  Each node a
+    source reaches gets a slot; slots run by BFS level, then source, then
+    BFS discovery position, so every level is one contiguous range.  An
+    out-edge of a level d-1 node is on the source's shortest-path DAG iff
+    its head lies on level d.  Path counts are integers, so their sums are
+    exact in any order.  Each node's dependency sums its terms in
+    decreasing discovery position of the head, and the sources'
+    dependencies are added into the scores in source order: the
+    floating-point order of Brandes' one-source-at-a-time loop, so the
+    scores equal that loop's bit for bit.
+    """
     n = g.num_nodes
+    adj = g.adjacency()
+    out_ptr, out_dst = g.out_ptr, adj.indices
     values = np.zeros(n)
-    for s in range(n):
-        # single-source shortest-path counting
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        order = [s]
-        preds: list[list[int]] = [[] for _ in range(n)]
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for u in g.out_neighbors(v):
-                    u = int(u)
-                    if dist[u] < 0:
-                        dist[u] = d
-                        nxt.append(u)
-                        order.append(u)
-                    if dist[u] == d:
-                        sigma[u] += sigma[v]
-                        preds[u].append(v)
-            frontier = nxt
-        delta = np.zeros(n)
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                values[w] += delta[w]
+    for rows, dist in _distance_chunks(adj, n + g.num_edges):
+        # reached (source, node) pairs in discovery order, source by source
+        orders = [csgraph.breadth_first_order(adj, s, return_predecessors=False) for s in rows]
+        node = np.concatenate(orders)
+        row = np.repeat(np.arange(rows.size), [o.size for o in orders])
+        level = dist[row, node]
+        by_level = np.argsort(level, kind="stable")
+        node, row, level = node[by_level], row[by_level], level[by_level]
+        slot = np.empty(dist.shape, dtype=np.int64)
+        slot[row, node] = np.arange(node.size)
+        starts = np.searchsorted(level, np.arange(level[-1] + 2))  # slot range of each level
+        sigma = np.zeros(node.size)
+        sigma[: starts[1]] = 1.0
+        dag = []  # per level d >= 1: (tail, head) slots of the DAG edges into it
+        for d in range(1, starts.size - 1):
+            # every out-edge of level d-1, as (tail slot, head slot)
+            tails = np.arange(starts[d - 1], starts[d])
+            first = out_ptr[node[tails]]
+            deg = out_ptr[node[tails] + 1] - first
+            edge = np.arange(deg.sum()) + np.repeat(first - (np.cumsum(deg) - deg), deg)
+            tail = np.repeat(tails, deg)
+            head = slot[row[tail], out_dst[edge]]
+            on_dag = head >= starts[d]  # the other heads lie on levels up to d - 1
+            tail, head = tail[on_dag], head[on_dag]
+            by_head = np.argsort(head)[::-1]  # heads in decreasing discovery position
+            tail, head = tail[by_head], head[by_head]
+            sigma[starts[d] : starts[d + 1]] = np.bincount(
+                head - starts[d], weights=sigma[tail], minlength=starts[d + 1] - starts[d]
+            )
+            dag.append((tail, head))
+        delta = np.zeros(node.size)
+        for d in range(len(dag), 0, -1):
+            tail, head = dag[d - 1]
+            # bincount adds in input order: each tail sums its terms as the loop does
+            delta[starts[d - 1] : starts[d]] = np.bincount(
+                tail - starts[d - 1],
+                weights=sigma[tail] / sigma[head] * (1.0 + delta[head]),
+                minlength=starts[d] - starts[d - 1],
+            )
+        # every slot but the sources' own, in source order; add.at adds in index order
+        by_source = starts[1] + np.argsort(row[starts[1] :], kind="stable")
+        np.add.at(values, node[by_source], delta[by_source])
     if n > 2:
         values /= (n - 1) * (n - 2)
     return ScoreVector(values, "betweenness")

@@ -55,10 +55,25 @@ class PipelineConfig:
     calibrate: str = "none"
 
 
+def _names(raw: str) -> list[str]:
+    return [m.strip() for m in raw.split(",") if m.strip()]
+
+
+def _flag(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes", "on")
+
+
+def _calibration(raw: str) -> str:
+    if raw not in ("none", "log-degree"):
+        raise ValueError("choose none or log-degree")
+    return raw
+
+
 def load_config(path) -> PipelineConfig:
     """Parse the flat sectioned key-value config; unknown sections or keys
-    are errors so typos fail fast."""
-    parser = configparser.ConfigParser()
+    are errors so typos fail fast.  A ``;`` after whitespace starts a
+    comment, and an empty value means the default."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise PipelineError("config", f"cannot read config file {path}")
@@ -68,52 +83,47 @@ def load_config(path) -> PipelineConfig:
         unknown = set(parser[section]) - _KNOWN_KEYS[section]
         if unknown:
             raise PipelineError("config", f"unknown key(s) in [{section}]: {sorted(unknown)}")
-    if "graph" not in parser or "edges" not in parser["graph"]:
-        raise PipelineError("config", "missing required [graph] edges entry")
-
-    g = parser["graph"]
-    p = parser["pipeline"] if "pipeline" in parser else {}
-    d = parser["diffusion"] if "diffusion" in parser else {}
-    t = parser["train"] if "train" in parser else {}
-    c = parser["centrality"] if "centrality" in parser else {}
-    s = parser["score"] if "score" in parser else {}
 
     def get(section, key, cast, default):
-        if key in section:
-            raw = section[key]
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+        raw = parser.get(section, key, fallback="").strip()
+        if not raw:
+            return default
+        try:
             return cast(raw)
-        return default
+        except ValueError as exc:
+            raise PipelineError("config", f"[{section}] {key} = {raw!r}: {exc}") from exc
 
+    edges = get("graph", "edges", str, None)
+    if edges is None:
+        raise PipelineError("config", "missing required [graph] edges entry")
     config = PipelineConfig(
-        edges=g["edges"],
-        features=g.get("features"),
-        reverse_edges=get(g, "reverse_edges", bool, False),
-        methods=[m.strip() for m in p.get("methods", "out_degree,pine").split(",") if m.strip()],
-        models=[m.strip() for m in p.get("models", "ltp").split(",") if m.strip()],
-        seed_fraction=get(p, "seed_fraction", float, 0.1),
-        runs=get(d, "runs", int, 1000),
-        alpha1=get(d, "alpha1", float, 0.5),
-        alpha2=get(d, "alpha2", float, 0.5),
-        sir_beta=get(d, "sir_beta", float, None),
-        sir_gamma=get(d, "sir_gamma", float, 1.0),
-        max_steps=get(d, "max_steps", int, None),
-        diffusion_seed=get(d, "seed", int, 0),
+        edges=edges,
+        features=get("graph", "features", str, None),
+        reverse_edges=get("graph", "reverse_edges", _flag, False),
+        methods=get("pipeline", "methods", _names, ["out_degree", "pine"]),
+        models=get("pipeline", "models", _names, ["ltp"]),
+        seed_fraction=get("pipeline", "seed_fraction", float, 0.1),
+        runs=get("diffusion", "runs", int, 1000),
+        alpha1=get("diffusion", "alpha1", float, 0.5),
+        alpha2=get("diffusion", "alpha2", float, 0.5),
+        sir_beta=get("diffusion", "sir_beta", float, None),
+        sir_gamma=get("diffusion", "sir_gamma", float, 1.0),
+        max_steps=get("diffusion", "max_steps", int, None),
+        diffusion_seed=get("diffusion", "seed", int, 0),
         train=TrainConfig(
-            learning_rate=get(t, "lr", float, 5e-4),
-            hidden_size=get(t, "hidden", int, 512),
-            num_layers=get(t, "layers", int, 1),
-            max_epochs=get(t, "max_epochs", int, 500),
-            patience=get(t, "patience", int, 20),
-            rng_seed=get(t, "seed", int, 0),
+            learning_rate=get("train", "lr", float, 5e-4),
+            hidden_size=get("train", "hidden", int, 512),
+            num_layers=get("train", "layers", int, 1),
+            max_epochs=get("train", "max_epochs", int, 500),
+            patience=get("train", "patience", int, 20),
+            rng_seed=get("train", "seed", int, 0),
         ),
-        damping=get(c, "damping", float, 0.85),
-        attenuation=get(c, "attenuation", float, 0.005),
-        tuning=get(c, "tuning", float, 0.5),
-        node_budget=get(c, "node_budget", int, ct.GLOBAL_MEASURE_NODE_BUDGET),
-        score_layer=get(s, "layer", int, 0),
-        calibrate=get(s, "calibrate", str, "none"),
+        damping=get("centrality", "damping", float, 0.85),
+        attenuation=get("centrality", "attenuation", float, 0.005),
+        tuning=get("centrality", "tuning", float, 0.5),
+        node_budget=get("centrality", "node_budget", int, ct.GLOBAL_MEASURE_NODE_BUDGET),
+        score_layer=get("score", "layer", int, 0),
+        calibrate=get("score", "calibrate", _calibration, "none"),
     )
     for m in config.methods:
         if m not in METHODS:

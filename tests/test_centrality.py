@@ -1,3 +1,5 @@
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -130,6 +132,20 @@ class TestPageRank:
         with pytest.raises(ValueError):
             ct.pagerank(path3(), damping=1.0)
 
+    @pytest.mark.parametrize("damping", [0.5, 0.85])
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=40, deadline=None)
+    def test_matches_networkx(self, damping, case):
+        g = graph_from_pairs(*case)
+        n = g.num_nodes
+        uniform = {v: 1.0 for v in range(n)}
+        expected = nx.pagerank(
+            to_networkx(g), alpha=damping, personalization=uniform, dangling=uniform, tol=1e-14, max_iter=10_000
+        )
+        mine = ct.pagerank(g, damping=damping, tol=1e-14, max_iter=10_000).values
+        assert np.allclose(mine, [expected[v] for v in range(n)], rtol=0, atol=1e-8)
+
 
 class TestKatz:
     def test_empty_graph_uniform(self):
@@ -153,6 +169,24 @@ class TestKatz:
         g = build_graph(2, [0, 1], [1, 0], np.ones((2, 1)))
         with pytest.raises(ct.ConvergenceError, match="attenuation"):
             ct.katz(g, attenuation=2.0)
+
+    @pytest.mark.parametrize("attenuation", [0.005, 0.1])
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=40, deadline=None)
+    def test_matches_networkx(self, attenuation, case):
+        # networkx's x = (I - a A^T)^-1 1 counts the empty walk, which is 1
+        # for every node; the series here starts at walks of length 1.  Two
+        # isolated padding nodes change no score and keep networkx's solve
+        # from squeezing a one-node system to a scalar, which it cannot zip.
+        # A graph of 8 nodes has spectral radius at most 7, below 1 / 0.1.
+        g = graph_from_pairs(*case)
+        n = g.num_nodes
+        G = to_networkx(g)
+        G.add_nodes_from([n, n + 1])
+        expected = nx.katz_centrality_numpy(G, alpha=attenuation, beta=1, normalized=False)
+        mine = ct.katz(g, attenuation=attenuation, normalize=False).values
+        assert np.allclose(mine, [expected[v] - 1.0 for v in range(n)], rtol=0, atol=1e-8)
 
     def test_small_attenuation_ranks_by_in_degree(self, rng):
         g = random_graph(12, 0.25, rng)
@@ -259,6 +293,46 @@ def betweenness_enumeration_oracle(g):
     return values
 
 
+def betweenness_loop_oracle(g):
+    """Brandes' accumulation one source at a time in Python loops: the
+    floating-point order that ct.betweenness keeps."""
+    n = g.num_nodes
+    values = np.zeros(n)
+    for s in range(n):
+        # single-source shortest-path counting
+        sigma = np.zeros(n)
+        sigma[s] = 1.0
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[s] = 0
+        order = [s]
+        preds: list[list[int]] = [[] for _ in range(n)]
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for v in frontier:
+                for u in g.out_neighbors(v):
+                    u = int(u)
+                    if dist[u] < 0:
+                        dist[u] = d
+                        nxt.append(u)
+                        order.append(u)
+                    if dist[u] == d:
+                        sigma[u] += sigma[v]
+                        preds[u].append(v)
+            frontier = nxt
+        delta = np.zeros(n)
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                values[w] += delta[w]
+    if n > 2:
+        values /= (n - 1) * (n - 2)
+    return values
+
+
 class TestBetweenness:
     def test_path_midpoint(self):
         assert np.allclose(ct.betweenness(path3()).values, [0.0, 0.5, 0.0])
@@ -279,6 +353,56 @@ class TestBetweenness:
         src = [parent[v] for v in range(1, 7)]
         g = build_graph(7, src, list(range(1, 7)), np.ones((7, 1)))
         assert np.allclose(ct.betweenness(g).values, betweenness_enumeration_oracle(g))
+
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_loop_oracle(self, case):
+        g = graph_from_pairs(*case)
+        assert np.array_equal(ct.betweenness(g).values, betweenness_loop_oracle(g))
+
+    @pytest.mark.parametrize("chunk_cells", [1, 60, 1 << 20])
+    def test_bit_equal_to_loop_oracle_on_random_graphs(self, chunk_cells, monkeypatch):
+        # cycles, isolated nodes and parallel edges of two types; the small
+        # budgets split the sources over many chunks
+        monkeypatch.setattr(ct, "_CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(chunk_cells)
+        for _ in range(40):
+            n = int(rng.integers(0, 40))
+            m = int(rng.integers(0, 3 * n + 1))
+            src, dst = rng.integers(0, max(n, 1), (2, m))
+            g = build_graph(n, src, dst, np.ones((n, 1)), edge_type=rng.integers(0, 2, m))
+            assert np.array_equal(ct.betweenness(g).values, betweenness_loop_oracle(g))
+
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=60, deadline=None)
+    def test_matches_networkx(self, case):
+        g = graph_from_pairs(*case)
+        expected = nx.betweenness_centrality(to_networkx(g), normalized=True)
+        mine = ct.betweenness(g).values
+        np.testing.assert_allclose(mine, [expected[v] for v in range(g.num_nodes)], rtol=1e-12, atol=0)
+
+    def test_peak_memory_bounded_by_chunk_budget(self):
+        # 2700 nodes in 9 blocks of 300, each a ring with random chords, so
+        # every source reaches its whole block.  An N x N distance matrix
+        # alone would take 58 MB; each array of a chunk holds about
+        # _CHUNK_CELLS values.
+        rng = np.random.default_rng(0)
+        size, n = 300, 2700
+        ring = np.arange(n)
+        chord_src = rng.integers(0, n, 2 * n)
+        chord_dst = chord_src - chord_src % size + rng.integers(0, size, chord_src.size)
+        src = np.concatenate([ring, chord_src])
+        dst = np.concatenate([ring - ring % size + (ring + 1) % size, chord_dst])
+        g = build_graph(n, src, dst, np.ones((n, 1)))
+        tracemalloc.start()
+        try:
+            ct.betweenness(g)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * ct._CHUNK_CELLS  # bytes: two float64 arrays of a chunk
 
 
 def voterank_oracle(g, k):

@@ -105,6 +105,52 @@ class TestConfig:
         with pytest.raises(PipelineError, match="cannot read"):
             load_config(tmp_path / "does-not-exist.ini")
 
+    def test_readme_example_loads(self, tmp_path):
+        # the ```ini block of README.md, verbatim, with its inline comments
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        config = load_config(path)
+        assert config.methods == ["out_degree", "pagerank", "voterank", "pine"]
+        assert config.models == ["ltp", "icp", "sir"]
+        assert (config.alpha1, config.alpha2) == (0.5, 0.5)
+        assert config.sir_beta is None  # "empty = auto"
+        assert config.calibrate == "none"
+        assert config.node_budget == 50000
+
+    def test_empty_value_is_default(self, tmp_path, graph_files):
+        _g, edges, _feats = graph_files
+        path = tmp_path / "empty.ini"
+        path.write_text(f"[graph]\nedges = {edges}\nfeatures =\n[pipeline]\nmethods =\n[diffusion]\nruns =\n")
+        config = load_config(path)
+        assert config.features is None
+        assert config.methods == ["out_degree", "pine"]
+        assert config.runs == 1000
+
+    def test_bad_value_names_key(self, tmp_path, graph_files):
+        _g, edges, _feats = graph_files
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[graph]\nedges = {edges}\n[diffusion]\nalpha1 = half\n")
+        with pytest.raises(PipelineError, match=r"\[config\] \[diffusion\] alpha1 = 'half'"):
+            load_config(path)
+
+    def test_unknown_calibration_rejected(self, tmp_path, graph_files):
+        # any value but "log-degree" used to run uncalibrated without a word
+        _g, edges, _feats = graph_files
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[graph]\nedges = {edges}\n[score]\ncalibrate = log_degree\n")
+        with pytest.raises(PipelineError, match=r"\[score\] calibrate = 'log_degree'"):
+            load_config(path)
+
+    def test_semicolon_without_space_is_kept(self, tmp_path, graph_files):
+        # only a ";" after whitespace starts a comment
+        _g, edges, _feats = graph_files
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[graph]\nedges = {edges}\n[train]\nhidden = 8;16\n")
+        with pytest.raises(PipelineError, match=r"\[train\] hidden = '8;16'"):
+            load_config(path)
+
 
 class TestTopFraction:
     def test_floor_of_fraction(self):

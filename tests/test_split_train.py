@@ -200,6 +200,42 @@ class TestFusedEpoch:
         assert log.epochs == expected
 
 
+class TestAdam:
+    @staticmethod
+    def reference_step(params, grads, m, v, t, c):
+        # the update as plain numpy expressions, each temporary allocated
+        for p, grad, mi, vi in zip(params, grads, m, v):
+            g = grad.astype(p.dtype)
+            mi *= c.beta1
+            mi += (1 - c.beta1) * g
+            vi *= c.beta2
+            vi += (1 - c.beta2) * g * g
+            m_hat = mi / (1 - c.beta1**t)
+            v_hat = vi / (1 - c.beta2**t)
+            p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_bit_equal_to_plain_expressions(self, dtype):
+        from pine.train import Adam
+
+        rng = np.random.default_rng(5)
+        config = TrainConfig(learning_rate=3e-3, adam_eps=1e-7)
+        shapes = [(17, 9), (9,), (1,)]
+        params = [rng.normal(size=s).astype(dtype) for s in shapes]
+        expected = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        optimizer = Adam(params, config)
+        for t in range(1, 8):
+            # float64 gradients, as the backward pass may give, cast to the parameters' dtype
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=s) for s in shapes]
+            optimizer.step(params, grads)
+            self.reference_step(expected, grads, m, v, t, config)
+            for got, want, mi, vi, om, ov in zip(params, expected, m, v, optimizer.m, optimizer.v):
+                assert got.dtype == dtype
+                assert np.array_equal(got, want) and np.array_equal(om, mi) and np.array_equal(ov, vi)
+
+
 def pairs_of(arr):
     return list(map(tuple, np.asarray(arr).reshape(-1, 2).tolist()))
 
