@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.sparse import csgraph
 
@@ -56,7 +58,8 @@ def pagerank(
     max_iter: int = 200,
 ) -> ScoreVector:
     """Power iteration with uniform teleport; dangling mass is spread
-    uniformly.  Scores sum to 1."""
+    uniformly.  Scores sum to 1.  Without convergence in ``max_iter``
+    iterations the last iterate is returned with a ``RuntimeWarning``."""
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie in (0, 1)")
     n = g.num_nodes
@@ -67,19 +70,22 @@ def pagerank(
     r = np.full(n, 1.0 / n)
     src, dst = g.edge_src, g.edge_dst
     inv_out = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
-    converged = False
+    residual = np.inf
     for _ in range(max_iter):
         contrib = r * inv_out
         flow = np.bincount(dst, weights=contrib[src], minlength=n)
         r_new = damping * (flow + r[dangling].sum() / n) + (1.0 - damping) / n
-        if np.abs(r_new - r).sum() < tol:
-            r = r_new
-            converged = True
-            break
+        residual = np.abs(r_new - r).sum()
         r = r_new
-    sv = ScoreVector(r, "pagerank")
-    sv.converged = converged  # best iterate is still returned when False
-    return sv
+        if residual < tol:
+            break
+    else:
+        warnings.warn(
+            f"pagerank did not converge in {max_iter} iterations (residual {residual:.3g}, tol {tol:g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return ScoreVector(r, "pagerank")
 
 
 def katz(

@@ -13,7 +13,6 @@ from .graph import largest_weak_component, load_graph
 from .pine_score import (
     calibrate_by_out_degree,
     heterogeneous_pine,
-    pine_scores,
     score_graph,
     select_edge_types,
 )

@@ -12,15 +12,19 @@ traversal of the same graph.
 The layer-0 input is the feature matrix as ``scipy.sparse`` CSR
 (``input_matrix``), so bag-of-words features cost only their nonzeros in
 ``X @ U^T`` and in the projection gradient ``X^T d``.  A training loop
-builds it once and passes it to every ``forward``, and hands each taped
-forward to ``loss_and_gradients`` so one forward per epoch serves both the
-validation score and the next gradient.
+builds it once and passes it to every ``forward``, and hands each
+forward's ``(h, tapes)`` to ``loss_and_gradients`` so one forward per epoch
+serves both the validation score and the next gradient.
+
+A ``GatModel`` holds parameters only.  The attention of a pass is part of
+what ``forward`` returns: ``tapes[layer].alpha``, one weight per edge in the
+graph's canonical edge order.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -51,10 +55,6 @@ class GatLayer:
 class GatModel:
     layers: list[GatLayer]
     leaky_slope: float = LEAKY_SLOPE
-    # populated by forward(): per-layer attention per edge, in the canonical
-    # edge order of the graph it was forwarded on
-    attention: list[np.ndarray] | None = field(default=None, repr=False)
-    attention_edges: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def num_layers(self) -> int:
@@ -65,12 +65,6 @@ class GatModel:
             yield layer.proj
             yield layer.attn_src
             yield layer.attn_dst
-
-    def astype(self, dtype) -> "GatModel":
-        return GatModel(
-            [GatLayer(l.proj.astype(dtype), l.attn_src.astype(dtype), l.attn_dst.astype(dtype)) for l in self.layers],
-            self.leaky_slope,
-        )
 
 
 def init_model(
@@ -115,13 +109,14 @@ def input_matrix(features: np.ndarray, dtype) -> sparse.csr_matrix:
     return sparse.csr_matrix(features, dtype=dtype)
 
 
-def forward(model: GatModel, g: AttributedGraph, keep_tape: bool = False, x: sparse.csr_matrix | None = None):
+def forward(model: GatModel, g: AttributedGraph, x: sparse.csr_matrix | None = None):
     """Run the attention layers over the graph's features.
 
     ``x`` is the layer-0 input from ``input_matrix``; it is built from
-    ``g.features`` when not given.  Returns final node embeddings; caches
-    per-layer attention on the model.  With ``keep_tape`` the intermediates
-    needed for the backward pass are returned as a second value.
+    ``g.features`` when not given.  Returns ``(h, tapes)``: the final node
+    embeddings and one ``_LayerTape`` per layer, holding that layer's
+    attention (``alpha``, in the graph's canonical edge order) and the
+    intermediates the backward pass needs.
     """
     if model.layers[0].d_in != g.feature_dim:
         raise ValueError(
@@ -135,7 +130,6 @@ def forward(model: GatModel, g: AttributedGraph, keep_tape: bool = False, x: spa
     seg_starts = g.in_ptr[:-1][has_in]
     h = input_matrix(g.features, dtype) if x is None else x
     tapes: list[_LayerTape] = []
-    attention: list[np.ndarray] = []
     for li, layer in enumerate(model.layers):
         projected = h @ layer.proj.T
         score_src = projected @ layer.attn_src
@@ -152,15 +146,9 @@ def forward(model: GatModel, g: AttributedGraph, keep_tape: bool = False, x: spa
             alpha = w
         adj = sparse.csr_matrix((alpha, src, g.in_ptr), shape=(n, n))
         aggregated = adj @ projected
-        attention.append(alpha)
-        if keep_tape:
-            tapes.append(_LayerTape(h, projected, pre_act, alpha, adj, aggregated))
+        tapes.append(_LayerTape(h, projected, pre_act, alpha, adj, aggregated))
         h = _elu(aggregated) if li < model.num_layers - 1 else aggregated
-    model.attention = attention
-    model.attention_edges = (src, dst)
-    if keep_tape:
-        return h, tapes
-    return h
+    return h, tapes
 
 
 def predict_edge(h_out: np.ndarray, j: int, i: int) -> float:
@@ -195,9 +183,8 @@ def loss_and_gradients(
     """Binary cross-entropy over the balanced batch plus analytic gradients
     for every projection and attention vector.
 
-    ``taped_forward`` is the ``(h_out, tapes)`` pair that
-    ``forward(model, g, keep_tape=True)`` returned for the current
-    parameters; without it the forward runs here.
+    ``taped_forward`` is the ``(h_out, tapes)`` pair that ``forward``
+    returned for the current parameters; without it the forward runs here.
 
     Probabilities are clamped to [eps, 1-eps] before the logs; inside the
     clamp the loss gradient w.r.t. the logit is the usual (z - y), and a
@@ -206,7 +193,7 @@ def loss_and_gradients(
     """
     dtype = model.layers[0].proj.dtype
     n = g.num_nodes
-    h_out, tapes = taped_forward if taped_forward is not None else forward(model, g, keep_tape=True)
+    h_out, tapes = taped_forward if taped_forward is not None else forward(model, g)
     pairs = np.concatenate([np.asarray(pos_edges).reshape(-1, 2), np.asarray(neg_edges).reshape(-1, 2)]).astype(np.int64)
     labels = np.concatenate([np.ones(len(pos_edges)), np.zeros(len(neg_edges))])
 
@@ -261,8 +248,7 @@ def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_ou
 
 
 def save_model(model: GatModel, path) -> None:
-    """Versioned binary dump: magic, layer count, per-layer dims, f32 blobs.
-    The attention cache is not persisted (recomputed by a forward pass)."""
+    """Versioned binary dump: magic, layer count, per-layer dims, f32 blobs."""
     with open(path, "wb") as fh:
         fh.write(MAGIC_MODEL)
         fh.write(struct.pack("<Q", model.num_layers))

@@ -17,26 +17,16 @@ from .train import TrainConfig, train
 logger = logging.getLogger(__name__)
 
 
-def pine_scores(model: gat.GatModel, g: AttributedGraph, layer_index: int = 0) -> ScoreVector:
-    """Sum of a node's outgoing attention weights at the chosen layer: how
-    much its out-neighbors rely on it as an information source.  Requires a
-    prior forward pass on this graph (attention cache populated)."""
-    if model.attention is None:
-        raise RuntimeError("attention cache is empty; run a forward pass on the graph first")
+def score_graph(g: AttributedGraph, model: gat.GatModel, layer_index: int = 0) -> ScoreVector:
+    """Sum of a node's outgoing attention weights at the chosen layer of a
+    forward pass over ``g``: how much its out-neighbors rely on it as an
+    information source."""
     if not 0 <= layer_index < model.num_layers:
         raise ValueError(f"layer_index {layer_index} out of range for {model.num_layers} layers")
-    src, _dst = model.attention_edges
-    alpha = model.attention[layer_index]
-    if src.size != g.edge_src.size or not np.array_equal(src, g.edge_src):
-        raise RuntimeError("attention cache was computed on a different graph")
-    values = np.bincount(src, weights=alpha.astype(np.float64), minlength=g.num_nodes)
+    _h, tapes = gat.forward(model, g)
+    alpha = tapes[layer_index].alpha
+    values = np.bincount(g.edge_src, weights=alpha.astype(np.float64), minlength=g.num_nodes)
     return ScoreVector(values, f"pine[layer={layer_index}]")
-
-
-def score_graph(g: AttributedGraph, model: gat.GatModel, layer_index: int = 0) -> ScoreVector:
-    """Forward the model over the graph, then aggregate outgoing attention."""
-    gat.forward(model, g)
-    return pine_scores(model, g, layer_index)
 
 
 @dataclass

@@ -22,15 +22,6 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-_KNOWN_KEYS = {
-    "graph": {"edges", "features", "reverse_edges"},
-    "pipeline": {"methods", "models", "seed_fraction"},
-    "diffusion": {"runs", "alpha1", "alpha2", "sir_beta", "sir_gamma", "max_steps", "seed"},
-    "train": {"layers", "hidden", "lr", "max_epochs", "patience", "seed"},
-    "centrality": {"damping", "attenuation", "tuning", "node_budget"},
-    "score": {"layer", "calibrate"},
-}
-
 @dataclass
 class PipelineConfig:
     edges: str
@@ -69,6 +60,37 @@ def _calibration(raw: str) -> str:
     return raw
 
 
+# (section, key) -> (field, parser).  Keys of [train] set TrainConfig
+# fields, every other key a PipelineConfig field.
+_KEYS = {
+    ("graph", "edges"): ("edges", str),
+    ("graph", "features"): ("features", str),
+    ("graph", "reverse_edges"): ("reverse_edges", _flag),
+    ("pipeline", "methods"): ("methods", _names),
+    ("pipeline", "models"): ("models", _names),
+    ("pipeline", "seed_fraction"): ("seed_fraction", float),
+    ("diffusion", "runs"): ("runs", int),
+    ("diffusion", "alpha1"): ("alpha1", float),
+    ("diffusion", "alpha2"): ("alpha2", float),
+    ("diffusion", "sir_beta"): ("sir_beta", float),
+    ("diffusion", "sir_gamma"): ("sir_gamma", float),
+    ("diffusion", "max_steps"): ("max_steps", int),
+    ("diffusion", "seed"): ("diffusion_seed", int),
+    ("train", "layers"): ("num_layers", int),
+    ("train", "hidden"): ("hidden_size", int),
+    ("train", "lr"): ("learning_rate", float),
+    ("train", "max_epochs"): ("max_epochs", int),
+    ("train", "patience"): ("patience", int),
+    ("train", "seed"): ("rng_seed", int),
+    ("centrality", "damping"): ("damping", float),
+    ("centrality", "attenuation"): ("attenuation", float),
+    ("centrality", "tuning"): ("tuning", float),
+    ("centrality", "node_budget"): ("node_budget", int),
+    ("score", "layer"): ("score_layer", int),
+    ("score", "calibrate"): ("calibrate", _calibration),
+}
+
+
 def load_config(path) -> PipelineConfig:
     """Parse the flat sectioned key-value config; unknown sections or keys
     are errors so typos fail fast.  A ``;`` after whitespace starts a
@@ -77,54 +99,28 @@ def load_config(path) -> PipelineConfig:
     read = parser.read(path)
     if not read:
         raise PipelineError("config", f"cannot read config file {path}")
+    values: dict[str, object] = {}
+    train_values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        known = {key for sec, key in _KEYS if sec == section}
+        if not known:
             raise PipelineError("config", f"unknown section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+        unknown = set(parser[section]) - known
         if unknown:
             raise PipelineError("config", f"unknown key(s) in [{section}]: {sorted(unknown)}")
-
-    def get(section, key, cast, default):
-        raw = parser.get(section, key, fallback="").strip()
-        if not raw:
-            return default
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise PipelineError("config", f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-    edges = get("graph", "edges", str, None)
-    if edges is None:
+        for key, raw in parser[section].items():
+            raw = raw.strip()
+            if not raw:
+                continue
+            name, cast = _KEYS[section, key]
+            try:
+                value = cast(raw)
+            except ValueError as exc:
+                raise PipelineError("config", f"[{section}] {key} = {raw!r}: {exc}") from exc
+            (train_values if section == "train" else values)[name] = value
+    if "edges" not in values:
         raise PipelineError("config", "missing required [graph] edges entry")
-    config = PipelineConfig(
-        edges=edges,
-        features=get("graph", "features", str, None),
-        reverse_edges=get("graph", "reverse_edges", _flag, False),
-        methods=get("pipeline", "methods", _names, ["out_degree", "pine"]),
-        models=get("pipeline", "models", _names, ["ltp"]),
-        seed_fraction=get("pipeline", "seed_fraction", float, 0.1),
-        runs=get("diffusion", "runs", int, 1000),
-        alpha1=get("diffusion", "alpha1", float, 0.5),
-        alpha2=get("diffusion", "alpha2", float, 0.5),
-        sir_beta=get("diffusion", "sir_beta", float, None),
-        sir_gamma=get("diffusion", "sir_gamma", float, 1.0),
-        max_steps=get("diffusion", "max_steps", int, None),
-        diffusion_seed=get("diffusion", "seed", int, 0),
-        train=TrainConfig(
-            learning_rate=get("train", "lr", float, 5e-4),
-            hidden_size=get("train", "hidden", int, 512),
-            num_layers=get("train", "layers", int, 1),
-            max_epochs=get("train", "max_epochs", int, 500),
-            patience=get("train", "patience", int, 20),
-            rng_seed=get("train", "seed", int, 0),
-        ),
-        damping=get("centrality", "damping", float, 0.85),
-        attenuation=get("centrality", "attenuation", float, 0.005),
-        tuning=get("centrality", "tuning", float, 0.5),
-        node_budget=get("centrality", "node_budget", int, ct.GLOBAL_MEASURE_NODE_BUDGET),
-        score_layer=get("score", "layer", int, 0),
-        calibrate=get("score", "calibrate", _calibration, "none"),
-    )
+    config = PipelineConfig(**values, train=TrainConfig(**train_values))
     for m in config.methods:
         if m not in METHODS:
             raise PipelineError("config", f"unknown method {m!r}; choose from {tuple(METHODS)}")

@@ -46,11 +46,36 @@ class ScoreVector:
                 fh.write(f"{node}\t{self.values[node]:.10g}\n")
 
 
+class ScoreFileError(ValueError):
+    """A score file row that does not give one value to one node."""
+
+
 def read_score_tsv(path, num_nodes: int | None = None) -> np.ndarray:
-    """Read `node_id<TAB>value` rows into a dense vector."""
-    pairs = np.loadtxt(path, delimiter="\t", ndmin=2, dtype=np.float64)
-    ids = pairs[:, 0].astype(np.int64)
-    n = num_nodes if num_nodes is not None else int(ids.max()) + 1
+    """Read `node_id<TAB>value` rows into a dense vector of ``num_nodes``
+    values (the largest id plus one when not given); nodes without a row
+    score 0.  Blank lines and ``#`` comments are skipped.  A row that is not
+    two tab-separated fields, whose id is not an integer in [0, num_nodes),
+    or whose id an earlier row gave, raises ``ScoreFileError`` naming
+    ``path:lineno``."""
+    rows: dict[int, float] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                node_text, value_text = text.split("\t")
+                node, value = int(node_text), float(value_text)
+            except ValueError as exc:
+                raise ScoreFileError(f"{path}:{lineno}: expected node_id<TAB>value, got {text!r} ({exc})") from exc
+            if node < 0:
+                raise ScoreFileError(f"{path}:{lineno}: node id {node} is negative")
+            if num_nodes is not None and node >= num_nodes:
+                raise ScoreFileError(f"{path}:{lineno}: node id {node} is past the last node ({num_nodes - 1})")
+            if node in rows:
+                raise ScoreFileError(f"{path}:{lineno}: node id {node} given twice")
+            rows[node] = value
+    n = num_nodes if num_nodes is not None else max(rows, default=-1) + 1
     values = np.zeros(n, dtype=np.float64)
-    values[ids] = pairs[:, 1]
+    values[np.array(list(rows), dtype=np.int64)] = list(rows.values())
     return values

@@ -9,6 +9,10 @@ import numpy as np
 
 from .graph import AttributedGraph, build_graph
 
+VAL_FRACTION = 0.15
+TEST_FRACTION = 0.15  # the remaining 70% of the edges is train
+SUPERVISION_FRACTION = 0.30  # of train; the rest is the message structure
+
 
 class SplitError(ValueError):
     """Graph too small to produce every nonempty part."""
@@ -26,7 +30,6 @@ class EdgeSplit:
     test_pos: np.ndarray
     val_neg: np.ndarray
     test_neg: np.ndarray
-    num_nodes: int
 
     def message_graph(self, g: AttributedGraph) -> AttributedGraph:
         return build_graph(
@@ -90,27 +93,20 @@ def sample_negatives(
     return np.stack([src, dst], axis=1)
 
 
-def split_edges(
-    g: AttributedGraph,
-    fractions: tuple[float, float, float] = (0.70, 0.15, 0.15),
-    supervision_fraction: float = 0.30,
-    rng_seed: int = 0,
-) -> EdgeSplit:
+def split_edges(g: AttributedGraph, rng_seed: int = 0) -> EdgeSplit:
     """Uniform random partition of the edges into train/val/test, with a
     disjoint supervision subset carved out of train; the rest of train is
     the message-passing structure.  Validation/test negatives are sampled
     once here (1:1 with positives) and stay fixed."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
     m = g.num_edges
     rng = np.random.default_rng(rng_seed)
     perm = rng.permutation(m)
     pairs = np.stack([g.edge_src, g.edge_dst], axis=1)[perm]
 
-    n_val = int(fractions[1] * m)
-    n_test = int(fractions[2] * m)
+    n_val = int(VAL_FRACTION * m)
+    n_test = int(TEST_FRACTION * m)
     n_train = m - n_val - n_test
-    n_sup = int(supervision_fraction * n_train)
+    n_sup = int(SUPERVISION_FRACTION * n_train)
     n_msg = n_train - n_sup
     if min(n_val, n_test, n_sup, n_msg) < 1:
         raise SplitError(f"graph with M={m} edges is too small to split into nonempty parts")
@@ -126,5 +122,4 @@ def split_edges(
         test_pos=test,
         val_neg=val_neg,
         test_neg=test_neg,
-        num_nodes=g.num_nodes,
     )

@@ -101,7 +101,7 @@ def evaluate_auc(
     """Validation ROC AUC of the model's edge scores; ``h`` is the final
     embedding of a forward already run on ``message_graph``."""
     if h is None:
-        h = gat.forward(model, message_graph)
+        h, _tapes = gat.forward(model, message_graph)
     scores = np.concatenate([gat.edge_scores(h, pos), gat.edge_scores(h, neg)])
     labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
     return roc_auc(scores, labels)
@@ -120,7 +120,7 @@ def train(g: AttributedGraph, split: EdgeSplit, config: TrainConfig) -> tuple[ga
     since_best = 0
     n_sup = len(split.supervision_pos)
     x = gat.input_matrix(mg.features, config.dtype)
-    taped = gat.forward(model, mg, keep_tape=True, x=x)
+    taped = gat.forward(model, mg, x=x)
     for epoch in range(config.max_epochs):
         neg = sample_negatives(g, n_sup, rng)
         loss, grads = gat.loss_and_gradients(model, mg, split.supervision_pos, neg, taped_forward=taped)
@@ -131,7 +131,7 @@ def train(g: AttributedGraph, split: EdgeSplit, config: TrainConfig) -> tuple[ga
             )
         flat_grads = [a for triple in grads for a in triple]
         optimizer.step(list(model.parameters()), flat_grads)
-        taped = gat.forward(model, mg, keep_tape=True, x=x)
+        taped = gat.forward(model, mg, x=x)
         val_auc = evaluate_auc(model, mg, split.val_pos, split.val_neg, h=taped[0])
         log.epochs.append({"epoch": epoch, "loss": loss, "val_auc": val_auc})
         if val_auc > log.best_val_auc:
@@ -146,6 +146,4 @@ def train(g: AttributedGraph, split: EdgeSplit, config: TrainConfig) -> tuple[ga
                 break
     if best_params is not None:
         model.layers = best_params
-        model.attention = None
-        model.attention_edges = None
     return model, log

@@ -26,7 +26,7 @@ from pine.metrics import ndcg_at_k, precision_at_k, spearman
 from pine.pine_score import (
     calibrate_by_out_degree,
     heterogeneous_pine,
-    pine_scores,
+    score_graph,
     select_edge_types,
 )
 from pine.pipeline import run_pipeline
@@ -89,10 +89,9 @@ def test_criterion_2_spread_ordering():
         config = TrainConfig(hidden_size=512, num_layers=1, learning_rate=5e-4, rng_seed=0)
         split = split_edges(g, rng_seed=0)
         model, _log = train(g, split, config)
-        gat.forward(model, g)
         spreads = {}
         methods = {
-            "pine": pine_scores(model, g),
+            "pine": score_graph(g, model),
             "degree": ct.degree(g),
             "out_degree": ct.out_degree(g),
             "weighted": ct.weighted_out_degree(g),
@@ -118,13 +117,13 @@ def test_criterion_3_conservation():
         for layer in model.layers:
             layer.attn_src[:] = rng.normal(size=6)
             layer.attn_dst[:] = rng.normal(size=6)
-        gat.forward(model, g)
+        _h, tapes = gat.forward(model, g)
         for layer_index in range(2):
-            alpha = model.attention[layer_index]
+            alpha = tapes[layer_index].alpha
             sums = np.bincount(g.edge_dst, weights=alpha, minlength=g.num_nodes)
             receiving = g.in_degrees() > 0
             worst_attn = max(worst_attn, float(np.abs(sums[receiving] - 1.0).max()))
-            total = pine_scores(model, g, layer_index).values.sum()
+            total = score_graph(g, model, layer_index).values.sum()
             worst_score = max(worst_score, abs(total - int(receiving.sum())))
     ok = worst_attn <= 1e-6 and worst_score <= 1e-6
     _report(3, ok, f"max |attention sum - 1| = {worst_attn:.2e}, max |Σscore - #receivers| = {worst_score:.2e}")

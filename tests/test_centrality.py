@@ -132,6 +132,12 @@ class TestPageRank:
         with pytest.raises(ValueError):
             ct.pagerank(path3(), damping=1.0)
 
+    def test_no_convergence_warns(self):
+        g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)))
+        with pytest.warns(RuntimeWarning, match=r"did not converge in 1 iterations \(residual 0\.\d+"):
+            values = ct.pagerank(g, max_iter=1).values
+        assert values.sum() == pytest.approx(1.0)
+
     @pytest.mark.parametrize("damping", [0.5, 0.85])
     @given(small_digraphs())
     @with_degenerate_graphs
@@ -455,6 +461,17 @@ class TestVoteRank:
         elected, sv = ct.voterank(g, 2)
         assert elected == [0, 1]
         assert sv.ranking()[:2].tolist() == elected
+
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=100, deadline=None)
+    def test_starts_with_networkx(self, case):
+        # networkx stops electing once every vote score is 0; this one
+        # elects all k
+        g = graph_from_pairs(*case)
+        k = g.num_nodes
+        expected = nx.voterank(to_networkx(g), k)
+        assert ct.voterank(g, k)[0][: len(expected)] == expected
 
     def test_score_vector_ranks_elected_first(self, rng):
         g = random_graph(15, 0.2, rng)

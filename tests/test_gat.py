@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,38 +48,38 @@ class TestForward:
     def test_single_edge_attention_one(self, rng):
         g = build_graph(2, [0], [1], rng.normal(size=(2, 3)))
         model = randomized_model(3, 4, 1, rng)
-        h = gat.forward(model, g)
-        assert np.allclose(model.attention[0], [1.0])
+        h, tapes = gat.forward(model, g)
+        assert np.allclose(tapes[0].alpha, [1.0])
         expected = model.layers[0].proj @ g.features[0]
         assert np.allclose(h[1], expected, atol=1e-12)
 
     def test_zero_in_degree_zero_embedding(self, rng):
         g = build_graph(3, [0, 1], [2, 2], rng.normal(size=(3, 3)))
         model = randomized_model(3, 4, 1, rng)
-        h = gat.forward(model, g)
+        h, _tapes = gat.forward(model, g)
         assert np.allclose(h[0], 0.0)
         assert np.allclose(h[1], 0.0)
 
     def test_matches_dense_reference(self, rng):
         g = random_graph(5, 0.5, rng, d=3)
         model = randomized_model(3, 4, 2, rng)
-        h = gat.forward(model, g)
+        h, _tapes = gat.forward(model, g)
         assert np.allclose(h, dense_forward_oracle(model, g), atol=1e-6)
 
     def test_attention_rows_sum_to_one(self, rng):
         g = random_graph(20, 0.2, rng, d=4)
         model = randomized_model(4, 6, 2, rng)
-        gat.forward(model, g)
-        for alpha in model.attention:
-            sums = np.bincount(g.edge_dst, weights=alpha, minlength=g.num_nodes)
+        _h, tapes = gat.forward(model, g)
+        for tape in tapes:
+            sums = np.bincount(g.edge_dst, weights=tape.alpha, minlength=g.num_nodes)
             assert np.allclose(sums[g.in_degrees() > 0], 1.0, atol=1e-6)
 
     def test_zero_attention_params_give_uniform(self, rng):
         g = random_graph(10, 0.3, rng, d=4)
         model = gat.init_model(4, 5, 1, rng, dtype=np.float64)  # s = t = 0
-        gat.forward(model, g)
+        _h, tapes = gat.forward(model, g)
         expected = 1.0 / g.in_degrees()[g.edge_dst]
-        assert np.allclose(model.attention[0], expected)
+        assert np.allclose(tapes[0].alpha, expected)
 
     def test_dimension_mismatch(self, rng):
         g = random_graph(5, 0.4, rng, d=3)
@@ -90,10 +92,10 @@ class TestForward:
         model = randomized_model(4, 5, 2, rng)
         perm = rng.permutation(10)
         g2 = build_graph(10, perm[g.edge_src], perm[g.edge_dst], g.features[np.argsort(perm)])
-        h1 = gat.forward(model, g)
-        a1 = {(int(perm[s]), int(perm[d])): v for s, d, v in zip(g.edge_src, g.edge_dst, model.attention[0])}
-        h2 = gat.forward(model, g2)
-        a2 = {(int(s), int(d)): v for s, d, v in zip(g2.edge_src, g2.edge_dst, model.attention[0])}
+        h1, tapes1 = gat.forward(model, g)
+        a1 = {(int(perm[s]), int(perm[d])): v for s, d, v in zip(g.edge_src, g.edge_dst, tapes1[0].alpha)}
+        h2, tapes2 = gat.forward(model, g2)
+        a2 = {(int(s), int(d)): v for s, d, v in zip(g2.edge_src, g2.edge_dst, tapes2[0].alpha)}
         assert np.allclose(h1, h2[perm], atol=1e-10)
         for key, v in a1.items():
             assert a2[key] == pytest.approx(v, abs=1e-10)
@@ -160,7 +162,7 @@ class TestSerialization:
             assert np.allclose(a.proj, b.proj)
             assert np.allclose(a.attn_src, b.attn_src)
             assert np.allclose(a.attn_dst, b.attn_dst)
-        assert loaded.attention is None  # cache never persisted
+        assert [f.name for f in dataclasses.fields(loaded)] == ["layers", "leaky_slope"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -212,10 +214,10 @@ class TestSparseInput:
         g = bag_of_words_graph(rng)
         assert g.in_degrees()[3] == 0 and g.out_degrees()[3] > 0
         model = randomized_model(g.feature_dim, 5, layers, rng)
-        h = gat.forward(model, g)
+        h, _tapes = gat.forward(model, g)
         assert np.allclose(h, dense_forward_oracle(model, g), atol=1e-9)
         assert np.allclose(h[3], 0.0)
-        h_given = gat.forward(model, g, x=gat.input_matrix(g.features, np.float64))
+        h_given, _tapes = gat.forward(model, g, x=gat.input_matrix(g.features, np.float64))
         assert np.array_equal(h, h_given)
 
     @pytest.mark.parametrize("layers", [1, 2])
@@ -226,7 +228,7 @@ class TestSparseInput:
         neg = np.array([[0, 7], [3, 9], [11, 2], [6, 1], [8, 4], [5, 3]])
         loss, grads = gat.loss_and_gradients(model, g, pos, neg)
         assert_gradients_match_finite_differences(model, g, pos, neg, grads)
-        taped = gat.forward(model, g, keep_tape=True, x=gat.input_matrix(g.features, np.float64))
+        taped = gat.forward(model, g, x=gat.input_matrix(g.features, np.float64))
         loss_given, grads_given = gat.loss_and_gradients(model, g, pos, neg, taped_forward=taped)
         assert loss_given == loss
         for triple, triple_given in zip(grads, grads_given):
@@ -238,9 +240,9 @@ class TestSparseInput:
         feats = (rng.random((6, 9)) < 0.3).astype(np.float64)
         g = build_graph(6, [], [], feats)
         model = randomized_model(9, 4, layers, rng)
-        h = gat.forward(model, g)
+        h, tapes = gat.forward(model, g)
         assert h.shape == (6, 4) and np.all(h == 0.0)
-        assert all(alpha.size == 0 for alpha in model.attention)
+        assert all(tape.alpha.size == 0 for tape in tapes)
         pos, neg = np.array([[0, 1], [2, 3]]), np.array([[4, 5]])
         loss, grads = gat.loss_and_gradients(model, g, pos, neg)
         assert loss == pytest.approx(3 * np.log(2.0))

@@ -7,7 +7,6 @@ from pine.metrics import spearman
 from pine.pine_score import (
     calibrate_by_out_degree,
     heterogeneous_pine,
-    pine_scores,
     score_graph,
     select_edge_types,
 )
@@ -17,12 +16,11 @@ from pine.train import TrainConfig
 from conftest import planted_heterogeneous_graph, random_graph
 
 
-def forwarded_model(g, rng, hidden=4, layers=1):
+def randomized_model(g, rng, hidden=4, layers=1):
     model = gat.init_model(g.feature_dim, hidden, layers, rng, dtype=np.float64)
     for layer in model.layers:
         layer.attn_src[:] = rng.normal(size=hidden) * 0.5
         layer.attn_dst[:] = rng.normal(size=hidden) * 0.5
-    gat.forward(model, g)
     return model
 
 
@@ -32,60 +30,62 @@ SMALL_TRAIN = TrainConfig(learning_rate=1e-2, hidden_size=8, num_layers=1, max_e
 class TestPineScores:
     def test_single_edge(self, rng):
         g = build_graph(2, [0], [1], rng.normal(size=(2, 3)))
-        model = forwarded_model(g, rng)
-        values = pine_scores(model, g).values
+        model = randomized_model(g, rng)
+        values = score_graph(g, model).values
         assert values[0] == pytest.approx(1.0)
         assert values[1] == 0.0
 
     def test_star_leaves_sum_to_one(self, rng):
         g = build_graph(6, [1, 2, 3, 4, 5], [0, 0, 0, 0, 0], rng.normal(size=(6, 3)))
-        model = forwarded_model(g, rng)
-        values = pine_scores(model, g).values
+        model = randomized_model(g, rng)
+        values = score_graph(g, model).values
         assert values[0] == 0.0
         assert values[1:].sum() == pytest.approx(1.0, abs=1e-9)
-        by_src = {int(s): a for s, a in zip(g.edge_src, model.attention[0])}
+        _h, tapes = gat.forward(model, g)
+        by_src = {int(s): a for s, a in zip(g.edge_src, tapes[0].alpha)}
         for leaf in range(1, 6):
             assert values[leaf] == pytest.approx(by_src[leaf])
 
     def test_score_conservation(self, rng):
         g = random_graph(40, 0.15, rng)
-        model = forwarded_model(g, rng, layers=2)
+        model = randomized_model(g, rng, layers=2)
         for layer in range(2):
-            total = pine_scores(model, g, layer).values.sum()
+            total = score_graph(g, model, layer).values.sum()
             assert total == pytest.approx(int((g.in_degrees() > 0).sum()), abs=1e-6)
 
     def test_bounded_by_out_degree(self, rng):
         g = random_graph(30, 0.2, rng)
-        model = forwarded_model(g, rng)
-        assert np.all(pine_scores(model, g).values <= g.out_degrees() + 1e-9)
+        model = randomized_model(g, rng)
+        assert np.all(score_graph(g, model).values <= g.out_degrees() + 1e-9)
 
-    def test_empty_cache_errors(self, rng):
-        g = random_graph(5, 0.4, rng)
+    def test_never_forwarded_model_scores(self, rng):
+        g = random_graph(12, 0.3, rng)
         model = gat.init_model(g.feature_dim, 4, 1, rng)
-        with pytest.raises(RuntimeError, match="forward"):
-            pine_scores(model, g)
+        total = score_graph(g, model).values.sum()
+        assert total == pytest.approx(int((g.in_degrees() > 0).sum()), abs=1e-5)
 
     def test_layer_out_of_range(self, rng):
         g = random_graph(5, 0.4, rng)
-        model = forwarded_model(g, rng)
+        model = randomized_model(g, rng)
         with pytest.raises(ValueError, match="layer_index"):
-            pine_scores(model, g, 3)
+            score_graph(g, model, 3)
 
-    def test_cache_from_other_graph_rejected(self, rng):
+    def test_other_graph_between_scorings_leaves_scores_unchanged(self, rng):
         g1 = random_graph(10, 0.3, rng)
         g2 = random_graph(10, 0.3, np.random.default_rng(99))
-        model = forwarded_model(g1, rng)
-        with pytest.raises(RuntimeError, match="different graph"):
-            pine_scores(model, g2)
+        model = randomized_model(g1, rng)
+        before = score_graph(g2, model).values
+        score_graph(g1, model)
+        assert np.array_equal(score_graph(g2, model).values, before)
 
 
 class TestHeterogeneousPine:
     def test_single_type_equals_subgraph_scores(self, rng):
         g, _imp = planted_heterogeneous_graph(n=80, planted_edges=200, noise_edges=60, seed=1)
         sub = subgraph_by_edge_type(g, 0)
-        model = forwarded_model(sub, np.random.default_rng(0))
+        model = randomized_model(sub, np.random.default_rng(0))
         combined = heterogeneous_pine(g, [0], {0: model})
-        assert np.allclose(combined.values, pine_scores(model, sub).values)
+        assert np.allclose(combined.values, score_graph(sub, model).values)
 
     def test_two_types_sum_elementwise(self, rng):
         g, _imp = planted_heterogeneous_graph(n=80, planted_edges=200, noise_edges=120, seed=2)
@@ -93,7 +93,7 @@ class TestHeterogeneousPine:
         parts = []
         for t in (0, 1):
             sub = subgraph_by_edge_type(g, t)
-            models[t] = forwarded_model(sub, np.random.default_rng(t))
+            models[t] = randomized_model(sub, np.random.default_rng(t))
             parts.append(score_graph(sub, models[t]).values)
         combined = heterogeneous_pine(g, [0, 1], models)
         assert np.allclose(combined.values, parts[0] + parts[1])

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from pine.pipeline import (
     load_config,
     run_pipeline,
 )
-from pine.scores import ScoreVector, read_score_tsv
+from pine.scores import ScoreFileError, ScoreVector, read_score_tsv
 
 from conftest import random_graph
 
@@ -128,6 +129,19 @@ class TestConfig:
         assert config.methods == ["out_degree", "pine"]
         assert config.runs == 1000
 
+    def test_every_key_empty_is_all_defaults(self, tmp_path, graph_files):
+        _g, edges, _feats = graph_files
+        path = tmp_path / "empty.ini"
+        path.write_text(
+            f"[graph]\nedges = {edges}\nfeatures =\nreverse_edges =\n"
+            "[pipeline]\nmethods =\nmodels =\nseed_fraction =\n"
+            "[diffusion]\nruns =\nalpha1 =\nalpha2 =\nsir_beta =\nsir_gamma =\nmax_steps =\nseed =\n"
+            "[train]\nlayers =\nhidden =\nlr =\nmax_epochs =\npatience =\nseed =\n"
+            "[centrality]\ndamping =\nattenuation =\ntuning =\nnode_budget =\n"
+            "[score]\nlayer =\ncalibrate =\n"
+        )
+        assert load_config(path) == PipelineConfig(edges=edges)
+
     def test_bad_value_names_key(self, tmp_path, graph_files):
         _g, edges, _feats = graph_files
         path = tmp_path / "bad.ini"
@@ -150,6 +164,37 @@ class TestConfig:
         path.write_text(f"[graph]\nedges = {edges}\n[train]\nhidden = 8;16\n")
         with pytest.raises(PipelineError, match=r"\[train\] hidden = '8;16'"):
             load_config(path)
+
+
+class TestReadScoreTsv:
+    @pytest.mark.parametrize(
+        "text, num_nodes, message",
+        [
+            ("0\t1\n-1\t2\n", None, r":2: node id -1 is negative"),
+            ("0\t1\n1\t2\n0\t3\n", None, r":3: node id 0 given twice"),
+            ("0\t1\n3\t2\n", 3, r":2: node id 3 is past the last node \(2\)"),
+            ("# header\n0\t1\n1.5\t2\n", None, r":3: expected node_id<TAB>value, got '1.5\\t2'"),
+        ],
+        ids=["negative", "duplicate", "past-the-end", "fractional"],
+    )
+    def test_bad_id_names_path_and_line(self, tmp_path, text, num_nodes, message):
+        path = tmp_path / "scores.tsv"
+        path.write_text(text)
+        with pytest.raises(ScoreFileError, match=re.escape(str(path)) + message):
+            read_score_tsv(path, num_nodes=num_nodes)
+
+    def test_missing_ids_score_zero(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("2\t3.5\n\n0\t1\n")
+        assert read_score_tsv(path, num_nodes=4).tolist() == [1.0, 0.0, 3.5, 0.0]
+        assert read_score_tsv(path).tolist() == [1.0, 0.0, 3.5]
+
+    def test_evaluate_reports_bad_row(self, tmp_path, capsys):
+        truth, pred = tmp_path / "truth.tsv", tmp_path / "pred.tsv"
+        truth.write_text("0\t1\n1\t2\n")
+        pred.write_text("0\t1\n2\t2\n")
+        assert main(["evaluate", "--scores", str(pred), "--truth", str(truth), "--metrics", "spearman"]) == 1
+        assert f"{pred}:2: node id 2 is past the last node (1)" in capsys.readouterr().err
 
 
 class TestTopFraction:
