@@ -5,11 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__, centrality as ct, gat, metrics
 from .diffusion import DiffusionConfig, influence_spread
-from .graph import largest_weak_component, load_graph
+from .graph import largest_weak_component, load_graph, write_int_rows
 from .pine_score import (
     calibrate_by_out_degree,
     heterogeneous_pine,
@@ -26,7 +24,7 @@ from .pipeline import (
     run_pipeline,
     train_and_test_auc,
 )
-from .scores import ScoreVector, read_score_tsv
+from .scores import ScoreVector, read_score_rows, read_score_tsv
 from .split import split_edges
 from .train import TrainConfig
 
@@ -88,7 +86,7 @@ def cmd_train(args):
 def cmd_score(args):
     g = _load(args)
     if args.labels:
-        labels = [(int(n), v) for n, v in np.loadtxt(args.labels, delimiter="\t", ndmin=2)]
+        labels = list(read_score_rows(args.labels, g.num_nodes).items())
         config = TrainConfig(
             learning_rate=args.lr, hidden_size=args.hidden, num_layers=args.layers, rng_seed=args.seed
         )
@@ -165,9 +163,7 @@ def cmd_split(args):
     }
     for name, pairs in parts.items():
         path = f"{args.out_prefix}.{name}.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            for u, v in pairs:
-                fh.write(f"{u} {v}\n")
+        write_int_rows(path, pairs)
         print(f"{name}\t{len(pairs)}\t{path}")
 
 

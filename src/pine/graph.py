@@ -9,6 +9,8 @@ that canonical order so per-edge quantities can be read either way.
 
 from __future__ import annotations
 
+import itertools
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -97,17 +99,21 @@ class AttributedGraph:
         )
 
     def write_edge_list(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for k in range(self.num_edges):
-                if self.edge_type is not None:
-                    fh.write(f"{self.edge_src[k]} {self.edge_dst[k]} {self.edge_type[k]}\n")
-                else:
-                    fh.write(f"{self.edge_src[k]} {self.edge_dst[k]}\n")
+        columns = [self.edge_src, self.edge_dst] + ([] if self.edge_type is None else [self.edge_type])
+        write_int_rows(path, np.column_stack(columns))
 
     def write_id_map(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for dense, original in enumerate(self.id_map):
                 fh.write(f"{dense}\t{original}\n")
+
+
+def write_int_rows(path, rows: np.ndarray) -> None:
+    """Write a 2-D integer array as text, one space-separated row per line."""
+    rows = np.asarray(rows)
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def build_graph(
@@ -134,36 +140,29 @@ def build_graph(
     keep = src != dst
     dropped = int(src.size - keep.sum())
     src, dst = src[keep], dst[keep]
-    if edge_type is not None:
+    # canonical order (dst, src, type) by one int64 key; a stable sort by
+    # type first gives the type order, as np.lexsort would.  Stable sorts of
+    # input that is already in order take linear time.
+    key = dst * num_nodes + src
+    if edge_type is None:
+        order = np.argsort(key, kind="stable")
+    else:
         edge_type = np.asarray(edge_type, dtype=np.int64)[keep]
-
-    # canonical sort by (dst, src, type) then collapse duplicates
+        by_type = np.argsort(edge_type, kind="stable")
+        order = by_type[np.argsort(key[by_type], kind="stable")]
+    key = key[order]
+    uniq = np.ones(key.size, dtype=bool)
+    uniq[1:] = key[1:] != key[:-1]
     if edge_type is not None:
-        order = np.lexsort((edge_type, src, dst))
-        src, dst, edge_type = src[order], dst[order], edge_type[order]
-        key = np.stack([dst, src, edge_type], axis=1)
-    else:
-        order = np.lexsort((src, dst))
-        src, dst = src[order], dst[order]
-        key = np.stack([dst, src], axis=1)
-    if src.size:
-        uniq = np.ones(src.size, dtype=bool)
-        uniq[1:] = np.any(key[1:] != key[:-1], axis=1)
-    else:
-        uniq = np.zeros(0, dtype=bool)
-    duplicates = int(src.size - uniq.sum())
-    src, dst = src[uniq], dst[uniq]
-    if edge_type is not None:
+        edge_type = edge_type[order]
+        uniq[1:] |= edge_type[1:] != edge_type[:-1]
         edge_type = edge_type[uniq]
+    duplicates = int(key.size - uniq.sum())
+    src, dst = src[order][uniq], dst[order][uniq]
     m = src.size
 
-    in_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(in_ptr, dst + 1, 1)
-    np.cumsum(in_ptr, out=in_ptr)
-
-    out_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(out_ptr, src + 1, 1)
-    np.cumsum(out_ptr, out=out_ptr)
+    in_ptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=num_nodes))])
+    out_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=num_nodes))])
     out_perm = np.argsort(src, kind="stable").astype(np.int64)
 
     return AttributedGraph(
@@ -180,20 +179,6 @@ def build_graph(
         dropped_self_loops=dropped,
         collapsed_duplicates=duplicates,
     )
-
-
-def _parse_edge_lines(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(f"{path}:{lineno}: expected 'src dst [type]', got {line!r}")
-            rows.append((lineno, parts))
-    return rows
 
 
 def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
@@ -232,64 +217,183 @@ def write_features_binary(path, features: np.ndarray) -> None:
         features.astype("<f4").tofile(fh)
 
 
+# The bytes that ``bytes.split`` splits on.  ``str.split`` also splits on
+# U+001C..U+001F and on non-ASCII spaces, which _EXOTIC_SPACE matches.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+_EXOTIC_SPACE = re.compile(r"[^\S \t\n\r\x0b\x0c]")
+_CANONICAL_DIGITS = 18  # every decimal of at most 18 digits fits in int64
+_INT64 = np.iinfo(np.int64)
+
+
+def _read_edge_bytes(path) -> bytes:
+    """The file's bytes, with each whitespace character that ``str.split``
+    knows and ``bytes.split`` does not replaced by a space.  A file that is
+    not UTF-8 raises ``UnicodeDecodeError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.isascii() and not any(c in data for c in b"\x1c\x1d\x1e\x1f"):
+        return data
+    return _EXOTIC_SPACE.sub(" ", data.decode("utf-8")).encode("utf-8")
+
+
+def _token_spans(buf: np.ndarray):
+    r"""First byte, length and 1-based line number of each whitespace-separated
+    token.  Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as in text mode."""
+    edge = np.diff(_SPACE[buf].view(np.int8), prepend=1, append=1)
+    starts = np.flatnonzero(edge == -1)
+    lengths = np.flatnonzero(edge == 1) - starts
+    lf, cr = buf == ord("\n"), buf == ord("\r")
+    cr[:-1] &= ~lf[1:]
+    return starts, lengths, np.searchsorted(np.flatnonzero(lf | cr), starts) + 1
+
+
+def _decimal_values(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Which tokens are canonical decimals, spelled as ``str()`` spells an
+    integer of at most 18 digits (an optional ``-``, no leading zero, no
+    ``-0``), and their values (0 for the other tokens)."""
+    digit = (buf - ord("0")) < 10  # uint8 wraps below "0"
+    count = np.add.reduceat(digit, starts) if starts.size else np.zeros(0, dtype=np.int64)
+    neg = buf[starts] == ord("-")
+    first_digit = np.minimum(starts + neg, buf.size - 1)
+    fast = (count == lengths - neg) & (count >= 1) & (count <= _CANONICAL_DIGITS)
+    fast &= (buf[first_digit] != ord("0")) | ((count == 1) & ~neg)
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(count[fast].max(initial=0))):  # Horner, one digit place at a time
+        digits = buf[np.minimum(first_digit + k, buf.size - 1)] - ord("0")
+        values = np.where(fast & (count > k), values * 10 + digits, values)
+    return fast, np.where(neg, -values, values)
+
+
+def _as_int(token: str) -> int | None:
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+def _densify(tokens: np.ndarray, fast: np.ndarray, values: np.ndarray, words: np.ndarray):
+    """Dense index of each id token, and the ids in dense order: integers by
+    value, equal values by token string, then the other ids by string.
+
+    Canonical decimals are ranked with ``np.unique``.  Only the other tokens
+    (``words``, as bytes) go through Python: those ``int()`` accepts (zero
+    padding, ``+``, ``_``, non-ASCII digits, beyond int64) are placed among
+    the canonical ones by value, and the rest sort bytewise after them,
+    which is code point order in UTF-8."""
+    is_fast = fast[tokens]
+    known, fast_inverse = np.unique(values[tokens[is_fast]], return_inverse=True)
+    unusual, other_inverse = np.unique(words[tokens[~is_fast]], return_inverse=True)
+    names = [w.decode("utf-8") for w in unusual]
+    numbers = [_as_int(name) for name in names]
+    ints = sorted((v, name, j) for j, (v, name) in enumerate(zip(numbers, names)) if v is not None)
+    # how many canonical ids sort before each unusual integer id
+    place = np.zeros(len(ints), dtype=np.int64)
+    for i, (v, name, _j) in enumerate(ints):
+        k = int(np.searchsorted(known, min(max(v, _INT64.min), _INT64.max)))
+        place[i] = k + (k < known.size and known[k] == v and str(v) < name)
+    strings = [j for j, v in enumerate(numbers) if v is None]
+
+    fast_rank = np.arange(known.size) + np.searchsorted(place, np.arange(known.size), side="right")
+    other_rank = np.empty(len(names), dtype=np.int64)
+    other_rank[[j for _v, _name, j in ints]] = place + np.arange(len(ints))
+    other_rank[strings] = known.size + len(ints) + np.arange(len(strings))
+    ids = np.empty(known.size + len(names), dtype=object)
+    ids[fast_rank] = known.astype(str).tolist()
+    ids[other_rank] = names
+    index = np.empty(tokens.size, dtype=np.int64)
+    index[is_fast] = fast_rank[fast_inverse]
+    index[~is_fast] = other_rank[other_inverse]
+    return index, ids.tolist()
+
+
+def _line_text(path, lineno: int) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return next(itertools.islice(fh, lineno - 1, None)).strip()
+
+
 def load_graph(
     edge_list_path,
     feature_path=None,
     reverse_edges: bool = False,
     num_nodes: int | None = None,
 ) -> AttributedGraph:
-    """Load an attributed graph from an edge-list file plus a feature file.
+    r"""Load an attributed graph from an edge-list file plus a feature file.
 
-    Node ids are densified to [0, N) by sorted order of the distinct ids
-    seen in the edge list (numeric sort when every id is an integer).  When
-    ``feature_path`` is None every node gets a single constant feature.
-    ``reverse_edges`` flips edge orientation at load time, for raw citation
-    files stored citing -> cited.
+    The edge list is UTF-8 text with one edge per line, ``src dst`` or
+    ``src dst type``, in columns split by any whitespace ``str.split``
+    knows (spaces, tabs, ...).  Lines end at ``\n``, ``\r\n`` or ``\r``.
+    Blank lines and lines whose first character after leading whitespace
+    is ``#`` are skipped.  Every other line must have 2 or 3 columns, all
+    lines the same number, and a type must be an integer in int64; else
+    ``GraphFormatError`` names ``path:lineno``.
+
+    Node ids are tokens, densified to [0, N): ids that ``int()`` accepts
+    come first, by integer value, and tokens of equal value (``7``,
+    ``07``, ``+7``) are distinct nodes ordered by token string; every other
+    id follows, in string order.  ``id_map`` holds the tokens in that
+    order.  Self-loops are dropped and repeated (src, dst[, type]) edges
+    collapsed, counted in ``dropped_self_loops`` and
+    ``collapsed_duplicates``.  When ``feature_path`` is None every node
+    gets a single constant feature.  ``reverse_edges`` flips edge
+    orientation at load time, for raw citation files stored citing ->
+    cited.  ``num_nodes`` adds trailing isolated nodes.
     """
-    rows = _parse_edge_lines(edge_list_path)
-    raw_src, raw_dst, raw_type = [], [], []
-    typed = None
-    for lineno, parts in rows:
-        if typed is None:
-            typed = len(parts) == 3
-        elif typed != (len(parts) == 3):
-            raise GraphFormatError(f"{edge_list_path}:{lineno}: inconsistent column count")
-        raw_src.append(parts[0])
-        raw_dst.append(parts[1])
-        if typed:
-            try:
-                raw_type.append(int(parts[2]))
-            except ValueError as exc:
-                raise GraphFormatError(f"{edge_list_path}:{lineno}: bad edge type {parts[2]!r}") from exc
+    path = edge_list_path
+    data = _read_edge_bytes(path)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts, lengths, token_line = _token_spans(buf)
+    heads = np.flatnonzero(np.diff(token_line, prepend=0))  # first token of each non-blank line
+    counts = np.diff(heads, append=starts.size)
+    rows = buf[starts[heads]] != ord("#")
+    heads, counts, lines = heads[rows], counts[rows], token_line[heads[rows]]
+    wrong = (counts != 2) & (counts != 3)
+    if wrong.any():
+        lineno = lines[np.argmax(wrong)]
+        raise GraphFormatError(f"{path}:{lineno}: expected 'src dst [type]', got {_line_text(path, lineno)!r}")
 
-    ids = sorted(set(raw_src) | set(raw_dst), key=_id_sort_key)
-    index = {v: k for k, v in enumerate(ids)}
-    n = len(ids)
+    fast, values = _decimal_values(buf, starts, lengths)
+    used = np.concatenate([heads, heads + 1, heads[counts == 3] + 2])
+    # the tokens as Python bytes, split only when some token is not a canonical decimal
+    words = np.array(data.split(), dtype=object) if not fast[used].all() else np.empty(0, dtype=object)
+
+    typed = bool(counts.size) and counts[0] == 3
+    inconsistent = counts != counts[:1]
+    bad_type = np.zeros(heads.size, dtype=bool)
+    etype = None
+    if typed:
+        rows3 = np.flatnonzero(~inconsistent)
+        etype = values[heads[rows3] + 2]
+        for k in np.flatnonzero(~fast[heads[rows3] + 2]):  # types not spelled as canonical decimals
+            value = _as_int(words[heads[rows3[k]] + 2].decode("utf-8"))
+            if value is None or not _INT64.min <= value <= _INT64.max:
+                bad_type[rows3[k]] = True
+            else:
+                etype[k] = value
+    if (inconsistent | bad_type).any():
+        r = np.argmax(inconsistent | bad_type)
+        if inconsistent[r]:
+            raise GraphFormatError(f"{path}:{lines[r]}: inconsistent column count")
+        raise GraphFormatError(f"{path}:{lines[r]}: bad edge type {words[heads[r] + 2].decode('utf-8')!r}")
+
+    index, id_map = _densify(np.concatenate([heads, heads + 1]), fast, values, words)
+    n = len(id_map)
     if num_nodes is not None:
         if num_nodes < n:
             raise GraphFormatError(f"num_nodes={num_nodes} but edge list references {n} ids")
         # trailing isolated nodes with dense ids
         n = num_nodes
-    src = np.array([index[v] for v in raw_src], dtype=np.int64)
-    dst = np.array([index[v] for v in raw_dst], dtype=np.int64)
+    src, dst = index[: heads.size], index[heads.size :]
     if reverse_edges:
         src, dst = dst, src
-    etype = np.array(raw_type, dtype=np.int64) if typed else None
 
     if feature_path is None:
         features = np.ones((n, 1), dtype=np.float64)
     else:
         features = load_features(feature_path, expected_nodes=n)
 
-    id_map = list(ids) + [str(i) for i in range(len(ids), n)]
+    id_map += [str(i) for i in range(len(id_map), n)]
     return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
-
-
-def _id_sort_key(token: str):
-    try:
-        return (0, int(token), "")
-    except ValueError:
-        return (1, 0, token)
 
 
 def subgraph_by_edge_type(g: AttributedGraph, type_id: int) -> AttributedGraph:

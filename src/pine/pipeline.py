@@ -93,8 +93,9 @@ _KEYS = {
 
 def load_config(path) -> PipelineConfig:
     """Parse the flat sectioned key-value config; unknown sections or keys
-    are errors so typos fail fast.  A ``;`` after whitespace starts a
-    comment, and an empty value means the default."""
+    are errors so typos fail fast, and a value that does not parse, or that
+    ``TrainConfig`` rejects, names its ``[section] key``.  A ``;`` after
+    whitespace starts a comment, and an empty value means the default."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
@@ -115,6 +116,8 @@ def load_config(path) -> PipelineConfig:
             name, cast = _KEYS[section, key]
             try:
                 value = cast(raw)
+                if section == "train":
+                    TrainConfig(**{name: value})  # its checks, named by key
             except ValueError as exc:
                 raise PipelineError("config", f"[{section}] {key} = {raw!r}: {exc}") from exc
             (train_values if section == "train" else values)[name] = value

@@ -50,13 +50,12 @@ class ScoreFileError(ValueError):
     """A score file row that does not give one value to one node."""
 
 
-def read_score_tsv(path, num_nodes: int | None = None) -> np.ndarray:
-    """Read `node_id<TAB>value` rows into a dense vector of ``num_nodes``
-    values (the largest id plus one when not given); nodes without a row
-    score 0.  Blank lines and ``#`` comments are skipped.  A row that is not
-    two tab-separated fields, whose id is not an integer in [0, num_nodes),
-    or whose id an earlier row gave, raises ``ScoreFileError`` naming
-    ``path:lineno``."""
+def read_score_rows(path, num_nodes: int | None = None) -> dict[int, float]:
+    """The ``node_id<TAB>value`` rows of a score or label file, by node id.
+    Blank lines and ``#`` comments are skipped.  A row that is not two
+    tab-separated fields, whose id is not an integer in [0, num_nodes) (or
+    is negative when ``num_nodes`` is None), or whose id an earlier row
+    gave, raises ``ScoreFileError`` naming ``path:lineno``."""
     rows: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -75,6 +74,14 @@ def read_score_tsv(path, num_nodes: int | None = None) -> np.ndarray:
             if node in rows:
                 raise ScoreFileError(f"{path}:{lineno}: node id {node} given twice")
             rows[node] = value
+    return rows
+
+
+def read_score_tsv(path, num_nodes: int | None = None) -> np.ndarray:
+    """Read the rows of a score file (see ``read_score_rows``) into a dense
+    vector of ``num_nodes`` values (the largest id plus one when not
+    given); nodes without a row score 0."""
+    rows = read_score_rows(path, num_nodes)
     n = num_nodes if num_nodes is not None else max(rows, default=-1) + 1
     values = np.zeros(n, dtype=np.float64)
     values[np.array(list(rows), dtype=np.int64)] = list(rows.values())

@@ -1,7 +1,15 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import pine
 
 from pine.graph import (
     DimensionError,
@@ -16,6 +24,7 @@ from pine.graph import (
     write_features_binary,
 )
 
+import graph_oracle
 from conftest import graph_from_pairs, random_graph, small_digraphs, to_networkx, with_degenerate_graphs
 
 
@@ -108,6 +117,158 @@ class TestLoadGraph:
         e = write_edges(tmp_path, "0 2\n1 2\n0 2\n2 1\n")
         g = load_graph(e)
         assert g.in_degrees().tolist() == [0, 1, 2]
+
+
+def assert_graphs_identical(got, expected):
+    """Every field equal, arrays bit for bit and with the same dtype."""
+    for f in dataclasses.fields(expected):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b and type(a) is type(b), f.name
+    assert all(type(v) is str for v in got.id_map)
+
+
+def outcome(loader, path, **kwargs):
+    try:
+        return loader(path, **kwargs)
+    except Exception as exc:  # the error type and message are compared
+        return type(exc), str(exc)
+
+
+ORACLE_KEY = graph_oracle._id_sort_key
+
+
+def oracle_key_with_tie_rule(token):
+    # the oracle's key, with tokens of equal integer value ordered by string
+    return ORACLE_KEY(token)[:2] + (token,)
+ID_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["07", "007", "+7", "-0", "00", "+0", "-07", "1_0", "\u0663", "\u0661\u0662", "\uff17"]),
+    st.sampled_from(["999999999999999999", "1000000000000000000", "-999999999999999999"]),
+    st.sampled_from(["9223372036854775807", "9223372036854775808", "-9223372036854775809", "1" * 25]),
+    st.sampled_from(["a", "b", "B", "\u00e9", "x_1", "-", "+", "0x1", "1.5", "\u65e5", "a\x00", "#1", "\ufeff1"]),
+    st.text(alphabet="0123456789+-_a", min_size=1, max_size=4),
+)
+TYPE_TOKENS = st.one_of(
+    st.integers(-2, 3).map(str),
+    st.sampled_from(["01", "+1", "-0", "1_0", "\u0663", "9223372036854775807", "-9223372036854775808", "x", "1.0"]),
+)
+SPACES = st.sampled_from([" ", " ", "\t", "  ", " \t", "\x0b", "\x0c", "\x1f", "\xa0", "\u2003", "\x85", "\u3000"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def edge_list_files(draw):
+    """Edge-list text: mostly consistent 2- or 3-column lines, with comments,
+    blank lines, odd whitespace and the occasional line of 1, 4 or the
+    other number of columns."""
+    columns = draw(st.sampled_from([2, 3]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["comment", "blank", "odd"]))
+        if kind == "comment":
+            body = "#" + draw(st.text(alphabet="ab 1#", max_size=5))
+        elif kind == "blank":
+            body = ""
+        else:
+            count = columns if kind == "edge" else draw(st.sampled_from([1, 4, 5 - columns]))
+            tokens = [draw(ID_TOKENS) for _ in range(min(count, 2))]
+            tokens += [draw(TYPE_TOKENS)] if count >= 3 else []
+            tokens += [draw(ID_TOKENS) for _ in range(count - 3)]
+            body = "".join(draw(SPACES) + t for t in tokens)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + body + draw(SPACES) + draw(LINE_ENDS))
+    text = "".join(lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestLoaderOracle:
+    @given(edge_list_files(), st.booleans(), st.sampled_from([None, 0, 3, 40]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_oracle(self, tmp_path_factory, text, reverse, num_nodes):
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        kwargs = dict(reverse_edges=reverse, num_nodes=num_nodes)
+        with mock.patch.object(graph_oracle, "_id_sort_key", oracle_key_with_tie_rule):
+            expected = outcome(graph_oracle.load_graph, path, **kwargs)
+        got = outcome(load_graph, path, **kwargs)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert_graphs_identical(got, expected)
+
+    def test_tie_rule_is_the_oracle_order_without_ties(self, tmp_path):
+        # with no two tokens of equal value the tie rule changes nothing
+        path = write_edges(tmp_path, "10 -2\nb 007\n1_5 a\n99999999999999999999 3\n")
+        assert load_graph(path).id_map == graph_oracle.load_graph(path).id_map
+        assert load_graph(path).id_map == ["-2", "3", "007", "10", "1_5", "99999999999999999999", "a", "b"]
+
+    def test_tied_tokens_order_by_string(self, tmp_path):
+        path = write_edges(tmp_path, "7 a\n+7 07\n0 -0\n00 +0\n\u0667 b\n")
+        assert load_graph(path).id_map == ["+0", "-0", "0", "00", "+7", "07", "7", "\u0667", "a", "b"]
+
+    def test_id_map_independent_of_hash_seed(self, tmp_path):
+        # the loop loader's set order put "07" or "7" first depending on the seed
+        path = write_edges(tmp_path, "7 a\n07 b\n")
+        script = "import sys; from pine.graph import load_graph; print(load_graph(sys.argv[1]).id_map)"
+        src_dir = os.path.dirname(os.path.dirname(pine.__file__))
+        printed = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_dir)
+            run = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            printed.add(run.stdout.strip())
+        assert printed == {str(["07", "7", "a", "b"])}
+
+    @pytest.mark.parametrize("token", ["9223372036854775808", "-9223372036854775809"])
+    def test_type_beyond_int64_names_line(self, tmp_path, token):
+        # the loop loader raised a bare OverflowError after reading the whole file
+        path = write_edges(tmp_path, f"0 1 2\n1 2 {token}\n")
+        with pytest.raises(GraphFormatError, match=f":2: bad edge type '{token}'"):
+            load_graph(path)
+
+    def test_benchmark_shaped_file(self, tmp_path, rng):
+        n, m = 3000, 30000
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        text = "".join(f"{s} {d}\n" for s, d in zip(src.tolist(), dst.tolist()))
+        path = write_edges(tmp_path, "# generated\n" + text)
+        assert_graphs_identical(load_graph(path), graph_oracle.load_graph(path))
+
+
+class TestBuildGraphOracle:
+    @pytest.mark.parametrize("typed", [False, True])
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_lexsort_oracle(self, typed, case):
+        n, pairs = case
+        src = np.array([p[0] for p in pairs], dtype=np.int64)
+        dst = np.array([p[1] for p in pairs], dtype=np.int64)
+        etype = np.random.default_rng(len(pairs)).integers(-1, 3, src.size) if typed else None
+        feats = np.ones((n, 1))
+        assert_graphs_identical(build_graph(n, src, dst, feats, etype), graph_oracle.build_graph(n, src, dst, feats, etype))
+
+    @pytest.mark.parametrize("typed", [False, True])
+    def test_shuffled_and_canonical_input(self, typed, rng):
+        n, m = 500, 8000
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        etype = rng.integers(0, 4, m) if typed else None
+        feats = np.ones((n, 1))
+        expected = graph_oracle.build_graph(n, src, dst, feats, etype)
+        assert_graphs_identical(build_graph(n, src, dst, feats, etype), expected)
+        again = graph_oracle.build_graph(n, expected.edge_src, expected.edge_dst, feats, expected.edge_type)
+        assert_graphs_identical(build_graph(n, expected.edge_src, expected.edge_dst, feats, expected.edge_type), again)
+
+
+class TestWriteEdgeList:
+    @pytest.mark.parametrize("typed", [None, 3])
+    @pytest.mark.parametrize("n, p", [(0, 0.0), (1, 0.0), (30, 0.2)])
+    def test_bytes_equal_to_loop_writer(self, tmp_path, rng, typed, n, p):
+        g = random_graph(n, p, rng, typed=typed)
+        g.write_edge_list(tmp_path / "new.txt")
+        graph_oracle.write_edge_list(g, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 class TestAdjacency:

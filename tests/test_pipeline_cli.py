@@ -18,6 +18,7 @@ from pine.pipeline import (
     run_pipeline,
 )
 from pine.scores import ScoreFileError, ScoreVector, read_score_tsv
+from pine.split import split_edges
 
 from conftest import random_graph
 
@@ -155,6 +156,18 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text(f"[graph]\nedges = {edges}\n[score]\ncalibrate = log_degree\n")
         with pytest.raises(PipelineError, match=r"\[score\] calibrate = 'log_degree'"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("lr", "0", "learning rate must be positive"), ("patience", "0", "patience must be >= 1")],
+    )
+    def test_rejected_train_value_names_key(self, tmp_path, graph_files, key, value, message):
+        # TrainConfig's check used to surface as "[pipeline] learning rate must be positive"
+        _g, edges, _feats = graph_files
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[graph]\nedges = {edges}\n[train]\n{key} = {value}\n")
+        with pytest.raises(PipelineError, match=rf"\[config\] \[train\] {key} = '{value}': {message}"):
             load_config(path)
 
     def test_semicolon_without_space_is_kept(self, tmp_path, graph_files):
@@ -381,6 +394,33 @@ class TestCli:
         assert n_pos == g.num_edges
         assert counts["val_neg"] == counts["val_pos"]
         assert counts["test_neg"] == counts["test_pos"]
+
+    def test_split_files_bytes_equal_to_loop_writer(self, tmp_path, graph_files):
+        _g, edges, _feats = graph_files
+        assert main(["split", "--graph", edges, "--seed", "4", "--out-prefix", str(tmp_path / "sp")]) == 0
+        split = split_edges(load_graph(edges), rng_seed=4)
+        for name in ("message_edges", "supervision_pos", "val_pos", "test_pos", "val_neg", "test_neg"):
+            expected = "".join(f"{u} {v}\n" for u, v in getattr(split, name))
+            written = tmp_path / f"sp.{name.replace('_edges', '')}.txt"
+            assert written.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0\t1\n-1\t2\n", ":2: node id -1 is negative"),
+            ("0\t1\n2.7\t2\n", ":2: expected node_id<TAB>value, got '2.7\\t2'"),
+            ("# labels\n3\t1\n3\t2\n", ":3: node id 3 given twice"),
+            ("0\t1\n30\t2\n", ":2: node id 30 is past the last node (29)"),
+        ],
+        ids=["negative", "fractional", "repeated", "past-the-end"],
+    )
+    def test_score_labels_bad_row(self, tmp_path, rng, capsys, rows, message):
+        # np.loadtxt and int() read -1 as the last node and 2.7 as node 2
+        edges, labels = tmp_path / "typed.txt", tmp_path / "labels.tsv"
+        random_graph(30, 0.2, rng, typed=2).write_edge_list(edges)
+        labels.write_text(rows)
+        assert main(["score", "--graph", str(edges), "--labels", str(labels)]) == 1
+        assert f"{labels}{message}" in capsys.readouterr().err
 
     def test_component_subcommand(self, tmp_path, rng, capsys):
         # two weak components: a 4-cycle and an edge pair
