@@ -12,6 +12,12 @@ spread through the live-edge equivalence (Kempe, Kleinberg and Tardos, KDD
 exactly the nodes reachable from the seeds in it.  Many runs are stacked
 into one block-diagonal graph and searched with a single breadth-first
 traversal.
+
+The influence weights and SIR's automatic beta depend on the graph (and
+alpha1/alpha2) only, never on the seeds: a pipeline run computes each once
+per graph and passes it in the ``DiffusionConfig`` of every
+``influence_spread`` call.  Run r's stream does not depend on the seeds
+either, so every seed set is scored on the same random live subgraphs.
 """
 
 from __future__ import annotations
@@ -80,6 +86,9 @@ class DiffusionConfig:
     max_steps: int | None = None
     num_runs: int = 1000
     rng_seed: int = 0
+    # LT+/IC+ weights of the graph from compute_influence_weights with these
+    # alphas; None: computed on each influence_spread call
+    weights: InfluenceWeights | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -109,21 +118,25 @@ def critical_sir_beta(g: AttributedGraph) -> float:
     """1.5 x the epidemic threshold <k>/(<k^2>-<k>) of the undirected
     degree sequence, clipped to [0, 1]."""
     _require_nodes(g)
-    # undirected simple degrees: distinct neighbors in either direction
-    n = g.num_nodes
-    pairs = np.unique(
-        np.stack(
-            [np.minimum(g.edge_src, g.edge_dst), np.maximum(g.edge_src, g.edge_dst)],
-            axis=1,
-        ),
-        axis=0,
-    )
-    deg = np.bincount(pairs[:, 0], minlength=n) + np.bincount(pairs[:, 1], minlength=n)
+    deg = _undirected_degrees(g)
     k = deg.mean()
     k2 = (deg.astype(np.float64) ** 2).mean()
     if k2 - k <= 0:
         return 1.0
     return float(np.clip(1.5 * k / (k2 - k), 0.0, 1.0))
+
+
+def _undirected_degrees(g: AttributedGraph) -> np.ndarray:
+    """Distinct neighbours of each node in either direction: the degrees of
+    the simple undirected graph.  Each pair is one int64 key
+    ``min * N + max``, deduplicated by a sort (``np.unique`` on int64 takes
+    a slower hash path)."""
+    n = g.num_nodes
+    keys = np.sort(np.minimum(g.edge_src, g.edge_dst) * n + np.maximum(g.edge_src, g.edge_dst))
+    uniq = np.ones(keys.size, dtype=bool)
+    uniq[1:] = keys[1:] != keys[:-1]
+    keys = keys[uniq]
+    return np.bincount(keys // n, minlength=n) + np.bincount(keys % n, minlength=n)
 
 
 def _require_nodes(g: AttributedGraph) -> None:
@@ -286,13 +299,25 @@ def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> Diff
     Run r draws from its own stream ``default_rng([rng_seed, r])``, so the
     counts do not depend on how runs are grouped.  SIR with ``max_steps``
     set runs the step-wise simulator, since a step cap has no live-edge form.
+    ``config.weights`` lets a caller that simulates many seed sets on one
+    graph compute the weights once; weights for other alphas or another
+    edge count raise ``ValueError``.  SIR does not use them.
     """
     _require_nodes(g)
     seed_ids = np.flatnonzero(_seed_mask(g, seeds))
-    weights = None
+    weights = config.weights
+    if weights is not None:
+        if (weights.alpha1, weights.alpha2) != (config.alpha1, config.alpha2):
+            raise ValueError(
+                f"weights were computed for alpha1={weights.alpha1}, alpha2={weights.alpha2}, "
+                f"the config has alpha1={config.alpha1}, alpha2={config.alpha2}"
+            )
+        if weights.structural.size != g.num_edges or weights.semantic.size != g.num_edges:
+            raise ValueError(f"weights cover {weights.structural.size} edges, the graph has {g.num_edges}")
     beta = config.sir_beta
     if config.model in ("ltp", "icp"):
-        weights = compute_influence_weights(g, config.alpha1, config.alpha2)
+        if weights is None:
+            weights = compute_influence_weights(g, config.alpha1, config.alpha2)
     elif beta is None:
         beta = critical_sir_beta(g)
 

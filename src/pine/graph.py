@@ -9,6 +9,7 @@ that canonical order so per-edge quantities can be read either way.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import re
 import struct
@@ -222,19 +223,26 @@ def write_features_binary(path, features: np.ndarray) -> None:
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[list(b" \t\n\r\x0b\x0c")] = True
 _EXOTIC_SPACE = re.compile(r"[^\S \t\n\r\x0b\x0c]")
+_LINE_END = re.compile(rb"\r\n?|\n")
 _CANONICAL_DIGITS = 18  # every decimal of at most 18 digits fits in int64
 _INT64 = np.iinfo(np.int64)
 
 
 def _read_edge_bytes(path) -> bytes:
-    """The file's bytes, with each whitespace character that ``str.split``
-    knows and ``bytes.split`` does not replaced by a space.  A file that is
-    not UTF-8 raises ``UnicodeDecodeError``."""
+    """The file's bytes after one leading UTF-8 byte-order mark, with each
+    whitespace character that ``str.split`` knows and ``bytes.split`` does
+    not replaced by a space.  A file that is not UTF-8 raises
+    ``GraphFormatError`` at the line of the first bad byte."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     if data.isascii() and not any(c in data for c in b"\x1c\x1d\x1e\x1f"):
         return data
-    return _EXOTIC_SPACE.sub(" ", data.decode("utf-8")).encode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(_LINE_END.findall(data, 0, exc.start)) + 1
+        raise GraphFormatError(f"{path}:{lineno}: file is not UTF-8 text ({exc.reason})") from exc
+    return _EXOTIC_SPACE.sub(" ", text).encode("utf-8")
 
 
 def _token_spans(buf: np.ndarray):
@@ -308,7 +316,7 @@ def _densify(tokens: np.ndarray, fast: np.ndarray, values: np.ndarray, words: np
 
 
 def _line_text(path, lineno: int) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return next(itertools.islice(fh, lineno - 1, None)).strip()
 
 
@@ -322,7 +330,9 @@ def load_graph(
 
     The edge list is UTF-8 text with one edge per line, ``src dst`` or
     ``src dst type``, in columns split by any whitespace ``str.split``
-    knows (spaces, tabs, ...).  Lines end at ``\n``, ``\r\n`` or ``\r``.
+    knows (spaces, tabs, ...).  One leading byte-order mark is skipped; a
+    file that is not UTF-8 raises ``GraphFormatError`` at the line of its
+    first bad byte.  Lines end at ``\n``, ``\r\n`` or ``\r``.
     Blank lines and lines whose first character after leading whitespace
     is ``#`` are skipped.  Every other line must have 2 or 3 columns, all
     lines the same number, and a type must be an integer in int64; else

@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import centrality as ct
+from . import diffusion
 from .diffusion import DiffusionConfig, influence_spread, worker_count
 from .graph import AttributedGraph, load_graph
 from .pine_score import calibrate_by_out_degree, score_graph
@@ -202,6 +203,11 @@ def run_pipeline(config_path) -> str:
     seed_count = int(config.seed_fraction * g.num_nodes)
     lines = _report_header(g, config, seed_count)
     lines.append("method\tmodel\tmean_spread\tstd_spread\truns\tseeds")
+    # LT+/IC+ weights and SIR's automatic beta do not depend on the seeds:
+    # each is computed once, on first use inside its model's stage, so an
+    # error still names that stage.
+    weights = None
+    sir_beta = config.sir_beta
     for method in config.methods:
         try:
             scores = compute_method_scores(g, method, config, seed_count)
@@ -216,12 +222,18 @@ def run_pipeline(config_path) -> str:
                     model=model_name,
                     alpha1=config.alpha1,
                     alpha2=config.alpha2,
-                    sir_beta=config.sir_beta,
+                    sir_beta=sir_beta,
                     sir_gamma=config.sir_gamma,
                     max_steps=config.max_steps,
                     num_runs=config.runs,
                     rng_seed=config.diffusion_seed,
+                    weights=weights,
                 )
+                if model_name == "sir" and sir_beta is None:
+                    sir_beta = dconf.sir_beta = diffusion.critical_sir_beta(g)
+                elif model_name != "sir" and weights is None:
+                    # through the module attribute, so a wrapper set on it runs
+                    weights = dconf.weights = diffusion.compute_influence_weights(g, config.alpha1, config.alpha2)
                 result = influence_spread(g, dconf, seeds)
             except Exception as exc:
                 raise PipelineError(f"simulate:{model_name}", exc) from exc

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from pine import diffusion
 from pine.diffusion import (
+    MODELS,
     DiffusionConfig,
     compute_influence_weights,
     critical_sir_beta,
@@ -196,6 +199,22 @@ class TestSir:
         g = random_graph(40, 0.1, rng)
         assert 0.0 < critical_sir_beta(g) <= 1.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_degrees_match_networkx_graph(self, seed):
+        # reciprocal pairs count once; nodes past the last endpoint are isolated
+        rng = np.random.default_rng(seed)
+        n, m = 60, 150
+        src, dst = rng.integers(0, 45, m), rng.integers(0, 45, m)
+        back = rng.random(m) < 0.4
+        g = build_graph(n, np.concatenate([src, dst[back]]), np.concatenate([dst, src[back]]), np.ones((n, 1)))
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
+        deg = np.array([G.degree(v) for v in range(n)])
+        assert np.array_equal(diffusion._undirected_degrees(g), deg)
+        k, k2 = deg.mean(), (deg.astype(np.float64) ** 2).mean()
+        assert critical_sir_beta(g) == min(1.0, 1.5 * k / (k2 - k))
+
 
 class TestInfluenceSpread:
     def test_all_seeds_spread_one(self, rng):
@@ -238,6 +257,25 @@ class TestInfluenceSpread:
             + large.activated_counts.var(ddof=1) / config.num_runs
         ) / g.num_nodes
         assert large.mean_spread >= small.mean_spread - 3 * pooled
+
+    @pytest.mark.parametrize("model", ["ltp", "icp"])
+    def test_precomputed_weights_match_one_shot(self, rng, model):
+        g = random_graph(25, 0.15, rng)
+        config = DiffusionConfig(model=model, alpha1=0.3, alpha2=0.7, num_runs=60, rng_seed=4)
+        shared = dataclasses.replace(config, weights=compute_influence_weights(g, 0.3, 0.7))
+        for seeds in ([0], [3, 7, 11]):
+            expected = influence_spread(g, config, seeds).activated_counts
+            assert np.array_equal(influence_spread(g, shared, seeds).activated_counts, expected)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_mismatched_weights_rejected(self, rng, model):
+        g = random_graph(25, 0.15, rng)
+        config = DiffusionConfig(model=model, num_runs=5, weights=compute_influence_weights(g, 0.3, 0.7))
+        with pytest.raises(ValueError, match="alpha1=0.3"):
+            influence_spread(g, config, [0])
+        config.weights = compute_influence_weights(random_graph(25, 0.3, rng))
+        with pytest.raises(ValueError, match=f"the graph has {g.num_edges}"):
+            influence_spread(g, config, [0])
 
     def test_alpha2_zero_ignores_features(self, rng):
         g = random_graph(15, 0.25, rng)

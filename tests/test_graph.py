@@ -71,6 +71,30 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=":2"):
             load_graph(e)
 
+    def test_leading_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf0 1\n1 0\n")
+        g = load_graph(path)
+        assert g.num_nodes == 2 and g.id_map == ["0", "1"]
+        assert g.edge_src.tolist() == [1, 0] and g.edge_dst.tolist() == [0, 1]
+
+    def test_byte_order_mark_skipped_once(self, tmp_path):
+        # a second mark is part of the first token, and an error line is
+        # quoted without the first one
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf0 1\n")
+        assert load_graph(path).id_map == ["1", "\ufeff0"]
+        path.write_bytes(b"\xef\xbb\xbf0 1 2 3\n")
+        with pytest.raises(GraphFormatError, match=r":1: expected 'src dst \[type\]', got '0 1 2 3'"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("lines, lineno", [(b"0 1\n1 2\n", 3), (b"0 1\r\n1 2\r", 3), (b"", 1)])
+    def test_latin1_file_names_path_and_line(self, tmp_path, lines, lineno):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(lines + "café 2\n".encode("latin-1"))
+        with pytest.raises(GraphFormatError, match=rf"latin\.txt:{lineno}: file is not UTF-8 text"):
+            load_graph(path)
+
     def test_feature_count_mismatch(self, tmp_path):
         e = write_edges(tmp_path, "0 1\n1 2\n")
         f = write_csv(tmp_path, [[1.0], [2.0]])

@@ -1,5 +1,6 @@
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 import pine.pipeline as pp
 from pine.cli import main
-from pine.graph import load_graph
+from pine.diffusion import DiffusionConfig, influence_spread
+from pine.graph import EmptyGraphError, load_graph
 from pine.pipeline import (
     METHODS,
     PipelineConfig,
@@ -268,6 +270,60 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="refused"):
             run_pipeline(path)
 
+    def test_report_equals_one_shot_rows(self, tmp_path, graph_files):
+        # the pipeline shares the influence weights and SIR's automatic beta
+        # across methods; each row must be what a standalone call reports
+        _g, edges, feats = graph_files
+        path = tmp_path / "rows.ini"
+        path.write_text(
+            f"[graph]\nedges = {edges}\nfeatures = {feats}\n"
+            "[pipeline]\nmethods = out_degree, pagerank, voterank\nmodels = ltp, icp, sir\n"
+            "[diffusion]\nruns = 40\nalpha1 = 0.3\nalpha2 = 0.7\nseed = 5\n"
+        )
+        config = load_config(path)
+        assert config.sir_beta is None
+        g = load_graph(edges, feats)
+        seed_count = int(config.seed_fraction * g.num_nodes)
+        lines = pp._report_header(g, config, seed_count)
+        lines.append("method\tmodel\tmean_spread\tstd_spread\truns\tseeds")
+        for method in config.methods:
+            seeds = compute_method_scores(g, method, config, seed_count).top_fraction(config.seed_fraction)
+            for model in config.models:
+                dconf = DiffusionConfig(
+                    model=model, alpha1=0.3, alpha2=0.7, num_runs=40, rng_seed=5, sir_beta=None
+                )
+                r = influence_spread(g, dconf, seeds)
+                lines.append(f"{method}\t{model}\t{r.mean_spread:.6f}\t{r.std_spread:.6f}\t{r.runs}\t{seeds.size}")
+        assert run_pipeline(path) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("models", ["ltp", "sir, ltp"])  # SIR does not use the weights
+    def test_negative_alpha_fails_in_first_ltp_stage(self, tmp_path, graph_files, monkeypatch, models):
+        _g, edges, feats = graph_files
+        scored = []
+        score = pp.compute_method_scores
+        monkeypatch.setattr(pp, "compute_method_scores", lambda g, m, *a: scored.append(m) or score(g, m, *a))
+        path = tmp_path / "alpha.ini"
+        path.write_text(
+            f"[graph]\nedges = {edges}\nfeatures = {feats}\n"
+            f"[pipeline]\nmethods = out_degree, pagerank\nmodels = {models}\n"
+            "[diffusion]\nruns = 5\nalpha1 = -0.5\nalpha2 = 1.5\n"
+        )
+        with pytest.raises(PipelineError, match="nonnegative") as exc:
+            run_pipeline(path)
+        assert exc.value.stage == "simulate:ltp"
+        assert scored == ["out_degree"]
+
+    @pytest.mark.parametrize("models", ["ltp", "ltp, sir", "sir"])
+    def test_empty_graph_fails_in_first_simulate_stage(self, tmp_path, models):
+        edges = tmp_path / "empty.txt"
+        edges.write_text("# no edges\n")
+        path = tmp_path / "empty.ini"
+        path.write_text(f"[graph]\nedges = {edges}\n[pipeline]\nmethods = out_degree\nmodels = {models}\n")
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(path)
+        assert exc.value.stage == f"simulate:{models.split(',')[0]}"
+        assert isinstance(exc.value.__cause__, EmptyGraphError)
+
     def test_bad_edge_file_fails_in_load_stage(self, tmp_path):
         path = tmp_path / "conf.ini"
         path.write_text(f"[graph]\nedges = {tmp_path / 'missing.txt'}\n")
@@ -375,6 +431,13 @@ class TestCli:
         assert float(lines["spearman"]) == pytest.approx(1.0)
         assert float(lines["ndcg@10"]) == pytest.approx(1.0)
 
+    def test_centrality_on_latin1_file_names_line(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes("0 1\ncafé 1\n".encode("latin-1"))
+        assert main(["centrality", "--graph", str(path), "--method", "degree"]) == 1
+        err = capsys.readouterr().err
+        assert "latin.txt:2: file is not UTF-8 text" in err and "codec" not in err
+
     def test_pipeline_subcommand_writes_report(self, tmp_path, graph_files):
         _g, edges, feats = graph_files
         out = tmp_path / "report.tsv"
@@ -466,18 +529,45 @@ def benchmark_tracer(monkeypatch):
     return tracer.Tracer().install()
 
 
+@pytest.fixture()
+def benchmark_worker(monkeypatch):
+    """The benchmark's worker module; the ``influence_spread`` it swaps in
+    and the ``tracer`` module it imports are undone when the test ends."""
+    monkeypatch.setattr(pp, "influence_spread", pp.influence_spread)
+    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
+    spec = importlib.util.spec_from_file_location("benchmark_worker", TRACER_PATH.with_name("worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    yield worker
+    sys.modules.pop("tracer", None)
+
+
 class TestBenchmarkTracer:
     def test_every_method_layer_is_traced(self, tmp_path, graph_files, benchmark_tracer):
         _g, edges, feats = graph_files
         path = tmp_path / "all.ini"
         path.write_text(
             f"[graph]\nedges = {edges}\nfeatures = {feats}\n"
-            f"[pipeline]\nmethods = {', '.join(METHODS)}\nmodels = ltp\n"
+            f"[pipeline]\nmethods = {', '.join(METHODS)}\nmodels = ltp, icp, sir\n"
             "[diffusion]\nruns = 5\n"
             "[train]\nhidden = 4\nmax_epochs = 2\npatience = 1\nlr = 0.01\n"
         )
         pp.run_pipeline(path)
         assert benchmark_tracer.missing_targets == []
-        names = {span["name"] for span in benchmark_tracer.spans}
-        assert {f"centrality.{m}" for m in METHODS if m != "pine"} <= names
-        assert {"split.split_edges", "train.train", "pine_score.score_graph"} <= names
+        names = [span["name"] for span in benchmark_tracer.spans]
+        assert {f"centrality.{m}" for m in METHODS if m != "pine"} <= set(names)
+        assert {"split.split_edges", "train.train", "pine_score.score_graph"} <= set(names)
+        for model in ("ltp", "icp", "sir"):
+            assert names.count(f"diffusion.{model}") == len(METHODS)
+        # the weights are seed-independent: one computation per pipeline run
+        assert names.count("diffusion.influence_weights") == 1
+
+    def test_pipeline_runs_under_benchmark_worker(self, tmp_path, graph_files, benchmark_worker):
+        # the worker records seed sets by replacing pine.pipeline.influence_spread
+        # with a function of exactly (g, dconf, seeds)
+        _g, edges, feats = graph_files
+        config = write_config(tmp_path, edges, feats)
+        expected = run_pipeline(config)
+        result = benchmark_worker.pipeline(config, False)
+        assert result["report"] == expected
+        assert len(result["seed_sets"]) == 3 * 3
