@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import warnings
 
 import numpy as np
@@ -232,37 +233,58 @@ def voterank(g: AttributedGraph, k: int) -> tuple[list[int], ScoreVector]:
     """Iterative vote-based election of k influential nodes.
 
     A node's vote score is the summed voting ability of its out-neighbors
-    (the nodes it supplies information to).  After each election the winner's
-    ability drops to zero and each of its out-neighbors loses 1/<k_out> of
-    ability, floored at 0.  Returns the elected nodes in election order plus
-    the final vote scores (elected nodes lifted above everyone else so a
-    single descending sort reproduces the full ranking).
+    (the nodes it supplies information to).  Each election goes to the
+    highest vote, ties to the smallest id.  After it the winner's ability
+    drops to zero and each of its out-neighbors loses 1/<k_out> of ability
+    (once per parallel edge), floored at 0.  Returns the elected nodes in
+    election order plus the final vote scores (elected nodes lifted above
+    everyone else so a single descending sort reproduces the full ranking).
+
+    Elections are lazy (CELF): a heap keyed (-vote, id) holds each node's
+    vote as of the election it was last summed in, and only a stale entry
+    that reaches the top is summed again.  This is exact: abilities only
+    fall, and every vote adds its non-negative terms left to right in
+    ascending out-neighbor id, the order of a ``bincount`` over the edges.
+    Rounded addition is monotone, so a stale vote is never below the
+    current one, and a fresh top entry beats every other node's true key.
+    Elections and final scores are those of recounting every vote before
+    each election, bit for bit.
     """
     n = g.num_nodes
+    if k < 0:
+        raise ValueError(f"k={k} must be non-negative")
     if k > n:
         raise ValueError(f"k={k} exceeds node count {n}")
     avg_out = g.num_edges / n if n else 0.0
     suppression = 1.0 / avg_out if avg_out > 0 else 0.0
     ability = np.ones(n)
-    elected: list[int] = []
-    elected_mask = np.zeros(n, dtype=bool)
     src, dst = g.edge_src, g.edge_dst
+    out_ptr, out_dst = g.out_ptr.tolist(), dst[g.out_perm]
 
     def votes():
-        # weighted bincount of an empty edge list is int64, which cannot hold -inf
+        # weighted bincount of an empty edge list is int64
         return np.bincount(src, weights=ability[dst], minlength=n).astype(np.float64, copy=False)
 
-    for _ in range(k):
-        scores = votes()
-        scores[elected_mask] = -np.inf
-        winner = int(np.argmax(scores))  # argmax ties resolve to smallest id
+    heap = list(zip((-votes()).tolist(), range(n)))
+    heapq.heapify(heap)
+    summed_in = [0] * n  # election each heap entry's vote was summed in
+    elected: list[int] = []
+    for t in range(k):
+        while summed_in[heap[0][1]] != t:
+            v = heap[0][1]
+            # cumsum adds left to right; np.sum adds rows of 8+ terms pairwise
+            row = ability[out_dst[out_ptr[v] : out_ptr[v + 1]]]
+            summed_in[v] = t
+            heapq.heapreplace(heap, (-float(row.cumsum()[-1]) if row.size else -0.0, v))
+        winner = heapq.heappop(heap)[1]
         elected.append(winner)
-        elected_mask[winner] = True
         ability[winner] = 0.0
-        for u in g.out_neighbors(winner):
-            ability[u] = max(0.0, ability[u] - suppression)
+        nb = out_dst[out_ptr[winner] : out_ptr[winner + 1]]
+        while nb.size:  # a node with c parallel edges from the winner is suppressed c times
+            ability[nb] = np.maximum(0.0, ability[nb] - suppression)
+            nb = nb[1:][nb[1:] == nb[:-1]]
     final = votes()
-    final[elected_mask] = 0.0
+    final[elected] = 0.0
     # lift elected nodes above all remaining scores, preserving election order
     lift = final.max(initial=0.0) + 1.0
     for pos, node in enumerate(elected):

@@ -62,7 +62,7 @@ def cmd_centrality(args):
         tuning=args.tuning,
         node_budget=args.node_budget,
     )
-    k = args.k if args.k is not None else max(1, int(0.1 * g.num_nodes))
+    k = args.k if args.k is not None else min(g.num_nodes, max(1, int(0.1 * g.num_nodes)))
     _emit_scores(compute_method_scores(g, args.method, config, k), args.out)
 
 

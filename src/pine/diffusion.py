@@ -5,13 +5,13 @@ structural term (1/in-degree of the destination) and a semantic term
 (edge-softmax of feature cosine similarities); SIR is the classical
 epidemic model run along out-edges.
 
-``run_lt_plus``, ``run_ic_plus`` and ``run_sir`` simulate one cascade step by
-step and define the models.  ``influence_spread`` samples the same final
-spread through the live-edge equivalence (Kempe, Kleinberg and Tardos, KDD
-2003): each run draws a random live subgraph, and the cascade reaches
-exactly the nodes reachable from the seeds in it.  Many runs are stacked
-into one block-diagonal graph and searched with a single breadth-first
-traversal.
+``run_sir`` simulates one epidemic step by step, for SIR with a step cap
+(``max_steps``), which has no live-edge form.  Otherwise
+``influence_spread`` samples the final spread through the live-edge
+equivalence (Kempe, Kleinberg and Tardos, KDD 2003): each run draws a random
+live subgraph, and the cascade reaches exactly the nodes reachable from the
+seeds in it.  Many runs are stacked into one block-diagonal graph and
+searched with a single breadth-first traversal.
 
 The influence weights and SIR's automatic beta depend on the graph (and
 alpha1/alpha2) only, never on the seeds: a pipeline run computes each once
@@ -152,49 +152,6 @@ def _seed_mask(g: AttributedGraph, seeds) -> np.ndarray:
             raise ValueError("seed id outside [0, N)")
         mask[seeds] = True
     return mask
-
-
-def run_lt_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np.ndarray:
-    """One linear-threshold cascade; returns the activated node mask.
-
-    Thresholds are drawn uniformly per node from ``rng``; a node activates
-    once the summed influence of its active in-neighbors reaches its
-    threshold.  Rounds repeat until a full pass adds nothing.
-    """
-    active = _seed_mask(g, seeds)
-    theta = rng.random(g.num_nodes)
-    influence = weights.combined
-    src, dst = g.edge_src, g.edge_dst
-    while True:
-        incoming = np.bincount(dst, weights=influence * active[src], minlength=g.num_nodes)
-        newly = (~active) & (incoming >= theta)
-        if not newly.any():
-            return active
-        active |= newly
-
-
-def run_ic_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np.ndarray:
-    """One independent-cascade run; each newly activated node gets a single
-    activation attempt on each of its inactive out-neighbors."""
-    active = _seed_mask(g, seeds)
-    influence = weights.combined
-    frontier = np.nonzero(active)[0]
-    out_ptr, out_perm, dst = g.out_ptr, g.out_perm, g.edge_dst
-    while frontier.size:
-        next_active = np.zeros(g.num_nodes, dtype=bool)
-        for j in frontier:
-            edge_ids = out_perm[out_ptr[j] : out_ptr[j + 1]]
-            targets = dst[edge_ids]
-            open_mask = ~active[targets]
-            if not open_mask.any():
-                continue
-            draws = rng.random(targets.size)
-            hits = open_mask & (draws < influence[edge_ids])
-            next_active[targets[hits]] = True
-        next_active &= ~active
-        active |= next_active
-        frontier = np.nonzero(next_active)[0]
-    return active
 
 
 def run_sir(

@@ -151,11 +151,6 @@ def forward(model: GatModel, g: AttributedGraph, x: sparse.csr_matrix | None = N
     return h, tapes
 
 
-def predict_edge(h_out: np.ndarray, j: int, i: int) -> float:
-    """Logistic of the dot product of the two final embeddings."""
-    return float(_sigmoid(np.dot(h_out[j], h_out[i]))[0])
-
-
 def _sigmoid(x):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty_like(x)

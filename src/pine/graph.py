@@ -57,9 +57,6 @@ class AttributedGraph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def in_neighbors(self, i: int) -> np.ndarray:
-        return self.edge_src[self.in_ptr[i] : self.in_ptr[i + 1]]
-
     def out_neighbors(self, j: int) -> np.ndarray:
         return self.edge_dst[self.out_perm[self.out_ptr[j] : self.out_ptr[j + 1]]]
 
@@ -68,14 +65,6 @@ class AttributedGraph:
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_ptr)
-
-    def cosine_similarity(self, j: int, i: int) -> float:
-        """Cosine of the two feature vectors; 0.0 if either has zero norm."""
-        xj, xi = self.features[j], self.features[i]
-        nj, ni = np.linalg.norm(xj), np.linalg.norm(xi)
-        if nj == 0.0 or ni == 0.0:
-            return 0.0
-        return float(np.dot(xj, xi) / (nj * ni))
 
     def edge_cosine(self) -> np.ndarray:
         """Per-edge cosine similarity sim(src, dst) in canonical order; 0.0

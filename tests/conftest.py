@@ -45,6 +45,19 @@ def graph_from_pairs(n, pairs):
     return build_graph(n, src, dst, np.ones((n, 1)))
 
 
+def in_neighbors(g, i):
+    return g.edge_src[g.in_ptr[i] : g.in_ptr[i + 1]]
+
+
+def cosine_similarity(g, j, i):
+    """Cosine of the two feature vectors; 0.0 if either has zero norm."""
+    xj, xi = g.features[j], g.features[i]
+    nj, ni = np.linalg.norm(xj), np.linalg.norm(xi)
+    if nj == 0.0 or ni == 0.0:
+        return 0.0
+    return float(np.dot(xj, xi) / (nj * ni))
+
+
 def to_networkx(g):
     G = nx.DiGraph()
     G.add_nodes_from(range(g.num_nodes))

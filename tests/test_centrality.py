@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 
 from pine import centrality as ct
-from pine.graph import build_graph, largest_weak_component
+from pine.graph import AttributedGraph, build_graph, largest_weak_component
 from pine.pipeline import METHODS, PipelineConfig, compute_method_scores
+from pine.scores import ScoreVector
 
-from conftest import graph_from_pairs, random_graph, small_digraphs, to_networkx, with_degenerate_graphs
+from conftest import (
+    cosine_similarity,
+    graph_from_pairs,
+    random_graph,
+    small_digraphs,
+    to_networkx,
+    with_degenerate_graphs,
+)
 
 
 def path3():
@@ -61,7 +69,7 @@ class TestWeightedOutDegree:
         expected = np.zeros(g.num_nodes)
         for j in range(g.num_nodes):
             for i in g.out_neighbors(j):
-                expected[j] += g.cosine_similarity(j, int(i))
+                expected[j] += cosine_similarity(g, j, int(i))
         assert np.allclose(ct.weighted_out_degree(g).values, expected)
 
 
@@ -434,6 +442,67 @@ def voterank_oracle(g, k):
     return elected
 
 
+def voterank_recount_oracle(g: AttributedGraph, k: int) -> tuple[list[int], ScoreVector]:
+    """Iterative vote-based election of k influential nodes.
+
+    A node's vote score is the summed voting ability of its out-neighbors
+    (the nodes it supplies information to).  After each election the winner's
+    ability drops to zero and each of its out-neighbors loses 1/<k_out> of
+    ability, floored at 0.  Returns the elected nodes in election order plus
+    the final vote scores (elected nodes lifted above everyone else so a
+    single descending sort reproduces the full ranking).
+    """
+    n = g.num_nodes
+    if k > n:
+        raise ValueError(f"k={k} exceeds node count {n}")
+    avg_out = g.num_edges / n if n else 0.0
+    suppression = 1.0 / avg_out if avg_out > 0 else 0.0
+    ability = np.ones(n)
+    elected: list[int] = []
+    elected_mask = np.zeros(n, dtype=bool)
+    src, dst = g.edge_src, g.edge_dst
+
+    def votes():
+        # weighted bincount of an empty edge list is int64, which cannot hold -inf
+        return np.bincount(src, weights=ability[dst], minlength=n).astype(np.float64, copy=False)
+
+    for _ in range(k):
+        scores = votes()
+        scores[elected_mask] = -np.inf
+        winner = int(np.argmax(scores))  # argmax ties resolve to smallest id
+        elected.append(winner)
+        elected_mask[winner] = True
+        ability[winner] = 0.0
+        for u in g.out_neighbors(winner):
+            ability[u] = max(0.0, ability[u] - suppression)
+    final = votes()
+    final[elected_mask] = 0.0
+    # lift elected nodes above all remaining scores, preserving election order
+    lift = final.max(initial=0.0) + 1.0
+    for pos, node in enumerate(elected):
+        final[node] = lift + (k - pos)
+    return elected, ScoreVector(final, f"voterank[{k}]")
+
+
+def assert_voterank_bit_equal(g, ks):
+    for k in ks:
+        elected, sv = ct.voterank(g, k)
+        expected, oracle_sv = voterank_recount_oracle(g, k)
+        assert elected == expected, k
+        assert np.array_equal(sv.values.view(np.int64), oracle_sv.values.view(np.int64)), k
+
+
+def zipf_hub_graph(n=2000, m=30000, seed=0, typed=None):
+    """Sources drawn by a Zipf law over node ids, so the hubs' out-rows hold
+    hundreds of edges; destinations uniform."""
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, n + 1)
+    src = rng.choice(n, size=m, p=p / p.sum())
+    dst = rng.integers(0, n, m)
+    etype = rng.integers(0, typed, m) if typed else None
+    return build_graph(n, src, dst, np.ones((n, 1)), edge_type=etype)
+
+
 class TestVoteRank:
     def test_star_center_first(self):
         g = build_graph(11, [0] * 10, list(range(1, 11)), np.ones((11, 1)))
@@ -461,6 +530,45 @@ class TestVoteRank:
         elected, sv = ct.voterank(g, 2)
         assert elected == [0, 1]
         assert sv.ranking()[:2].tolist() == elected
+
+    def test_negative_k_names_k(self):
+        with pytest.raises(ValueError, match=r"k=-2"):
+            ct.voterank(path3(), -2)
+
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_recount_oracle(self, case):
+        g = graph_from_pairs(*case)
+        assert_voterank_bit_equal(g, range(g.num_nodes + 1))
+
+    @pytest.mark.parametrize(
+        "n, src, dst",
+        [
+            (6, [], []),  # edgeless: every vote 0
+            (7, list(range(7)), [1, 2, 3, 4, 5, 6, 0]),  # directed cycle: every vote 1
+            (9, [a for a in range(4) for _ in range(5)], [b for _ in range(4) for b in range(4, 9)]),  # K(4,5)
+            (8, [a for a in range(4) for _ in range(4)] + [b for b in range(4, 8) for _ in range(4)],
+             [b for _ in range(4) for b in range(4, 8)] + [a for _ in range(4, 8) for a in range(4)]),  # K(4,4) both ways
+        ],
+        ids=["edgeless", "cycle", "bipartite", "bipartite-both-ways"],
+    )
+    def test_tied_votes_bit_equal_to_recount_oracle(self, n, src, dst):
+        g = build_graph(n, src, dst, np.ones((n, 1)))
+        assert_voterank_bit_equal(g, range(n + 1))
+
+    def test_hub_rows_bit_equal_to_recount_oracle(self):
+        # rows of 8 or more terms: a pairwise sum would round differently
+        g = zipf_hub_graph()
+        assert np.sort(g.out_degrees())[-50:].min() >= 8
+        assert_voterank_bit_equal(g, [g.num_nodes])
+
+    def test_parallel_typed_edges_bit_equal_to_recount_oracle(self):
+        # edges of two types between one pair: the winner suppresses that
+        # out-neighbor once per edge
+        g = zipf_hub_graph(n=300, m=3000, seed=1, typed=2)
+        assert g.num_edges > np.unique(g.edge_src * g.num_nodes + g.edge_dst).size
+        assert_voterank_bit_equal(g, [g.num_nodes])
 
     @given(small_digraphs())
     @with_degenerate_graphs

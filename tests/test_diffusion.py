@@ -9,16 +9,60 @@ from pine import diffusion
 from pine.diffusion import (
     MODELS,
     DiffusionConfig,
+    InfluenceWeights,
     compute_influence_weights,
     critical_sir_beta,
     influence_spread,
-    run_ic_plus,
-    run_lt_plus,
     run_sir,
 )
-from pine.graph import EmptyGraphError, build_graph
+from pine.graph import AttributedGraph, EmptyGraphError, build_graph
 
 from conftest import random_graph
+
+
+# The step-by-step LT+ and IC+ cascades that define the models; the
+# live-edge sampler of influence_spread is checked against them.
+def run_lt_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np.ndarray:
+    """One linear-threshold cascade; returns the activated node mask.
+
+    Thresholds are drawn uniformly per node from ``rng``; a node activates
+    once the summed influence of its active in-neighbors reaches its
+    threshold.  Rounds repeat until a full pass adds nothing.
+    """
+    active = diffusion._seed_mask(g, seeds)
+    theta = rng.random(g.num_nodes)
+    influence = weights.combined
+    src, dst = g.edge_src, g.edge_dst
+    while True:
+        incoming = np.bincount(dst, weights=influence * active[src], minlength=g.num_nodes)
+        newly = (~active) & (incoming >= theta)
+        if not newly.any():
+            return active
+        active |= newly
+
+
+def run_ic_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np.ndarray:
+    """One independent-cascade run; each newly activated node gets a single
+    activation attempt on each of its inactive out-neighbors."""
+    active = diffusion._seed_mask(g, seeds)
+    influence = weights.combined
+    frontier = np.nonzero(active)[0]
+    out_ptr, out_perm, dst = g.out_ptr, g.out_perm, g.edge_dst
+    while frontier.size:
+        next_active = np.zeros(g.num_nodes, dtype=bool)
+        for j in frontier:
+            edge_ids = out_perm[out_ptr[j] : out_ptr[j + 1]]
+            targets = dst[edge_ids]
+            open_mask = ~active[targets]
+            if not open_mask.any():
+                continue
+            draws = rng.random(targets.size)
+            hits = open_mask & (draws < influence[edge_ids])
+            next_active[targets[hits]] = True
+        next_active &= ~active
+        active |= next_active
+        frontier = np.nonzero(next_active)[0]
+    return active
 
 
 class FixedRng:

@@ -431,6 +431,19 @@ class TestCli:
         assert float(lines["spearman"]) == pytest.approx(1.0)
         assert float(lines["ndcg@10"]) == pytest.approx(1.0)
 
+    def test_centrality_negative_k_names_k(self, graph_files, capsys):
+        _g, edges, _feats = graph_files
+        assert main(["centrality", "--graph", edges, "--method", "voterank", "--k", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error [centrality] k=-2")
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "pine"])
+    def test_centrality_default_k_on_comments_only_edge_list(self, tmp_path, capsys, method):
+        path = tmp_path / "empty.txt"
+        path.write_text("# no edges\n# at all\n")
+        assert main(["centrality", "--graph", str(path), "--method", method]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_centrality_on_latin1_file_names_line(self, tmp_path, capsys):
         path = tmp_path / "latin.txt"
         path.write_bytes("0 1\ncafé 1\n".encode("latin-1"))
