@@ -6,7 +6,6 @@ import heapq
 import warnings
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .graph import AttributedGraph
 from .scores import ScoreVector
@@ -35,20 +34,14 @@ def relative_out_degree(g: AttributedGraph, tuning: float = 0.5) -> ScoreVector:
     """Opsahl-style blend: out_degree^(1-tuning) * weighted_out_degree^tuning.
 
     Nodes with no out-edges score 0.  Negative weighted sums (possible with
-    signed features) are clamped to 0 so the fractional power stays real.
+    signed features) are clamped to 0 so the fractional power stays real;
+    with numpy's 0.0**0.0 == 1.0, tuning 0 and 1 give the pure measures.
     """
     if not 0.0 <= tuning <= 1.0:
         raise ValueError("tuning must lie in [0, 1]")
     od = g.out_degrees().astype(np.float64)
     wd = np.maximum(weighted_out_degree(g).values, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(od > 0, od ** (1.0 - tuning) * wd**tuning, 0.0)
-    values = np.nan_to_num(values, nan=0.0)
-    # 0^0 := 1 at the boundaries so the blend degenerates to the pure measures
-    if tuning == 0.0:
-        values = np.where(od > 0, od, 0.0)
-    elif tuning == 1.0:
-        values = np.where(od > 0, wd, 0.0)
+    values = np.where(od > 0, od ** (1.0 - tuning) * wd**tuning, 0.0)
     return ScoreVector(values, f"relative_out_degree[{tuning}]")
 
 
@@ -132,34 +125,66 @@ def katz(
     return ScoreVector(x, "katz")
 
 
-# source rows per shortest_path call: each array of a chunk holds about 2^20
-# values, so temporaries stay at a few MB whatever the graph's size
+# sources per chunk: each array of a chunk holds about 2^20 values, so
+# temporaries stay at a few MB whatever the graph's size
 _CHUNK_CELLS = 1 << 20
 
 
-def _distance_chunks(adj, row_cells: int):
-    """Yield (rows, dist) over consecutive runs of source nodes, about
-    _CHUNK_CELLS // row_cells at a time; dist[i, v] is the hop distance
-    from rows[i] to v, inf where v is unreached.  ``row_cells`` is how many
-    values the caller keeps per source."""
-    n = adj.shape[0]
-    step = max(1, _CHUNK_CELLS // max(row_cells, 1))
+def _bfs_chunks(g: AttributedGraph):
+    """Level-synchronous BFS from runs of _CHUNK_CELLS // (N + M)
+    consecutive sources: per source a chunk keeps N slot-matrix cells, at
+    most N slots and at most M out-edges.  Yields (sources, node, row,
+    starts, dag) per chunk.
+
+    Slot s is the pair (sources[row[s]], node[s]): a source and a node it
+    reaches.  Slots run by level, then source, then discovery position:
+    a level's new nodes in order of first appearance among the previous
+    level's out-edges, the queue order of a one-source BFS.  Level d is the
+    slot range starts[d]:starts[d+1], and dag[d-1] holds the (tail, head)
+    slots of the shortest-path DAG edges into it, in out-edge order.
+    """
+    n = g.num_nodes
+    out_ptr, out_dst = g.out_ptr, g.edge_dst[g.out_perm]
+    step = max(1, _CHUNK_CELLS // max(n + g.num_edges, 1))
     for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        yield rows, csgraph.shortest_path(adj, unweighted=True, indices=rows)
+        sources = np.arange(lo, min(lo + step, n))
+        slot = np.full((sources.size, n), -1, dtype=np.int64)  # -1: not reached yet
+        slot[np.arange(sources.size), sources] = np.arange(sources.size)
+        nodes, rows, starts, dag = [sources], [np.arange(sources.size)], [0, sources.size], []
+        while True:
+            # every out-edge of the last level, as (tail slot, head node)
+            first = out_ptr[nodes[-1]]
+            deg = out_ptr[nodes[-1] + 1] - first
+            edge = np.arange(deg.sum()) + np.repeat(first - (np.cumsum(deg) - deg), deg)
+            tail = np.repeat(np.arange(starts[-2], starts[-1]), deg)
+            tail_row, head_node = np.repeat(rows[-1], deg), out_dst[edge]
+            new = slot[tail_row, head_node] < 0
+            _, seen_at = np.unique(tail_row[new] * n + head_node[new], return_index=True)
+            if seen_at.size == 0:
+                break
+            seen_at.sort()  # first appearance: tails run by source, then discovery
+            rows.append(tail_row[new][seen_at])
+            nodes.append(head_node[new][seen_at])
+            slot[rows[-1], nodes[-1]] = starts[-1] + np.arange(seen_at.size)
+            starts.append(starts[-1] + seen_at.size)
+            head = slot[tail_row, head_node]
+            on_dag = head >= starts[-2]  # the other heads lie on earlier levels
+            dag.append((tail[on_dag], head[on_dag]))
+        yield sources, np.concatenate(nodes), np.concatenate(rows), np.array(starts), dag
 
 
 def closeness(g: AttributedGraph) -> ScoreVector:
     """Out-direction closeness with the Wasserman-Faust correction for
-    graphs that are not strongly connected."""
+    graphs that are not strongly connected.  A source's reach and distance
+    sum are its slot count and level sum in ``_bfs_chunks``."""
     n = g.num_nodes
     values = np.zeros(n)
-    for rows, dist in _distance_chunks(g.adjacency(), n):
-        reached = np.isfinite(dist)
-        r = reached.sum(axis=1) - 1  # nodes reached, the source excluded
-        total = np.where(reached, dist, 0.0).sum(axis=1)
+    for sources, _node, row, starts, _dag in _bfs_chunks(g):
+        level = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+        r = np.bincount(row, minlength=sources.size) - 1  # nodes reached, the source excluded
+        total = np.bincount(row, weights=level, minlength=sources.size)
         hit = total > 0
-        values[rows[hit]] = (r[hit] / (n - 1)) * (r[hit] / total[hit])
+        values[sources[hit]] = (r[hit] / (n - 1)) * (r[hit] / total[hit])
     return ScoreVector(values, "closeness")
 
 
@@ -167,51 +192,26 @@ def betweenness(g: AttributedGraph) -> ScoreVector:
     """Exact directed betweenness by Brandes' accumulation, normalized by
     (N-1)(N-2).
 
-    Sources go in chunks, and within a chunk level by level.  Each node a
-    source reaches gets a slot; slots run by BFS level, then source, then
-    BFS discovery position, so every level is one contiguous range.  An
-    out-edge of a level d-1 node is on the source's shortest-path DAG iff
-    its head lies on level d.  Path counts are integers, so their sums are
-    exact in any order.  Each node's dependency sums its terms in
+    Sources go in chunks, and within a chunk level by level over the slots
+    and DAG edges of ``_bfs_chunks``.  Path counts are integers, so their
+    sums are exact in any order.  Each node's dependency sums its terms in
     decreasing discovery position of the head, and the sources'
     dependencies are added into the scores in source order: the
     floating-point order of Brandes' one-source-at-a-time loop, so the
     scores equal that loop's bit for bit.
     """
     n = g.num_nodes
-    adj = g.adjacency()
-    out_ptr, out_dst = g.out_ptr, adj.indices
     values = np.zeros(n)
-    for rows, dist in _distance_chunks(adj, n + g.num_edges):
-        # reached (source, node) pairs in discovery order, source by source
-        orders = [csgraph.breadth_first_order(adj, s, return_predecessors=False) for s in rows]
-        node = np.concatenate(orders)
-        row = np.repeat(np.arange(rows.size), [o.size for o in orders])
-        level = dist[row, node]
-        by_level = np.argsort(level, kind="stable")
-        node, row, level = node[by_level], row[by_level], level[by_level]
-        slot = np.empty(dist.shape, dtype=np.int64)
-        slot[row, node] = np.arange(node.size)
-        starts = np.searchsorted(level, np.arange(level[-1] + 2))  # slot range of each level
+    for _sources, node, row, starts, dag in _bfs_chunks(g):
         sigma = np.zeros(node.size)
         sigma[: starts[1]] = 1.0
-        dag = []  # per level d >= 1: (tail, head) slots of the DAG edges into it
         for d in range(1, starts.size - 1):
-            # every out-edge of level d-1, as (tail slot, head slot)
-            tails = np.arange(starts[d - 1], starts[d])
-            first = out_ptr[node[tails]]
-            deg = out_ptr[node[tails] + 1] - first
-            edge = np.arange(deg.sum()) + np.repeat(first - (np.cumsum(deg) - deg), deg)
-            tail = np.repeat(tails, deg)
-            head = slot[row[tail], out_dst[edge]]
-            on_dag = head >= starts[d]  # the other heads lie on levels up to d - 1
-            tail, head = tail[on_dag], head[on_dag]
+            tail, head = dag[d - 1]
             by_head = np.argsort(head)[::-1]  # heads in decreasing discovery position
-            tail, head = tail[by_head], head[by_head]
+            tail, head = dag[d - 1] = tail[by_head], head[by_head]
             sigma[starts[d] : starts[d + 1]] = np.bincount(
                 head - starts[d], weights=sigma[tail], minlength=starts[d + 1] - starts[d]
             )
-            dag.append((tail, head))
         delta = np.zeros(node.size)
         for d in range(len(dag), 0, -1):
             tail, head = dag[d - 1]

@@ -93,8 +93,8 @@ class DiffusionConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if abs(self.alpha1 + self.alpha2 - 1.0) > 1e-12:
-            raise ValueError("alpha1 + alpha2 must equal 1")
+        if self.alpha1 < 0 or self.alpha2 < 0 or abs(self.alpha1 + self.alpha2 - 1.0) > 1e-12:
+            raise ValueError("alpha1 and alpha2 must be nonnegative and sum to 1")
         if self.sir_beta is not None and not 0.0 <= self.sir_beta <= 1.0:
             raise ValueError("sir_beta must lie in [0, 1]")
         if not 0.0 <= self.sir_gamma <= 1.0:

@@ -57,9 +57,6 @@ class AttributedGraph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def out_neighbors(self, j: int) -> np.ndarray:
-        return self.edge_dst[self.out_perm[self.out_ptr[j] : self.out_ptr[j + 1]]]
-
     def in_degrees(self) -> np.ndarray:
         return np.diff(self.in_ptr)
 

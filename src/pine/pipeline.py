@@ -92,10 +92,18 @@ _KEYS = {
 }
 
 
+def _diffusion_config(c: PipelineConfig, **fields) -> DiffusionConfig:
+    """The [diffusion] values of ``c`` as a DiffusionConfig; ``fields`` set the others or override these."""
+    values = dict(alpha1=c.alpha1, alpha2=c.alpha2, sir_beta=c.sir_beta, sir_gamma=c.sir_gamma,
+                  max_steps=c.max_steps, num_runs=c.runs, rng_seed=c.diffusion_seed)
+    return DiffusionConfig(**(values | fields))
+
+
 def load_config(path) -> PipelineConfig:
     """Parse the flat sectioned key-value config; unknown sections or keys
     are errors so typos fail fast, and a value that does not parse, or that
-    ``TrainConfig`` rejects, names its ``[section] key``.  A ``;`` after
+    ``TrainConfig`` rejects, names its ``[section] key``.  Values that
+    ``DiffusionConfig`` rejects name ``[diffusion]``.  A ``;`` after
     whitespace starts a comment, and an empty value means the default."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
@@ -125,6 +133,10 @@ def load_config(path) -> PipelineConfig:
     if "edges" not in values:
         raise PipelineError("config", "missing required [graph] edges entry")
     config = PipelineConfig(**values, train=TrainConfig(**train_values))
+    try:
+        _diffusion_config(config)
+    except ValueError as exc:
+        raise PipelineError("config", f"[diffusion] {exc}") from exc
     for m in config.methods:
         if m not in METHODS:
             raise PipelineError("config", f"unknown method {m!r}; choose from {tuple(METHODS)}")
@@ -218,17 +230,7 @@ def run_pipeline(config_path) -> str:
             raise PipelineError(method, exc) from exc
         for model_name in config.models:
             try:
-                dconf = DiffusionConfig(
-                    model=model_name,
-                    alpha1=config.alpha1,
-                    alpha2=config.alpha2,
-                    sir_beta=sir_beta,
-                    sir_gamma=config.sir_gamma,
-                    max_steps=config.max_steps,
-                    num_runs=config.runs,
-                    rng_seed=config.diffusion_seed,
-                    weights=weights,
-                )
+                dconf = _diffusion_config(config, model=model_name, sir_beta=sir_beta, weights=weights)
                 if model_name == "sir" and sir_beta is None:
                     sir_beta = dconf.sir_beta = diffusion.critical_sir_beta(g)
                 elif model_name != "sir" and weights is None:

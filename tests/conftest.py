@@ -49,6 +49,10 @@ def in_neighbors(g, i):
     return g.edge_src[g.in_ptr[i] : g.in_ptr[i + 1]]
 
 
+def out_neighbors(g, j):
+    return g.edge_dst[g.out_perm[g.out_ptr[j] : g.out_ptr[j + 1]]]
+
+
 def cosine_similarity(g, j, i):
     """Cosine of the two feature vectors; 0.0 if either has zero norm."""
     xj, xi = g.features[j], g.features[i]

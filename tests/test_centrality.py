@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import csgraph
 
 from pine import centrality as ct
 from pine.graph import AttributedGraph, build_graph, largest_weak_component
@@ -13,6 +14,7 @@ from pine.scores import ScoreVector
 from conftest import (
     cosine_similarity,
     graph_from_pairs,
+    out_neighbors,
     random_graph,
     small_digraphs,
     to_networkx,
@@ -68,7 +70,7 @@ class TestWeightedOutDegree:
         g = random_graph(10, 0.4, rng)
         expected = np.zeros(g.num_nodes)
         for j in range(g.num_nodes):
-            for i in g.out_neighbors(j):
+            for i in out_neighbors(g, j):
                 expected[j] += cosine_similarity(g, j, int(i))
         assert np.allclose(ct.weighted_out_degree(g).values, expected)
 
@@ -76,13 +78,13 @@ class TestWeightedOutDegree:
 class TestRelativeOutDegree:
     def test_tuning_zero_is_out_degree(self, rng):
         g = random_graph(12, 0.3, rng)
-        assert np.allclose(ct.relative_out_degree(g, 0.0).values, ct.out_degree(g).values)
+        assert np.array_equal(ct.relative_out_degree(g, 0.0).values, ct.out_degree(g).values)
 
     def test_tuning_one_is_weighted(self, rng):
         # nonnegative features so the weighted sums stay nonnegative
         g = random_graph(12, 0.3, rng)
         g.features = np.abs(g.features)
-        assert np.allclose(
+        assert np.array_equal(
             ct.relative_out_degree(g, 1.0).values,
             np.where(ct.out_degree(g).values > 0, ct.weighted_out_degree(g).values, 0.0),
         )
@@ -213,7 +215,7 @@ class TestKatz:
 def closeness_bfs_oracle(g):
     n = g.num_nodes
     values = np.zeros(n)
-    adj = [set(map(int, g.out_neighbors(v))) for v in range(n)]
+    adj = [set(map(int, out_neighbors(g, v))) for v in range(n)]
     for s in range(n):
         dist = {s: 0}
         frontier = [s]
@@ -230,6 +232,70 @@ def closeness_bfs_oracle(g):
         if r > 1 and total > 0:
             values[s] = ((r - 1) / (n - 1)) * ((r - 1) / total)
     return values
+
+
+# source rows per shortest_path call: each array of a chunk holds about 2^20
+# values, so temporaries stay at a few MB whatever the graph's size
+SHORTEST_PATH_CHUNK_CELLS = 1 << 20
+
+
+def shortest_path_chunks(adj, row_cells: int):
+    """Yield (rows, dist) over consecutive runs of source nodes, about
+    SHORTEST_PATH_CHUNK_CELLS // row_cells at a time; dist[i, v] is the hop
+    distance from rows[i] to v, inf where v is unreached.  ``row_cells`` is
+    how many values the caller keeps per source."""
+    n = adj.shape[0]
+    step = max(1, SHORTEST_PATH_CHUNK_CELLS // max(row_cells, 1))
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        yield rows, csgraph.shortest_path(adj, unweighted=True, indices=rows)
+
+
+def closeness_shortest_path_oracle(g: AttributedGraph) -> np.ndarray:
+    """Out-direction closeness with the Wasserman-Faust correction for
+    graphs that are not strongly connected."""
+    n = g.num_nodes
+    values = np.zeros(n)
+    for rows, dist in shortest_path_chunks(g.adjacency(), n):
+        reached = np.isfinite(dist)
+        r = reached.sum(axis=1) - 1  # nodes reached, the source excluded
+        total = np.where(reached, dist, 0.0).sum(axis=1)
+        hit = total > 0
+        values[rows[hit]] = (r[hit] / (n - 1)) * (r[hit] / total[hit])
+    return values
+
+
+def block_ring_graph():
+    """2700 nodes in 9 blocks of 300, each a ring with random chords, so
+    every source reaches its whole block."""
+    rng = np.random.default_rng(0)
+    size, n = 300, 2700
+    ring = np.arange(n)
+    chord_src = rng.integers(0, n, 2 * n)
+    chord_dst = chord_src - chord_src % size + rng.integers(0, size, chord_src.size)
+    src = np.concatenate([ring, chord_src])
+    dst = np.concatenate([ring - ring % size + (ring + 1) % size, chord_dst])
+    return build_graph(n, src, dst, np.ones((n, 1)))
+
+
+def random_typed_graphs(seed, count=40):
+    """Graphs of up to 39 nodes with cycles, isolated nodes and parallel
+    edges of two types."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(0, 40))
+        m = int(rng.integers(0, 3 * n + 1))
+        src, dst = rng.integers(0, max(n, 1), (2, m))
+        yield build_graph(n, src, dst, np.ones((n, 1)), edge_type=rng.integers(0, 2, m))
+
+
+def traced_peak_bytes(measure, g):
+    tracemalloc.start()
+    try:
+        measure(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCloseness:
@@ -257,13 +323,39 @@ class TestCloseness:
         expected = nx.closeness_centrality(to_networkx(g).reverse(), wf_improved=True)
         assert np.array_equal(ct.closeness(g).values, [expected[v] for v in range(g.num_nodes)])
 
+    @pytest.mark.parametrize("chunk_cells", [1, 60, 1 << 20])
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_shortest_path_oracle(self, chunk_cells, case):
+        g = graph_from_pairs(*case)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ct, "_CHUNK_CELLS", chunk_cells)
+            values = ct.closeness(g).values
+        assert np.array_equal(values.view(np.int64), closeness_shortest_path_oracle(g).view(np.int64))
+
+    @pytest.mark.parametrize("chunk_cells", [1, 60, 1 << 20])
+    def test_bit_equal_to_shortest_path_oracle_on_random_graphs(self, chunk_cells, monkeypatch):
+        # cycles, isolated nodes and parallel edges of two types; the small
+        # budgets split the sources over many chunks
+        monkeypatch.setattr(ct, "_CHUNK_CELLS", chunk_cells)
+        for g in random_typed_graphs(seed=chunk_cells):
+            expected = closeness_shortest_path_oracle(g)
+            assert np.array_equal(ct.closeness(g).values.view(np.int64), expected.view(np.int64))
+
+    def test_peak_memory_bounded_by_chunk_budget(self):
+        # an N x N distance matrix alone would take 58 MB; each array of a
+        # chunk holds about _CHUNK_CELLS values
+        peak = traced_peak_bytes(ct.closeness, block_ring_graph())
+        assert peak < 16 * ct._CHUNK_CELLS  # bytes: two int64 arrays of a chunk
+
 
 def betweenness_enumeration_oracle(g):
     """Brute force: enumerate all shortest paths between every ordered pair."""
     import itertools
 
     n = g.num_nodes
-    adj = [list(map(int, g.out_neighbors(v))) for v in range(n)]
+    adj = [list(map(int, out_neighbors(g, v))) for v in range(n)]
 
     def all_shortest_paths(s, t):
         # BFS distances, then DFS along decreasing-distance edges
@@ -326,7 +418,7 @@ def betweenness_loop_oracle(g):
             d += 1
             nxt = []
             for v in frontier:
-                for u in g.out_neighbors(v):
+                for u in out_neighbors(g, v):
                     u = int(u)
                     if dist[u] < 0:
                         dist[u] = d
@@ -380,12 +472,7 @@ class TestBetweenness:
         # cycles, isolated nodes and parallel edges of two types; the small
         # budgets split the sources over many chunks
         monkeypatch.setattr(ct, "_CHUNK_CELLS", chunk_cells)
-        rng = np.random.default_rng(chunk_cells)
-        for _ in range(40):
-            n = int(rng.integers(0, 40))
-            m = int(rng.integers(0, 3 * n + 1))
-            src, dst = rng.integers(0, max(n, 1), (2, m))
-            g = build_graph(n, src, dst, np.ones((n, 1)), edge_type=rng.integers(0, 2, m))
+        for g in random_typed_graphs(seed=chunk_cells):
             assert np.array_equal(ct.betweenness(g).values, betweenness_loop_oracle(g))
 
     @given(small_digraphs())
@@ -398,24 +485,9 @@ class TestBetweenness:
         np.testing.assert_allclose(mine, [expected[v] for v in range(g.num_nodes)], rtol=1e-12, atol=0)
 
     def test_peak_memory_bounded_by_chunk_budget(self):
-        # 2700 nodes in 9 blocks of 300, each a ring with random chords, so
-        # every source reaches its whole block.  An N x N distance matrix
-        # alone would take 58 MB; each array of a chunk holds about
-        # _CHUNK_CELLS values.
-        rng = np.random.default_rng(0)
-        size, n = 300, 2700
-        ring = np.arange(n)
-        chord_src = rng.integers(0, n, 2 * n)
-        chord_dst = chord_src - chord_src % size + rng.integers(0, size, chord_src.size)
-        src = np.concatenate([ring, chord_src])
-        dst = np.concatenate([ring - ring % size + (ring + 1) % size, chord_dst])
-        g = build_graph(n, src, dst, np.ones((n, 1)))
-        tracemalloc.start()
-        try:
-            ct.betweenness(g)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # an N x N distance matrix alone would take 58 MB; each array of a
+        # chunk holds about _CHUNK_CELLS values
+        peak = traced_peak_bytes(ct.betweenness, block_ring_graph())
         assert peak < 16 * ct._CHUNK_CELLS  # bytes: two float64 arrays of a chunk
 
 
@@ -423,7 +495,7 @@ def voterank_oracle(g, k):
     """Independent step-by-step simulation of the vote loop."""
     n = g.num_nodes
     ability = {v: 1.0 for v in range(n)}
-    out = {v: list(map(int, g.out_neighbors(v))) for v in range(n)}
+    out = {v: list(map(int, out_neighbors(g, v))) for v in range(n)}
     suppression = g.num_edges / n
     suppression = 1.0 / suppression if suppression > 0 else 0.0
     elected = []
@@ -473,7 +545,7 @@ def voterank_recount_oracle(g: AttributedGraph, k: int) -> tuple[list[int], Scor
         elected.append(winner)
         elected_mask[winner] = True
         ability[winner] = 0.0
-        for u in g.out_neighbors(winner):
+        for u in out_neighbors(g, winner):
             ability[u] = max(0.0, ability[u] - suppression)
     final = votes()
     final[elected_mask] = 0.0

@@ -29,6 +29,7 @@ from conftest import (
     cosine_similarity,
     graph_from_pairs,
     in_neighbors,
+    out_neighbors,
     random_graph,
     small_digraphs,
     to_networkx,
@@ -308,7 +309,7 @@ class TestAdjacency:
         g = random_graph(30, 0.15, rng)
         from_out = set()
         for j in range(g.num_nodes):
-            for i in g.out_neighbors(j):
+            for i in out_neighbors(g, j):
                 from_out.add((j, int(i)))
         from_in = set()
         for i in range(g.num_nodes):
@@ -320,7 +321,7 @@ class TestAdjacency:
         g = random_graph(25, 0.2, rng)
         for v in range(g.num_nodes):
             assert np.all(np.diff(in_neighbors(g, v)) > 0)
-            assert np.all(np.diff(g.out_neighbors(v)) > 0)
+            assert np.all(np.diff(out_neighbors(g, v)) > 0)
 
 
 class TestCosineSimilarity:

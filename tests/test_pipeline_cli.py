@@ -296,22 +296,36 @@ class TestPipeline:
                 lines.append(f"{method}\t{model}\t{r.mean_spread:.6f}\t{r.std_spread:.6f}\t{r.runs}\t{seeds.size}")
         assert run_pipeline(path) == "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("models", ["ltp", "sir, ltp"])  # SIR does not use the weights
-    def test_negative_alpha_fails_in_first_ltp_stage(self, tmp_path, graph_files, monkeypatch, models):
+    @staticmethod
+    def assert_fails_at_config(tmp_path, graph_files, monkeypatch, models, diffusion, message):
+        # before the graph loads, so before any method is scored
         _g, edges, feats = graph_files
-        scored = []
-        score = pp.compute_method_scores
-        monkeypatch.setattr(pp, "compute_method_scores", lambda g, m, *a: scored.append(m) or score(g, m, *a))
-        path = tmp_path / "alpha.ini"
+        calls = []
+        monkeypatch.setattr(pp, "load_graph", lambda *a, **k: calls.append("load"))
+        monkeypatch.setattr(pp, "compute_method_scores", lambda g, m, *a: calls.append(m))
+        path = tmp_path / "diffusion.ini"
         path.write_text(
             f"[graph]\nedges = {edges}\nfeatures = {feats}\n"
             f"[pipeline]\nmethods = out_degree, pagerank\nmodels = {models}\n"
-            "[diffusion]\nruns = 5\nalpha1 = -0.5\nalpha2 = 1.5\n"
+            f"[diffusion]\n{diffusion}\n"
         )
-        with pytest.raises(PipelineError, match="nonnegative") as exc:
+        with pytest.raises(PipelineError, match=rf"\[config\] \[diffusion\] .*{message}") as exc:
             run_pipeline(path)
-        assert exc.value.stage == "simulate:ltp"
-        assert scored == ["out_degree"]
+        assert exc.value.stage == "config"
+        assert calls == []
+
+    @pytest.mark.parametrize("models", ["ltp", "sir, ltp", "sir"])  # checked whether or not a model uses them
+    def test_negative_alpha_fails_at_config(self, tmp_path, graph_files, monkeypatch, models):
+        diffusion = "runs = 5\nalpha1 = -0.5\nalpha2 = 1.5"
+        self.assert_fails_at_config(tmp_path, graph_files, monkeypatch, models, diffusion, "nonnegative")
+
+    @pytest.mark.parametrize(
+        "diffusion, message",
+        [("runs = 0", "num_runs must be >= 1"), ("sir_gamma = 2", r"sir_gamma must lie in \[0, 1\]")],
+        ids=["runs", "sir_gamma"],
+    )
+    def test_rejected_diffusion_value_fails_at_config(self, tmp_path, graph_files, monkeypatch, diffusion, message):
+        self.assert_fails_at_config(tmp_path, graph_files, monkeypatch, "ltp, sir", diffusion, message)
 
     @pytest.mark.parametrize("models", ["ltp", "ltp, sir", "sir"])
     def test_empty_graph_fails_in_first_simulate_stage(self, tmp_path, models):
