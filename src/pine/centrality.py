@@ -133,7 +133,8 @@ _CHUNK_CELLS = 1 << 20
 def _bfs_chunks(g: AttributedGraph):
     """Level-synchronous BFS from runs of _CHUNK_CELLS // (N + M)
     consecutive sources: per source a chunk keeps N slot-matrix cells, at
-    most N slots and at most M out-edges.  Yields (sources, node, row,
+    most N slots and at most M out-edges.  One slot matrix serves every
+    chunk; each chunk resets the cells it set.  Yields (sources, node, row,
     starts, dag) per chunk.
 
     Slot s is the pair (sources[row[s]], node[s]): a source and a node it
@@ -146,9 +147,9 @@ def _bfs_chunks(g: AttributedGraph):
     n = g.num_nodes
     out_ptr, out_dst = g.out_ptr, g.edge_dst[g.out_perm]
     step = max(1, _CHUNK_CELLS // max(n + g.num_edges, 1))
+    slot = np.full((min(step, n), n), -1, dtype=np.int64)  # -1: not reached yet
     for lo in range(0, n, step):
         sources = np.arange(lo, min(lo + step, n))
-        slot = np.full((sources.size, n), -1, dtype=np.int64)  # -1: not reached yet
         slot[np.arange(sources.size), sources] = np.arange(sources.size)
         nodes, rows, starts, dag = [sources], [np.arange(sources.size)], [0, sources.size], []
         while True:
@@ -170,7 +171,9 @@ def _bfs_chunks(g: AttributedGraph):
             head = slot[tail_row, head_node]
             on_dag = head >= starts[-2]  # the other heads lie on earlier levels
             dag.append((tail[on_dag], head[on_dag]))
-        yield sources, np.concatenate(nodes), np.concatenate(rows), np.array(starts), dag
+        node, row = np.concatenate(nodes), np.concatenate(rows)
+        slot[row, node] = -1  # every cell this chunk set: the next chunk starts unreached
+        yield sources, node, row, np.array(starts), dag
 
 
 def closeness(g: AttributedGraph) -> ScoreVector:

@@ -5,16 +5,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, centrality as ct, gat, metrics
-from .diffusion import DiffusionConfig, influence_spread
+from . import __version__, gat, metrics
+from .diffusion import MODELS, DiffusionConfig, influence_spread
 from .graph import largest_weak_component, load_graph, write_int_rows
-from .pine_score import (
-    calibrate_by_out_degree,
-    heterogeneous_pine,
-    score_graph,
-    select_edge_types,
-)
+from .pine_score import heterogeneous_pine, score_graph, select_edge_types
 from .pipeline import (
+    CALIBRATIONS,
     METHODS,
     PipelineConfig,
     PipelineError,
@@ -35,6 +31,19 @@ def _add_graph_args(p):
     p.add_argument("--reverse-edges", action="store_true", help="flip edge orientation at load")
 
 
+def _add_train_args(p):
+    p.add_argument("--layers", type=int, default=TrainConfig.num_layers)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
+
+
+def _train_config(args, **fields) -> TrainConfig:
+    return TrainConfig(
+        num_layers=args.layers, hidden_size=args.hidden, learning_rate=args.lr, rng_seed=args.seed, **fields
+    )
+
+
 def _load(args):
     return load_graph(args.graph, args.features, reverse_edges=args.reverse_edges)
 
@@ -48,9 +57,7 @@ def _emit_scores(scores: ScoreVector, out_path):
     if out_path:
         scores.write_tsv(out_path)
     else:
-        order = scores.ranking()
-        for node in order:
-            print(f"{node}\t{scores.values[node]:.10g}")
+        sys.stdout.writelines(scores.tsv_lines())
 
 
 def cmd_centrality(args):
@@ -68,14 +75,7 @@ def cmd_centrality(args):
 
 def cmd_train(args):
     g = _load(args)
-    config = TrainConfig(
-        learning_rate=args.lr,
-        hidden_size=args.hidden,
-        num_layers=args.layers,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        rng_seed=args.seed,
-    )
+    config = _train_config(args, max_epochs=args.max_epochs, patience=args.patience)
     model, log, auc = train_and_test_auc(g, config)
     gat.save_model(model, args.out)
     print(f"best_epoch\t{log.best_epoch}")
@@ -87,17 +87,14 @@ def cmd_score(args):
     g = _load(args)
     if args.labels:
         labels = list(read_score_rows(args.labels, g.num_nodes).items())
-        config = TrainConfig(
-            learning_rate=args.lr, hidden_size=args.hidden, num_layers=args.layers, rng_seed=args.seed
+        sel = select_edge_types(
+            g, labels, top_k_types=args.top_types, config=_train_config(args), layer_index=args.layer
         )
-        sel = select_edge_types(g, labels, top_k_types=args.top_types, config=config, layer_index=args.layer)
         scores = heterogeneous_pine(g, sel.selected, sel.models, layer_index=args.layer)
     else:
         model = gat.load_model(args.model)
         scores = score_graph(g, model, args.layer)
-    if args.calibrate == "log-degree":
-        scores = calibrate_by_out_degree(scores, g)
-    _emit_scores(scores, args.out)
+    _emit_scores(CALIBRATIONS[args.calibrate](scores, g), args.out)
 
 
 def cmd_simulate(args):
@@ -186,21 +183,18 @@ def build_parser():
     _add_graph_args(p)
     p.add_argument("--method", required=True, choices=[m for m in METHODS if m != "pine"])
     p.add_argument("--out", default=None)
-    p.add_argument("--damping", type=float, default=0.85)
-    p.add_argument("--attenuation", type=float, default=0.005)
-    p.add_argument("--tuning", type=float, default=0.5)
+    p.add_argument("--damping", type=float, default=PipelineConfig.damping)
+    p.add_argument("--attenuation", type=float, default=PipelineConfig.attenuation)
+    p.add_argument("--tuning", type=float, default=PipelineConfig.tuning)
     p.add_argument("--k", type=int, default=None, help="voterank election count")
-    p.add_argument("--node-budget", type=int, default=ct.GLOBAL_MEASURE_NODE_BUDGET)
+    p.add_argument("--node-budget", type=int, default=PipelineConfig.node_budget)
     p.set_defaults(func=cmd_centrality)
 
     p = sub.add_parser("train", help="train the attention model on link prediction")
     _add_graph_args(p)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    _add_train_args(p)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--out", required=True, help="model output path")
     p.set_defaults(func=cmd_train)
 
@@ -209,26 +203,23 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", default=None, help="trained model file")
     source.add_argument("--labels", default=None, help="validation labels TSV for edge-typed graphs")
-    p.add_argument("--layer", type=int, default=0)
-    p.add_argument("--calibrate", choices=["none", "log-degree"], default="none")
+    p.add_argument("--layer", type=int, default=PipelineConfig.score_layer)
+    p.add_argument("--calibrate", choices=CALIBRATIONS, default=PipelineConfig.calibrate)
     p.add_argument("--out", default=None)
     p.add_argument("--top-types", type=int, default=100)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--lr", type=float, default=5e-4)
-    p.add_argument("--seed", type=int, default=0)
+    _add_train_args(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("simulate", help="Monte Carlo influence spread")
     _add_graph_args(p)
-    p.add_argument("--model", choices=["ltp", "icp", "sir"], required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--seeds", required=True, help="seed file, one node id per line")
-    p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--alpha1", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--runs", type=int, default=DiffusionConfig.num_runs)
+    p.add_argument("--alpha1", type=float, default=DiffusionConfig.alpha1)
+    p.add_argument("--beta", type=float, default=DiffusionConfig.sir_beta)
+    p.add_argument("--gamma", type=float, default=DiffusionConfig.sir_gamma)
+    p.add_argument("--max-steps", type=int, default=DiffusionConfig.max_steps)
+    p.add_argument("--seed", type=int, default=DiffusionConfig.rng_seed)
     p.add_argument("--per-run", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
@@ -249,7 +240,7 @@ def build_parser():
 
     p = sub.add_parser("split", help="write a train/val/test edge split")
     _add_graph_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed, help="pine train splits at this seed")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_split)
 

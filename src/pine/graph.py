@@ -170,7 +170,8 @@ def build_graph(
 
 def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
     """Load a feature matrix from CSV (row order = node id) or the PINEF1
-    binary format, detected by magic bytes."""
+    binary format, detected by magic bytes: ``PINEF1``, the row and column
+    counts as little-endian uint64, then the rows as little-endian float32."""
     with open(path, "rb") as fh:
         head = fh.read(6)
     if head == MAGIC_FEATURES:
@@ -194,14 +195,6 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
             f"{path}: {feats.shape[0]} feature rows but {expected_nodes} nodes in the edge list"
         )
     return feats
-
-
-def write_features_binary(path, features: np.ndarray) -> None:
-    features = np.asarray(features)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_FEATURES)
-        fh.write(struct.pack("<QQ", features.shape[0], features.shape[1]))
-        features.astype("<f4").tofile(fh)
 
 
 # The bytes that ``bytes.split`` splits on.  ``str.split`` also splits on

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import centrality as ct
 from . import diffusion
@@ -31,13 +31,7 @@ class PipelineConfig:
     methods: list[str] = field(default_factory=lambda: ["out_degree", "pine"])
     models: list[str] = field(default_factory=lambda: ["ltp"])
     seed_fraction: float = 0.1
-    runs: int = 1000
-    alpha1: float = 0.5
-    alpha2: float = 0.5
-    sir_beta: float | None = None
-    sir_gamma: float = 1.0
-    max_steps: int | None = None
-    diffusion_seed: int = 0
+    diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     damping: float = 0.85
     attenuation: float = 0.005
@@ -55,14 +49,19 @@ def _flag(raw: str) -> bool:
     return raw.lower() in ("1", "true", "yes", "on")
 
 
+# Score calibrations by name, as (scores, graph) -> ScoreVector.
+CALIBRATIONS = {"none": lambda scores, g: scores, "log-degree": calibrate_by_out_degree}
+
+
 def _calibration(raw: str) -> str:
-    if raw not in ("none", "log-degree"):
-        raise ValueError("choose none or log-degree")
+    if raw not in CALIBRATIONS:
+        raise ValueError(f"choose from {tuple(CALIBRATIONS)}")
     return raw
 
 
 # (section, key) -> (field, parser).  Keys of [train] set TrainConfig
-# fields, every other key a PipelineConfig field.
+# fields, keys of [diffusion] DiffusionConfig fields (_SECTION_CLASS), every
+# other key a PipelineConfig field.
 _KEYS = {
     ("graph", "edges"): ("edges", str),
     ("graph", "features"): ("features", str),
@@ -70,13 +69,13 @@ _KEYS = {
     ("pipeline", "methods"): ("methods", _names),
     ("pipeline", "models"): ("models", _names),
     ("pipeline", "seed_fraction"): ("seed_fraction", float),
-    ("diffusion", "runs"): ("runs", int),
+    ("diffusion", "runs"): ("num_runs", int),
     ("diffusion", "alpha1"): ("alpha1", float),
     ("diffusion", "alpha2"): ("alpha2", float),
     ("diffusion", "sir_beta"): ("sir_beta", float),
     ("diffusion", "sir_gamma"): ("sir_gamma", float),
     ("diffusion", "max_steps"): ("max_steps", int),
-    ("diffusion", "seed"): ("diffusion_seed", int),
+    ("diffusion", "seed"): ("rng_seed", int),
     ("train", "layers"): ("num_layers", int),
     ("train", "hidden"): ("hidden_size", int),
     ("train", "lr"): ("learning_rate", float),
@@ -92,11 +91,7 @@ _KEYS = {
 }
 
 
-def _diffusion_config(c: PipelineConfig, **fields) -> DiffusionConfig:
-    """The [diffusion] values of ``c`` as a DiffusionConfig; ``fields`` set the others or override these."""
-    values = dict(alpha1=c.alpha1, alpha2=c.alpha2, sir_beta=c.sir_beta, sir_gamma=c.sir_gamma,
-                  max_steps=c.max_steps, num_runs=c.runs, rng_seed=c.diffusion_seed)
-    return DiffusionConfig(**(values | fields))
+_SECTION_CLASS = {"train": TrainConfig, "diffusion": DiffusionConfig}
 
 
 def load_config(path) -> PipelineConfig:
@@ -104,43 +99,60 @@ def load_config(path) -> PipelineConfig:
     are errors so typos fail fast, and a value that does not parse, or that
     ``TrainConfig`` rejects, names its ``[section] key``.  Values that
     ``DiffusionConfig`` rejects name ``[diffusion]``.  A ``;`` after
-    whitespace starts a comment, and an empty value means the default."""
+    whitespace starts a comment, and an empty value means the default.  A
+    file that is not valid INI or not UTF-8 fails at stage ``config`` too."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {section: dict(parser[section]) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise PipelineError("config", f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise PipelineError("config", f"cannot read config file {path}")
-    values: dict[str, object] = {}
-    train_values: dict[str, object] = {}
-    for section in parser.sections():
+    values: dict[type, dict[str, object]] = {PipelineConfig: {}, TrainConfig: {}, DiffusionConfig: {}}
+    for section, items in sections.items():
         known = {key for sec, key in _KEYS if sec == section}
         if not known:
             raise PipelineError("config", f"unknown section [{section}]")
-        unknown = set(parser[section]) - known
+        unknown = set(items) - known
         if unknown:
             raise PipelineError("config", f"unknown key(s) in [{section}]: {sorted(unknown)}")
-        for key, raw in parser[section].items():
+        target = _SECTION_CLASS.get(section, PipelineConfig)
+        for key, raw in items.items():
             raw = raw.strip()
             if not raw:
                 continue
             name, cast = _KEYS[section, key]
             try:
                 value = cast(raw)
-                if section == "train":
+                if target is TrainConfig:
                     TrainConfig(**{name: value})  # its checks, named by key
             except ValueError as exc:
                 raise PipelineError("config", f"[{section}] {key} = {raw!r}: {exc}") from exc
-            (train_values if section == "train" else values)[name] = value
-    if "edges" not in values:
+            values[target][name] = value
+    if "edges" not in values[PipelineConfig]:
         raise PipelineError("config", "missing required [graph] edges entry")
-    config = PipelineConfig(**values, train=TrainConfig(**train_values))
     try:
-        _diffusion_config(config)
+        diffusion_config = DiffusionConfig(**values[DiffusionConfig])
     except ValueError as exc:
         raise PipelineError("config", f"[diffusion] {exc}") from exc
+    config = PipelineConfig(
+        **values[PipelineConfig], diffusion=diffusion_config, train=TrainConfig(**values[TrainConfig])
+    )
     for m in config.methods:
         if m not in METHODS:
             raise PipelineError("config", f"unknown method {m!r}; choose from {tuple(METHODS)}")
     return config
+
+
+def _load(config_path) -> tuple[PipelineConfig, AttributedGraph, int]:
+    """The config, its graph and the seed count."""
+    config = load_config(config_path)
+    try:
+        g = load_graph(config.edges, config.features, reverse_edges=config.reverse_edges)
+    except Exception as exc:
+        raise PipelineError("load", exc) from exc
+    return config, g, int(config.seed_fraction * g.num_nodes)
 
 
 def _split_and_train(g: AttributedGraph, config: TrainConfig):
@@ -152,10 +164,7 @@ def _split_and_train(g: AttributedGraph, config: TrainConfig):
 
 def _pine(g: AttributedGraph, config: PipelineConfig, _seed_count: int) -> ScoreVector:
     _split, model, _log = _split_and_train(g, config.train)
-    scores = score_graph(g, model, config.score_layer)
-    if config.calibrate == "log-degree":
-        scores = calibrate_by_out_degree(scores, g)
-    return scores
+    return CALIBRATIONS[config.calibrate](score_graph(g, model, config.score_layer), g)
 
 
 # Every scoring method, as (graph, config, seed_count) -> ScoreVector.  The
@@ -188,12 +197,13 @@ def compute_method_scores(g: AttributedGraph, method: str, config: PipelineConfi
 
 
 def _report_header(g: AttributedGraph, config: PipelineConfig, seed_count: int) -> list[str]:
+    d = config.diffusion
     return [
         f"# nodes={g.num_nodes} edges={g.num_edges} feature_dim={g.feature_dim}",
         f"# seed_fraction={config.seed_fraction} seed_count={seed_count}",
-        f"# diffusion: runs={config.runs} alpha1={config.alpha1} alpha2={config.alpha2} "
-        f"sir_beta={'auto' if config.sir_beta is None else config.sir_beta} "
-        f"sir_gamma={config.sir_gamma} max_steps={config.max_steps} rng_seed={config.diffusion_seed}",
+        f"# diffusion: runs={d.num_runs} alpha1={d.alpha1} alpha2={d.alpha2} "
+        f"sir_beta={'auto' if d.sir_beta is None else d.sir_beta} "
+        f"sir_gamma={d.sir_gamma} max_steps={d.max_steps} rng_seed={d.rng_seed}",
         f"# train: layers={config.train.num_layers} hidden={config.train.hidden_size} "
         f"lr={config.train.learning_rate} patience={config.train.patience} "
         f"max_epochs={config.train.max_epochs} rng_seed={config.train.rng_seed}",
@@ -206,20 +216,14 @@ def run_pipeline(config_path) -> str:
     """Score every configured method, pick top seeds, and simulate every
     configured diffusion model; returns the tabular report.  Fails whole on
     any stage error (no partial reports)."""
-    config = load_config(config_path)
-    try:
-        g = load_graph(config.edges, config.features, reverse_edges=config.reverse_edges)
-    except Exception as exc:
-        raise PipelineError("load", exc) from exc
-
-    seed_count = int(config.seed_fraction * g.num_nodes)
+    config, g, seed_count = _load(config_path)
     lines = _report_header(g, config, seed_count)
     lines.append("method\tmodel\tmean_spread\tstd_spread\truns\tseeds")
     # LT+/IC+ weights and SIR's automatic beta do not depend on the seeds:
     # each is computed once, on first use inside its model's stage, so an
     # error still names that stage.
     weights = None
-    sir_beta = config.sir_beta
+    sir_beta = config.diffusion.sir_beta
     for method in config.methods:
         try:
             scores = compute_method_scores(g, method, config, seed_count)
@@ -230,12 +234,12 @@ def run_pipeline(config_path) -> str:
             raise PipelineError(method, exc) from exc
         for model_name in config.models:
             try:
-                dconf = _diffusion_config(config, model=model_name, sir_beta=sir_beta, weights=weights)
+                dconf = replace(config.diffusion, model=model_name, sir_beta=sir_beta, weights=weights)
                 if model_name == "sir" and sir_beta is None:
                     sir_beta = dconf.sir_beta = diffusion.critical_sir_beta(g)
                 elif model_name != "sir" and weights is None:
                     # through the module attribute, so a wrapper set on it runs
-                    weights = dconf.weights = diffusion.compute_influence_weights(g, config.alpha1, config.alpha2)
+                    weights = dconf.weights = diffusion.compute_influence_weights(g, dconf.alpha1, dconf.alpha2)
                 result = influence_spread(g, dconf, seeds)
             except Exception as exc:
                 raise PipelineError(f"simulate:{model_name}", exc) from exc
@@ -249,12 +253,7 @@ def run_pipeline(config_path) -> str:
 def benchmark(config_path) -> str:
     """Wall-clock per scoring method; the attention pipeline reports its
     training and scoring stages separately."""
-    config = load_config(config_path)
-    try:
-        g = load_graph(config.edges, config.features, reverse_edges=config.reverse_edges)
-    except Exception as exc:
-        raise PipelineError("load", exc) from exc
-    seed_count = int(config.seed_fraction * g.num_nodes)
+    config, g, seed_count = _load(config_path)
     lines = [f"# nodes={g.num_nodes} edges={g.num_edges} workers={worker_count()}", "method\tseconds"]
     for method in config.methods:
         if method == "pine":

@@ -39,11 +39,13 @@ class ScoreVector:
         k = int(fraction * self.values.size)
         return np.sort(self.ranking()[:k])
 
+    def tsv_lines(self):
+        """``node<TAB>value`` lines in ranking order, each ending in a newline."""
+        return (f"{node}\t{self.values[node]:.10g}\n" for node in self.ranking())
+
     def write_tsv(self, path) -> None:
-        order = self.ranking()
         with open(path, "w", encoding="utf-8") as fh:
-            for node in order:
-                fh.write(f"{node}\t{self.values[node]:.10g}\n")
+            fh.writelines(self.tsv_lines())
 
 
 class ScoreFileError(ValueError):

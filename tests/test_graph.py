@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from unittest import mock
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import pine
 
 from pine.graph import (
+    MAGIC_FEATURES,
     DimensionError,
     GraphFormatError,
     build_graph,
@@ -21,7 +23,6 @@ from pine.graph import (
     load_graph,
     subgraph_by_edge_type,
     weak_components,
-    write_features_binary,
 )
 
 import graph_oracle
@@ -35,6 +36,15 @@ from conftest import (
     to_networkx,
     with_degenerate_graphs,
 )
+
+
+def write_features_binary(path, features: np.ndarray) -> None:
+    """Write ``features`` in the PINEF1 format that ``load_features`` reads."""
+    features = np.asarray(features)
+    with open(path, "wb") as fh:
+        fh.write(MAGIC_FEATURES)
+        fh.write(struct.pack("<QQ", features.shape[0], features.shape[1]))
+        features.astype("<f4").tofile(fh)
 
 
 def write_edges(tmp_path, text, name="edges.txt"):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import re
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pine.cli as cli
 import pine.pipeline as pp
 from pine.cli import main
 from pine.diffusion import DiffusionConfig, influence_spread
@@ -21,6 +23,7 @@ from pine.pipeline import (
 )
 from pine.scores import ScoreFileError, ScoreVector, read_score_tsv
 from pine.split import split_edges
+from pine.train import TrainConfig
 
 from conftest import random_graph
 
@@ -66,7 +69,7 @@ class TestConfig:
         config = load_config(path)
         assert config.methods == ["out_degree", "pine"]
         assert config.models == ["ltp"]
-        assert config.runs == 1000
+        assert config.diffusion.num_runs == 1000
         assert config.seed_fraction == 0.1
         assert config.train.hidden_size == 512
 
@@ -118,8 +121,8 @@ class TestConfig:
         config = load_config(path)
         assert config.methods == ["out_degree", "pagerank", "voterank", "pine"]
         assert config.models == ["ltp", "icp", "sir"]
-        assert (config.alpha1, config.alpha2) == (0.5, 0.5)
-        assert config.sir_beta is None  # "empty = auto"
+        assert (config.diffusion.alpha1, config.diffusion.alpha2) == (0.5, 0.5)
+        assert config.diffusion.sir_beta is None  # "empty = auto"
         assert config.calibrate == "none"
         assert config.node_budget == 50000
 
@@ -130,7 +133,7 @@ class TestConfig:
         config = load_config(path)
         assert config.features is None
         assert config.methods == ["out_degree", "pine"]
-        assert config.runs == 1000
+        assert config.diffusion.num_runs == 1000
 
     def test_every_key_empty_is_all_defaults(self, tmp_path, graph_files):
         _g, edges, _feats = graph_files
@@ -171,6 +174,31 @@ class TestConfig:
         path.write_text(f"[graph]\nedges = {edges}\n[train]\n{key} = {value}\n")
         with pytest.raises(PipelineError, match=rf"\[config\] \[train\] {key} = '{value}': {message}"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"[graph]\nedges = e.txt\n[diffusion]\nruns = 5\nruns = 6\n",
+            b"[graph]\nedges = e.txt\n[graph]\nfeatures = f.csv\n",
+            b"edges = e.txt\n",
+            b"[graph]\nedges = caf\xe9.txt\n",
+        ],
+        ids=["key-twice", "section-twice", "no-section-header", "not-utf8"],
+    )
+    def test_unparseable_file_fails_at_config(self, tmp_path, capsys, text):
+        # configparser's own errors used to reach the CLI as "error [pipeline] ..."
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text)
+        with pytest.raises(PipelineError) as exc:
+            load_config(path)
+        assert exc.value.stage == "config"
+        assert main(["pipeline", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error [config] cannot parse config file {path}: ")
+
+    def test_every_key_names_a_field_of_its_section_class(self):
+        for (section, key), (name, _cast) in pp._KEYS.items():
+            target = {"train": TrainConfig, "diffusion": DiffusionConfig}.get(section, PipelineConfig)
+            assert name in {f.name for f in dataclasses.fields(target)}, f"[{section}] {key}"
 
     def test_semicolon_without_space_is_kept(self, tmp_path, graph_files):
         # only a ";" after whitespace starts a comment
@@ -281,7 +309,7 @@ class TestPipeline:
             "[diffusion]\nruns = 40\nalpha1 = 0.3\nalpha2 = 0.7\nseed = 5\n"
         )
         config = load_config(path)
-        assert config.sir_beta is None
+        assert config.diffusion.sir_beta is None
         g = load_graph(edges, feats)
         seed_count = int(config.seed_fraction * g.num_nodes)
         lines = pp._report_header(g, config, seed_count)
@@ -521,6 +549,36 @@ class TestCli:
         out = dict(l.split("\t") for l in capsys.readouterr().out.strip().split("\n"))
         assert out["nodes"] == "4"
         assert out["edges"] == "4"
+
+    def test_flag_defaults_are_config_defaults(self, tmp_path, graph_files, monkeypatch):
+        # with no optional flag, each subcommand builds its config class's defaults
+        _g, edges, _feats = graph_files
+        seeds, labels = tmp_path / "seeds.txt", tmp_path / "labels.tsv"
+        seeds.write_text("0\n")
+        labels.write_text("0\t1\n")
+        built = {}
+
+        def capture(command, position=None, keyword=None):
+            def stub(*args, **kwargs):
+                built[command] = args[position] if keyword is None else kwargs[keyword]
+                raise RuntimeError("config captured")
+
+            return stub
+
+        monkeypatch.setattr(cli, "train_and_test_auc", capture("train", position=1))
+        monkeypatch.setattr(cli, "select_edge_types", capture("score", keyword="config"))
+        monkeypatch.setattr(cli, "influence_spread", capture("simulate", position=1))
+        monkeypatch.setattr(cli, "compute_method_scores", capture("centrality", position=2))
+        assert main(["train", "--graph", edges, "--out", str(tmp_path / "model.npz")]) == 1
+        assert main(["score", "--graph", edges, "--labels", str(labels)]) == 1
+        assert main(["simulate", "--graph", edges, "--model", "sir", "--seeds", str(seeds)]) == 1
+        assert main(["centrality", "--graph", edges, "--method", "pagerank"]) == 1
+        assert built == {
+            "train": TrainConfig(),
+            "score": TrainConfig(),
+            "simulate": DiffusionConfig(model="sir"),
+            "centrality": PipelineConfig(edges=edges),
+        }
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main(["centrality", "--graph", str(tmp_path / "nope.txt"), "--method", "degree"])
