@@ -8,7 +8,7 @@ import sys
 from . import __version__, gat, metrics
 from .diffusion import MODELS, DiffusionConfig, influence_spread
 from .graph import largest_weak_component, load_graph, write_int_rows
-from .pine_score import heterogeneous_pine, score_graph, select_edge_types
+from .pine_score import TOP_K_TYPES, heterogeneous_pine, score_graph, select_edge_types
 from .pipeline import (
     CALIBRATIONS,
     METHODS,
@@ -206,7 +206,7 @@ def build_parser():
     p.add_argument("--layer", type=int, default=PipelineConfig.score_layer)
     p.add_argument("--calibrate", choices=CALIBRATIONS, default=PipelineConfig.calibrate)
     p.add_argument("--out", default=None)
-    p.add_argument("--top-types", type=int, default=100)
+    p.add_argument("--top-types", type=int, default=TOP_K_TYPES)
     _add_train_args(p)
     p.set_defaults(func=cmd_score)
 

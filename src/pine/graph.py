@@ -103,6 +103,19 @@ def write_int_rows(path, rows: np.ndarray) -> None:
         fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
+def _stable_bucket(keys: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """``ids`` reordered stably by ``keys`` in [0, n).  A CSR matrix with one
+    entry per row, converted to CSC, is a counting sort in scipy's C code:
+    entries land in their column in row order, and no duplicate is summed."""
+    rows = sparse.csr_matrix((ids, keys, np.arange(ids.size + 1)), shape=(ids.size, n))
+    return rows.tocsc().data
+
+
+def _pointers(ids: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of edges grouped by ``ids`` in [0, n)."""
+    return np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=n))])
+
+
 def build_graph(
     num_nodes: int,
     src: np.ndarray,
@@ -127,51 +140,52 @@ def build_graph(
     keep = src != dst
     dropped = int(src.size - keep.sum())
     src, dst = src[keep], dst[keep]
-    # canonical order (dst, src, type) by one int64 key; a stable sort by
-    # type first gives the type order, as np.lexsort would.  Stable sorts of
-    # input that is already in order take linear time.
-    key = dst * num_nodes + src
-    if edge_type is None:
-        order = np.argsort(key, kind="stable")
-    else:
+    # canonical order (dst, src, type): a stable sort by type, then stable
+    # counting sorts by source and by destination, as np.lexsort would give
+    if edge_type is not None:
         edge_type = np.asarray(edge_type, dtype=np.int64)[keep]
-        by_type = np.argsort(edge_type, kind="stable")
-        order = by_type[np.argsort(key[by_type], kind="stable")]
-    key = key[order]
-    uniq = np.ones(key.size, dtype=bool)
-    uniq[1:] = key[1:] != key[:-1]
+    order = np.arange(src.size) if edge_type is None else np.argsort(edge_type, kind="stable")
+    for key in (src, dst):
+        order = _stable_bucket(key[order], order, num_nodes)
+    src, dst = src[order], dst[order]
+    uniq = np.ones(src.size, dtype=bool)
+    uniq[1:] = (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
     if edge_type is not None:
         edge_type = edge_type[order]
         uniq[1:] |= edge_type[1:] != edge_type[:-1]
         edge_type = edge_type[uniq]
-    duplicates = int(key.size - uniq.sum())
-    src, dst = src[order][uniq], dst[order][uniq]
-    m = src.size
+    duplicates = int(src.size - uniq.sum())
+    src, dst = src[uniq], dst[uniq]
 
-    in_ptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=num_nodes))])
-    out_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=num_nodes))])
-    out_perm = np.argsort(src, kind="stable").astype(np.int64)
+    in_ptr, out_ptr = _pointers(dst, num_nodes), _pointers(src, num_nodes)
+    out_perm = _stable_bucket(src, np.arange(src.size), num_nodes)
 
     return AttributedGraph(
-        num_nodes=num_nodes,
-        num_edges=m,
-        edge_src=src,
-        edge_dst=dst,
-        edge_type=edge_type,
-        in_ptr=in_ptr,
-        out_ptr=out_ptr,
-        out_perm=out_perm,
-        features=features,
+        num_nodes=num_nodes, num_edges=src.size, edge_src=src, edge_dst=dst, edge_type=edge_type,
+        in_ptr=in_ptr, out_ptr=out_ptr, out_perm=out_perm, features=features,
         id_map=id_map if id_map is not None else [str(i) for i in range(num_nodes)],
-        dropped_self_loops=dropped,
-        collapsed_duplicates=duplicates,
+        dropped_self_loops=dropped, collapsed_duplicates=duplicates,
     )
+
+
+def _digit_csv(data: bytes) -> np.ndarray | None:
+    """The matrix of a CSV of one-digit fields, read from its bytes; None for any other layout."""
+    width = data.find(b"\n") + 1  # d digits, d - 1 commas and a newline
+    if width < 2 or width % 2 or len(data) % width:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    digits = rows[:, ::2] - ord("0")  # uint8 wraps below "0"
+    if (rows[:, -1] != ord("\n")).any() or (rows[:, 1:-1:2] != ord(",")).any() or (digits > 9).any():
+        return None
+    return digits.astype(np.float64)
 
 
 def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
     """Load a feature matrix from CSV (row order = node id) or the PINEF1
     binary format, detected by magic bytes: ``PINEF1``, the row and column
-    counts as little-endian uint64, then the rows as little-endian float32."""
+    counts as little-endian uint64, then the rows as little-endian float32.
+    A CSV of one-digit fields split by ``,``, every line ended by ``\n`` and of
+    one width, is read from its bytes; ``np.loadtxt`` reads any other CSV."""
     with open(path, "rb") as fh:
         head = fh.read(6)
     if head == MAGIC_FEATURES:
@@ -183,10 +197,13 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
             raise GraphFormatError(f"{path}: truncated feature blob")
         feats = data.reshape(n, d).astype(np.float64)
     else:
-        try:
-            feats = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}: cannot parse feature CSV: {exc}") from exc
+        with open(path, "rb") as fh:
+            feats = _digit_csv(fh.read())
+        if feats is None:
+            try:
+                feats = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+            except ValueError as exc:
+                raise GraphFormatError(f"{path}: cannot parse feature CSV: {exc}") from exc
     bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad_rows.size:
         raise GraphFormatError(f"{path}: feature row {bad_rows[0] + 1} holds a NaN or infinite value")
@@ -385,6 +402,25 @@ def load_graph(
     return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
 
 
+def _edge_subgraph(g: AttributedGraph, keep: np.ndarray, edge_type, nodes=None) -> AttributedGraph:
+    """The graph on ``nodes`` (increasing ids; every node when None) with the
+    canonical edges where ``keep`` holds.  Renumbering nodes in order keeps the
+    (dst, src) order: edges and ``out_perm`` are filtered and renumbered, unsorted."""
+    src, dst = g.edge_src[keep], g.edge_dst[keep]
+    n, features, id_map = g.num_nodes, g.features, list(g.id_map)
+    if nodes is not None:
+        remap = np.full(g.num_nodes, -1, dtype=np.int64)
+        remap[nodes] = np.arange(nodes.size)
+        src, dst = remap[src], remap[dst]
+        n, features, id_map = nodes.size, g.features[nodes], [g.id_map[v] for v in nodes]
+    new_id = np.cumsum(keep) - 1  # canonical id among the kept edges
+    return AttributedGraph(
+        num_nodes=n, num_edges=src.size, edge_src=src, edge_dst=dst, edge_type=edge_type,
+        in_ptr=_pointers(dst, n), out_ptr=_pointers(src, n), out_perm=new_id[g.out_perm[keep[g.out_perm]]],
+        features=features, id_map=id_map,
+    )
+
+
 def subgraph_by_edge_type(g: AttributedGraph, type_id: int) -> AttributedGraph:
     """Same node set, only edges of the given type retained (untyped result)."""
     if g.edge_type is None:
@@ -392,32 +428,16 @@ def subgraph_by_edge_type(g: AttributedGraph, type_id: int) -> AttributedGraph:
     types = np.unique(g.edge_type)
     if type_id not in types:
         raise ValueError(f"unknown edge type {type_id}; present types: {types.tolist()}")
-    mask = g.edge_type == type_id
-    return build_graph(
-        g.num_nodes,
-        g.edge_src[mask],
-        g.edge_dst[mask],
-        g.features,
-        edge_type=None,
-        id_map=list(g.id_map),
-    )
+    return _edge_subgraph(g, g.edge_type == type_id, None)
 
 
 def induced_subgraph(g: AttributedGraph, nodes: np.ndarray) -> AttributedGraph:
     """Subgraph induced on the given node set, with remapped dense ids."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    remap = -np.ones(g.num_nodes, dtype=np.int64)
-    remap[nodes] = np.arange(nodes.size)
-    keep = (remap[g.edge_src] >= 0) & (remap[g.edge_dst] >= 0)
-    etype = g.edge_type[keep] if g.edge_type is not None else None
-    return build_graph(
-        nodes.size,
-        remap[g.edge_src[keep]],
-        remap[g.edge_dst[keep]],
-        g.features[nodes],
-        edge_type=etype,
-        id_map=[g.id_map[v] for v in nodes],
-    )
+    inside = np.zeros(g.num_nodes, dtype=bool)
+    inside[nodes] = True
+    keep = inside[g.edge_src] & inside[g.edge_dst]
+    return _edge_subgraph(g, keep, None if g.edge_type is None else g.edge_type[keep], nodes)
 
 
 def weak_components(g: AttributedGraph) -> np.ndarray:

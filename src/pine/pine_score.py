@@ -15,6 +15,7 @@ from .split import SplitError, split_edges
 from .train import TrainConfig, train
 
 logger = logging.getLogger(__name__)
+TOP_K_TYPES = 100  # edge types select_edge_types tries, largest first
 
 
 def score_graph(g: AttributedGraph, model: gat.GatModel, layer_index: int = 0) -> ScoreVector:
@@ -46,7 +47,7 @@ def _type_sizes(g: AttributedGraph) -> list[tuple[int, int]]:
 def select_edge_types(
     g: AttributedGraph,
     val_labels: list[tuple[int, float]],
-    top_k_types: int = 100,
+    top_k_types: int = TOP_K_TYPES,
     config: TrainConfig | None = None,
     layer_index: int = 0,
 ) -> TypeSelectionResult:

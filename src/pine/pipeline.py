@@ -100,8 +100,10 @@ def load_config(path) -> PipelineConfig:
     ``TrainConfig`` rejects, names its ``[section] key``.  Values that
     ``DiffusionConfig`` rejects name ``[diffusion]``.  A ``;`` after
     whitespace starts a comment, and an empty value means the default.  A
-    file that is not valid INI or not UTF-8 fails at stage ``config`` too."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    file that is not valid INI or not UTF-8 fails at stage ``config`` too.
+    A ``%`` is literal, and ``[DEFAULT]`` is an unknown section like any
+    other: the default section's name is one no header can spell."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
         sections = {section: dict(parser[section]) for section in parser.sections()}

@@ -1,8 +1,10 @@
 """The edge-list loader, ``build_graph`` and edge-list writer as they were
 before the loading path was vectorized: one Python loop over lines and one
-over tokens, ``np.lexsort`` for the canonical order.  Tests compare the
-package against them.  The code below is unchanged but for the names, and
-``load_graph`` here calls the ``build_graph`` here."""
+over tokens, ``np.lexsort`` for the canonical order; and the two subgraph
+functions as they were before they stopped calling ``build_graph``.  Tests
+compare the package against them.  The code below is unchanged but for the
+names, and ``load_graph`` and the subgraph functions here call the
+``build_graph`` here."""
 
 import numpy as np
 
@@ -162,3 +164,31 @@ def write_edge_list(g: AttributedGraph, path) -> None:
                 fh.write(f"{g.edge_src[k]} {g.edge_dst[k]} {g.edge_type[k]}\n")
             else:
                 fh.write(f"{g.edge_src[k]} {g.edge_dst[k]}\n")
+
+
+def subgraph_by_edge_type(g: AttributedGraph, type_id: int) -> AttributedGraph:
+    mask = g.edge_type == type_id
+    return build_graph(
+        g.num_nodes,
+        g.edge_src[mask],
+        g.edge_dst[mask],
+        g.features,
+        edge_type=None,
+        id_map=list(g.id_map),
+    )
+
+
+def induced_subgraph(g: AttributedGraph, nodes: np.ndarray) -> AttributedGraph:
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    remap = -np.ones(g.num_nodes, dtype=np.int64)
+    remap[nodes] = np.arange(nodes.size)
+    keep = (remap[g.edge_src] >= 0) & (remap[g.edge_dst] >= 0)
+    etype = g.edge_type[keep] if g.edge_type is not None else None
+    return build_graph(
+        nodes.size,
+        remap[g.edge_src[keep]],
+        remap[g.edge_dst[keep]],
+        g.features[nodes],
+        edge_type=etype,
+        id_map=[g.id_map[v] for v in nodes],
+    )

@@ -8,7 +8,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pine
 
@@ -162,6 +162,77 @@ class TestLoadGraph:
         assert g.in_degrees().tolist() == [0, 1, 2]
 
 
+def loadtxt_outcome(path):
+    """What load_features gave before it had a fast path, up to its
+    NaN and row-count checks: np.loadtxt's matrix, or its error wrapped."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        return GraphFormatError, f"{path}: cannot parse feature CSV: {exc}"
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got.dtype == expected.dtype and got.shape == expected.shape and np.array_equal(got, expected)
+
+
+DIGIT_MATRICES = st.integers(1, 12).flatmap(
+    lambda d: st.lists(st.lists(st.integers(0, 9), min_size=d, max_size=d), min_size=1, max_size=12)
+)
+
+
+class TestDigitCsvFeatures:
+    @given(DIGIT_MATRICES)
+    @example([[7]])
+    @example([[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]])
+    @example([[1], [0], [9]])
+    @settings(max_examples=150, deadline=None)
+    def test_digit_matrix_equals_loadtxt_without_calling_it(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("features") / "f.csv"
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        expected = loadtxt_outcome(path)
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as spy:
+            got = load_features(path, expected_nodes=len(rows))
+        assert not spy.called
+        assert_same_outcome(got, expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# comment\n0,1\n1,0\n",
+            "#,1\n0,1\n",
+            "0,1\n\n\n\n\n1,0\n",
+            "0,1\r\n1,0\r\n",
+            "10,10\n12,34\n",
+            "-1,-1\n+1,+0\n",
+            "1.0,0.5\n0.0,1.5\n",
+            "0,1\n1,0",
+            "0,1",
+            "0,1,2,3\n0,1\n0,1\n",
+            "0, 1\n1, 0\n",
+            "",
+        ],
+        ids=["comment", "comment-at-width", "blank-lines", "crlf", "two-digit", "signed", "float",
+             "no-final-newline", "one-row-no-newline", "ragged", "space", "empty"],
+    )
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    def test_near_miss_layout_falls_back_to_loadtxt(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode("ascii"))
+        expected = loadtxt_outcome(path)
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as spy:
+            got = outcome(load_features, path)
+        assert spy.called
+        assert_same_outcome(got, expected)
+
+    def test_row_count_checked_on_fast_path(self, tmp_path):
+        path = write_csv(tmp_path, [[0, 1], [1, 0]])
+        with pytest.raises(DimensionError, match="2 feature rows but 3 nodes"):
+            load_features(path, expected_nodes=3)
+
+
 def assert_graphs_identical(got, expected):
     """Every field equal, arrays bit for bit and with the same dtype."""
     for f in dataclasses.fields(expected):
@@ -302,6 +373,56 @@ class TestBuildGraphOracle:
         assert_graphs_identical(build_graph(n, src, dst, feats, etype), expected)
         again = graph_oracle.build_graph(n, expected.edge_src, expected.edge_dst, feats, expected.edge_type)
         assert_graphs_identical(build_graph(n, expected.edge_src, expected.edge_dst, feats, expected.edge_type), again)
+
+
+@st.composite
+def multigraphs(draw, max_nodes=10):
+    """(N, edges as rows of src, dst, type): self-loops and repeated edges
+    are common, and edges of equal ends may differ in type."""
+    n = draw(st.integers(0, max_nodes))
+    node, kind = st.integers(0, max(n - 1, 0)), st.integers(-1, 2)
+    edges = draw(st.lists(st.tuples(node, node, kind), max_size=4 * n)) if n else []
+    return n, np.array(edges, dtype=np.int64).reshape(-1, 3)
+
+
+def edges_in_order(case, order, seed):
+    n, edges = case
+    if order == "reversed":
+        edges = edges[::-1]
+    elif order == "shuffled":
+        edges = edges[np.random.default_rng(seed).permutation(len(edges))]
+    return n, edges
+
+
+EMPTY_GRAPHS = [(0, np.zeros((0, 3), dtype=np.int64)), (4, np.zeros((0, 3), dtype=np.int64))]
+
+
+class TestSortFreeGraphOracle:
+    """build_graph's counting sorts and the subgraphs' filter-and-renumber
+    against the lexsort builder and the subgraphs that called it."""
+
+    @pytest.mark.parametrize("typed", [False, True])
+    @pytest.mark.parametrize("order", ["file", "reversed", "shuffled"])
+    @given(multigraphs(), st.integers(0, 2**32 - 1))
+    @example(EMPTY_GRAPHS[0], 0)
+    @example(EMPTY_GRAPHS[1], 0)
+    @settings(max_examples=80, deadline=None)
+    def test_graph_and_subgraphs_equal_oracle(self, typed, order, case, seed):
+        n, edges = edges_in_order(case, order, seed)
+        feats = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
+        args = (n, edges[:, 0], edges[:, 1], feats, edges[:, 2] if typed else None)
+        g = build_graph(*args)
+        assert_graphs_identical(g, graph_oracle.build_graph(*args))
+
+        rng = np.random.default_rng(seed)
+        repeated = rng.integers(0, n, n // 2 + 1) if n else []  # unsorted, with repeats
+        for nodes in (np.arange(n), repeated, np.flatnonzero(rng.random(n) < 0.6)):
+            assert_graphs_identical(induced_subgraph(g, nodes), graph_oracle.induced_subgraph(g, nodes))
+        labels = weak_components(g)
+        component = np.flatnonzero(labels == np.argmax(np.bincount(labels))) if n else labels
+        assert_graphs_identical(largest_weak_component(g), graph_oracle.induced_subgraph(g, component))
+        for type_id in np.unique(g.edge_type) if typed else []:
+            assert_graphs_identical(subgraph_by_edge_type(g, type_id), graph_oracle.subgraph_by_edge_type(g, type_id))
 
 
 class TestWriteEdgeList:

@@ -12,6 +12,7 @@ import pine.pipeline as pp
 from pine.cli import main
 from pine.diffusion import DiffusionConfig, influence_spread
 from pine.graph import EmptyGraphError, load_graph
+from pine.pine_score import TOP_K_TYPES
 from pine.pipeline import (
     METHODS,
     PipelineConfig,
@@ -194,6 +195,22 @@ class TestConfig:
         assert exc.value.stage == "config"
         assert main(["pipeline", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error [config] cannot parse config file {path}: ")
+
+    def test_percent_is_literal(self, tmp_path):
+        # interpolation used to reject "%." and read "%%" as one "%"
+        path = tmp_path / "pct.ini"
+        path.write_text("[graph]\nedges = /data/e100%.txt\nfeatures = a%%b.csv\n")
+        config = load_config(path)
+        assert (config.edges, config.features) == ("/data/e100%.txt", "a%%b.csv")
+
+    def test_default_section_is_unknown(self, tmp_path, capsys):
+        # its keys used to be merged into every section: "unknown key(s) in [graph]: ['runs']"
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\nruns = 5\n[graph]\nedges = e.txt\n")
+        with pytest.raises(PipelineError, match=r"^\[config\] unknown section \[DEFAULT\]$"):
+            load_config(path)
+        assert main(["pipeline", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error [config] unknown section [DEFAULT]")
 
     def test_every_key_names_a_field_of_its_section_class(self):
         for (section, key), (name, _cast) in pp._KEYS.items():
@@ -558,15 +575,15 @@ class TestCli:
         labels.write_text("0\t1\n")
         built = {}
 
-        def capture(command, position=None, keyword=None):
+        def capture(command, position=None, keywords=()):
             def stub(*args, **kwargs):
-                built[command] = args[position] if keyword is None else kwargs[keyword]
+                built[command] = tuple(kwargs[k] for k in keywords) if keywords else args[position]
                 raise RuntimeError("config captured")
 
             return stub
 
         monkeypatch.setattr(cli, "train_and_test_auc", capture("train", position=1))
-        monkeypatch.setattr(cli, "select_edge_types", capture("score", keyword="config"))
+        monkeypatch.setattr(cli, "select_edge_types", capture("score", keywords=("config", "top_k_types")))
         monkeypatch.setattr(cli, "influence_spread", capture("simulate", position=1))
         monkeypatch.setattr(cli, "compute_method_scores", capture("centrality", position=2))
         assert main(["train", "--graph", edges, "--out", str(tmp_path / "model.npz")]) == 1
@@ -575,7 +592,7 @@ class TestCli:
         assert main(["centrality", "--graph", edges, "--method", "pagerank"]) == 1
         assert built == {
             "train": TrainConfig(),
-            "score": TrainConfig(),
+            "score": (TrainConfig(), TOP_K_TYPES),
             "simulate": DiffusionConfig(model="sir"),
             "centrality": PipelineConfig(edges=edges),
         }
