@@ -48,9 +48,23 @@ def _load(args):
     return load_graph(args.graph, args.features, reverse_edges=args.reverse_edges)
 
 
-def _read_seeds(path):
+def _read_seeds(path, num_nodes: int) -> list[int]:
+    """The node ids of a seed file, one per line; ``#`` starts a comment anywhere on a line.
+    A line that is not an integer in [0, num_nodes) raises ``ValueError`` naming ``path:lineno``."""
+    seeds = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [int(line.strip()) for line in fh if line.strip() and not line.startswith("#")]
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                seed = int(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected one node id, got {text!r}") from None
+            if not 0 <= seed < num_nodes:
+                raise ValueError(f"{path}:{lineno}: seed id {seed} outside [0, {num_nodes})")
+            seeds.append(seed)
+    return seeds
 
 
 def _emit_scores(scores: ScoreVector, out_path):
@@ -99,7 +113,7 @@ def cmd_score(args):
 
 def cmd_simulate(args):
     g = _load(args)
-    seeds = _read_seeds(args.seeds)
+    seeds = _read_seeds(args.seeds, g.num_nodes)
     config = DiffusionConfig(
         model=args.model,
         alpha1=args.alpha1,
@@ -213,7 +227,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="Monte Carlo influence spread")
     _add_graph_args(p)
     p.add_argument("--model", choices=MODELS, required=True)
-    p.add_argument("--seeds", required=True, help="seed file, one node id per line")
+    p.add_argument("--seeds", required=True, help="seed file, one node id per line; # starts a comment")
     p.add_argument("--runs", type=int, default=DiffusionConfig.num_runs)
     p.add_argument("--alpha1", type=float, default=DiffusionConfig.alpha1)
     p.add_argument("--beta", type=float, default=DiffusionConfig.sir_beta)

@@ -14,15 +14,15 @@ seeds in it.  Many runs are stacked into one block-diagonal graph and
 searched with a single breadth-first traversal.
 
 The influence weights and SIR's automatic beta depend on the graph (and
-alpha1/alpha2) only, never on the seeds: a pipeline run computes each once
-per graph and passes it in the ``DiffusionConfig`` of every
-``influence_spread`` call.  Run r's stream does not depend on the seeds
+alpha1/alpha2) only, never on the seeds: ``prepare`` fills them into a
+``DiffusionConfig`` once per graph, and a pipeline run passes the result to
+every ``influence_spread`` call.  Run r's stream does not depend on the seeds
 either, so every seed set is scored on the same random live subgraphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -62,18 +62,8 @@ class InfluenceWeights:
 def compute_influence_weights(g: AttributedGraph, alpha1: float = 0.5, alpha2: float = 0.5) -> InfluenceWeights:
     if alpha1 < 0 or alpha2 < 0 or abs(alpha1 + alpha2 - 1.0) > 1e-12:
         raise ValueError("alpha1 and alpha2 must be nonnegative and sum to 1")
-    n = g.num_nodes
-    in_deg = g.in_degrees().astype(np.float64)
-    structural = 1.0 / in_deg[g.edge_dst]
-
-    sims = g.edge_cosine()
-    # softmax per destination segment, max-shifted for stability
-    seg_max = np.full(n, -np.inf)
-    np.maximum.at(seg_max, g.edge_dst, sims)
-    exp = np.exp(sims - seg_max[g.edge_dst])
-    denom = np.bincount(g.edge_dst, weights=exp, minlength=n)
-    semantic = exp / denom[g.edge_dst]
-    return InfluenceWeights(structural, semantic, alpha1, alpha2)
+    structural = 1.0 / g.in_degrees().astype(np.float64)[g.edge_dst]
+    return InfluenceWeights(structural, g.in_edge_softmax(g.edge_cosine()), alpha1, alpha2)
 
 
 @dataclass
@@ -202,14 +192,14 @@ def _segment_cumsum(values: np.ndarray, in_ptr: np.ndarray, dst: np.ndarray) -> 
     return out
 
 
-def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig, weights, beta):
-    """Function of a run's RNG returning its live-edge mask in canonical order."""
+def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig):
+    """Function of a run's RNG returning its live-edge mask in canonical order, for a prepared config."""
     n, src, dst = g.num_nodes, g.edge_src, g.edge_dst
     if config.model == "ltp":
         # A node keeps in-edge e when its uniform threshold falls in e's slice
         # [lo, hi) of the node's cumulative in-influence: at most one edge,
         # edge e with probability weight[e].
-        hi = _segment_cumsum(weights.combined, g.in_ptr, dst)
+        hi = _segment_cumsum(config.weights.combined, g.in_ptr, dst)
         lo = np.zeros_like(hi)
         lo[1:] = hi[:-1]
         lo[g.in_ptr[dst] == np.arange(dst.size)] = 0.0
@@ -220,9 +210,9 @@ def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig, weights, bet
 
         return ltp
     if config.model == "icp":
-        influence = weights.combined
+        influence = config.weights.combined
         return lambda rng: rng.random(dst.size) < influence
-    gamma = config.sir_gamma
+    beta, gamma = config.sir_beta, config.sir_gamma
 
     def sir(rng):
         # a node infectious for T steps infects each out-neighbour with
@@ -250,18 +240,13 @@ def _reached_counts(g: AttributedGraph, live: np.ndarray, seeds: np.ndarray) -> 
     return np.bincount(order // n, minlength=runs + 1)[:runs]
 
 
-def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> DiffusionResult:
-    """Mean fraction of activated nodes over independent Monte Carlo runs.
-
-    Run r draws from its own stream ``default_rng([rng_seed, r])``, so the
-    counts do not depend on how runs are grouped.  SIR with ``max_steps``
-    set runs the step-wise simulator, since a step cap has no live-edge form.
-    ``config.weights`` lets a caller that simulates many seed sets on one
-    graph compute the weights once; weights for other alphas or another
-    edge count raise ``ValueError``.  SIR does not use them.
-    """
+def prepare(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:
+    """``config`` with what its model takes from the graph filled in: the
+    LT+/IC+ weights from ``compute_influence_weights`` or SIR's automatic beta
+    from ``critical_sir_beta``; ``config`` itself when nothing is missing.
+    Weights already given must match its alphas and the graph's edge count,
+    else ``ValueError``.  A graph without nodes raises ``EmptyGraphError``."""
     _require_nodes(g)
-    seed_ids = np.flatnonzero(_seed_mask(g, seeds))
     weights = config.weights
     if weights is not None:
         if (weights.alpha1, weights.alpha2) != (config.alpha1, config.alpha2):
@@ -271,23 +256,36 @@ def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> Diff
             )
         if weights.structural.size != g.num_edges or weights.semantic.size != g.num_edges:
             raise ValueError(f"weights cover {weights.structural.size} edges, the graph has {g.num_edges}")
-    beta = config.sir_beta
-    if config.model in ("ltp", "icp"):
-        if weights is None:
-            weights = compute_influence_weights(g, config.alpha1, config.alpha2)
-    elif beta is None:
-        beta = critical_sir_beta(g)
+    if config.model != "sir" and weights is None:
+        return replace(config, weights=compute_influence_weights(g, config.alpha1, config.alpha2))
+    if config.model == "sir" and config.sir_beta is None:
+        return replace(config, sir_beta=critical_sir_beta(g))
+    return config
+
+
+def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> DiffusionResult:
+    """Mean fraction of activated nodes over independent Monte Carlo runs.
+
+    Run r draws from its own stream ``default_rng([rng_seed, r])``, so the
+    counts do not depend on how runs are grouped.  SIR with ``max_steps``
+    set runs the step-wise simulator, since a step cap has no live-edge form.
+    ``prepare`` completes the config first; a caller that simulates many seed
+    sets on one graph passes a prepared config, so weights or beta are
+    computed once.
+    """
+    config = prepare(g, config)
+    seed_ids = np.flatnonzero(_seed_mask(g, seeds))
 
     def stream(r):
         return np.random.default_rng([config.rng_seed, r])
 
     if config.model == "sir" and config.max_steps is not None:
         counts = np.array([
-            run_sir(g, beta, config.sir_gamma, seed_ids, stream(r), config.max_steps).sum()
+            run_sir(g, config.sir_beta, config.sir_gamma, seed_ids, stream(r), config.max_steps).sum()
             for r in range(config.num_runs)
         ], dtype=np.int64)
     else:
-        sample = _live_edge_sampler(g, config, weights, beta)
+        sample = _live_edge_sampler(g, config)
         chunk = max(1, CHUNK_BUDGET // (g.num_nodes + g.num_edges))
         counts = np.empty(config.num_runs, dtype=np.int64)
         for start in range(0, config.num_runs, chunk):

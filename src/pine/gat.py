@@ -122,28 +122,15 @@ def forward(model: GatModel, g: AttributedGraph, x: sparse.csr_matrix | None = N
         raise ValueError(
             f"layer 1 expects width {model.layers[0].d_in}, graph features have {g.feature_dim}"
         )
-    dtype = model.layers[0].proj.dtype
-    src, dst = g.edge_src, g.edge_dst
-    n = g.num_nodes
-    in_deg = np.diff(g.in_ptr)
-    has_in = in_deg > 0
-    seg_starts = g.in_ptr[:-1][has_in]
-    h = input_matrix(g.features, dtype) if x is None else x
+    src, n = g.edge_src, g.num_nodes
+    h = input_matrix(g.features, model.layers[0].proj.dtype) if x is None else x
     tapes: list[_LayerTape] = []
     for li, layer in enumerate(model.layers):
         projected = h @ layer.proj.T
         score_src = projected @ layer.attn_src
         score_dst = projected @ layer.attn_dst
-        pre_act = score_src[src] + score_dst[dst]
-        w = _leaky(pre_act, model.leaky_slope)
-        if w.size:
-            # in-edges of a node are contiguous in canonical order
-            seg_max = np.repeat(np.maximum.reduceat(w, seg_starts), in_deg[has_in])
-            exp = np.exp(w - seg_max)
-            denom = np.bincount(dst, weights=exp, minlength=n).astype(dtype)
-            alpha = (exp / denom[dst]).astype(dtype)
-        else:
-            alpha = w
+        pre_act = score_src[src] + score_dst[g.edge_dst]
+        alpha = g.in_edge_softmax(_leaky(pre_act, model.leaky_slope))
         adj = sparse.csr_matrix((alpha, src, g.in_ptr), shape=(n, n))
         aggregated = adj @ projected
         tapes.append(_LayerTape(h, projected, pre_act, alpha, adj, aggregated))

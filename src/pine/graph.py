@@ -78,6 +78,19 @@ class AttributedGraph:
         denom = norms[self.edge_src] * norms[self.edge_dst]
         return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
 
+    def in_edge_softmax(self, w: np.ndarray) -> np.ndarray:
+        """Softmax of per-edge values ``w`` (canonical order) over each node's
+        in-edges, max-shifted for stability, in ``w``'s dtype."""
+        if not w.size:
+            return w
+        in_deg = self.in_degrees()
+        has_in = in_deg > 0
+        # in-edges of a node are contiguous in canonical order
+        seg_max = np.repeat(np.maximum.reduceat(w, self.in_ptr[:-1][has_in]), in_deg[has_in])
+        exp = np.exp(w - seg_max)
+        denom = np.bincount(self.edge_dst, weights=exp, minlength=self.num_nodes).astype(exp.dtype)
+        return (exp / denom[self.edge_dst]).astype(w.dtype)
+
     def adjacency(self) -> sparse.csr_matrix:
         """Unit-weight CSR matrix whose row j holds j's out-neighbours."""
         n = self.num_nodes
@@ -188,6 +201,7 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
     one width, is read from its bytes; ``np.loadtxt`` reads any other CSV."""
     with open(path, "rb") as fh:
         head = fh.read(6)
+    digits = None
     if head == MAGIC_FEATURES:
         with open(path, "rb") as fh:
             fh.seek(6)
@@ -198,15 +212,16 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
         feats = data.reshape(n, d).astype(np.float64)
     else:
         with open(path, "rb") as fh:
-            feats = _digit_csv(fh.read())
+            feats = digits = _digit_csv(fh.read())
         if feats is None:
             try:
                 feats = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
             except ValueError as exc:
                 raise GraphFormatError(f"{path}: cannot parse feature CSV: {exc}") from exc
-    bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad_rows.size:
-        raise GraphFormatError(f"{path}: feature row {bad_rows[0] + 1} holds a NaN or infinite value")
+    if digits is None:  # one-digit fields are finite; float32 blobs and np.loadtxt values may not be
+        bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if bad_rows.size:
+            raise GraphFormatError(f"{path}: feature row {bad_rows[0] + 1} holds a NaN or infinite value")
     if expected_nodes is not None and feats.shape[0] != expected_nodes:
         raise DimensionError(
             f"{path}: {feats.shape[0]} feature rows but {expected_nodes} nodes in the edge list"
@@ -277,38 +292,27 @@ def _as_int(token: str) -> int | None:
 
 
 def _densify(tokens: np.ndarray, fast: np.ndarray, values: np.ndarray, words: np.ndarray):
-    """Dense index of each id token, and the ids in dense order: integers by
-    value, equal values by token string, then the other ids by string.
+    """Dense index of each id token, and the ids in dense order: ids that
+    ``int()`` accepts by value, equal values by token string, then the other
+    ids by string.
 
-    Canonical decimals are ranked with ``np.unique``.  Only the other tokens
-    (``words``, as bytes) go through Python: those ``int()`` accepts (zero
-    padding, ``+``, ``_``, non-ASCII digits, beyond int64) are placed among
-    the canonical ones by value, and the rest sort bytewise after them,
-    which is code point order in UTF-8."""
+    When every token is a canonical decimal, ``np.unique`` of the values is
+    that order.  Otherwise the distinct canonical values, as strings, and the
+    other tokens (``words``, as bytes) are ranked by one Python sort."""
     is_fast = fast[tokens]
     known, fast_inverse = np.unique(values[tokens[is_fast]], return_inverse=True)
+    if is_fast.all():
+        return fast_inverse, known.astype(str).tolist()
     unusual, other_inverse = np.unique(words[tokens[~is_fast]], return_inverse=True)
-    names = [w.decode("utf-8") for w in unusual]
-    numbers = [_as_int(name) for name in names]
-    ints = sorted((v, name, j) for j, (v, name) in enumerate(zip(numbers, names)) if v is not None)
-    # how many canonical ids sort before each unusual integer id
-    place = np.zeros(len(ints), dtype=np.int64)
-    for i, (v, name, _j) in enumerate(ints):
-        k = int(np.searchsorted(known, min(max(v, _INT64.min), _INT64.max)))
-        place[i] = k + (k < known.size and known[k] == v and str(v) < name)
-    strings = [j for j, v in enumerate(numbers) if v is None]
-
-    fast_rank = np.arange(known.size) + np.searchsorted(place, np.arange(known.size), side="right")
-    other_rank = np.empty(len(names), dtype=np.int64)
-    other_rank[[j for _v, _name, j in ints]] = place + np.arange(len(ints))
-    other_rank[strings] = known.size + len(ints) + np.arange(len(strings))
-    ids = np.empty(known.size + len(names), dtype=object)
-    ids[fast_rank] = known.astype(str).tolist()
-    ids[other_rank] = names
+    names = known.astype(str).tolist() + [w.decode("utf-8") for w in unusual]
+    numbers = known.tolist() + [_as_int(name) for name in names[known.size :]]
+    order = sorted(range(len(names)), key=lambda k: (numbers[k] is None, numbers[k] or 0, names[k]))
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
     index = np.empty(tokens.size, dtype=np.int64)
-    index[is_fast] = fast_rank[fast_inverse]
-    index[~is_fast] = other_rank[other_inverse]
-    return index, ids.tolist()
+    index[is_fast] = rank[fast_inverse]
+    index[~is_fast] = rank[known.size + other_inverse]
+    return index, [names[k] for k in order]
 
 
 def _line_text(path, lineno: int) -> str:

@@ -222,10 +222,9 @@ def run_pipeline(config_path) -> str:
     lines = _report_header(g, config, seed_count)
     lines.append("method\tmodel\tmean_spread\tstd_spread\truns\tseeds")
     # LT+/IC+ weights and SIR's automatic beta do not depend on the seeds:
-    # each is computed once, on first use inside its model's stage, so an
-    # error still names that stage.
-    weights = None
-    sir_beta = config.diffusion.sir_beta
+    # the prepared config is carried on, so each is computed once, on first
+    # use inside its model's stage, and an error still names that stage.
+    dconf = config.diffusion
     for method in config.methods:
         try:
             scores = compute_method_scores(g, method, config, seed_count)
@@ -236,12 +235,7 @@ def run_pipeline(config_path) -> str:
             raise PipelineError(method, exc) from exc
         for model_name in config.models:
             try:
-                dconf = replace(config.diffusion, model=model_name, sir_beta=sir_beta, weights=weights)
-                if model_name == "sir" and sir_beta is None:
-                    sir_beta = dconf.sir_beta = diffusion.critical_sir_beta(g)
-                elif model_name != "sir" and weights is None:
-                    # through the module attribute, so a wrapper set on it runs
-                    weights = dconf.weights = diffusion.compute_influence_weights(g, dconf.alpha1, dconf.alpha2)
+                dconf = diffusion.prepare(g, replace(dconf, model=model_name))
                 result = influence_spread(g, dconf, seeds)
             except Exception as exc:
                 raise PipelineError(f"simulate:{model_name}", exc) from exc

@@ -13,6 +13,7 @@ from pine.diffusion import (
     compute_influence_weights,
     critical_sir_beta,
     influence_spread,
+    prepare,
     run_sir,
 )
 from pine.graph import AttributedGraph, EmptyGraphError, build_graph
@@ -258,6 +259,47 @@ class TestSir:
         assert np.array_equal(diffusion._undirected_degrees(g), deg)
         k, k2 = deg.mean(), (deg.astype(np.float64) ** 2).mean()
         assert critical_sir_beta(g) == min(1.0, 1.5 * k / (k2 - k))
+
+
+class TestPrepare:
+    @pytest.mark.parametrize(
+        "model, given",
+        [("ltp", "weights"), ("icp", "weights"), ("sir", "sir_beta"), ("sir", "both")],
+    )
+    def test_config_with_its_input_is_returned_itself(self, rng, model, given):
+        g = random_graph(15, 0.25, rng)
+        fields = {
+            "weights": {"weights": compute_influence_weights(g, 0.3, 0.7)},
+            "sir_beta": {"sir_beta": 0.2},
+            "both": {"weights": compute_influence_weights(g, 0.3, 0.7), "sir_beta": 0.2},
+        }[given]
+        config = DiffusionConfig(model=model, alpha1=0.3, alpha2=0.7, **fields)
+        assert prepare(g, config) is config
+
+    @pytest.mark.parametrize("model", ["ltp", "icp"])
+    def test_missing_weights_are_computed(self, rng, model):
+        g = random_graph(15, 0.25, rng)
+        config = DiffusionConfig(model=model, alpha1=0.3, alpha2=0.7, num_runs=7)
+        prepared = prepare(g, config)
+        expected = compute_influence_weights(g, 0.3, 0.7)
+        assert config.weights is None
+        assert dataclasses.replace(prepared, weights=None) == config
+        assert (prepared.weights.alpha1, prepared.weights.alpha2) == (0.3, 0.7)
+        assert np.array_equal(prepared.weights.structural, expected.structural)
+        assert np.array_equal(prepared.weights.semantic, expected.semantic)
+
+    def test_missing_beta_is_computed(self, rng):
+        g = random_graph(15, 0.25, rng)
+        config = DiffusionConfig(model="sir", num_runs=7)
+        prepared = prepare(g, config)
+        assert config.sir_beta is None and prepared.weights is None
+        assert prepared == dataclasses.replace(config, sir_beta=critical_sir_beta(g))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_empty_graph_is_named_error(self, model):
+        g = build_graph(0, [], [], np.zeros((0, 2)))
+        with pytest.raises(EmptyGraphError, match="no nodes"):
+            prepare(g, DiffusionConfig(model=model))
 
 
 class TestInfluenceSpread:

@@ -342,6 +342,25 @@ class TestLoaderOracle:
         with pytest.raises(GraphFormatError, match=f":2: bad edge type '{token}'"):
             load_graph(path)
 
+    @pytest.mark.parametrize(
+        "spell",
+        [lambda t: "0" + t, lambda t: "+" + t, lambda t: str(int(t) + 2**63), lambda t: "n" + t],
+        ids=["zero-padded", "plus-signed", "beyond-int64", "string"],
+    )
+    def test_few_unusual_ids_among_canonical_ones(self, tmp_path, rng, spell):
+        # the one Python sort that ranks every id when any token is not canonical
+        n, m = 1500, 5000
+        tokens = rng.integers(0, n, 2 * m).astype(str)
+        for k in rng.choice(2 * m, 6, replace=False):
+            tokens[k] = spell(tokens[k])
+        text = "".join(f"{s} {d}\n" for s, d in zip(tokens[:m].tolist(), tokens[m:].tolist()))
+        path = write_edges(tmp_path, text)
+        with mock.patch.object(graph_oracle, "_id_sort_key", oracle_key_with_tie_rule):
+            expected = graph_oracle.load_graph(path)
+        got = load_graph(path)
+        assert_graphs_identical(got, expected)
+        assert not set(got.id_map) <= set(map(str, range(n)))  # the unusual ids are nodes too
+
     def test_benchmark_shaped_file(self, tmp_path, rng):
         n, m = 3000, 30000
         src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
@@ -496,6 +515,56 @@ class TestEdgeCosine:
 
     def test_edgeless(self):
         assert build_graph(3, [], [], np.ones((3, 2))).edge_cosine().shape == (0,)
+
+
+def gat_inline_softmax(g, w):
+    """The in-edge softmax as gat.forward computed it inline: segment maxima
+    by ``np.maximum.reduceat`` over the contiguous in-edges, float64 sums cast
+    to ``w``'s dtype."""
+    if not w.size:
+        return w
+    in_deg = np.diff(g.in_ptr)
+    has_in = in_deg > 0
+    seg_max = np.repeat(np.maximum.reduceat(w, g.in_ptr[:-1][has_in]), in_deg[has_in])
+    exp = np.exp(w - seg_max)
+    denom = np.bincount(g.edge_dst, weights=exp, minlength=g.num_nodes).astype(w.dtype)
+    return (exp / denom[g.edge_dst]).astype(w.dtype)
+
+
+def scattered_max_softmax(g, w):
+    """The in-edge softmax as compute_influence_weights computed it, with
+    segment maxima scattered by ``np.maximum.at`` (float64 only)."""
+    seg_max = np.full(g.num_nodes, -np.inf)
+    np.maximum.at(seg_max, g.edge_dst, w)
+    exp = np.exp(w - seg_max[g.edge_dst])
+    denom = np.bincount(g.edge_dst, weights=exp, minlength=g.num_nodes)
+    return exp / denom[g.edge_dst]
+
+
+class TestInEdgeSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 50.0, 1000.0])
+    @given(small_digraphs())
+    @with_degenerate_graphs
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_both_former_softmaxes(self, dtype, scale, case):
+        g = graph_from_pairs(*case)
+        rng = np.random.default_rng([case[0], len(case[1])])
+        w = (scale * rng.normal(size=g.num_edges)).astype(dtype)
+        w[rng.random(g.num_edges) < 0.3] = dtype(scale)  # ties, within and across segments
+        got = g.in_edge_softmax(w)
+        expected = gat_inline_softmax(g, w)
+        assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+        if dtype is np.float64:
+            assert got.tobytes() == scattered_max_softmax(g, w).tobytes()
+        sums = np.bincount(g.edge_dst, weights=got, minlength=g.num_nodes)
+        assert np.allclose(sums[g.in_degrees() > 0], 1.0, atol=1e-5)
+
+    def test_edgeless_gives_empty_in_dtype(self):
+        g = graph_from_pairs(3, [])
+        for dtype in (np.float32, np.float64):
+            got = g.in_edge_softmax(np.zeros(0, dtype=dtype))
+            assert got.shape == (0,) and got.dtype == dtype
 
 
 class TestEdgeTypes:

@@ -9,6 +9,7 @@ import pytest
 
 import pine.cli as cli
 import pine.pipeline as pp
+from pine import diffusion
 from pine.cli import main
 from pine.diffusion import DiffusionConfig, influence_spread
 from pine.graph import EmptyGraphError, load_graph
@@ -341,6 +342,18 @@ class TestPipeline:
                 lines.append(f"{method}\t{model}\t{r.mean_spread:.6f}\t{r.std_spread:.6f}\t{r.runs}\t{seeds.size}")
         assert run_pipeline(path) == "\n".join(lines) + "\n"
 
+    def test_automatic_sir_beta_computed_once(self, tmp_path, graph_files, monkeypatch):
+        # like the weights, beta does not depend on the seeds: one computation per pipeline run
+        _g, edges, feats = graph_files
+        calls = []
+        beta = diffusion.critical_sir_beta
+        monkeypatch.setattr(diffusion, "critical_sir_beta", lambda g: calls.append(g) or beta(g))
+        config = write_config(tmp_path, edges, feats)
+        assert load_config(config).diffusion.sir_beta is None
+        assert load_config(config).models == ["ltp", "icp", "sir"]
+        run_pipeline(config)
+        assert len(calls) == 1
+
     @staticmethod
     def assert_fails_at_config(tmp_path, graph_files, monkeypatch, models, diffusion, message):
         # before the graph loads, so before any method is scored
@@ -489,6 +502,29 @@ class TestCli:
         lines = dict(l.split("\t") for l in capsys.readouterr().out.strip().split("\n"))
         assert float(lines["spearman"]) == pytest.approx(1.0)
         assert float(lines["ndcg@10"]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("line", ["x1", "-1", "50", "1 2", "1.0"])
+    def test_bad_seed_line_names_path_and_line(self, tmp_path, graph_files, capsys, line):
+        g, edges, feats = graph_files
+        assert g.num_nodes == 50
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text(f"0\n{line}\n")
+        rc = main(["simulate", "--graph", edges, "--features", feats, "--model", "ltp", "--seeds", str(seeds)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error [simulate] ") and "seeds.txt:2: " in captured.err
+
+    def test_seed_file_comments_anywhere_on_a_line(self, tmp_path, graph_files, capsys):
+        _g, edges, feats = graph_files
+        seeds, commented = tmp_path / "seeds.txt", tmp_path / "commented.txt"
+        seeds.write_text("3\n7\n")
+        commented.write_text("# hubs\n3  # first\n\n  7\t#second\n#49\n")
+        outputs = []
+        for path in (seeds, commented):
+            args = ["simulate", "--graph", edges, "--features", feats, "--model", "icp", "--runs", "20"]
+            assert main(args + ["--seeds", str(path), "--per-run"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_centrality_negative_k_names_k(self, graph_files, capsys):
         _g, edges, _feats = graph_files
