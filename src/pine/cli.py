@@ -20,7 +20,7 @@ from .pipeline import (
     run_pipeline,
     train_and_test_auc,
 )
-from .scores import ScoreVector, read_score_rows, read_score_tsv
+from .scores import ScoreVector, node_rows, read_score_rows, read_score_tsv
 from .split import split_edges
 from .train import TrainConfig
 
@@ -46,25 +46,6 @@ def _train_config(args, **fields) -> TrainConfig:
 
 def _load(args):
     return load_graph(args.graph, args.features, reverse_edges=args.reverse_edges)
-
-
-def _read_seeds(path, num_nodes: int) -> list[int]:
-    """The node ids of a seed file, one per line; ``#`` starts a comment anywhere on a line.
-    A line that is not an integer in [0, num_nodes) raises ``ValueError`` naming ``path:lineno``."""
-    seeds = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                seed = int(text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected one node id, got {text!r}") from None
-            if not 0 <= seed < num_nodes:
-                raise ValueError(f"{path}:{lineno}: seed id {seed} outside [0, {num_nodes})")
-            seeds.append(seed)
-    return seeds
 
 
 def _emit_scores(scores: ScoreVector, out_path):
@@ -113,7 +94,7 @@ def cmd_score(args):
 
 def cmd_simulate(args):
     g = _load(args)
-    seeds = _read_seeds(args.seeds, g.num_nodes)
+    seeds = [node for _lineno, node, _value in node_rows(args.seeds, g.num_nodes, 1)]
     config = DiffusionConfig(
         model=args.model,
         alpha1=args.alpha1,
@@ -164,15 +145,8 @@ def cmd_bench(args):
 def cmd_split(args):
     g = _load(args)
     split = split_edges(g, rng_seed=args.seed)
-    parts = {
-        "message": split.message_edges,
-        "supervision_pos": split.supervision_pos,
-        "val_pos": split.val_pos,
-        "test_pos": split.test_pos,
-        "val_neg": split.val_neg,
-        "test_neg": split.test_neg,
-    }
-    for name, pairs in parts.items():
+    for field, pairs in vars(split).items():  # the EdgeSplit fields, in order
+        name = field.removesuffix("_edges")
         path = f"{args.out_prefix}.{name}.txt"
         write_int_rows(path, pairs)
         print(f"{name}\t{len(pairs)}\t{path}")

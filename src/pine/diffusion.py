@@ -91,6 +91,8 @@ class DiffusionConfig:
             raise ValueError("sir_gamma must lie in [0, 1]")
         if self.num_runs < 1:
             raise ValueError("num_runs must be >= 1")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
 
 
 @dataclass

@@ -10,6 +10,7 @@ that canonical order so per-edge quantities can be read either way.
 from __future__ import annotations
 
 import codecs
+import io
 import itertools
 import re
 import struct
@@ -196,29 +197,24 @@ def _digit_csv(data: bytes) -> np.ndarray | None:
 def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
     """Load a feature matrix from CSV (row order = node id) or the PINEF1
     binary format, detected by magic bytes: ``PINEF1``, the row and column
-    counts as little-endian uint64, then the rows as little-endian float32.
-    A CSV of one-digit fields split by ``,``, every line ended by ``\n`` and of
-    one width, is read from its bytes; ``np.loadtxt`` reads any other CSV."""
+    counts as little-endian uint64 (a 22-byte header), then the rows as
+    little-endian float32.  The bytes are read once: a CSV of one-digit fields
+    split by ``,``, every line ended by ``\n`` and of one width, is reshaped
+    from them, and ``np.loadtxt`` reads any other CSV from them as UTF-8."""
     with open(path, "rb") as fh:
-        head = fh.read(6)
-    digits = None
-    if head == MAGIC_FEATURES:
-        with open(path, "rb") as fh:
-            fh.seek(6)
-            n, d = struct.unpack("<QQ", fh.read(16))
-            data = np.fromfile(fh, dtype="<f4", count=n * d)
-        if data.size != n * d:
-            raise GraphFormatError(f"{path}: truncated feature blob")
-        feats = data.reshape(n, d).astype(np.float64)
-    else:
-        with open(path, "rb") as fh:
-            feats = digits = _digit_csv(fh.read())
-        if feats is None:
+        data = fh.read()
+    feats = None if data.startswith(MAGIC_FEATURES) else _digit_csv(data)
+    if feats is None:  # one-digit fields are finite; float32 blobs and np.loadtxt values may not be
+        if data.startswith(MAGIC_FEATURES):
+            n, d = struct.unpack_from("<QQ", data[:22].ljust(22, b"\0"), 6)  # a short header fails below
+            if len(data) < 22 + 4 * n * d:
+                raise GraphFormatError(f"{path}: PINEF1 file cut short")
+            feats = np.frombuffer(data, "<f4", n * d, 22).reshape(n, d).astype(np.float64)
+        else:
             try:
-                feats = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+                feats = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise GraphFormatError(f"{path}: cannot parse feature CSV: {exc}") from exc
-    if digits is None:  # one-digit fields are finite; float32 blobs and np.loadtxt values may not be
         bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
         if bad_rows.size:
             raise GraphFormatError(f"{path}: feature row {bad_rows[0] + 1} holds a NaN or infinite value")
@@ -303,8 +299,9 @@ def _densify(tokens: np.ndarray, fast: np.ndarray, values: np.ndarray, words: np
     known, fast_inverse = np.unique(values[tokens[is_fast]], return_inverse=True)
     if is_fast.all():
         return fast_inverse, known.astype(str).tolist()
-    unusual, other_inverse = np.unique(words[tokens[~is_fast]], return_inverse=True)
-    names = known.astype(str).tolist() + [w.decode("utf-8") for w in unusual]
+    slot: dict[bytes, int] = {}  # distinct other tokens, in first-seen order
+    other_inverse = np.array([slot.setdefault(w, len(slot)) for w in words[tokens[~is_fast]]], dtype=np.int64)
+    names = known.astype(str).tolist() + [w.decode("utf-8") for w in slot]
     numbers = known.tolist() + [_as_int(name) for name in names[known.size :]]
     order = sorted(range(len(names)), key=lambda k: (numbers[k] is None, numbers[k] or 0, names[k]))
     rank = np.empty(len(names), dtype=np.int64)

@@ -41,8 +41,12 @@ class PipelineConfig:
     calibrate: str = "none"
 
 
-def _names(raw: str) -> list[str]:
-    return [m.strip() for m in raw.split(",") if m.strip()]
+def _names(raw: str, choices) -> list[str]:
+    names = [m.strip() for m in raw.split(",") if m.strip()]
+    unknown = [m for m in names if m not in choices]
+    if unknown:
+        raise ValueError(f"unknown name(s) {unknown}; choose from {tuple(choices)}")
+    return names
 
 
 def _flag(raw: str) -> bool:
@@ -66,8 +70,8 @@ _KEYS = {
     ("graph", "edges"): ("edges", str),
     ("graph", "features"): ("features", str),
     ("graph", "reverse_edges"): ("reverse_edges", _flag),
-    ("pipeline", "methods"): ("methods", _names),
-    ("pipeline", "models"): ("models", _names),
+    ("pipeline", "methods"): ("methods", lambda raw: _names(raw, METHODS)),
+    ("pipeline", "models"): ("models", lambda raw: _names(raw, diffusion.MODELS)),
     ("pipeline", "seed_fraction"): ("seed_fraction", float),
     ("diffusion", "runs"): ("num_runs", int),
     ("diffusion", "alpha1"): ("alpha1", float),
@@ -97,12 +101,14 @@ _SECTION_CLASS = {"train": TrainConfig, "diffusion": DiffusionConfig}
 def load_config(path) -> PipelineConfig:
     """Parse the flat sectioned key-value config; unknown sections or keys
     are errors so typos fail fast, and a value that does not parse, or that
-    ``TrainConfig`` rejects, names its ``[section] key``.  Values that
-    ``DiffusionConfig`` rejects name ``[diffusion]``.  A ``;`` after
-    whitespace starts a comment, and an empty value means the default.  A
-    file that is not valid INI or not UTF-8 fails at stage ``config`` too.
-    A ``%`` is literal, and ``[DEFAULT]`` is an unknown section like any
-    other: the default section's name is one no header can spell."""
+    ``TrainConfig`` rejects, names its ``[section] key``, as do an unknown
+    method or model, a seed fraction outside [0, 1] and a score layer outside
+    [0, ``[train] layers``).  Values that ``DiffusionConfig`` rejects name
+    ``[diffusion]``.  A ``;`` after whitespace starts a comment, and an empty
+    value means the default.  A file that is not valid INI or not UTF-8 fails
+    at stage ``config`` too.  A ``%`` is literal, and ``[DEFAULT]`` is an
+    unknown section like any other: the default section's name is one no
+    header can spell."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
@@ -141,9 +147,11 @@ def load_config(path) -> PipelineConfig:
     config = PipelineConfig(
         **values[PipelineConfig], diffusion=diffusion_config, train=TrainConfig(**values[TrainConfig])
     )
-    for m in config.methods:
-        if m not in METHODS:
-            raise PipelineError("config", f"unknown method {m!r}; choose from {tuple(METHODS)}")
+    if not 0.0 <= config.seed_fraction <= 1.0:
+        raise PipelineError("config", f"[pipeline] seed_fraction = '{config.seed_fraction}': must lie in [0, 1]")
+    layer, layers = config.score_layer, config.train.num_layers
+    if not 0 <= layer < layers:
+        raise PipelineError("config", f"[score] layer = '{layer}': must lie in [0, {layers}) ([train] layers)")
     return config
 
 

@@ -49,33 +49,47 @@ class ScoreVector:
 
 
 class ScoreFileError(ValueError):
-    """A score file row that does not give one value to one node."""
+    """A row of a node file (a seed, score or label file) that breaks its rules."""
 
 
-def read_score_rows(path, num_nodes: int | None = None) -> dict[int, float]:
-    """The ``node_id<TAB>value`` rows of a score or label file, by node id.
-    Blank lines and ``#`` comments are skipped.  A row that is not two
-    tab-separated fields, whose id is not an integer in [0, num_nodes) (or
-    is negative when ``num_nodes`` is None), or whose id an earlier row
-    gave, raises ``ScoreFileError`` naming ``path:lineno``."""
-    rows: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+def node_rows(path, num_nodes: int | None, width: int):
+    """``(lineno, node, value)`` of each row of a node file: ``node_id`` rows
+    (``width`` 1, value None) or ``node_id<TAB>value`` rows (``width`` 2).
+    Lines are UTF-8, ``#`` starts a comment anywhere on a line, and blank lines
+    are skipped.  A line that is not UTF-8, a row that is not ``width``
+    tab-separated fields, or an id that is not an integer in [0, num_nodes)
+    (>= 0 when ``num_nodes`` is None) raises ``ScoreFileError`` at ``path:lineno``."""
+    expected = "<TAB>".join(("node_id", "value")[:width])
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # a byte that is not UTF-8 was read as a lone surrogate
+            except UnicodeEncodeError:
+                raise ScoreFileError(f"{path}:{lineno}: line is not UTF-8 text") from None
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
+            fields = text.split("\t")
             try:
-                node_text, value_text = text.split("\t")
-                node, value = int(node_text), float(value_text)
+                if len(fields) != width:
+                    raise ValueError(f"not {width} tab-separated fields")
+                node, value = int(fields[0]), (float(fields[1]) if width > 1 else None)
             except ValueError as exc:
-                raise ScoreFileError(f"{path}:{lineno}: expected node_id<TAB>value, got {text!r} ({exc})") from exc
+                raise ScoreFileError(f"{path}:{lineno}: expected {expected}, got {text!r} ({exc})") from exc
             if node < 0:
                 raise ScoreFileError(f"{path}:{lineno}: node id {node} is negative")
             if num_nodes is not None and node >= num_nodes:
                 raise ScoreFileError(f"{path}:{lineno}: node id {node} is past the last node ({num_nodes - 1})")
-            if node in rows:
-                raise ScoreFileError(f"{path}:{lineno}: node id {node} given twice")
-            rows[node] = value
+            yield lineno, node, value
+
+
+def read_score_rows(path, num_nodes: int | None = None) -> dict[int, float]:
+    """The ``node_rows`` of a score or label file by node id; an id given twice is an error."""
+    rows: dict[int, float] = {}
+    for lineno, node, value in node_rows(path, num_nodes, 2):
+        if node in rows:
+            raise ScoreFileError(f"{path}:{lineno}: node id {node} given twice")
+        rows[node] = value
     return rows
 
 

@@ -33,8 +33,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("num_layers", "hidden_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -181,6 +182,43 @@ def assert_same_outcome(got, expected):
 DIGIT_MATRICES = st.integers(1, 12).flatmap(
     lambda d: st.lists(st.lists(st.integers(0, 9), min_size=d, max_size=d), min_size=1, max_size=12)
 )
+
+
+class TestFeatureFileReadOnce:
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(8, "PINEF1 file cut short"), (6 + 16 + 4 * 5, "PINEF1 file cut short")],
+        ids=["header", "blob"],
+    )
+    def test_truncated_binary_names_path(self, tmp_path, cut, message):
+        # a header cut short used to fail as a bare struct.error
+        path = tmp_path / "f.bin"
+        write_features_binary(path, np.ones((2, 3)))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_features(path)
+
+    def test_bytes_after_blob_ignored(self, tmp_path):
+        path = tmp_path / "f.bin"
+        feats = np.arange(6, dtype=np.float32).reshape(2, 3)
+        write_features_binary(path, feats)
+        path.write_bytes(path.read_bytes() + b"\x00\x01")
+        assert np.array_equal(load_features(path), feats)
+
+    @pytest.mark.parametrize("layout", ["digits", "floats", "binary"])
+    def test_file_opened_once(self, tmp_path, layout):
+        feats = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]) * (2.5 if layout == "floats" else 1.0)
+        if layout == "binary":
+            path = tmp_path / "f.bin"
+            write_features_binary(path, feats)
+        else:
+            path = write_csv(tmp_path, feats.astype(int).tolist() if layout == "digits" else feats.tolist())
+        with mock.patch("builtins.open", wraps=open) as opened, mock.patch("numpy.loadtxt", wraps=np.loadtxt) as lt:
+            got = load_features(path, expected_nodes=3)
+        assert opened.call_count == 1
+        assert lt.called == (layout == "floats")
+        assert all(not isinstance(call.args[0], (str, os.PathLike)) for call in lt.call_args_list)
+        assert np.array_equal(got, feats)
 
 
 class TestDigitCsvFeatures:

@@ -23,7 +23,7 @@ from pine.pipeline import (
     load_config,
     run_pipeline,
 )
-from pine.scores import ScoreFileError, ScoreVector, read_score_tsv
+from pine.scores import ScoreFileError, ScoreVector, node_rows, read_score_rows, read_score_tsv
 from pine.split import split_edges
 from pine.train import TrainConfig
 
@@ -258,6 +258,56 @@ class TestReadScoreTsv:
         assert f"{pred}:2: node id 2 is past the last node (1)" in capsys.readouterr().err
 
 
+# (id field, expected message) of a bad second line, the same for every node file
+BAD_NODE_LINES = {
+    "non-integer": (b"x1", "expected node_id"),
+    "negative": (b"-1", "node id -1 is negative"),
+    "past-the-end": (b"50", "node id 50 is past the last node (49)"),
+    "field-count": (None, "expected node_id"),
+    "not-utf8": (b"caf\xe9", "line is not UTF-8 text"),
+}
+
+
+class TestNodeFiles:
+    """Seed, score and label files share one row reader, ``scores.node_rows``."""
+
+    @staticmethod
+    def command(reader, path, edges, feats, tmp_path):
+        if reader == "seed":
+            return ["simulate", "--graph", edges, "--features", feats, "--model", "ltp", "--seeds", path]
+        if reader == "label":
+            return ["score", "--graph", edges, "--labels", path]
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("".join(f"{i}\t{i}\n" for i in range(50)))
+        return ["evaluate", "--scores", path, "--truth", str(truth)]
+
+    @pytest.mark.parametrize("case", BAD_NODE_LINES)
+    @pytest.mark.parametrize("reader", ["seed", "score", "label"])
+    def test_bad_line_names_path_and_line(self, tmp_path, graph_files, capsys, reader, case):
+        g, edges, feats = graph_files
+        assert g.num_nodes == 50
+        node, message = BAD_NODE_LINES[case]
+        value = b"" if reader == "seed" else b"\t0.5"
+        line = node + value if node is not None else (b"3\t4" if reader == "seed" else b"3")
+        path = tmp_path / f"{reader}.txt"
+        path.write_bytes(b"0" + value + b"\n" + line + b"\n")
+        args = self.command(reader, str(path), edges, feats, tmp_path)
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error [{args[0]}] ")
+        assert f"{path}:2: {message}" in captured.err
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_comments_and_blank_lines_skipped(self, tmp_path, width):
+        value = "" if width == 1 else "\t0.5"
+        path = tmp_path / "nodes.txt"
+        path.write_text(f"# hubs\n3{value}  # first\n\n  \n  7{value}\t#second\n#49\n\n")
+        expected = None if width == 1 else 0.5
+        assert list(node_rows(path, 50, width)) == [(2, 3, expected), (5, 7, expected)]
+        if width == 2:
+            assert read_score_rows(path, 50) == {3: 0.5, 7: 0.5}
+
+
 class TestTopFraction:
     def test_floor_of_fraction(self):
         sv = ScoreVector(np.arange(10.0), "x")
@@ -401,6 +451,70 @@ class TestPipeline:
         path.write_text(f"[graph]\nedges = {tmp_path / 'missing.txt'}\n")
         with pytest.raises(PipelineError, match=r"\[load\]"):
             run_pipeline(path)
+
+
+class TestConfigRangeChecks:
+    """Values that used to fail only after the graph loaded (or never) fail
+    at stage config, naming their [section] key and value."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[pipeline]\nmodels = ltp, lt\n", "[pipeline] models = 'ltp, lt': unknown name(s) ['lt']"),
+            ("[pipeline]\nmethods = degree, eig\n", "[pipeline] methods = 'degree, eig': unknown name(s) ['eig']"),
+            ("[pipeline]\nseed_fraction = 1.5\n", "[pipeline] seed_fraction = '1.5': must lie in [0, 1]"),
+            ("[pipeline]\nseed_fraction = -0.1\n", "[pipeline] seed_fraction = '-0.1': must lie in [0, 1]"),
+            ("[pipeline]\nseed_fraction = nan\n", "[pipeline] seed_fraction = 'nan': must lie in [0, 1]"),
+            ("[score]\nlayer = 1\n", "[score] layer = '1': must lie in [0, 1) ([train] layers)"),
+            ("[score]\nlayer = -1\n", "[score] layer = '-1': must lie in [0, 1) ([train] layers)"),
+            ("[train]\nlayers = 2\n[score]\nlayer = 2\n", "[score] layer = '2': must lie in [0, 2)"),
+            ("[train]\nlayers = 0\n", "[train] layers = '0': num_layers must be >= 1"),
+            ("[train]\nhidden = 0\n", "[train] hidden = '0': hidden_size must be >= 1"),
+            ("[train]\nmax_epochs = 0\n", "[train] max_epochs = '0': max_epochs must be >= 1"),
+            ("[diffusion]\nmax_steps = -1\n", "[diffusion] max_steps must be >= 0"),
+        ],
+        ids=["models", "methods", "fraction-above", "fraction-below", "fraction-nan", "layer-past", "layer-negative",
+             "layer-past-two", "train-layers", "train-hidden", "train-max-epochs", "diffusion-max-steps"],
+    )
+    def test_fails_at_config_before_load(self, tmp_path, graph_files, monkeypatch, text, message):
+        _g, edges, feats = graph_files
+        calls = []
+        monkeypatch.setattr(pp, "load_graph", lambda *a, **k: calls.append("load"))
+        monkeypatch.setattr(pp, "compute_method_scores", lambda g, m, *a: calls.append(m))
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[graph]\nedges = {edges}\nfeatures = {feats}\n" + text)
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(path)
+        assert exc.value.stage == "config" and calls == []
+        assert str(exc.value).startswith(f"[config] {message}")
+
+    @pytest.mark.parametrize("field", ["num_layers", "hidden_size", "max_epochs"])
+    def test_train_config_bounds(self, field):
+        TrainConfig(**{field: 1})
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            TrainConfig(**{field: 0})
+
+    def test_diffusion_max_steps_bound(self):
+        DiffusionConfig(max_steps=0)  # the seeds alone
+        with pytest.raises(ValueError, match="^max_steps must be >= 0$"):
+            DiffusionConfig(max_steps=-1)
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("train", ["--layers", "0", "--out", "m.bin"], "num_layers must be >= 1"),
+            ("simulate", ["--model", "sir", "--seeds", "seeds.txt", "--max-steps", "-1"], "max_steps must be >= 0"),
+        ],
+        ids=["train-layers", "simulate-max-steps"],
+    )
+    def test_cli_names_degenerate_value(self, tmp_path, graph_files, capsys, monkeypatch, command, flags, message):
+        # pine train --layers 0 used to fail with IndexError; --max-steps -1 ran zero steps
+        _g, edges, feats = graph_files
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seeds.txt").write_text("0\n")
+        assert main([command, "--graph", edges, "--features", feats] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error [{command}] {message}\n"
 
 
 class TestBenchmark:

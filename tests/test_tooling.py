@@ -84,3 +84,81 @@ def test_segment_max_references_are_recognised():
         "f = np.maximum.at\n"
     )
     assert segment_max_references(text) == ["np.maximum.at", "numpy.maximum.reduceat", "maximum.at", "np.maximum.at"]
+
+
+def open_mode(call):
+    """The mode of a call that opens a file (``open``, ``io.open``,
+    ``Path.open`` or ``read_text``), ``"r"`` when it is not a literal, or
+    None for any other call."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "read_text":
+        return "r"
+    if isinstance(func, ast.Name) and func.id == "open" or ast.unparse(func) == "io.open":
+        position = 1  # open(file, mode)
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0  # path.open(mode)
+    else:
+        return None
+    given = call.args[position : position + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not given:
+        return "r"
+    return given[0].value if isinstance(given[0], ast.Constant) and isinstance(given[0].value, str) else "r"
+
+
+def text_reads(text):
+    """``(function, call)`` for each call that opens a file to read text, by
+    the name of the function it is in (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            mode = open_mode(node)
+            if mode is not None and "b" not in mode and ("r" in mode or "+" in mode):
+                found.append((scope, ast.unparse(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "<module>")
+    return found
+
+
+def test_text_files_are_read_only_by_their_readers():
+    # node files (seed, score, label) have one reader, scores.node_rows; graph._line_text
+    # re-reads one edge-list line for an error message; every other read is binary
+    allowed = {("graph.py", "_line_text"), ("scores.py", "node_rows")}
+    modules = sorted(SOURCE.rglob("*.py"))
+    found = {
+        (str(m.relative_to(SOURCE)), scope)
+        for m in modules
+        for scope, _call in text_reads(m.read_text(encoding="utf-8"))
+    }
+    assert found - allowed == set()
+    assert allowed <= found
+
+
+def test_text_reads_are_recognised():
+    text = (
+        "import io\n"
+        "open(p)\n"
+        "def f(path, mode):\n"
+        "    open(path, 'rb')\n"
+        "    open(path, 'w', encoding='utf-8')\n"
+        "    open(path, 'r', encoding='utf-8')\n"
+        "    io.open(path, mode='rt')\n"
+        "    path.open('a+')\n"
+        "    path.open('wb')\n"
+        "    open(path, mode)\n"
+        "    def g():\n"
+        "        return path.read_text()\n"
+        "    path.read_bytes()\n"
+    )
+    assert text_reads(text) == [
+        ("<module>", "open"),
+        ("f", "open"),
+        ("f", "io.open"),
+        ("f", "path.open"),
+        ("f", "open"),
+        ("g", "path.read_text"),
+    ]
