@@ -94,6 +94,8 @@ def katz(
     Divergence (increment norm growing for 10 consecutive iterations) raises
     ConvergenceError with advice to lower the attenuation.
     """
+    if not 0.0 < attenuation < np.inf:
+        raise ValueError(f"attenuation must be positive and finite, not {attenuation}")
     n = g.num_nodes
     src, dst = g.edge_src, g.edge_dst
     x = np.zeros(n)

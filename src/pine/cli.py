@@ -6,10 +6,12 @@ import argparse
 import sys
 
 from . import __version__, gat, metrics
-from .diffusion import MODELS, DiffusionConfig, influence_spread
+from .diffusion import MODELS, influence_spread
 from .graph import largest_weak_component, load_graph, write_int_rows
 from .pine_score import TOP_K_TYPES, heterogeneous_pine, score_graph, select_edge_types
 from .pipeline import (
+    _KEYS,
+    _SECTION_CLASS,
     CALIBRATIONS,
     METHODS,
     PipelineConfig,
@@ -22,7 +24,6 @@ from .pipeline import (
 )
 from .scores import ScoreVector, node_rows, read_score_rows, read_score_tsv
 from .split import split_edges
-from .train import TrainConfig
 
 
 def _add_graph_args(p):
@@ -31,17 +32,25 @@ def _add_graph_args(p):
     p.add_argument("--reverse-edges", action="store_true", help="flip edge orientation at load")
 
 
-def _add_train_args(p):
-    p.add_argument("--layers", type=int, default=TrainConfig.num_layers)
-    p.add_argument("--hidden", type=int, default=TrainConfig.hidden_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
+def _add_key_flags(p, section, keys, help=None, **renamed):
+    """One flag per ``[section] key`` of the config key table: ``--key``
+    (underscores as dashes) unless ``renamed`` names another flag, with the
+    key's parser as type, its config class's default and the field as dest.
+    ``_config`` builds that class from these fields alone."""
+    cls = _SECTION_CLASS.get(section, PipelineConfig)
+    for key in keys:
+        name, cast = _KEYS[section, key]
+        flag = renamed.get(key, key)
+        option = "--" + flag.replace("_", "-")
+        p.add_argument(option, type=cast, default=getattr(cls, name), dest=name, metavar=flag.upper(), help=help)
+    p.set_defaults(config_fields=(cls, [_KEYS[section, key][0] for key in keys]))
 
 
-def _train_config(args, **fields) -> TrainConfig:
-    return TrainConfig(
-        num_layers=args.layers, hidden_size=args.hidden, learning_rate=args.lr, rng_seed=args.seed, **fields
-    )
+def _config(args, **fields):
+    """The config class of the subcommand's key flags, built from the fields
+    those flags set; ``fields`` gives any other field it needs."""
+    cls, names = args.config_fields
+    return cls(**{name: getattr(args, name) for name in names}, **fields)
 
 
 def _load(args):
@@ -57,21 +66,14 @@ def _emit_scores(scores: ScoreVector, out_path):
 
 def cmd_centrality(args):
     g = _load(args)
-    config = PipelineConfig(
-        edges=args.graph,
-        damping=args.damping,
-        attenuation=args.attenuation,
-        tuning=args.tuning,
-        node_budget=args.node_budget,
-    )
-    k = args.k if args.k is not None else min(g.num_nodes, max(1, int(0.1 * g.num_nodes)))
+    config = _config(args, edges=args.graph)
+    k = args.k if args.k is not None else min(g.num_nodes, max(1, int(config.seed_fraction * g.num_nodes)))
     _emit_scores(compute_method_scores(g, args.method, config, k), args.out)
 
 
 def cmd_train(args):
     g = _load(args)
-    config = _train_config(args, max_epochs=args.max_epochs, patience=args.patience)
-    model, log, auc = train_and_test_auc(g, config)
+    model, log, auc = train_and_test_auc(g, _config(args))
     gat.save_model(model, args.out)
     print(f"best_epoch\t{log.best_epoch}")
     print(f"val_auc\t{log.best_val_auc:.6f}")
@@ -82,9 +84,7 @@ def cmd_score(args):
     g = _load(args)
     if args.labels:
         labels = list(read_score_rows(args.labels, g.num_nodes).items())
-        sel = select_edge_types(
-            g, labels, top_k_types=args.top_types, config=_train_config(args), layer_index=args.layer
-        )
+        sel = select_edge_types(g, labels, top_k_types=args.top_types, config=_config(args), layer_index=args.layer)
         scores = heterogeneous_pine(g, sel.selected, sel.models, layer_index=args.layer)
     else:
         model = gat.load_model(args.model)
@@ -95,17 +95,7 @@ def cmd_score(args):
 def cmd_simulate(args):
     g = _load(args)
     seeds = [node for _lineno, node, _value in node_rows(args.seeds, g.num_nodes, 1)]
-    config = DiffusionConfig(
-        model=args.model,
-        alpha1=args.alpha1,
-        alpha2=1.0 - args.alpha1,
-        sir_beta=args.beta,
-        sir_gamma=args.gamma,
-        max_steps=args.max_steps,
-        num_runs=args.runs,
-        rng_seed=args.seed,
-    )
-    result = influence_spread(g, config, seeds)
+    result = influence_spread(g, _config(args, model=args.model, alpha2=1.0 - args.alpha1), seeds)
     print("mean_spread\tstd_spread\truns")
     print(f"{result.mean_spread:.6f}\t{result.std_spread:.6f}\t{result.runs}")
     if args.per_run:
@@ -113,20 +103,25 @@ def cmd_simulate(args):
             print(count)
 
 
+def _metric(spec):
+    """The metric a ``--metrics`` entry names, as (predicted, truth) -> value:
+    ``spearman``, ``ndcg@K`` or ``precision@K`` with integer K >= 1."""
+    if spec == "spearman":
+        return metrics.spearman
+    name, _at, k = spec.partition("@")
+    at_k = {"ndcg": metrics.ndcg_at_k, "precision": metrics.precision_at_k}.get(name)
+    k = int(k) if k.isdecimal() else 0
+    if at_k is None or k < 1:
+        raise ValueError(f"bad metric {spec!r}: use spearman, ndcg@K or precision@K with integer K >= 1")
+    return lambda predicted, truth: at_k(predicted, truth, k)
+
+
 def cmd_evaluate(args):
+    specs = [spec.strip() for spec in args.metrics.split(",")]
+    chosen = [_metric(spec) for spec in specs]
     truth = read_score_tsv(args.truth)
     predicted = read_score_tsv(args.scores, num_nodes=truth.size)
-    for name in args.metrics.split(","):
-        name = name.strip()
-        if name == "spearman":
-            value = metrics.spearman(predicted, truth)
-        elif name.startswith("ndcg@"):
-            value = metrics.ndcg_at_k(predicted, truth, int(name.split("@")[1]))
-        elif name.startswith("precision@"):
-            value = metrics.precision_at_k(predicted, truth, int(name.split("@")[1]))
-        else:
-            raise ValueError(f"unknown metric {name!r}")
-        print(f"{name}\t{value:.6f}")
+    sys.stdout.writelines([f"{spec}\t{metric(predicted, truth):.6f}\n" for spec, metric in zip(specs, chosen)])
 
 
 def cmd_pipeline(args):
@@ -144,7 +139,7 @@ def cmd_bench(args):
 
 def cmd_split(args):
     g = _load(args)
-    split = split_edges(g, rng_seed=args.seed)
+    split = split_edges(g, rng_seed=args.rng_seed)
     for field, pairs in vars(split).items():  # the EdgeSplit fields, in order
         name = field.removesuffix("_edges")
         path = f"{args.out_prefix}.{name}.txt"
@@ -171,18 +166,13 @@ def build_parser():
     _add_graph_args(p)
     p.add_argument("--method", required=True, choices=[m for m in METHODS if m != "pine"])
     p.add_argument("--out", default=None)
-    p.add_argument("--damping", type=float, default=PipelineConfig.damping)
-    p.add_argument("--attenuation", type=float, default=PipelineConfig.attenuation)
-    p.add_argument("--tuning", type=float, default=PipelineConfig.tuning)
+    _add_key_flags(p, "centrality", ["damping", "attenuation", "tuning", "node_budget"])
     p.add_argument("--k", type=int, default=None, help="voterank election count")
-    p.add_argument("--node-budget", type=int, default=PipelineConfig.node_budget)
     p.set_defaults(func=cmd_centrality)
 
     p = sub.add_parser("train", help="train the attention model on link prediction")
     _add_graph_args(p)
-    _add_train_args(p)
-    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    _add_key_flags(p, "train", ["layers", "hidden", "lr", "seed", "max_epochs", "patience"])
     p.add_argument("--out", required=True, help="model output path")
     p.set_defaults(func=cmd_train)
 
@@ -195,19 +185,15 @@ def build_parser():
     p.add_argument("--calibrate", choices=CALIBRATIONS, default=PipelineConfig.calibrate)
     p.add_argument("--out", default=None)
     p.add_argument("--top-types", type=int, default=TOP_K_TYPES)
-    _add_train_args(p)
+    _add_key_flags(p, "train", ["layers", "hidden", "lr", "seed"])
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("simulate", help="Monte Carlo influence spread")
     _add_graph_args(p)
     p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--seeds", required=True, help="seed file, one node id per line; # starts a comment")
-    p.add_argument("--runs", type=int, default=DiffusionConfig.num_runs)
-    p.add_argument("--alpha1", type=float, default=DiffusionConfig.alpha1)
-    p.add_argument("--beta", type=float, default=DiffusionConfig.sir_beta)
-    p.add_argument("--gamma", type=float, default=DiffusionConfig.sir_gamma)
-    p.add_argument("--max-steps", type=int, default=DiffusionConfig.max_steps)
-    p.add_argument("--seed", type=int, default=DiffusionConfig.rng_seed)
+    keys = ["runs", "alpha1", "sir_beta", "sir_gamma", "max_steps", "seed"]
+    _add_key_flags(p, "diffusion", keys, sir_beta="beta", sir_gamma="gamma")
     p.add_argument("--per-run", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
@@ -228,7 +214,7 @@ def build_parser():
 
     p = sub.add_parser("split", help="write a train/val/test edge split")
     _add_graph_args(p)
-    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed, help="pine train splits at this seed")
+    _add_key_flags(p, "train", ["seed"], help="pine train splits at this seed")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_split)
 

@@ -59,9 +59,14 @@ class InfluenceWeights:
         return self.alpha1 * self.structural + self.alpha2 * self.semantic
 
 
-def compute_influence_weights(g: AttributedGraph, alpha1: float = 0.5, alpha2: float = 0.5) -> InfluenceWeights:
-    if alpha1 < 0 or alpha2 < 0 or abs(alpha1 + alpha2 - 1.0) > 1e-12:
+def _check_alphas(alpha1: float, alpha2: float) -> None:
+    # written so that NaN fails every comparison
+    if not (alpha1 >= 0 and alpha2 >= 0 and abs(alpha1 + alpha2 - 1.0) <= 1e-12):
         raise ValueError("alpha1 and alpha2 must be nonnegative and sum to 1")
+
+
+def compute_influence_weights(g: AttributedGraph, alpha1: float = 0.5, alpha2: float = 0.5) -> InfluenceWeights:
+    _check_alphas(alpha1, alpha2)
     structural = 1.0 / g.in_degrees().astype(np.float64)[g.edge_dst]
     return InfluenceWeights(structural, g.in_edge_softmax(g.edge_cosine()), alpha1, alpha2)
 
@@ -83,8 +88,7 @@ class DiffusionConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.alpha1 < 0 or self.alpha2 < 0 or abs(self.alpha1 + self.alpha2 - 1.0) > 1e-12:
-            raise ValueError("alpha1 and alpha2 must be nonnegative and sum to 1")
+        _check_alphas(self.alpha1, self.alpha2)
         if self.sir_beta is not None and not 0.0 <= self.sir_beta <= 1.0:
             raise ValueError("sir_beta must lie in [0, 1]")
         if not 0.0 <= self.sir_gamma <= 1.0:

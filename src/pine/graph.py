@@ -426,10 +426,10 @@ def subgraph_by_edge_type(g: AttributedGraph, type_id: int) -> AttributedGraph:
     """Same node set, only edges of the given type retained (untyped result)."""
     if g.edge_type is None:
         raise ValueError("graph has no edge types")
-    types = np.unique(g.edge_type)
-    if type_id not in types:
-        raise ValueError(f"unknown edge type {type_id}; present types: {types.tolist()}")
-    return _edge_subgraph(g, g.edge_type == type_id, None)
+    keep = g.edge_type == type_id
+    if not keep.any():
+        raise ValueError(f"unknown edge type {type_id}; present types: {np.unique(g.edge_type).tolist()}")
+    return _edge_subgraph(g, keep, None)
 
 
 def induced_subgraph(g: AttributedGraph, nodes: np.ndarray) -> AttributedGraph:

@@ -65,7 +65,8 @@ def _calibration(raw: str) -> str:
 
 # (section, key) -> (field, parser).  Keys of [train] set TrainConfig
 # fields, keys of [diffusion] DiffusionConfig fields (_SECTION_CLASS), every
-# other key a PipelineConfig field.
+# other key a PipelineConfig field.  The CLI's parameter flags are made from
+# this table, so a key renamed here renames its flag.
 _KEYS = {
     ("graph", "edges"): ("edges", str),
     ("graph", "features"): ("features", str),

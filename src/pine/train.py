@@ -31,8 +31,8 @@ class TrainConfig:
     dtype: type = np.float32
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be positive and finite")
         for name in ("num_layers", "hidden_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

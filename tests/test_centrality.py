@@ -181,6 +181,13 @@ class TestKatz:
         mine = ct.katz(g, alpha, tol=1e-15, max_iter=5000, normalize=False).values
         assert np.allclose(mine, x, atol=1e-8)
 
+    @pytest.mark.parametrize("attenuation", [np.nan, 0.0, -0.1, np.inf, -np.inf])
+    def test_attenuation_outside_open_range_rejected(self, attenuation):
+        # NaN and 0 used to give uniform scores, -0.1 all-negative ones
+        g = build_graph(2, [0], [1], np.ones((2, 1)))
+        with pytest.raises(ValueError, match="^attenuation must be positive and finite, not "):
+            ct.katz(g, attenuation=attenuation)
+
     def test_divergence_detected(self):
         g = build_graph(2, [0, 1], [1, 0], np.ones((2, 1)))
         with pytest.raises(ct.ConvergenceError, match="attenuation"):

@@ -114,6 +114,16 @@ class TestInfluenceWeights:
         with pytest.raises(ValueError):
             compute_influence_weights(g, 0.7, 0.7)
 
+    @pytest.mark.parametrize("alpha1, alpha2", [(np.nan, np.nan), (np.nan, 0.5), (0.5, np.nan)])
+    def test_nan_alphas_rejected(self, alpha1, alpha2):
+        # NaN fails every comparison, so a check written as "reject if below 0" lets it through
+        g = build_graph(2, [0], [1], np.ones((2, 1)))
+        message = "^alpha1 and alpha2 must be nonnegative and sum to 1$"
+        with pytest.raises(ValueError, match=message):
+            compute_influence_weights(g, alpha1, alpha2)
+        with pytest.raises(ValueError, match=message):
+            DiffusionConfig(alpha1=alpha1, alpha2=alpha2)
+
 
 def lt_fixed_point_oracle(g, influence, theta, seeds):
     """Brute-force fixed-point iteration over python sets."""

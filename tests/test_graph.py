@@ -618,6 +618,16 @@ class TestEdgeTypes:
         with pytest.raises(ValueError, match="unknown edge type"):
             subgraph_by_edge_type(g, 9)
 
+    def test_known_type_is_not_sorted_for(self, rng, monkeypatch):
+        # selecting a type compares edge types only; np.unique words the unknown-type error alone
+        g = random_graph(15, 0.3, rng, typed=3)
+        expected = {t: (g.edge_type == t).sum() for t in range(3)}
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        assert {t: subgraph_by_edge_type(g, t).num_edges for t in range(3)} == expected
+        assert calls == []
+
     def test_per_type_sizes_sum_to_total(self, rng):
         g = random_graph(15, 0.3, rng, typed=3)
         total = sum(subgraph_by_edge_type(g, t).num_edges for t in np.unique(g.edge_type))

@@ -517,6 +517,76 @@ class TestConfigRangeChecks:
         assert captured.out == "" and captured.err == f"error [{command}] {message}\n"
 
 
+class TestNonFiniteValues:
+    """NaN fails every comparison, so each range check is written to reject it."""
+
+    def test_simulate_alpha1_nan(self, tmp_path, capsys):
+        edges, seeds = tmp_path / "edges.txt", tmp_path / "seeds.txt"
+        edges.write_text("0 1\n1 2\n")
+        seeds.write_text("0\n")
+        args = ["simulate", "--graph", str(edges), "--model", "icp", "--seeds", str(seeds), "--alpha1", "nan"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error [simulate] alpha1 and alpha2 must be nonnegative and sum to 1\n"
+
+    def test_config_nan_alphas_fail_at_config(self, tmp_path, graph_files, monkeypatch):
+        diffusion = "alpha1 = nan\nalpha2 = nan"
+        TestPipeline.assert_fails_at_config(tmp_path, graph_files, monkeypatch, "ltp", diffusion, "nonnegative")
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_train_config_learning_rate_must_be_finite(self, lr):
+        with pytest.raises(ValueError, match="^learning rate must be positive"):
+            TrainConfig(learning_rate=lr)
+
+    def test_train_lr_nan_fails_before_split(self, tmp_path, graph_files, capsys, monkeypatch):
+        _g, edges, feats = graph_files
+        calls = []
+        monkeypatch.setattr(pp, "split_edges", lambda *a, **k: calls.append("split"))
+        args = ["train", "--graph", edges, "--features", feats, "--lr", "nan", "--out", str(tmp_path / "m.bin")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert captured.err.startswith("error [train] learning rate must be positive")
+
+
+class TestEvaluateMetrics:
+    @pytest.fixture()
+    def score_files(self, tmp_path):
+        truth, pred = tmp_path / "truth.tsv", tmp_path / "pred.tsv"
+        truth.write_text("0\t0\n1\t0\n2\t0\n")
+        pred.write_text("0\t3\n1\t2\n2\t1\n")
+        return ["evaluate", "--scores", str(pred), "--truth", str(truth)]
+
+    @pytest.mark.parametrize(
+        "metrics, spec",
+        [
+            ("spearman,foo", "foo"),
+            ("ndcg@x", "ndcg@x"),
+            ("precision@0", "precision@0"),
+            ("ndcg@-2", "ndcg@-2"),
+            ("spearman, ndcg", "ndcg"),
+            ("ndcg@2,spearman@2", "spearman@2"),
+        ],
+    )
+    def test_bad_spec_fails_before_any_file_is_read(self, score_files, capsys, monkeypatch, metrics, spec):
+        calls = []
+        monkeypatch.setattr(cli, "read_score_tsv", lambda *a, **k: calls.append(a))
+        assert main(score_files + ["--metrics", metrics]) == 1
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert captured.err == (
+            f"error [evaluate] bad metric {spec!r}: use spearman, ndcg@K or precision@K with integer K >= 1\n"
+        )
+
+    def test_nothing_printed_until_every_metric_is_computed(self, score_files, capsys):
+        # NDCG is undefined for an all-zero truth; the precision before it is not printed either
+        assert main(score_files + ["--metrics", "precision@2,ndcg@2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error [evaluate] NDCG undefined: ground-truth importance is all zero\n"
+
+
 class TestBenchmark:
     def test_rows_and_positive_times(self, tmp_path, graph_files):
         _g, edges, feats = graph_files

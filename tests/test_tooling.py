@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import pine
+from pine.pipeline import _KEYS
 
 SOURCE = pathlib.Path(pine.__file__).parent
 
@@ -161,4 +162,73 @@ def test_text_reads_are_recognised():
         ("f", "path.open"),
         ("f", "open"),
         ("g", "path.read_text"),
+    ]
+
+
+CENTRALITY_FIELDS = {name for (section, _key), (name, _cast) in _KEYS.items() if section == "centrality"}
+
+
+def config_restatements(text):
+    """``(function, code)`` for each flag default (``add_argument``'s
+    ``default`` or a ``set_defaults`` value) read from ``TrainConfig``,
+    ``DiffusionConfig`` or a ``[centrality]`` field of ``PipelineConfig``,
+    and for each call of ``TrainConfig`` or ``DiffusionConfig``, by the name
+    of the function it is in (``<module>`` outside any)."""
+    found = []
+
+    def restated(node):
+        if not isinstance(node, ast.Attribute):
+            return False
+        owner = ast.unparse(node.value).split(".")[-1]
+        return owner in ("TrainConfig", "DiffusionConfig") or owner == "PipelineConfig" and node.attr in CENTRALITY_FIELDS
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            name = func.split(".")[-1]
+            if name in ("TrainConfig", "DiffusionConfig"):
+                found.append((scope, f"{func}(...)"))
+            elif name in ("add_argument", "set_defaults"):
+                defaults = [k.value for k in node.keywords if name == "set_defaults" or k.arg == "default"]
+                found.extend((scope, ast.unparse(n)) for d in defaults for n in ast.walk(d) if restated(n))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "<module>")
+    return found
+
+
+def test_cli_parameters_come_from_the_key_table():
+    # a [train], [diffusion] or [centrality] flag takes its parser and default from pipeline._KEYS,
+    # and cli._config alone builds the config those flags set
+    found = config_restatements((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    assert [(scope, code) for scope, code in found if scope != "_config"] == []
+
+
+def test_config_restatements_are_recognised():
+    text = (
+        "def add(p):\n"
+        "    p.add_argument('--lr', type=float, default=TrainConfig.learning_rate)\n"
+        "    p.add_argument('--runs', default=int(DiffusionConfig.num_runs))\n"
+        "    p.add_argument('--damping', default=PipelineConfig.damping)\n"
+        "    p.add_argument('--layer', default=PipelineConfig.score_layer)\n"
+        "    p.add_argument('--k', default=None, help=TrainConfig.__doc__)\n"
+        "    p.set_defaults(seed=train.TrainConfig.rng_seed, func=run)\n"
+        "def _config(args):\n"
+        "    return TrainConfig(num_layers=args.num_layers)\n"
+        "def run(args):\n"
+        "    config = diffusion.DiffusionConfig(model=args.model)\n"
+        "    return PipelineConfig(edges=args.graph, tuning=TrainConfig.rng_seed)\n"
+        "TrainConfig()\n"
+    )
+    assert config_restatements(text) == [
+        ("add", "TrainConfig.learning_rate"),
+        ("add", "DiffusionConfig.num_runs"),
+        ("add", "PipelineConfig.damping"),
+        ("add", "train.TrainConfig.rng_seed"),
+        ("_config", "TrainConfig(...)"),
+        ("run", "diffusion.DiffusionConfig(...)"),
+        ("<module>", "TrainConfig(...)"),
     ]
