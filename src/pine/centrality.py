@@ -15,6 +15,18 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+def check_parameter(name: str, value: float) -> float:
+    """``value``, or ``ValueError`` outside parameter ``name``'s range; NaN is outside every range."""
+    holds, rule = {
+        "tuning": (0.0 <= value <= 1.0, "must lie in [0, 1]"),
+        "damping": (0.0 < value < 1.0, "must lie in (0, 1)"),
+        "attenuation": (0.0 < value < np.inf, "must be positive and finite"),
+    }[name]
+    if not holds:
+        raise ValueError(f"{name} {rule}, not {value}")
+    return value
+
+
 def degree(g: AttributedGraph) -> ScoreVector:
     return ScoreVector(g.in_degrees() + g.out_degrees(), "degree")
 
@@ -37,8 +49,7 @@ def relative_out_degree(g: AttributedGraph, tuning: float = 0.5) -> ScoreVector:
     signed features) are clamped to 0 so the fractional power stays real;
     with numpy's 0.0**0.0 == 1.0, tuning 0 and 1 give the pure measures.
     """
-    if not 0.0 <= tuning <= 1.0:
-        raise ValueError("tuning must lie in [0, 1]")
+    check_parameter("tuning", tuning)
     od = g.out_degrees().astype(np.float64)
     wd = np.maximum(weighted_out_degree(g).values, 0.0)
     values = np.where(od > 0, od ** (1.0 - tuning) * wd**tuning, 0.0)
@@ -54,8 +65,7 @@ def pagerank(
     """Power iteration with uniform teleport; dangling mass is spread
     uniformly.  Scores sum to 1.  Without convergence in ``max_iter``
     iterations the last iterate is returned with a ``RuntimeWarning``."""
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie in (0, 1)")
+    check_parameter("damping", damping)
     n = g.num_nodes
     if n == 0:
         return ScoreVector(np.zeros(0), "pagerank")
@@ -94,8 +104,7 @@ def katz(
     Divergence (increment norm growing for 10 consecutive iterations) raises
     ConvergenceError with advice to lower the attenuation.
     """
-    if not 0.0 < attenuation < np.inf:
-        raise ValueError(f"attenuation must be positive and finite, not {attenuation}")
+    check_parameter("attenuation", attenuation)
     n = g.num_nodes
     src, dst = g.edge_src, g.edge_dst
     x = np.zeros(n)

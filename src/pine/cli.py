@@ -36,7 +36,7 @@ def _add_key_flags(p, section, keys, help=None, **renamed):
     """One flag per ``[section] key`` of the config key table: ``--key``
     (underscores as dashes) unless ``renamed`` names another flag, with the
     key's parser as type, its config class's default and the field as dest.
-    ``_config`` builds that class from these fields alone."""
+    ``_config`` builds the class of the last call from its fields alone."""
     cls = _SECTION_CLASS.get(section, PipelineConfig)
     for key in keys:
         name, cast = _KEYS[section, key]
@@ -81,14 +81,14 @@ def cmd_train(args):
 
 
 def cmd_score(args):
-    g = _load(args)
+    g, layer = _load(args), args.score_layer
     if args.labels:
         labels = list(read_score_rows(args.labels, g.num_nodes).items())
-        sel = select_edge_types(g, labels, top_k_types=args.top_types, config=_config(args), layer_index=args.layer)
-        scores = heterogeneous_pine(g, sel.selected, sel.models, layer_index=args.layer)
+        sel = select_edge_types(g, labels, top_k_types=args.top_types, config=_config(args), layer_index=layer)
+        scores = heterogeneous_pine(g, sel.selected, sel.models, layer_index=layer)
     else:
         model = gat.load_model(args.model)
-        scores = score_graph(g, model, args.layer)
+        scores = score_graph(g, model, layer)
     _emit_scores(CALIBRATIONS[args.calibrate](scores, g), args.out)
 
 
@@ -119,8 +119,9 @@ def _metric(spec):
 def cmd_evaluate(args):
     specs = [spec.strip() for spec in args.metrics.split(",")]
     chosen = [_metric(spec) for spec in specs]
-    truth = read_score_tsv(args.truth)
-    predicted = read_score_tsv(args.scores, num_nodes=truth.size)
+    # a value per row of the longer file, so that no id sizes a vector beyond the rows given
+    num_nodes = max(len(read_score_rows(path)) for path in (args.scores, args.truth))
+    predicted, truth = (read_score_tsv(path, num_nodes) for path in (args.scores, args.truth))
     sys.stdout.writelines([f"{spec}\t{metric(predicted, truth):.6f}\n" for spec, metric in zip(specs, chosen)])
 
 
@@ -181,10 +182,9 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", default=None, help="trained model file")
     source.add_argument("--labels", default=None, help="validation labels TSV for edge-typed graphs")
-    p.add_argument("--layer", type=int, default=PipelineConfig.score_layer)
-    p.add_argument("--calibrate", choices=CALIBRATIONS, default=PipelineConfig.calibrate)
     p.add_argument("--out", default=None)
     p.add_argument("--top-types", type=int, default=TOP_K_TYPES)
+    _add_key_flags(p, "score", ["layer", "calibrate"])
     _add_key_flags(p, "train", ["layers", "hidden", "lr", "seed"])
     p.set_defaults(func=cmd_score)
 

@@ -13,11 +13,14 @@ live subgraph, and the cascade reaches exactly the nodes reachable from the
 seeds in it.  Many runs are stacked into one block-diagonal graph and
 searched with a single breadth-first traversal.
 
-The influence weights and SIR's automatic beta depend on the graph (and
-alpha1/alpha2) only, never on the seeds: ``prepare`` fills them into a
-``DiffusionConfig`` once per graph, and a pipeline run passes the result to
-every ``influence_spread`` call.  Run r's stream does not depend on the seeds
-either, so every seed set is scored on the same random live subgraphs.
+The weights, SIR's automatic beta and run r's live subgraph (drawn from
+``default_rng([rng_seed, r])``) never depend on the seeds.  ``presample``
+fills the first two into a ``DiffusionConfig``, as ``prepare`` does, and the
+first chunk of stacked runs too; a pipeline run passes each model's result
+to all its ``influence_spread`` calls, which only search that chunk.  It
+serves only its own config (equal fields, the same weights object) on its
+own graph object; other calls draw their own, and later chunks are drawn
+per call, so a config holds at most one chunk of ``CHUNK_BUDGET`` slots.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ class DiffusionConfig:
     # LT+/IC+ weights of the graph from compute_influence_weights with these
     # alphas; None: computed on each influence_spread call
     weights: InfluenceWeights | None = field(default=None, repr=False, compare=False)
+    # (prepared config, graph, indptr, indices) from presample: the first
+    # _chunk_rows and what they were drawn for; None: drawn on each call
+    sample: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -229,21 +235,36 @@ def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig):
     return sir
 
 
-def _reached_counts(g: AttributedGraph, live: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Nodes reachable from the seeds in each row's live subgraph, seeds
-    included.  ``live`` is a (runs, M) mask in out-CSR order."""
-    n = g.num_nodes
-    runs = live.shape[0]
+def _reached_counts(n: int, indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Nodes reachable from the seeds in each run of a ``_chunk_rows`` chunk, seeds included."""
+    runs = (indptr.size - 1) // n
     root = runs * n  # super-source with an edge to every run's seeds
-    out_src, out_dst = g.edge_src[g.out_perm], g.edge_dst[g.out_perm]
-    run, e = np.nonzero(live)  # row-major, so sorted by (run, source)
-    indptr = np.zeros(root + 2, dtype=np.int64)
-    np.cumsum(np.bincount(run * n + out_src[e], minlength=root), out=indptr[1:-1])
-    indptr[-1] = indptr[-2] + runs * seeds.size
-    indices = np.concatenate([run * n + out_dst[e], (np.arange(runs)[:, None] * n + seeds).ravel()])
+    indptr = np.append(indptr, indptr[-1] + runs * seeds.size)
+    indices = np.concatenate([indices, (np.arange(runs)[:, None] * n + seeds).ravel()])
     adj = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(root + 1, root + 1))
     order = breadth_first_order(adj, root, directed=True, return_predecessors=False)
     return np.bincount(order // n, minlength=runs + 1)[:runs]
+
+
+def _chunk_rows(g: AttributedGraph, config: DiffusionConfig):
+    """Out-CSR ``indptr`` and ``indices`` of each chunk of a prepared config's
+    runs, stacked block-diagonally (node v of a chunk's i-th run is i * N + v);
+    the first is ``config.sample``'s when that was drawn for this config and g."""
+    drawn_for, graph, *rows = config.sample or (None, None)
+    start, n = 0, g.num_nodes
+    if graph is g and drawn_for == config and drawn_for.weights is config.weights:
+        yield rows
+        start = (rows[0].size - 1) // n
+    draw = _live_edge_sampler(g, config) if start < config.num_runs else None
+    out_src, out_dst = g.edge_src[g.out_perm], g.edge_dst[g.out_perm]
+    chunk = max(1, CHUNK_BUDGET // (n + g.num_edges))
+    for lo in range(start, config.num_runs, chunk):
+        runs = range(lo, min(lo + chunk, config.num_runs))
+        live = np.stack([draw(np.random.default_rng([config.rng_seed, r])) for r in runs])[:, g.out_perm]
+        run, e = np.nonzero(live)  # row-major, so sorted by (run, source)
+        indptr = np.zeros(len(runs) * n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(run * n + out_src[e], minlength=len(runs) * n), out=indptr[1:])
+        yield indptr, run * n + out_dst[e]
 
 
 def prepare(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:
@@ -269,6 +290,15 @@ def prepare(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:
     return config
 
 
+def presample(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:
+    """``prepare(g, config)`` carrying its first chunk of runs as ``sample``,
+    so that each ``influence_spread`` call with it on ``g`` searches those
+    runs instead of drawing them.  Step-wise SIR draws none and gets none."""
+    config = replace(prepare(g, config), sample=None)
+    stepwise = config.model == "sir" and config.max_steps is not None
+    return config if stepwise else replace(config, sample=(config, g, *next(_chunk_rows(g, config))))
+
+
 def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> DiffusionResult:
     """Mean fraction of activated nodes over independent Monte Carlo runs.
 
@@ -276,27 +306,18 @@ def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> Diff
     counts do not depend on how runs are grouped.  SIR with ``max_steps``
     set runs the step-wise simulator, since a step cap has no live-edge form.
     ``prepare`` completes the config first; a caller that simulates many seed
-    sets on one graph passes a prepared config, so weights or beta are
-    computed once.
+    sets on one graph passes a ``presample``d config, so weights, beta and
+    the first chunk of runs are computed once.
     """
     config = prepare(g, config)
     seed_ids = np.flatnonzero(_seed_mask(g, seeds))
-
-    def stream(r):
-        return np.random.default_rng([config.rng_seed, r])
-
     if config.model == "sir" and config.max_steps is not None:
-        counts = np.array([
-            run_sir(g, config.sir_beta, config.sir_gamma, seed_ids, stream(r), config.max_steps).sum()
-            for r in range(config.num_runs)
-        ], dtype=np.int64)
+        rngs = (np.random.default_rng([config.rng_seed, r]) for r in range(config.num_runs))
+        counts = np.array(
+            [run_sir(g, config.sir_beta, config.sir_gamma, seed_ids, rng, config.max_steps).sum() for rng in rngs],
+            dtype=np.int64,
+        )
     else:
-        sample = _live_edge_sampler(g, config)
-        chunk = max(1, CHUNK_BUDGET // (g.num_nodes + g.num_edges))
-        counts = np.empty(config.num_runs, dtype=np.int64)
-        for start in range(0, config.num_runs, chunk):
-            runs = range(start, min(start + chunk, config.num_runs))
-            live = np.stack([sample(stream(r)) for r in runs])
-            counts[runs.start : runs.stop] = _reached_counts(g, live[:, g.out_perm], seed_ids)
+        counts = np.concatenate([_reached_counts(g.num_nodes, *rows, seed_ids) for rows in _chunk_rows(g, config)])
     spreads = counts / g.num_nodes
     return DiffusionResult(float(spreads.mean()), float(spreads.std()), counts)

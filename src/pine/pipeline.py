@@ -57,7 +57,7 @@ def _flag(raw: str) -> bool:
 CALIBRATIONS = {"none": lambda scores, g: scores, "log-degree": calibrate_by_out_degree}
 
 
-def _calibration(raw: str) -> str:
+def calibration(raw: str) -> str:
     if raw not in CALIBRATIONS:
         raise ValueError(f"choose from {tuple(CALIBRATIONS)}")
     return raw
@@ -87,12 +87,12 @@ _KEYS = {
     ("train", "max_epochs"): ("max_epochs", int),
     ("train", "patience"): ("patience", int),
     ("train", "seed"): ("rng_seed", int),
-    ("centrality", "damping"): ("damping", float),
-    ("centrality", "attenuation"): ("attenuation", float),
-    ("centrality", "tuning"): ("tuning", float),
+    ("centrality", "damping"): ("damping", lambda raw: ct.check_parameter("damping", float(raw))),
+    ("centrality", "attenuation"): ("attenuation", lambda raw: ct.check_parameter("attenuation", float(raw))),
+    ("centrality", "tuning"): ("tuning", lambda raw: ct.check_parameter("tuning", float(raw))),
     ("centrality", "node_budget"): ("node_budget", int),
     ("score", "layer"): ("score_layer", int),
-    ("score", "calibrate"): ("calibrate", _calibration),
+    ("score", "calibrate"): ("calibrate", calibration),
 }
 
 
@@ -230,10 +230,9 @@ def run_pipeline(config_path) -> str:
     config, g, seed_count = _load(config_path)
     lines = _report_header(g, config, seed_count)
     lines.append("method\tmodel\tmean_spread\tstd_spread\truns\tseeds")
-    # LT+/IC+ weights and SIR's automatic beta do not depend on the seeds:
-    # the prepared config is carried on, so each is computed once, on first
-    # use inside its model's stage, and an error still names that stage.
-    dconf = config.diffusion
+    # Weights, beta and live-edge runs do not depend on the seeds: each model's
+    # presampled config is made once, in its first stage, so errors name it.
+    dconf, presampled = config.diffusion, {}
     for method in config.methods:
         try:
             scores = compute_method_scores(g, method, config, seed_count)
@@ -244,8 +243,9 @@ def run_pipeline(config_path) -> str:
             raise PipelineError(method, exc) from exc
         for model_name in config.models:
             try:
-                dconf = diffusion.prepare(g, replace(dconf, model=model_name))
-                result = influence_spread(g, dconf, seeds)
+                if model_name not in presampled:
+                    dconf = presampled[model_name] = diffusion.presample(g, replace(dconf, model=model_name))
+                result = influence_spread(g, presampled[model_name], seeds)
             except Exception as exc:
                 raise PipelineError(f"simulate:{model_name}", exc) from exc
             lines.append(

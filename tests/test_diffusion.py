@@ -14,6 +14,7 @@ from pine.diffusion import (
     critical_sir_beta,
     influence_spread,
     prepare,
+    presample,
     run_sir,
 )
 from pine.graph import AttributedGraph, EmptyGraphError, build_graph
@@ -440,3 +441,71 @@ class TestLiveEdgeEngine:
             influence_spread(g, DiffusionConfig(model=model, num_runs=3), [])
         with pytest.raises(EmptyGraphError, match="no nodes"):
             critical_sir_beta(g)
+
+
+class TestPresample:
+    """A presampled config carries its first chunk of stacked runs; every
+    call it serves gives the counts of a call that draws them itself."""
+
+    @staticmethod
+    def zero_spread(config):
+        """``config`` whose cached runs have no live edge: a call that
+        searches them reaches the seeds alone."""
+        drawn_for, graph, indptr, indices = config.sample
+        return dataclasses.replace(config, sample=(drawn_for, graph, np.zeros_like(indptr), indices[:0]))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_counts_equal_fresh_calls_across_chunks(self, model, rng, monkeypatch):
+        g = random_graph(20, 0.15, rng)
+        config = DiffusionConfig(model=model, sir_gamma=0.5, num_runs=40, rng_seed=3)
+        expected = {seeds: influence_spread(g, config, seeds).activated_counts for seeds in ((0,), (4, 9, 13))}
+        for sampled_runs, used_runs in ((3, 3), (3, 7), (40, 3), (7, 40)):
+            monkeypatch.setattr(diffusion, "CHUNK_BUDGET", sampled_runs * (g.num_nodes + g.num_edges))
+            presampled = presample(g, config)
+            assert presampled == prepare(g, config)  # the sample is not a field that compares
+            assert presampled.sample[2].size == sampled_runs * g.num_nodes + 1
+            monkeypatch.setattr(diffusion, "CHUNK_BUDGET", used_runs * (g.num_nodes + g.num_edges))
+            for seeds, counts in expected.items():
+                assert np.array_equal(influence_spread(g, presampled, seeds).activated_counts, counts)
+
+    def test_cached_runs_are_searched(self, rng):
+        g = random_graph(20, 0.3, rng)
+        presampled = self.zero_spread(presample(g, DiffusionConfig(model="icp", num_runs=30, rng_seed=2)))
+        assert influence_spread(g, presampled, [0, 5]).activated_counts.tolist() == [2] * 30
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model": "ltp"},
+            {"model": "sir"},
+            {"num_runs": 31},
+            {"num_runs": 29},
+            {"rng_seed": 3},
+            {"alpha1": 0.3, "alpha2": 0.7, "weights": None},
+            "same weights, another object",
+            "another graph of the same size",
+        ],
+        ids=["ltp", "sir", "more-runs", "fewer-runs", "rng-seed", "alphas", "weights-object", "graph"],
+    )
+    def test_stale_sample_is_not_used(self, rng, change):
+        g = random_graph(20, 0.3, rng)
+        presampled = self.zero_spread(presample(g, DiffusionConfig(model="icp", num_runs=30, rng_seed=2)))
+        if change == "same weights, another object":
+            config, graph = dataclasses.replace(presampled, weights=compute_influence_weights(g)), g
+        elif change == "another graph of the same size":
+            graph = build_graph(g.num_nodes, g.edge_dst, g.edge_src, g.features)
+            assert (graph.num_nodes, graph.num_edges) == (g.num_nodes, g.num_edges)
+            config = presampled
+        else:
+            config, graph = dataclasses.replace(presampled, **change), g
+        fresh = influence_spread(graph, dataclasses.replace(config, sample=None), [0, 5]).activated_counts
+        assert np.array_equal(influence_spread(graph, config, [0, 5]).activated_counts, fresh)
+        assert fresh.max() > 2  # the cached runs would reach the seeds alone
+
+    def test_stepwise_sir_gets_no_sample(self, rng):
+        g = random_graph(20, 0.2, rng)
+        config = DiffusionConfig(model="sir", sir_beta=0.4, sir_gamma=0.5, max_steps=3, num_runs=30, rng_seed=8)
+        presampled = presample(g, config)
+        assert presampled.sample is None
+        expected = influence_spread(g, config, [0, 5]).activated_counts
+        assert np.array_equal(influence_spread(g, presampled, [0, 5]).activated_counts, expected)

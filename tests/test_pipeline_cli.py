@@ -9,11 +9,12 @@ import pytest
 
 import pine.cli as cli
 import pine.pipeline as pp
-from pine import diffusion
+from pine import diffusion, gat
 from pine.cli import main
 from pine.diffusion import DiffusionConfig, influence_spread
 from pine.graph import EmptyGraphError, load_graph
-from pine.pine_score import TOP_K_TYPES
+from pine.metrics import ndcg_at_k
+from pine.pine_score import TOP_K_TYPES, calibrate_by_out_degree, score_graph
 from pine.pipeline import (
     METHODS,
     PipelineConfig,
@@ -250,6 +251,24 @@ class TestReadScoreTsv:
         assert read_score_tsv(path, num_nodes=4).tolist() == [1.0, 0.0, 3.5, 0.0]
         assert read_score_tsv(path).tolist() == [1.0, 0.0, 3.5]
 
+    def test_evaluate_truth_id_past_the_rows_names_its_line(self, tmp_path, capsys):
+        # the truth vector used to be sized by its largest id: 8 MB here, tens of GB for an id of 10^9
+        truth, pred = tmp_path / "truth.tsv", tmp_path / "pred.tsv"
+        truth.write_text("# truth\n1000000\t1\n")
+        pred.write_text("0\t1\n1\t2\n2\t3\n")
+        assert main(["evaluate", "--scores", str(pred), "--truth", str(truth), "--metrics", "spearman"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{truth}:2: node id 1000000 is past the last node (2)" in captured.err
+
+    def test_evaluate_vectors_have_a_value_per_row_of_the_longer_file(self, tmp_path, capsys):
+        truth, pred = tmp_path / "truth.tsv", tmp_path / "pred.tsv"
+        for scores, truths in (("0\t3\n1\t2\n2\t1\n", "0\t1\n2\t0.5\n"), ("0\t3\n2\t1\n", "0\t1\n1\t0\n2\t0.5\n")):
+            pred.write_text(scores)
+            truth.write_text(truths)
+            assert main(["evaluate", "--scores", str(pred), "--truth", str(truth), "--metrics", "ndcg@3"]) == 0
+            predicted, expected = read_score_tsv(pred, 3), read_score_tsv(truth, 3)
+            assert capsys.readouterr().out == f"ndcg@3\t{ndcg_at_k(predicted, expected, 3):.6f}\n"
+
     def test_evaluate_reports_bad_row(self, tmp_path, capsys):
         truth, pred = tmp_path / "truth.tsv", tmp_path / "pred.tsv"
         truth.write_text("0\t1\n1\t2\n")
@@ -366,6 +385,25 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="refused"):
             run_pipeline(path)
 
+    def test_each_model_samples_its_runs_once(self, tmp_path, graph_files, monkeypatch):
+        # run r's live edges do not depend on the seeds, so every method's
+        # seed set is searched on the same drawn runs
+        _g, edges, feats = graph_files
+        calls = []
+        sampler = diffusion._live_edge_sampler
+        monkeypatch.setattr(diffusion, "_live_edge_sampler", lambda g, c: calls.append(c.model) or sampler(g, c))
+        path = tmp_path / "once.ini"
+        path.write_text(
+            f"[graph]\nedges = {edges}\nfeatures = {feats}\n"
+            "[pipeline]\nmethods = out_degree, degree, pagerank, voterank\nmodels = ltp, icp, sir\n"
+            "[diffusion]\nruns = 40\n"
+        )
+        report = run_pipeline(path)
+        assert calls == ["ltp", "icp", "sir"]
+        monkeypatch.setattr(diffusion, "_live_edge_sampler", sampler)
+        monkeypatch.setattr(diffusion, "presample", lambda g, c: c)  # every call draws its own runs
+        assert run_pipeline(path) == report
+
     def test_report_equals_one_shot_rows(self, tmp_path, graph_files):
         # the pipeline shares the influence weights and SIR's automatic beta
         # across methods; each row must be what a standalone call reports
@@ -472,9 +510,16 @@ class TestConfigRangeChecks:
             ("[train]\nhidden = 0\n", "[train] hidden = '0': hidden_size must be >= 1"),
             ("[train]\nmax_epochs = 0\n", "[train] max_epochs = '0': max_epochs must be >= 1"),
             ("[diffusion]\nmax_steps = -1\n", "[diffusion] max_steps must be >= 0"),
+            ("[centrality]\ndamping = 2\n", "[centrality] damping = '2': damping must lie in (0, 1), not 2.0"),
+            ("[centrality]\ntuning = nan\n", "[centrality] tuning = 'nan': tuning must lie in [0, 1], not nan"),
+            (
+                "[centrality]\nattenuation = 0\n",
+                "[centrality] attenuation = '0': attenuation must be positive and finite, not 0.0",
+            ),
         ],
         ids=["models", "methods", "fraction-above", "fraction-below", "fraction-nan", "layer-past", "layer-negative",
-             "layer-past-two", "train-layers", "train-hidden", "train-max-epochs", "diffusion-max-steps"],
+             "layer-past-two", "train-layers", "train-hidden", "train-max-epochs", "diffusion-max-steps",
+             "centrality-damping", "centrality-tuning-nan", "centrality-attenuation-zero"],
     )
     def test_fails_at_config_before_load(self, tmp_path, graph_files, monkeypatch, text, message):
         _g, edges, feats = graph_files
@@ -821,6 +866,32 @@ class TestCli:
         rc = main(["centrality", "--graph", str(tmp_path / "nope.txt"), "--method", "degree"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_score_layer_and_calibrate_flags(self, tmp_path, graph_files):
+        g, edges, feats = graph_files
+        model_path, out, expected = tmp_path / "model.bin", tmp_path / "cli.tsv", tmp_path / "expected.tsv"
+        model = gat.init_model(g.feature_dim, 4, 2, np.random.default_rng(0))
+        gat.save_model(model, model_path)
+        args = ["score", "--graph", edges, "--features", feats, "--model", str(model_path), "--out", str(out)]
+        assert main(args + ["--layer", "1", "--calibrate", "log-degree"]) == 0
+        calibrate_by_out_degree(score_graph(load_graph(edges, feats), model, 1), g).write_tsv(expected)
+        assert out.read_text() == expected.read_text()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("score", ["--model", "m", "--calibrate", "foo"], "argument --calibrate: invalid calibration value: 'foo'"),
+            ("centrality", ["--method", "katz", "--damping", "2"], "argument --damping: invalid"),
+            ("centrality", ["--method", "pagerank", "--tuning", "nan"], "argument --tuning: invalid"),
+        ],
+        ids=["calibrate", "damping", "tuning-nan"],
+    )
+    def test_flag_fails_by_its_config_rule_before_load(self, tmp_path, capsys, command, flags, message):
+        # --calibrate used to list its choices by hand; centrality values failed only
+        # in the function that uses them, after the graph loaded, or never
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", str(tmp_path / "missing.txt")] + flags)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
 
     def test_score_needs_model_or_labels(self, graph_files, capsys):
         _g, edges, feats = graph_files
