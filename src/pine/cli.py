@@ -32,6 +32,18 @@ def _add_graph_args(p):
     p.add_argument("--reverse-edges", action="store_true", help="flip edge orientation at load")
 
 
+def _flag_type(parse):
+    """``parse`` as an argparse type: argparse's ``invalid <parser> value: '<raw>'``, then the rule's own words."""
+
+    def convert(raw):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {raw!r}: {exc}") from exc
+
+    return convert
+
+
 def _add_key_flags(p, section, keys, help=None, **renamed):
     """One flag per ``[section] key`` of the config key table: ``--key``
     (underscores as dashes) unless ``renamed`` names another flag, with the
@@ -42,7 +54,9 @@ def _add_key_flags(p, section, keys, help=None, **renamed):
         name, cast = _KEYS[section, key]
         flag = renamed.get(key, key)
         option = "--" + flag.replace("_", "-")
-        p.add_argument(option, type=cast, default=getattr(cls, name), dest=name, metavar=flag.upper(), help=help)
+        p.add_argument(
+            option, type=_flag_type(cast), default=getattr(cls, name), dest=name, metavar=flag.upper(), help=help
+        )
     p.set_defaults(config_fields=(cls, [_KEYS[section, key][0] for key in keys]))
 
 
@@ -184,7 +198,8 @@ def build_parser():
     source.add_argument("--labels", default=None, help="validation labels TSV for edge-typed graphs")
     p.add_argument("--out", default=None)
     p.add_argument("--top-types", type=int, default=TOP_K_TYPES)
-    _add_key_flags(p, "score", ["layer", "calibrate"])
+    _add_key_flags(p, "score", ["layer"])
+    _add_key_flags(p, "score", ["calibrate"], help=f"one of {', '.join(CALIBRATIONS)}")
     _add_key_flags(p, "train", ["layers", "hidden", "lr", "seed"])
     p.set_defaults(func=cmd_score)
 

@@ -5,22 +5,17 @@ structural term (1/in-degree of the destination) and a semantic term
 (edge-softmax of feature cosine similarities); SIR is the classical
 epidemic model run along out-edges.
 
-``run_sir`` simulates one epidemic step by step, for SIR with a step cap
-(``max_steps``), which has no live-edge form.  Otherwise
-``influence_spread`` samples the final spread through the live-edge
-equivalence (Kempe, Kleinberg and Tardos, KDD 2003): each run draws a random
-live subgraph, and the cascade reaches exactly the nodes reachable from the
-seeds in it.  Many runs are stacked into one block-diagonal graph and
-searched with a single breadth-first traversal.
-
-The weights, SIR's automatic beta and run r's live subgraph (drawn from
-``default_rng([rng_seed, r])``) never depend on the seeds.  ``presample``
-fills the first two into a ``DiffusionConfig``, as ``prepare`` does, and the
-first chunk of stacked runs too; a pipeline run passes each model's result
-to all its ``influence_spread`` calls, which only search that chunk.  It
-serves only its own config (equal fields, the same weights object) on its
-own graph object; other calls draw their own, and later chunks are drawn
-per call, so a config holds at most one chunk of ``CHUNK_BUDGET`` slots.
+Every model samples its spread through the live-edge equivalence (Kempe,
+Kleinberg and Tardos, KDD 2003): run r draws a random live subgraph from
+``default_rng([rng_seed, r])``, and the cascade reaches exactly the nodes
+reachable from the seeds in it.  Runs are stacked block-diagonally and
+searched at once.  With a step cap, SIR is first-passage percolation: each
+live edge also draws its transmission step (the first success of
+Geom(beta), within its source's infectious period), and a node counts when
+the seeds reach it with steps summing to at most ``max_steps``.  None of
+this depends on the seeds, so ``prepare`` fills a config's weights or beta
+and draws its first chunk of runs once, and every call with the prepared
+config on the same graph object searches that chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .graph import AttributedGraph, EmptyGraphError
 
@@ -85,10 +80,10 @@ class DiffusionConfig:
     num_runs: int = 1000
     rng_seed: int = 0
     # LT+/IC+ weights of the graph from compute_influence_weights with these
-    # alphas; None: computed on each influence_spread call
+    # alphas; None: computed by prepare
     weights: InfluenceWeights | None = field(default=None, repr=False, compare=False)
-    # (prepared config, graph, indptr, indices) from presample: the first
-    # _chunk_rows and what they were drawn for; None: drawn on each call
+    # (prepared config, graph, indptr, indices, steps) from prepare: the
+    # first _chunk_rows and what they were drawn for
     sample: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,45 +143,14 @@ def _require_nodes(g: AttributedGraph) -> None:
 
 def _seed_mask(g: AttributedGraph, seeds) -> np.ndarray:
     mask = np.zeros(g.num_nodes, dtype=bool)
-    seeds = np.asarray(list(seeds), dtype=np.int64)
+    seeds = np.asarray(list(seeds))
     if seeds.size:
+        if seeds.dtype.kind not in "iu":  # 2.7, True and '1' name no node
+            raise ValueError(f"seed ids must be integers, not {seeds.flat[0].item()!r}")
         if seeds.min() < 0 or seeds.max() >= g.num_nodes:
             raise ValueError("seed id outside [0, N)")
         mask[seeds] = True
     return mask
-
-
-def run_sir(
-    g: AttributedGraph,
-    beta: float,
-    gamma: float,
-    seeds,
-    rng,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """One SIR run along out-edges; returns the ever-infected mask
-    (infected union recovered)."""
-    if not 0.0 <= beta <= 1.0 or not 0.0 <= gamma <= 1.0:
-        raise ValueError("beta and gamma must lie in [0, 1]")
-    infected = _seed_mask(g, seeds)
-    recovered = np.zeros(g.num_nodes, dtype=bool)
-    out_ptr, out_perm, dst = g.out_ptr, g.out_perm, g.edge_dst
-    step = 0
-    while infected.any() and (max_steps is None or step < max_steps):
-        step += 1
-        current = np.nonzero(infected)[0]
-        newly = np.zeros(g.num_nodes, dtype=bool)
-        for j in current:
-            targets = dst[out_perm[out_ptr[j] : out_ptr[j + 1]]]
-            susceptible = ~(infected[targets] | recovered[targets])
-            if susceptible.any():
-                hits = susceptible & (rng.random(targets.size) < beta)
-                newly[targets[hits]] = True
-        recovers = rng.random(current.size) < gamma
-        infected[current[recovers]] = False
-        recovered[current[recovers]] = True
-        infected |= newly & ~recovered
-    return infected | recovered
 
 
 def _segment_cumsum(values: np.ndarray, in_ptr: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -205,7 +169,9 @@ def _segment_cumsum(values: np.ndarray, in_ptr: np.ndarray, dst: np.ndarray) -> 
 
 
 def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig):
-    """Function of a run's RNG returning its live-edge mask in canonical order, for a prepared config."""
+    """Function of a run's RNG returning its live edges in canonical order,
+    for a prepared config: a mask, or for SIR with a step cap each edge's
+    transmission step (0 where the edge is dead)."""
     n, src, dst = g.num_nodes, g.edge_src, g.edge_dst
     if config.model == "ltp":
         # A node keeps in-edge e when its uniform threshold falls in e's slice
@@ -230,49 +196,65 @@ def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig):
         # a node infectious for T steps infects each out-neighbour with
         # probability 1 - (1 - beta)^T; with gamma = 0 it never recovers
         period = rng.geometric(gamma, n) if gamma > 0 else np.full(n, np.inf)
-        return rng.random(dst.size) < (1.0 - (1.0 - beta) ** period)[src]
+        u = rng.random(dst.size)
+        live = u < (1.0 - (1.0 - beta) ** period)[src]
+        if config.max_steps is None:
+            return live
+        # a live edge fires at the first success of Geom(beta): the least s >= 1 with
+        # u < 1 - (1 - beta)^s; log1p(-beta) is -inf at beta = 1 and 0 at beta = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = np.floor(np.log1p(-u) / np.log1p(-beta)) + 1
+        return np.where(live, np.minimum(first, period[src]), 0.0)  # rounding may put s past T
 
     return sir
 
 
-def _reached_counts(n: int, indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Nodes reachable from the seeds in each run of a ``_chunk_rows`` chunk, seeds included."""
+def _reached_counts(n: int, indptr, indices, steps, seeds: np.ndarray, max_steps: int | None) -> np.ndarray:
+    """Nodes the seeds reach in each run of a chunk, seeds included; with ``steps``, within ``max_steps``."""
     runs = (indptr.size - 1) // n
-    root = runs * n  # super-source with an edge to every run's seeds
+    root = runs * n  # super-source with a one-step edge to every run's seeds
     indptr = np.append(indptr, indptr[-1] + runs * seeds.size)
     indices = np.concatenate([indices, (np.arange(runs)[:, None] * n + seeds).ravel()])
-    adj = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(root + 1, root + 1))
-    order = breadth_first_order(adj, root, directed=True, return_predecessors=False)
-    return np.bincount(order // n, minlength=runs + 1)[:runs]
+    data = np.ones(indices.size) if steps is None else np.concatenate([steps, np.ones(runs * seeds.size)])
+    adj = sparse.csr_matrix((data, indices, indptr), shape=(root + 1, root + 1))
+    if steps is None:
+        reached = breadth_first_order(adj, root, directed=True, return_predecessors=False)
+    else:  # a node infected at step s lies s + 1 from the root
+        reached = np.flatnonzero(dijkstra(adj, indices=root, limit=max_steps + 1) < np.inf)
+    return np.bincount(reached // n, minlength=runs + 1)[:runs]
 
 
 def _chunk_rows(g: AttributedGraph, config: DiffusionConfig):
     """Out-CSR ``indptr`` and ``indices`` of each chunk of a prepared config's
-    runs, stacked block-diagonally (node v of a chunk's i-th run is i * N + v);
-    the first is ``config.sample``'s when that was drawn for this config and g."""
-    drawn_for, graph, *rows = config.sample or (None, None)
+    runs, stacked block-diagonally (node v of a chunk's i-th run is i * N + v),
+    with each live edge's transmission step for capped SIR (else None); the
+    first chunk is ``config.sample``'s when it has one."""
+    _drawn_for, _graph, *rows = config.sample or (None, None)
     start, n = 0, g.num_nodes
-    if graph is g and drawn_for == config and drawn_for.weights is config.weights:
+    if rows:
         yield rows
         start = (rows[0].size - 1) // n
     draw = _live_edge_sampler(g, config) if start < config.num_runs else None
-    out_src, out_dst = g.edge_src[g.out_perm], g.edge_dst[g.out_perm]
     chunk = max(1, CHUNK_BUDGET // (n + g.num_edges))
     for lo in range(start, config.num_runs, chunk):
         runs = range(lo, min(lo + chunk, config.num_runs))
         live = np.stack([draw(np.random.default_rng([config.rng_seed, r])) for r in runs])[:, g.out_perm]
+        out_src, out_dst = g.edge_src[g.out_perm], g.edge_dst[g.out_perm]  # gathered only when a chunk is drawn
         run, e = np.nonzero(live)  # row-major, so sorted by (run, source)
         indptr = np.zeros(len(runs) * n + 1, dtype=np.int64)
         np.cumsum(np.bincount(run * n + out_src[e], minlength=len(runs) * n), out=indptr[1:])
-        yield indptr, run * n + out_dst[e]
+        yield indptr, run * n + out_dst[e], None if live.dtype == bool else live[run, e]
 
 
 def prepare(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:
-    """``config`` with what its model takes from the graph filled in: the
-    LT+/IC+ weights from ``compute_influence_weights`` or SIR's automatic beta
-    from ``critical_sir_beta``; ``config`` itself when nothing is missing.
-    Weights already given must match its alphas and the graph's edge count,
-    else ``ValueError``.  A graph without nodes raises ``EmptyGraphError``."""
+    """``config`` with the LT+/IC+ weights or SIR's automatic beta filled in
+    and its first chunk of runs drawn as ``sample``; ``config`` itself when
+    that sample was drawn for this ``g`` object, equal fields and the same
+    weights object.  Weights already given must match its alphas and the
+    graph's edge count, else ``ValueError``; no nodes is ``EmptyGraphError``."""
+    drawn_for, graph = (config.sample or (None, None))[:2]
+    if graph is g and drawn_for == config and drawn_for.weights is config.weights:
+        return config
     _require_nodes(g)
     weights = config.weights
     if weights is not None:
@@ -284,40 +266,24 @@ def prepare(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:
         if weights.structural.size != g.num_edges or weights.semantic.size != g.num_edges:
             raise ValueError(f"weights cover {weights.structural.size} edges, the graph has {g.num_edges}")
     if config.model != "sir" and weights is None:
-        return replace(config, weights=compute_influence_weights(g, config.alpha1, config.alpha2))
+        config = replace(config, weights=compute_influence_weights(g, config.alpha1, config.alpha2))
     if config.model == "sir" and config.sir_beta is None:
-        return replace(config, sir_beta=critical_sir_beta(g))
-    return config
-
-
-def presample(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:
-    """``prepare(g, config)`` carrying its first chunk of runs as ``sample``,
-    so that each ``influence_spread`` call with it on ``g`` searches those
-    runs instead of drawing them.  Step-wise SIR draws none and gets none."""
-    config = replace(prepare(g, config), sample=None)
-    stepwise = config.model == "sir" and config.max_steps is not None
-    return config if stepwise else replace(config, sample=(config, g, *next(_chunk_rows(g, config))))
+        config = replace(config, sir_beta=critical_sir_beta(g))
+    config = replace(config, sample=None)
+    return replace(config, sample=(config, g, *next(_chunk_rows(g, config))))
 
 
 def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> DiffusionResult:
     """Mean fraction of activated nodes over independent Monte Carlo runs.
 
     Run r draws from its own stream ``default_rng([rng_seed, r])``, so the
-    counts do not depend on how runs are grouped.  SIR with ``max_steps``
-    set runs the step-wise simulator, since a step cap has no live-edge form.
-    ``prepare`` completes the config first; a caller that simulates many seed
-    sets on one graph passes a ``presample``d config, so weights, beta and
-    the first chunk of runs are computed once.
+    counts do not depend on how runs are grouped.  ``max_steps`` caps SIR
+    only.  A caller that simulates many seed sets on one graph passes a
+    ``prepare``d config, so weights, beta and the first chunk are made once.
     """
     config = prepare(g, config)
     seed_ids = np.flatnonzero(_seed_mask(g, seeds))
-    if config.model == "sir" and config.max_steps is not None:
-        rngs = (np.random.default_rng([config.rng_seed, r]) for r in range(config.num_runs))
-        counts = np.array(
-            [run_sir(g, config.sir_beta, config.sir_gamma, seed_ids, rng, config.max_steps).sum() for rng in rngs],
-            dtype=np.int64,
-        )
-    else:
-        counts = np.concatenate([_reached_counts(g.num_nodes, *rows, seed_ids) for rows in _chunk_rows(g, config)])
+    chunks = _chunk_rows(g, config)
+    counts = np.concatenate([_reached_counts(g.num_nodes, *rows, seed_ids, config.max_steps) for rows in chunks])
     spreads = counts / g.num_nodes
     return DiffusionResult(float(spreads.mean()), float(spreads.std()), counts)

@@ -49,6 +49,24 @@ def _names(raw: str, choices) -> list[str]:
     return names
 
 
+def _methods(raw: str) -> list[str]:
+    return _names(raw, METHODS)
+
+
+def _models(raw: str) -> list[str]:
+    return _names(raw, diffusion.MODELS)
+
+
+def _centrality_parameter(name: str):
+    """The parser of ``[centrality] name`` by ``check_parameter``'s rule, named for argparse's messages."""
+
+    def parse(raw: str) -> float:
+        return ct.check_parameter(name, float(raw))
+
+    parse.__name__ = name
+    return parse
+
+
 def _flag(raw: str) -> bool:
     return raw.lower() in ("1", "true", "yes", "on")
 
@@ -71,8 +89,8 @@ _KEYS = {
     ("graph", "edges"): ("edges", str),
     ("graph", "features"): ("features", str),
     ("graph", "reverse_edges"): ("reverse_edges", _flag),
-    ("pipeline", "methods"): ("methods", lambda raw: _names(raw, METHODS)),
-    ("pipeline", "models"): ("models", lambda raw: _names(raw, diffusion.MODELS)),
+    ("pipeline", "methods"): ("methods", _methods),
+    ("pipeline", "models"): ("models", _models),
     ("pipeline", "seed_fraction"): ("seed_fraction", float),
     ("diffusion", "runs"): ("num_runs", int),
     ("diffusion", "alpha1"): ("alpha1", float),
@@ -87,9 +105,9 @@ _KEYS = {
     ("train", "max_epochs"): ("max_epochs", int),
     ("train", "patience"): ("patience", int),
     ("train", "seed"): ("rng_seed", int),
-    ("centrality", "damping"): ("damping", lambda raw: ct.check_parameter("damping", float(raw))),
-    ("centrality", "attenuation"): ("attenuation", lambda raw: ct.check_parameter("attenuation", float(raw))),
-    ("centrality", "tuning"): ("tuning", lambda raw: ct.check_parameter("tuning", float(raw))),
+    ("centrality", "damping"): ("damping", _centrality_parameter("damping")),
+    ("centrality", "attenuation"): ("attenuation", _centrality_parameter("attenuation")),
+    ("centrality", "tuning"): ("tuning", _centrality_parameter("tuning")),
     ("centrality", "node_budget"): ("node_budget", int),
     ("score", "layer"): ("score_layer", int),
     ("score", "calibrate"): ("calibrate", calibration),
@@ -231,8 +249,8 @@ def run_pipeline(config_path) -> str:
     lines = _report_header(g, config, seed_count)
     lines.append("method\tmodel\tmean_spread\tstd_spread\truns\tseeds")
     # Weights, beta and live-edge runs do not depend on the seeds: each model's
-    # presampled config is made once, in its first stage, so errors name it.
-    dconf, presampled = config.diffusion, {}
+    # prepared config is made once, in its first stage, so errors name it.
+    dconf, prepared = config.diffusion, {}
     for method in config.methods:
         try:
             scores = compute_method_scores(g, method, config, seed_count)
@@ -243,9 +261,9 @@ def run_pipeline(config_path) -> str:
             raise PipelineError(method, exc) from exc
         for model_name in config.models:
             try:
-                if model_name not in presampled:
-                    dconf = presampled[model_name] = diffusion.presample(g, replace(dconf, model=model_name))
-                result = influence_spread(g, presampled[model_name], seeds)
+                if model_name not in prepared:
+                    dconf = prepared[model_name] = diffusion.prepare(g, replace(dconf, model=model_name))
+                result = influence_spread(g, prepared[model_name], seeds)
             except Exception as exc:
                 raise PipelineError(f"simulate:{model_name}", exc) from exc
             lines.append(

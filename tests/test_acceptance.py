@@ -15,12 +15,7 @@ import pytest
 
 from pine import centrality as ct
 from pine import gat
-from pine.diffusion import (
-    DiffusionConfig,
-    compute_influence_weights,
-    influence_spread,
-    run_sir,
-)
+from pine.diffusion import DiffusionConfig, compute_influence_weights, influence_spread
 from pine.graph import build_graph, largest_weak_component, load_graph
 from pine.metrics import ndcg_at_k, precision_at_k, spearman
 from pine.pine_score import (
@@ -38,6 +33,7 @@ from test_centrality import (
     dense_adjacency,
     pagerank_dense_oracle,
 )
+from test_diffusion import run_sir
 from test_diffusion import ic_exact_expected_spread
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"

@@ -14,15 +14,13 @@ from pine.diffusion import (
     critical_sir_beta,
     influence_spread,
     prepare,
-    presample,
-    run_sir,
 )
 from pine.graph import AttributedGraph, EmptyGraphError, build_graph
 
 from conftest import random_graph
 
 
-# The step-by-step LT+ and IC+ cascades that define the models; the
+# The step-by-step LT+, IC+ and SIR cascades that define the models; the
 # live-edge sampler of influence_spread is checked against them.
 def run_lt_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np.ndarray:
     """One linear-threshold cascade; returns the activated node mask.
@@ -65,6 +63,34 @@ def run_ic_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np
         active |= next_active
         frontier = np.nonzero(next_active)[0]
     return active
+
+
+def run_sir(g: AttributedGraph, beta: float, gamma: float, seeds, rng, max_steps: int | None = None) -> np.ndarray:
+    """One SIR run along out-edges; returns the ever-infected mask
+    (infected union recovered).  Each step, every infected node infects each
+    susceptible out-neighbour with probability ``beta``, then recovers with
+    probability ``gamma``; at most ``max_steps`` steps run."""
+    if not 0.0 <= beta <= 1.0 or not 0.0 <= gamma <= 1.0:
+        raise ValueError("beta and gamma must lie in [0, 1]")
+    infected = diffusion._seed_mask(g, seeds)
+    recovered = np.zeros(g.num_nodes, dtype=bool)
+    out_ptr, out_perm, dst = g.out_ptr, g.out_perm, g.edge_dst
+    step = 0
+    while infected.any() and (max_steps is None or step < max_steps):
+        step += 1
+        current = np.nonzero(infected)[0]
+        newly = np.zeros(g.num_nodes, dtype=bool)
+        for j in current:
+            targets = dst[out_perm[out_ptr[j] : out_ptr[j + 1]]]
+            susceptible = ~(infected[targets] | recovered[targets])
+            if susceptible.any():
+                hits = susceptible & (rng.random(targets.size) < beta)
+                newly[targets[hits]] = True
+        recovers = rng.random(current.size) < gamma
+        infected[current[recovers]] = False
+        recovered[current[recovers]] = True
+        infected |= newly & ~recovered
+    return infected | recovered
 
 
 class FixedRng:
@@ -285,7 +311,12 @@ class TestPrepare:
             "both": {"weights": compute_influence_weights(g, 0.3, 0.7), "sir_beta": 0.2},
         }[given]
         config = DiffusionConfig(model=model, alpha1=0.3, alpha2=0.7, **fields)
-        assert prepare(g, config) is config
+        readied = prepare(g, config)
+        # what was given is kept, not computed again, and a config readied for g is returned itself
+        assert readied == config and readied.weights is config.weights
+        assert prepare(g, readied) is readied
+        copy = dataclasses.replace(readied)  # carries the sample along
+        assert prepare(g, copy) is copy
 
     @pytest.mark.parametrize("model", ["ltp", "icp"])
     def test_missing_weights_are_computed(self, rng, model):
@@ -321,6 +352,21 @@ class TestInfluenceSpread:
             r = influence_spread(g, config, range(12))
             assert r.mean_spread == 1.0
             assert r.std_spread == 0.0
+
+    @pytest.mark.parametrize("seeds", [[2.7], [True], ["1"], np.array([1.0])], ids=["float", "bool", "str", "array"])
+    def test_non_integer_seeds_rejected(self, seeds):
+        # each used to simulate a node: 2.7 as node 2, True and '1' as node 1
+        g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)))
+        with pytest.raises(ValueError, match="^seed ids must be integers, not "):
+            influence_spread(g, DiffusionConfig(model="icp", num_runs=2), seeds)
+
+    @pytest.mark.parametrize(
+        "seeds", [[], [np.uint8(1)], np.array([1], dtype=np.int32)], ids=["empty", "uint8", "int32"]
+    )
+    def test_integer_seeds_of_any_width(self, seeds):
+        g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)))
+        counts = influence_spread(g, DiffusionConfig(model="icp", num_runs=2), seeds).activated_counts
+        assert counts.tolist() == ([0, 0] if len(seeds) == 0 else [2, 2])  # node 1 and its one out-neighbour
 
     def test_empty_seeds_zero(self, rng):
         g = random_graph(12, 0.2, rng)
@@ -384,18 +430,31 @@ class TestInfluenceSpread:
         assert np.array_equal(base.activated_counts, scrambled.activated_counts)
 
 
+# (model, gamma, max_steps) of the reference comparisons: SIR with a step cap
+# searches the live edges by their transmission steps
+REFERENCE_CASES = [("ltp", 1.0, None), ("icp", 1.0, None), ("sir", 1.0, None), ("sir", 0.4, None)] + [
+    ("sir", gamma, cap) for gamma in (1.0, 0.4, 0.0) for cap in (1, 3)
+]
+
+
 class TestLiveEdgeEngine:
     """influence_spread samples live-edge graphs; the step-wise simulators
     are its reference."""
 
-    @pytest.mark.parametrize("model, gamma", [("ltp", 1.0), ("icp", 1.0), ("sir", 1.0), ("sir", 0.4)])
-    def test_matches_reference_simulators(self, model, gamma):
+    @pytest.mark.parametrize(
+        "model, gamma, max_steps",
+        REFERENCE_CASES,
+        ids=[f"{m}-{g}" + ("" if cap is None else f"-cap{cap}") for m, g, cap in REFERENCE_CASES],
+    )
+    def test_matches_reference_simulators(self, model, gamma, max_steps):
         rng = np.random.default_rng(77)
         runs, seeds, beta = 3000, [0, 1], 0.3
         for trial in range(3):
             g = random_graph(10, 0.25, rng)
             w = compute_influence_weights(g)
-            config = DiffusionConfig(model=model, sir_beta=beta, sir_gamma=gamma, num_runs=runs, rng_seed=trial)
+            config = DiffusionConfig(
+                model=model, sir_beta=beta, sir_gamma=gamma, max_steps=max_steps, num_runs=runs, rng_seed=trial
+            )
             engine = influence_spread(g, config, seeds).activated_counts
             reference = np.empty(runs)
             for r in range(runs):
@@ -405,15 +464,17 @@ class TestLiveEdgeEngine:
                 elif model == "icp":
                     mask = run_ic_plus(g, w, seeds, stream)
                 else:
-                    mask = run_sir(g, beta, gamma, seeds, stream)
+                    mask = run_sir(g, beta, gamma, seeds, stream, max_steps)
                 reference[r] = mask.sum()
             pooled = np.sqrt(engine.var(ddof=1) / runs + reference.var(ddof=1) / runs)
             assert abs(engine.mean() - reference.mean()) <= 4 * pooled + 1e-12
 
-    @pytest.mark.parametrize("model", ["ltp", "icp", "sir"])
-    def test_counts_independent_of_chunk_size(self, model, rng, monkeypatch):
+    @pytest.mark.parametrize(
+        "model, max_steps", [("ltp", None), ("icp", None), ("sir", None), ("sir", 2)], ids=MODELS + ("sir-capped",)
+    )
+    def test_counts_independent_of_chunk_size(self, model, max_steps, rng, monkeypatch):
         g = random_graph(20, 0.15, rng)
-        config = DiffusionConfig(model=model, sir_gamma=0.5, num_runs=40, rng_seed=3)
+        config = DiffusionConfig(model=model, sir_gamma=0.5, max_steps=max_steps, num_runs=40, rng_seed=3)
         default = influence_spread(g, config, [0, 1]).activated_counts
         for runs_per_chunk in (1, 3):  # 3 does not divide num_runs
             monkeypatch.setattr(diffusion, "CHUNK_BUDGET", runs_per_chunk * (g.num_nodes + g.num_edges))
@@ -424,15 +485,21 @@ class TestLiveEdgeEngine:
         g = build_graph(5, [0, 1, 2, 4], [1, 2, 3, 0], np.ones((5, 1)))
         config = DiffusionConfig(model="sir", sir_beta=0.2, sir_gamma=0.0, num_runs=20)
         assert influence_spread(g, config, [1]).activated_counts.tolist() == [3] * 20
+        capped = dataclasses.replace(config, max_steps=10**6)  # past every sum of transmission steps
+        assert influence_spread(g, capped, [1]).activated_counts.tolist() == [3] * 20
 
-    def test_max_steps_keeps_stepwise_sir(self, rng):
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_cap_past_every_path_gives_uncapped_counts(self, rng, gamma):
+        # a cap draws the same live edges; with gamma = 1 each fires at step 1, so N steps
+        # cover every path, and longer periods need a cap past the largest sum of steps
         g = random_graph(20, 0.2, rng)
-        config = DiffusionConfig(model="sir", sir_beta=0.4, sir_gamma=0.5, max_steps=3, num_runs=30, rng_seed=8)
-        counts = influence_spread(g, config, [0, 5]).activated_counts
-        expected = [
-            run_sir(g, 0.4, 0.5, [0, 5], np.random.default_rng([8, r]), max_steps=3).sum() for r in range(30)
-        ]
-        assert counts.tolist() == expected
+        config = DiffusionConfig(model="sir", sir_beta=0.4, sir_gamma=gamma, num_runs=30, rng_seed=8)
+        uncapped = influence_spread(g, config, [0, 5]).activated_counts
+        cap = g.num_nodes if gamma == 1.0 else 10**6
+        capped = influence_spread(g, dataclasses.replace(config, max_steps=cap), [0, 5]).activated_counts
+        assert np.array_equal(capped, uncapped)
+        one_step = influence_spread(g, dataclasses.replace(config, max_steps=1), [0, 5]).activated_counts
+        assert np.all(one_step <= uncapped) and np.any(one_step < uncapped)
 
     @pytest.mark.parametrize("model", ["ltp", "icp", "sir"])
     def test_empty_graph_is_named_error(self, model):
@@ -444,25 +511,28 @@ class TestLiveEdgeEngine:
 
 
 class TestPresample:
-    """A presampled config carries its first chunk of stacked runs; every
+    """A prepared config carries its first chunk of stacked runs; every
     call it serves gives the counts of a call that draws them itself."""
 
     @staticmethod
     def zero_spread(config):
         """``config`` whose cached runs have no live edge: a call that
         searches them reaches the seeds alone."""
-        drawn_for, graph, indptr, indices = config.sample
-        return dataclasses.replace(config, sample=(drawn_for, graph, np.zeros_like(indptr), indices[:0]))
+        drawn_for, graph, indptr, indices, steps = config.sample
+        no_steps = None if steps is None else steps[:0]
+        return dataclasses.replace(config, sample=(drawn_for, graph, np.zeros_like(indptr), indices[:0], no_steps))
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_counts_equal_fresh_calls_across_chunks(self, model, rng, monkeypatch):
+    @pytest.mark.parametrize(
+        "model, max_steps", [("ltp", None), ("icp", None), ("sir", None), ("sir", 2)], ids=MODELS + ("sir-capped",)
+    )
+    def test_counts_equal_fresh_calls_across_chunks(self, model, max_steps, rng, monkeypatch):
         g = random_graph(20, 0.15, rng)
-        config = DiffusionConfig(model=model, sir_gamma=0.5, num_runs=40, rng_seed=3)
+        config = DiffusionConfig(model=model, sir_gamma=0.5, max_steps=max_steps, num_runs=40, rng_seed=3)
         expected = {seeds: influence_spread(g, config, seeds).activated_counts for seeds in ((0,), (4, 9, 13))}
         for sampled_runs, used_runs in ((3, 3), (3, 7), (40, 3), (7, 40)):
             monkeypatch.setattr(diffusion, "CHUNK_BUDGET", sampled_runs * (g.num_nodes + g.num_edges))
-            presampled = presample(g, config)
-            assert presampled == prepare(g, config)  # the sample is not a field that compares
+            presampled = prepare(g, config)
+            assert prepare(g, presampled) is presampled
             assert presampled.sample[2].size == sampled_runs * g.num_nodes + 1
             monkeypatch.setattr(diffusion, "CHUNK_BUDGET", used_runs * (g.num_nodes + g.num_edges))
             for seeds, counts in expected.items():
@@ -470,7 +540,7 @@ class TestPresample:
 
     def test_cached_runs_are_searched(self, rng):
         g = random_graph(20, 0.3, rng)
-        presampled = self.zero_spread(presample(g, DiffusionConfig(model="icp", num_runs=30, rng_seed=2)))
+        presampled = self.zero_spread(prepare(g, DiffusionConfig(model="icp", num_runs=30, rng_seed=2)))
         assert influence_spread(g, presampled, [0, 5]).activated_counts.tolist() == [2] * 30
 
     @pytest.mark.parametrize(
@@ -489,7 +559,7 @@ class TestPresample:
     )
     def test_stale_sample_is_not_used(self, rng, change):
         g = random_graph(20, 0.3, rng)
-        presampled = self.zero_spread(presample(g, DiffusionConfig(model="icp", num_runs=30, rng_seed=2)))
+        presampled = self.zero_spread(prepare(g, DiffusionConfig(model="icp", num_runs=30, rng_seed=2)))
         if change == "same weights, another object":
             config, graph = dataclasses.replace(presampled, weights=compute_influence_weights(g)), g
         elif change == "another graph of the same size":
@@ -502,10 +572,50 @@ class TestPresample:
         assert np.array_equal(influence_spread(graph, config, [0, 5]).activated_counts, fresh)
         assert fresh.max() > 2  # the cached runs would reach the seeds alone
 
-    def test_stepwise_sir_gets_no_sample(self, rng):
+    def test_capped_sir_gets_a_sample(self, rng):
         g = random_graph(20, 0.2, rng)
         config = DiffusionConfig(model="sir", sir_beta=0.4, sir_gamma=0.5, max_steps=3, num_runs=30, rng_seed=8)
-        presampled = presample(g, config)
-        assert presampled.sample is None
+        presampled = prepare(g, config)
+        _drawn_for, _graph, _indptr, indices, steps = presampled.sample
+        assert steps.size == indices.size and np.all(steps >= 1)  # a transmission step per live edge
         expected = influence_spread(g, config, [0, 5]).activated_counts
         assert np.array_equal(influence_spread(g, presampled, [0, 5]).activated_counts, expected)
+        assert influence_spread(g, self.zero_spread(presampled), [0, 5]).activated_counts.tolist() == [2] * 30
+
+
+class TestCappedSir:
+    """Exact values of SIR with a step cap through ``influence_spread``."""
+
+    @pytest.mark.parametrize("beta, cap", [(0.6, 0), (0.0, 3)], ids=["no-steps", "beta-zero"])
+    def test_seeds_alone(self, rng, beta, cap):
+        g = random_graph(15, 0.3, rng)
+        config = DiffusionConfig(model="sir", sir_beta=beta, sir_gamma=0.5, max_steps=cap, num_runs=25)
+        assert influence_spread(g, config, [0, 3, 7]).activated_counts.tolist() == [3] * 25
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_path_advances_one_hop_per_step(self, gamma):
+        g = build_graph(5, [0, 1, 2, 3], [1, 2, 3, 4], np.ones((5, 1)))
+        config = DiffusionConfig(model="sir", sir_beta=1.0, sir_gamma=gamma, max_steps=2, num_runs=20)
+        assert influence_spread(g, config, [0]).activated_counts.tolist() == [3] * 20
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_two_hop_path_closed_form(self, gamma, cap):
+        # gamma = 1: node 1 is infected at step 1 with probability beta, node 2 at step 2
+        # with beta^2 (TestSir.test_single_edge_closed_form, one hop further).  gamma = 0:
+        # node 1 by step c with 1 - (1 - beta)^c, node 2 when two Geom(beta) steps sum to at most c
+        g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)))
+        beta, runs = 0.3, 20_000
+        config = DiffusionConfig(model="sir", sir_beta=beta, sir_gamma=gamma, max_steps=cap, num_runs=runs, rng_seed=4)
+        counts = influence_spread(g, config, [0]).activated_counts
+        if gamma == 1.0:
+            expected = 1 + beta + (beta**2 if cap >= 2 else 0.0)
+        else:
+            two_hops = sum((k - 1) * beta**2 * (1 - beta) ** (k - 2) for k in range(2, cap + 1))
+            expected = 1 + (1 - (1 - beta) ** cap) + two_hops
+        assert abs(counts.mean() - expected) <= 3 * counts.std(ddof=1) / np.sqrt(runs)
+
+    def test_edgeless_graph(self):
+        g = build_graph(4, [], [], np.ones((4, 1)))
+        config = DiffusionConfig(model="sir", sir_gamma=0.0, max_steps=3, num_runs=5)
+        assert influence_spread(g, config, [0, 2]).activated_counts.tolist() == [2] * 5

@@ -401,7 +401,9 @@ class TestPipeline:
         report = run_pipeline(path)
         assert calls == ["ltp", "icp", "sir"]
         monkeypatch.setattr(diffusion, "_live_edge_sampler", sampler)
-        monkeypatch.setattr(diffusion, "presample", lambda g, c: c)  # every call draws its own runs
+        # a config without its sample is readied again, so every call draws its own runs
+        unsampled = lambda g, c, seeds: influence_spread(g, dataclasses.replace(c, sample=None), seeds)
+        monkeypatch.setattr(pp, "influence_spread", unsampled)
         assert run_pipeline(path) == report
 
     def test_report_equals_one_shot_rows(self, tmp_path, graph_files):
@@ -892,6 +894,51 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([command, "--graph", str(tmp_path / "missing.txt")] + flags)
         assert exc.value.code == 2 and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            (
+                "centrality",
+                ["--method", "katz", "--damping", "2"],
+                "--damping: invalid damping value: '2': damping must lie in (0, 1), not 2.0",
+            ),
+            (
+                "centrality",
+                ["--method", "katz", "--attenuation", "0"],
+                "--attenuation: invalid attenuation value: '0': attenuation must be positive and finite, not 0.0",
+            ),
+            (
+                "centrality",
+                ["--method", "pagerank", "--tuning", "nan"],
+                "--tuning: invalid tuning value: 'nan': tuning must lie in [0, 1], not nan",
+            ),
+            (
+                "score",
+                ["--model", "m", "--calibrate", "foo"],
+                "--calibrate: invalid calibration value: 'foo': choose from ('none', 'log-degree')",
+            ),
+        ],
+        ids=["damping", "attenuation", "tuning-nan", "calibrate"],
+    )
+    def test_flag_error_gives_its_rule(self, tmp_path, capsys, command, flags, message):
+        # the parser's own words follow argparse's "invalid <parser> value: '<raw>'"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", str(tmp_path / "missing.txt")] + flags)
+        assert exc.value.code == 2 and capsys.readouterr().err.endswith(f"error: argument {message}\n")
+
+    def test_score_help_names_the_calibrations(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["score", "-h"])
+        assert "one of none, log-degree" in capsys.readouterr().out
+
+    def test_simulate_zero_steps_reaches_the_seeds_alone(self, tmp_path, graph_files, capsys):
+        _g, edges, feats = graph_files
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("0\n1\n2\n")
+        args = ["simulate", "--graph", edges, "--features", feats, "--model", "sir", "--seeds", str(seeds)]
+        assert main(args + ["--runs", "7", "--max-steps", "0", "--per-run"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == ["3"] * 7
 
     def test_score_needs_model_or_labels(self, graph_files, capsys):
         _g, edges, feats = graph_files

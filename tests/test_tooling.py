@@ -232,3 +232,8 @@ def test_config_restatements_are_recognised():
         ("run", "diffusion.DiffusionConfig(...)"),
         ("<module>", "TrainConfig(...)"),
     ]
+
+
+def test_no_key_parser_is_a_lambda():
+    # argparse names a flag's parser in its error: "invalid <lambda> value" names no rule
+    assert [key for key, (_name, parse) in _KEYS.items() if parse.__name__ == "<lambda>"] == []
