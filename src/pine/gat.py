@@ -2,19 +2,19 @@
 
 Forward and backward passes are written directly against the graph's CSR
 over destinations (``in_ptr``, ``edge_src``): per edge (j -> i) the
-unnormalized coefficient is LeakyReLU((U h_j, s) + (U h_i, t)),
+unnormalized coefficient is LeakyReLU((h_j U, s) + (h_i U, t)),
 softmax-normalized over the edges incoming to i, and the updated embedding
 of i is the attention-weighted sum of its in-neighbors' projections -- the
 node's own representation is deliberately left out.  Nodes without in-edges
 map to the zero vector.  Gradients are accumulated by reverse-mode
 traversal of the same graph.
 
-The layer-0 input is the feature matrix as ``scipy.sparse`` CSR
-(``input_matrix``), so bag-of-words features cost only their nonzeros in
-``X @ U^T`` and in the projection gradient ``X^T d``.  A training loop
-builds it once and passes it to every ``forward``, and hands each
-forward's ``(h, tapes)`` to ``loss_and_gradients`` so one forward per epoch
-serves both the validation score and the next gradient.
+Each projection ``U`` is stored (d_in, d_out), so no product copies a
+transpose.  The layer-0 input ``X`` is the feature matrix as CSR, so
+bag-of-words features cost only their nonzeros in ``X @ U`` and in the
+gradient ``Xᵀ d``; ``X`` and ``Xᵀ`` are built once per graph and kept on it
+(``graph_input``).  A training epoch's one forward serves both the
+validation score and, through ``loss_and_gradients``, the next gradient.
 
 A ``GatModel`` holds parameters only.  The attention of a pass is part of
 what ``forward`` returns: ``tapes[layer].alpha``, one weight per edge in the
@@ -38,17 +38,17 @@ PROB_EPS = 1e-7
 
 @dataclass
 class GatLayer:
-    proj: np.ndarray  # (d_out, d_in)
+    proj: np.ndarray  # (d_in, d_out): a layer's input times proj is its projection
     attn_src: np.ndarray  # (d_out,) dotted with the source projection
     attn_dst: np.ndarray  # (d_out,) dotted with the destination projection
 
     @property
     def d_in(self) -> int:
-        return self.proj.shape[1]
+        return self.proj.shape[0]
 
     @property
     def d_out(self) -> int:
-        return self.proj.shape[0]
+        return self.proj.shape[1]
 
 
 @dataclass
@@ -75,12 +75,12 @@ def init_model(
     dtype=np.float32,
 ) -> GatModel:
     """Glorot-uniform projections, zero attention vectors (uniform initial
-    attention over in-edges)."""
+    attention over in-edges).  A projection is drawn in the model file's (d_out, d_in) layout, then transposed."""
     layers = []
     d_in = feature_dim
     for _ in range(num_layers):
         limit = np.sqrt(6.0 / (d_in + hidden_size))
-        proj = rng.uniform(-limit, limit, size=(hidden_size, d_in)).astype(dtype)
+        proj = rng.uniform(-limit, limit, size=(hidden_size, d_in)).astype(dtype).T.copy()
         layers.append(GatLayer(proj, np.zeros(hidden_size, dtype=dtype), np.zeros(hidden_size, dtype=dtype)))
         d_in = hidden_size
     return GatModel(layers)
@@ -96,7 +96,7 @@ def _elu(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LayerTape:
-    h_in: np.ndarray | sparse.csr_matrix  # CSR at layer 0, dense after
+    h_in_t: np.ndarray | sparse.csr_matrix  # the input transposed: CSR Xᵀ at layer 0, a view after
     projected: np.ndarray
     pre_act: np.ndarray  # per-edge coefficient before LeakyReLU
     alpha: np.ndarray
@@ -109,12 +109,21 @@ def input_matrix(features: np.ndarray, dtype) -> sparse.csr_matrix:
     return sparse.csr_matrix(features, dtype=dtype)
 
 
+def graph_input(g: AttributedGraph, dtype) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """``(X, Xᵀ)``: ``g.features`` as CSR in ``dtype``, built once per features array and kept on ``g``."""
+    cached = g.feature_csr.get(np.dtype(dtype))
+    if cached is None or cached[0] is not g.features:
+        x = input_matrix(g.features, dtype)
+        cached = g.feature_csr[np.dtype(dtype)] = (g.features, x, x.T.tocsr())
+    return cached[1:]
+
+
 def forward(model: GatModel, g: AttributedGraph, x: sparse.csr_matrix | None = None):
     """Run the attention layers over the graph's features.
 
-    ``x`` is the layer-0 input from ``input_matrix``; it is built from
-    ``g.features`` when not given.  Returns ``(h, tapes)``: the final node
-    embeddings and one ``_LayerTape`` per layer, holding that layer's
+    ``x`` is the layer-0 input from ``input_matrix``; the graph's own
+    (``graph_input``) is used when not given.  Returns ``(h, tapes)``: the
+    final node embeddings and one ``_LayerTape`` per layer, holding that layer's
     attention (``alpha``, in the graph's canonical edge order) and the
     intermediates the backward pass needs.
     """
@@ -123,18 +132,19 @@ def forward(model: GatModel, g: AttributedGraph, x: sparse.csr_matrix | None = N
             f"layer 1 expects width {model.layers[0].d_in}, graph features have {g.feature_dim}"
         )
     src, n = g.edge_src, g.num_nodes
-    h = input_matrix(g.features, model.layers[0].proj.dtype) if x is None else x
+    h, h_t = graph_input(g, model.layers[0].proj.dtype) if x is None else (x, x.T.tocsr())
     tapes: list[_LayerTape] = []
     for li, layer in enumerate(model.layers):
-        projected = h @ layer.proj.T
+        projected = h @ layer.proj
         score_src = projected @ layer.attn_src
         score_dst = projected @ layer.attn_dst
         pre_act = score_src[src] + score_dst[g.edge_dst]
         alpha = g.in_edge_softmax(_leaky(pre_act, model.leaky_slope))
         adj = sparse.csr_matrix((alpha, src, g.in_ptr), shape=(n, n))
         aggregated = adj @ projected
-        tapes.append(_LayerTape(h, projected, pre_act, alpha, adj, aggregated))
+        tapes.append(_LayerTape(h_t, projected, pre_act, alpha, adj, aggregated))
         h = _elu(aggregated) if li < model.num_layers - 1 else aggregated
+        h_t = h.T
     return h, tapes
 
 
@@ -220,31 +230,32 @@ def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_ou
         d_score_dst = np.bincount(dst, weights=d_pre, minlength=n)
         d_attn_src = projected.T @ d_score_src.astype(dtype)
         d_attn_dst = projected.T @ d_score_dst.astype(dtype)
-        d_proj = d_proj + d_score_src[:, None].astype(dtype) * layer.attn_src + d_score_dst[:, None].astype(dtype) * layer.attn_dst
-        d_u = np.ascontiguousarray((tape.h_in.T @ d_proj).T)  # laid out like proj
+        d_proj += d_score_src[:, None].astype(dtype) * layer.attn_src
+        d_proj += d_score_dst[:, None].astype(dtype) * layer.attn_dst
+        d_u = tape.h_in_t @ d_proj
         if li > 0:  # the input features carry no gradient
-            d_h = d_proj @ layer.proj
+            d_h = d_proj @ layer.proj.T
         grads.append((d_u, d_attn_src, d_attn_dst))
     grads.reverse()
     return grads
 
 
 def save_model(model: GatModel, path) -> None:
-    """Versioned binary dump: magic, layer count, per-layer dims, f32 blobs."""
+    """Versioned binary dump: magic, layer count, per-layer dims, f32 blobs; ``proj`` as (d_out, d_in)."""
     with open(path, "wb") as fh:
         fh.write(MAGIC_MODEL)
         fh.write(struct.pack("<Q", model.num_layers))
         for layer in model.layers:
             fh.write(struct.pack("<QQ", layer.d_in, layer.d_out))
         for layer in model.layers:
-            layer.proj.astype("<f4").tofile(fh)
+            layer.proj.T.astype("<f4").tofile(fh)
             layer.attn_src.astype("<f4").tofile(fh)
             layer.attn_dst.astype("<f4").tofile(fh)
 
 
 def load_model(path) -> GatModel:
-    """Read a ``save_model`` file.  A file cut short or with bytes after the
-    last layer raises ``ValueError`` naming the path and the layer."""
+    """Read a ``save_model`` file.  A file cut short, with trailing bytes, no
+    layer, a width of 0 or unchained widths raises ``ValueError`` naming the path and the layer."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:6] != MAGIC_MODEL:
@@ -252,12 +263,18 @@ def load_model(path) -> GatModel:
     if len(data) < 14:
         raise ValueError(f"{path}: truncated before the layer count")
     (num_layers,) = struct.unpack_from("<Q", data, 6)
+    if not num_layers:
+        raise ValueError(f"{path}: layer count is 0")
     offset = 14 + 16 * num_layers
     if len(data) < offset:
         raise ValueError(f"{path}: truncated in the dimensions of {num_layers} layers")
     dims = [struct.unpack_from("<QQ", data, 14 + 16 * k) for k in range(num_layers)]
     layers = []
     for li, (d_in, d_out) in enumerate(dims, start=1):
+        if not d_in or not d_out:
+            raise ValueError(f"{path}: layer {li} has width 0 ({d_in} -> {d_out})")
+        if li > 1 and d_in != dims[li - 2][1]:
+            raise ValueError(f"{path}: layer {li} takes width {d_in}, layer {li - 1} gives {dims[li - 2][1]}")
         blobs = []
         for count in (d_in * d_out, d_out, d_out):
             end = offset + 4 * count
@@ -266,7 +283,7 @@ def load_model(path) -> GatModel:
             blobs.append(np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float32))
             offset = end
         proj, s, t = blobs
-        layers.append(GatLayer(proj.reshape(d_out, d_in), s, t))
+        layers.append(GatLayer(proj.reshape(d_out, d_in).T.copy(), s, t))
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after layer {num_layers}")
     return GatModel(layers)

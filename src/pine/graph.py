@@ -53,6 +53,7 @@ class AttributedGraph:
     id_map: list[str] = field(default_factory=list)
     dropped_self_loops: int = 0
     collapsed_duplicates: int = 0
+    feature_csr: dict = field(default_factory=dict, repr=False, compare=False)  # gat.graph_input's, by dtype
 
     @property
     def feature_dim(self) -> int:
@@ -418,7 +419,7 @@ def _edge_subgraph(g: AttributedGraph, keep: np.ndarray, edge_type, nodes=None) 
     return AttributedGraph(
         num_nodes=n, num_edges=src.size, edge_src=src, edge_dst=dst, edge_type=edge_type,
         in_ptr=_pointers(dst, n), out_ptr=_pointers(src, n), out_perm=new_id[g.out_perm[keep[g.out_perm]]],
-        features=features, id_map=id_map,
+        features=features, id_map=id_map, feature_csr=g.feature_csr if nodes is None else {},
     )
 
 

@@ -32,13 +32,11 @@ class EdgeSplit:
     test_neg: np.ndarray
 
     def message_graph(self, g: AttributedGraph) -> AttributedGraph:
-        return build_graph(
-            g.num_nodes,
-            self.message_edges[:, 0],
-            self.message_edges[:, 1],
-            g.features,
-            id_map=list(g.id_map),
-        )
+        """``g`` with the message edges only; it shares ``g``'s features and so their CSR inputs."""
+        edges = self.message_edges
+        mg = build_graph(g.num_nodes, edges[:, 0], edges[:, 1], g.features, id_map=list(g.id_map))
+        mg.feature_csr = g.feature_csr
+        return mg
 
 
 def _pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:

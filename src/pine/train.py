@@ -120,8 +120,7 @@ def train(g: AttributedGraph, split: EdgeSplit, config: TrainConfig) -> tuple[ga
     best_params = None
     since_best = 0
     n_sup = len(split.supervision_pos)
-    x = gat.input_matrix(mg.features, config.dtype)
-    taped = gat.forward(model, mg, x=x)
+    taped = gat.forward(model, mg)
     for epoch in range(config.max_epochs):
         neg = sample_negatives(g, n_sup, rng)
         loss, grads = gat.loss_and_gradients(model, mg, split.supervision_pos, neg, taped_forward=taped)
@@ -132,7 +131,7 @@ def train(g: AttributedGraph, split: EdgeSplit, config: TrainConfig) -> tuple[ga
             )
         flat_grads = [a for triple in grads for a in triple]
         optimizer.step(list(model.parameters()), flat_grads)
-        taped = gat.forward(model, mg, x=x)
+        taped = gat.forward(model, mg)
         val_auc = evaluate_auc(model, mg, split.val_pos, split.val_neg, h=taped[0])
         log.epochs.append({"epoch": epoch, "loss": loss, "val_auc": val_auc})
         if val_auc > log.best_val_auc:

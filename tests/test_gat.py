@@ -1,10 +1,14 @@
 import dataclasses
+import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from pine import gat
-from pine.graph import build_graph
+from pine.graph import build_graph, induced_subgraph
+from pine.split import split_edges
+from pine.train import TrainConfig, train
 
 from conftest import in_neighbors, random_graph
 
@@ -26,8 +30,8 @@ def dense_forward_oracle(model, g):
         u = layer.proj.astype(np.float64)
         s = layer.attn_src.astype(np.float64)
         t = layer.attn_dst.astype(np.float64)
-        proj = h @ u.T
-        out = np.zeros((n, u.shape[0]))
+        proj = h @ u
+        out = np.zeros((n, u.shape[1]))
         for i in range(n):
             if not in_lists[i]:
                 continue
@@ -50,7 +54,7 @@ class TestForward:
         model = randomized_model(3, 4, 1, rng)
         h, tapes = gat.forward(model, g)
         assert np.allclose(tapes[0].alpha, [1.0])
-        expected = model.layers[0].proj @ g.features[0]
+        expected = g.features[0] @ model.layers[0].proj
         assert np.allclose(h[1], expected, atol=1e-12)
 
     def test_zero_in_degree_zero_embedding(self, rng):
@@ -169,6 +173,35 @@ class TestSerialization:
             assert np.allclose(a.attn_dst, b.attn_dst)
         assert [f.name for f in dataclasses.fields(loaded)] == ["layers", "leaky_slope"]
 
+    def test_roundtrip_keeps_layout_with_unequal_widths(self, tmp_path, rng):
+        # d_in = 6 != d_out = 4, so a transpose missing or swapped on either side shows
+        g = random_graph(9, 0.3, rng, d=6)
+        model = randomized_model(6, 4, 2, rng, dtype=np.float32)
+        path = tmp_path / "m.bin"
+        gat.save_model(model, path)
+        first_blob = np.frombuffer(path.read_bytes(), dtype="<f4", count=4 * 6, offset=14 + 2 * 16)
+        assert np.array_equal(first_blob.reshape(4, 6), model.layers[0].proj.T)  # rows are output units
+        loaded = gat.load_model(path)
+        for a, b in zip(model.layers, loaded.layers):
+            assert b.proj.shape == (b.d_in, b.d_out) and b.proj.flags["C_CONTIGUOUS"]
+            assert np.array_equal(a.proj, b.proj)
+        assert [(l.d_in, l.d_out) for l in loaded.layers] == [(6, 4), (4, 4)]
+        assert np.array_equal(gat.forward(model, g)[0], gat.forward(loaded, g)[0])
+
+    def test_trained_model_file_bytes_are_pinned(self, tmp_path):
+        # The sha256 a model trained and saved this way had before projections
+        # were stored (d_in, d_out).  Training runs in float64 so the float32
+        # file does not hang on the last bit of the machine's BLAS kernels.
+        g = random_graph(30, 0.15, np.random.default_rng(5), d=5)
+        config = TrainConfig(
+            hidden_size=4, num_layers=2, max_epochs=4, patience=4, learning_rate=0.05, rng_seed=2, dtype=np.float64
+        )
+        model, _log = train(g, split_edges(g, rng_seed=2), config)
+        path = tmp_path / "m.bin"
+        gat.save_model(model, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "73291431e2c8127d4639c213611bfb5a27a493c4cbfb747236f6160904633049"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTPIN\x00\x00")
@@ -214,6 +247,19 @@ class TestSparseInput:
         assert x.format == "csr" and x.dtype == np.float32
         assert np.array_equal(x.toarray(), g.features.astype(np.float32))
 
+    def test_graph_input_is_built_once_per_features_array(self, rng):
+        g = bag_of_words_graph(rng)
+        x, x_t = gat.graph_input(g, np.float32)
+        again, again_t = gat.graph_input(g, np.dtype("float32"))
+        assert again is x and again_t is x_t
+        assert x_t.format == "csr" and np.array_equal(x_t.toarray(), x.toarray().T)
+        assert np.array_equal(gat.graph_input(g, np.float64)[0].toarray(), g.features)
+        sub = induced_subgraph(g, np.arange(5))  # other features, own inputs
+        assert np.array_equal(gat.graph_input(sub, np.float32)[0].toarray(), x.toarray()[:5])
+        assert gat.graph_input(g, np.float32)[0] is x
+        g.features = g.features + 1.0  # a new features array is read again
+        assert np.array_equal(gat.graph_input(g, np.float32)[0].toarray(), g.features.astype(np.float32))
+
     @pytest.mark.parametrize("layers", [1, 2])
     def test_forward_matches_dense_oracle(self, layers, rng):
         g = bag_of_words_graph(rng)
@@ -255,7 +301,7 @@ class TestSparseInput:
             for a in triple:
                 assert np.all(a == 0.0)
 
-    def test_gradients_are_c_contiguous(self, rng):
+    def test_gradients_are_c_contiguous_d_in_by_d_out(self, rng):
         g = bag_of_words_graph(rng)
         model = randomized_model(g.feature_dim, 4, 2, rng)
         _, grads = gat.loss_and_gradients(model, g, np.array([[0, 1]]), np.array([[2, 5]]))
@@ -288,3 +334,28 @@ class TestLoadModelChecks:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match=r"m\.bin: 1 trailing bytes after layer 2"):
             gat.load_model(path)
+
+    @staticmethod
+    def write_raw(path, dims):
+        """A model file with the given (d_in, d_out) per layer and zero blobs."""
+        header = gat.MAGIC_MODEL + struct.pack("<Q", len(dims)) + b"".join(struct.pack("<QQ", *d) for d in dims)
+        path.write_bytes(header + bytes(4 * sum(d_in * d_out + 2 * d_out for d_in, d_out in dims)))
+        return path
+
+    def test_zero_layers(self, tmp_path):
+        path = self.write_raw(tmp_path / "m.bin", [])
+        with pytest.raises(ValueError, match=r"m\.bin: layer count is 0"):
+            gat.load_model(path)
+
+    @pytest.mark.parametrize("dims, layer", [([(6, 4), (4, 0)], 2), ([(0, 4)], 1), ([(6, 0), (0, 4)], 1)])
+    def test_zero_width(self, dims, layer, tmp_path):
+        path = self.write_raw(tmp_path / "m.bin", dims)
+        with pytest.raises(ValueError, match=rf"m\.bin: layer {layer} has width 0"):
+            gat.load_model(path)
+
+    def test_unchained_widths(self, tmp_path):
+        path = self.write_raw(tmp_path / "m.bin", [(6, 4), (3, 4), (4, 4)])
+        with pytest.raises(ValueError, match=r"m\.bin: layer 2 takes width 3, layer 1 gives 4"):
+            gat.load_model(path)
+        self.write_raw(path, [(6, 4), (4, 3)])
+        assert [(l.d_in, l.d_out) for l in gat.load_model(path).layers] == [(6, 4), (4, 3)]

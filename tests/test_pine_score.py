@@ -146,6 +146,17 @@ class TestSelectEdgeTypes:
         result = select_edge_types(g, labels, top_k_types=3, config=SMALL_TRAIN)
         assert set(result.skipped) >= {1} or set(result.skipped) >= {2}
 
+    def test_feature_csr_built_once_for_every_type(self, monkeypatch):
+        # each type subgraph keeps the graph's features, and so its CSR input
+        g, imp = planted_heterogeneous_graph(n=200, planted_edges=600, noise_edges=300, seed=9)
+        calls = []
+        build = gat.input_matrix
+        monkeypatch.setattr(gat, "input_matrix", lambda features, dtype: calls.append(dtype) or build(features, dtype))
+        config = TrainConfig(learning_rate=1e-2, hidden_size=4, max_epochs=3, rng_seed=0)
+        result = select_edge_types(g, [(v, float(imp[v])) for v in range(0, 200, 4)], top_k_types=3, config=config)
+        heterogeneous_pine(g, sorted(result.models), result.models)
+        assert len(result.models) == 3 and calls == [np.float32]
+
     def test_untyped_graph_rejected(self, rng):
         g = random_graph(10, 0.3, rng)
         with pytest.raises(ValueError, match="edge types"):

@@ -406,6 +406,21 @@ class TestPipeline:
         monkeypatch.setattr(pp, "influence_spread", unsampled)
         assert run_pipeline(path) == report
 
+    def test_feature_csr_built_once(self, tmp_path, graph_files, monkeypatch):
+        # training, validation and scoring all read the one CSR built from the loaded features
+        _g, edges, feats = graph_files
+        calls = []
+        build = gat.input_matrix
+        monkeypatch.setattr(gat, "input_matrix", lambda features, dtype: calls.append(dtype) or build(features, dtype))
+        path = tmp_path / "pine.ini"
+        path.write_text(
+            f"[graph]\nedges = {edges}\nfeatures = {feats}\n"
+            "[pipeline]\nmethods = pine\nmodels = ltp\n[diffusion]\nruns = 5\n"
+            "[train]\nhidden = 8\nlayers = 2\nmax_epochs = 3\n"
+        )
+        run_pipeline(path)
+        assert calls == [np.float32]
+
     def test_report_equals_one_shot_rows(self, tmp_path, graph_files):
         # the pipeline shares the influence weights and SIR's automatic beta
         # across methods; each row must be what a standalone call reports
@@ -939,6 +954,13 @@ class TestCli:
         args = ["simulate", "--graph", edges, "--features", feats, "--model", "sir", "--seeds", str(seeds)]
         assert main(args + ["--runs", "7", "--max-steps", "0", "--per-run"]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == ["3"] * 7
+
+    def test_score_rejects_zero_layer_model_naming_path(self, tmp_path, graph_files, capsys):
+        _g, edges, feats = graph_files
+        model_path = tmp_path / "empty_model.bin"
+        model_path.write_bytes(gat.MAGIC_MODEL + bytes(8))  # a layer count of 0
+        assert main(["score", "--graph", edges, "--features", feats, "--model", str(model_path)]) == 1
+        assert f"{model_path}: layer count is 0" in capsys.readouterr().err
 
     def test_score_needs_model_or_labels(self, graph_files, capsys):
         _g, edges, feats = graph_files

@@ -72,6 +72,58 @@ def test_in_edge_softmax_is_only_in_graph():
     assert {name: refs for name, refs in found.items() if refs and name != "graph.py"} == {}
 
 
+SPARSE_BUILDERS = ("csr_matrix", "csr_array", "csc_matrix", "csc_array", "coo_matrix", "coo_array")
+
+
+def calls_by_function(text):
+    """(enclosing top-level function or None, callee, names in the
+    arguments) for every call in the module."""
+    found = []
+    for top in ast.parse(text).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                args = [n for a in [*node.args, *node.keywords] for n in ast.walk(a)]
+                names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in args}
+                found.append((owner, ast.unparse(node.func), names))
+    return found
+
+
+def feature_csr_builders(text):
+    """Functions that turn ``features`` into a sparse matrix, and those that call ``input_matrix``."""
+    calls = calls_by_function(text)
+    builders = {
+        owner for owner, callee, names in calls if callee.split(".")[-1] in SPARSE_BUILDERS and "features" in names
+    }
+    return builders, {owner for owner, callee, _names in calls if callee.split(".")[-1] == "input_matrix"}
+
+
+def test_gat_makes_no_contiguous_copy_and_one_function_builds_the_feature_csr():
+    # projections are stored in the layout their products use, and the CSR of
+    # the features is built by gat.input_matrix alone, called only by the
+    # per-graph cache gat.graph_input
+    gat_source = (SOURCE / "gat.py").read_text(encoding="utf-8")
+    assert not [callee for _owner, callee, _names in calls_by_function(gat_source) if "ascontiguousarray" in callee]
+    found = set()
+    for module in sorted(SOURCE.rglob("*.py")):
+        builders, users = feature_csr_builders(module.read_text(encoding="utf-8"))
+        found.update({(module.name, "builds", owner) for owner in builders})
+        found.update({(module.name, "calls input_matrix", owner) for owner in users})
+    assert found == {("gat.py", "builds", "input_matrix"), ("gat.py", "calls input_matrix", "graph_input")}
+
+
+def test_feature_csr_builders_are_recognised():
+    text = (
+        "from scipy import sparse\n"
+        "x = sparse.csr_matrix(g.features)\n"
+        "def a(features):\n    return sparse.csr_matrix(features, dtype=float)\n"
+        "def b(g):\n    return csc_array(np.abs(g.features))\n"
+        "def c(g):\n    return sparse.csr_matrix((g.data, g.idx, g.ptr))\n"
+        "def d(g):\n    return gat.input_matrix(g.features, np.float32)\n"
+    )
+    assert feature_csr_builders(text) == ({None, "a", "b"}, {"d"})
+
+
 def test_segment_max_references_are_recognised():
     text = (
         "import numpy as np\n"
