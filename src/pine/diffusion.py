@@ -238,7 +238,7 @@ def _chunk_rows(g: AttributedGraph, config: DiffusionConfig):
     chunk = max(1, CHUNK_BUDGET // (n + g.num_edges))
     for lo in range(start, config.num_runs, chunk):
         runs = range(lo, min(lo + chunk, config.num_runs))
-        live = np.stack([draw(np.random.default_rng([config.rng_seed, r])) for r in runs])[:, g.out_perm]
+        live = np.take(np.stack([draw(np.random.default_rng([config.rng_seed, r])) for r in runs]), g.out_perm, axis=1)
         out_src, out_dst = g.edge_src[g.out_perm], g.edge_dst[g.out_perm]  # gathered only when a chunk is drawn
         run, e = np.nonzero(live)  # row-major, so sorted by (run, source)
         indptr = np.zeros(len(runs) * n + 1, dtype=np.int64)

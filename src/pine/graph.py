@@ -76,7 +76,7 @@ class AttributedGraph:
         step = max(1, (1 << 18) // max(1, x.shape[1]))
         for lo in range(0, self.num_edges, step):
             src, dst = self.edge_src[lo : lo + step], self.edge_dst[lo : lo + step]
-            dots[lo : lo + step] = np.einsum("ij,ij->i", x[src], x[dst])
+            dots[lo : lo + step] = np.einsum("ij,ij->i", np.take(x, src, axis=0), np.take(x, dst, axis=0))
         denom = norms[self.edge_src] * norms[self.edge_dst]
         return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
 
@@ -233,6 +233,7 @@ _SPACE[list(b" \t\n\r\x0b\x0c")] = True
 _EXOTIC_SPACE = re.compile(r"[^\S \t\n\r\x0b\x0c]")
 _LINE_END = re.compile(rb"\r\n?|\n")
 _CANONICAL_DIGITS = 18  # every decimal of at most 18 digits fits in int64
+_RANK_SPAN = 4  # ids below this many times the token count are ranked by a mask, in about np.unique's memory
 _INT64 = np.iinfo(np.int64)
 
 
@@ -293,11 +294,19 @@ def _densify(tokens: np.ndarray, fast: np.ndarray, values: np.ndarray, words: np
     ``int()`` accepts by value, equal values by token string, then the other
     ids by string.
 
-    When every token is a canonical decimal, ``np.unique`` of the values is
-    that order.  Otherwise the distinct canonical values, as strings, and the
-    other tokens (``words``, as bytes) are ranked by one Python sort."""
+    Canonical decimals are ranked by value: by a presence mask and its ``cumsum`` when all are
+    nonnegative and below ``_RANK_SPAN`` times the token count (so one huge id allocates no huge
+    mask), else by ``np.unique``; when every token is canonical that rank is the order.  Otherwise
+    the distinct canonical values, as strings, and the other tokens (``words``) are ranked by one Python sort."""
     is_fast = fast[tokens]
-    known, fast_inverse = np.unique(values[tokens[is_fast]], return_inverse=True)
+    ids = values[tokens[is_fast]]
+    top = int(ids.max(initial=-1))
+    if 0 <= top < _RANK_SPAN * tokens.size and ids.min() >= 0:
+        present = np.zeros(top + 1, dtype=bool)
+        present[ids] = True
+        known, fast_inverse = np.flatnonzero(present), np.cumsum(present)[ids] - 1
+    else:
+        known, fast_inverse = np.unique(ids, return_inverse=True)
     if is_fast.all():
         return fast_inverse, known.astype(str).tolist()
     slot: dict[bytes, int] = {}  # distinct other tokens, in first-seen order
@@ -414,7 +423,7 @@ def _edge_subgraph(g: AttributedGraph, keep: np.ndarray, edge_type, nodes=None) 
         remap = np.full(g.num_nodes, -1, dtype=np.int64)
         remap[nodes] = np.arange(nodes.size)
         src, dst = remap[src], remap[dst]
-        n, features, id_map = nodes.size, g.features[nodes], [g.id_map[v] for v in nodes]
+        n, features, id_map = nodes.size, np.take(g.features, nodes, axis=0), [g.id_map[v] for v in nodes]
     new_id = np.cumsum(keep) - 1  # canonical id among the kept edges
     return AttributedGraph(
         num_nodes=n, num_edges=src.size, edge_src=src, edge_dst=dst, edge_type=edge_type,

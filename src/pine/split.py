@@ -64,7 +64,8 @@ def sample_negatives(
 
     Candidate pairs are drawn in batches and accepted in draw order; after
     ``100 * count + 1000`` draws without ``count`` acceptances the graph is
-    taken to have too few non-edges and ``SplitError`` is raised."""
+    taken to have too few non-edges and ``SplitError`` is raised.  A batch's keys are
+    sorted once, stably, for the membership searches and to find repeats; a mask keeps draw order."""
     n = g.num_nodes
     blocked = _pair_keys(g.edge_src, g.edge_dst, n)
     if forbidden is not None and len(forbidden):
@@ -84,9 +85,13 @@ def sample_negatives(
         drawn += batch
         uv = rng.integers(0, n, size=(batch, 2))
         keys = _pair_keys(uv[:, 0], uv[:, 1], n)
-        keys = keys[(uv[:, 0] != uv[:, 1]) & ~_isin_sorted(blocked, keys) & ~_isin_sorted(np.sort(accepted), keys)]
-        _unique, first = np.unique(keys, return_index=True)
-        accepted = np.concatenate([accepted, keys[np.sort(first)][:need]])
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        ok = (uv[:, 0] != uv[:, 1])[order] & ~_isin_sorted(blocked, ordered) & ~_isin_sorted(np.sort(accepted), ordered)
+        ok[1:] &= ordered[1:] != ordered[:-1]  # the first draw of each key
+        keep = np.zeros(batch, dtype=bool)
+        keep[order[ok]] = True
+        accepted = np.concatenate([accepted, keys[keep][:need]])
     dst, src = np.divmod(accepted, max(n, 1))
     return np.stack([src, dst], axis=1)
 
@@ -99,7 +104,7 @@ def split_edges(g: AttributedGraph, rng_seed: int = 0) -> EdgeSplit:
     m = g.num_edges
     rng = np.random.default_rng(rng_seed)
     perm = rng.permutation(m)
-    pairs = np.stack([g.edge_src, g.edge_dst], axis=1)[perm]
+    pairs = np.take(np.stack([g.edge_src, g.edge_dst], axis=1), perm, axis=0)
 
     n_val = int(VAL_FRACTION * m)
     n_test = int(TEST_FRACTION * m)

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import networkx as nx
@@ -405,6 +406,58 @@ class TestLoaderOracle:
         text = "".join(f"{s} {d}\n" for s, d in zip(src.tolist(), dst.tolist()))
         path = write_edges(tmp_path, "# generated\n" + text)
         assert_graphs_identical(load_graph(path), graph_oracle.load_graph(path))
+
+
+NONNEGATIVE_IDS = st.one_of(st.integers(0, 20).map(str), st.sampled_from(["0", "@bound-1", "@bound", "@bound+1"]))
+MIXED_IDS = st.one_of(NONNEGATIVE_IDS, st.integers(-5, -1).map(str), st.sampled_from(["07", "+7", "n1", "7"]))
+
+
+@st.composite
+def id_pair_lists(draw):
+    """Edge lines of node ids, all nonnegative decimals or mixed with negative
+    and non-canonical ones; ``@bound`` stands for the counting rank's bound
+    in a file of that many lines."""
+    ids = draw(st.sampled_from([NONNEGATIVE_IDS, MIXED_IDS]))
+    pairs = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=10))
+    bound = pine.graph._RANK_SPAN * 2 * len(pairs)
+    spell = {"@bound-1": str(bound - 1), "@bound": str(bound), "@bound+1": str(bound + 1)}
+    return [(spell.get(s, s), spell.get(d, d)) for s, d in pairs]
+
+
+class TestCountingRank:
+    """Canonical ids below a bound proportional to the token count are ranked
+    by a presence mask; the rest by ``np.unique``."""
+
+    @given(id_pair_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_text("".join(f"{s} {d}\n" for s, d in pairs))
+        with mock.patch.object(graph_oracle, "_id_sort_key", oracle_key_with_tie_rule):
+            expected = graph_oracle.load_graph(path)
+        got = load_graph(path)
+        assert got.id_map == expected.id_map
+        assert np.array_equal(got.edge_src, expected.edge_src) and np.array_equal(got.edge_dst, expected.edge_dst)
+
+    @pytest.mark.parametrize("past, sorts", [(-1, 0), (0, 1), (1, 1)])
+    def test_np_unique_only_at_or_past_the_bound(self, tmp_path, past, sorts):
+        bound = pine.graph._RANK_SPAN * 4  # two lines, four tokens
+        path = write_edges(tmp_path, f"0 3\n{bound + past} 3\n")
+        with mock.patch("numpy.unique", wraps=np.unique) as unique:
+            g = load_graph(path)
+        assert unique.call_count == sorts
+        assert g.id_map == ["0", "3", str(bound + past)] and g.edge_src.tolist() == [0, 2]
+
+    def test_huge_id_allocates_no_mask(self, tmp_path):
+        path = write_edges(tmp_path, f"0 1\n{10**17} 0\n")
+        tracemalloc.start()
+        try:
+            g = load_graph(path)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.id_map == ["0", "1", str(10**17)]
+        assert peak < 1 << 20
 
 
 class TestBuildGraphOracle:

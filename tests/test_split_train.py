@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,3 +267,119 @@ class TestSampleNegativesProperties:
         got = pairs_of(out)
         assert len(set(got)) == count  # no repeats
         assert set(got) <= free  # no edges, self-pairs or forbidden pairs
+
+
+def oracle_sample_negatives(g, count, rng, forbidden=None):
+    """``sample_negatives`` as it was before it sorted each batch's keys:
+    ``np.unique`` keeps the first draw of each key, and membership is
+    searched with the keys in draw order."""
+
+    def pair_keys(src, dst, n):
+        return np.asarray(dst, dtype=np.int64) * n + np.asarray(src, dtype=np.int64)
+
+    def isin_sorted(sorted_keys, keys):
+        if not sorted_keys.size:
+            return np.zeros(keys.size, dtype=bool)
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+        return sorted_keys[pos] == keys
+
+    n = g.num_nodes
+    blocked = pair_keys(g.edge_src, g.edge_dst, n)
+    if forbidden is not None and len(forbidden):
+        forbidden = np.asarray(forbidden).reshape(-1, 2)
+        blocked = np.sort(np.concatenate([blocked, pair_keys(forbidden[:, 0], forbidden[:, 1], n)]))
+    budget = 100 * max(count, 1) + 1000
+    accepted = np.empty(0, dtype=np.int64)
+    drawn = 0
+    while accepted.size < count:
+        if drawn >= budget or n == 0:
+            raise SplitError(f"could not sample {count} negatives from a graph with N={n}, M={g.num_edges}")
+        need = count - accepted.size
+        free = max(0.1, 1.0 - (blocked.size + n + accepted.size) / float(n * n))
+        batch = min(budget - drawn, int(1.1 * need / free) + 64)
+        drawn += batch
+        uv = rng.integers(0, n, size=(batch, 2))
+        keys = pair_keys(uv[:, 0], uv[:, 1], n)
+        keys = keys[(uv[:, 0] != uv[:, 1]) & ~isin_sorted(blocked, keys) & ~isin_sorted(np.sort(accepted), keys)]
+        _unique, first = np.unique(keys, return_index=True)
+        accepted = np.concatenate([accepted, keys[np.sort(first)][:need]])
+    dst, src = np.divmod(accepted, max(n, 1))
+    return np.stack([src, dst], axis=1)
+
+
+def sampled(sampler, g, count, seed, forbidden=None):
+    """The sampler's output for a fresh generator of ``seed``, or its error type and message."""
+    try:
+        return sampler(g, count, np.random.default_rng(seed), forbidden=forbidden)
+    except SplitError as exc:
+        return type(exc), str(exc)
+
+
+class CountingRng:
+    """A generator that counts its ``integers`` calls: one per batch of candidate pairs."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def int64_digest(arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a, dtype="<i8").tobytes() for a in arrays)).hexdigest()
+
+
+class TestSampleNegativesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 9),
+        edge_bits=st.integers(0, 2**72 - 1),
+        forbidden_bits=st.integers(0, 2**72 - 1),
+        use_forbidden=st.booleans(),
+        count=st.integers(0, 80),
+        slack=st.one_of(st.none(), st.integers(-2, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_output_or_error_as_oracle(self, n, edge_bits, forbidden_bits, use_forbidden, count, slack, seed):
+        ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = [p for k, p in enumerate(ordered) if edge_bits >> k & 1]
+        blocked = [p for k, p in enumerate(ordered) if forbidden_bits >> k & 1] if use_forbidden else []
+        forbidden = np.array(blocked, dtype=np.int64).reshape(-1, 2) if use_forbidden else None
+        g = build_graph(n, [u for u, _ in edges], [v for _, v in edges], np.ones((n, 1)))
+        if slack is not None:  # close to the free-pair count, so that the loop takes several batches
+            count = max(0, len(set(ordered) - set(edges) - set(blocked)) - slack)
+        expected = sampled(oracle_sample_negatives, g, count, seed, forbidden)
+        got = sampled(sample_negatives, g, count, seed, forbidden)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_several_batches_match_oracle(self):
+        # every free pair is asked for, so late batches mostly draw pairs already accepted
+        g = random_graph(9, 0.4, np.random.default_rng(2))
+        count = 9 * 8 - g.num_edges
+        rngs = CountingRng(4), CountingRng(4)
+        got = sample_negatives(g, count, rngs[0])
+        assert np.array_equal(got, oracle_sample_negatives(g, count, rngs[1]))
+        assert rngs[0].calls == rngs[1].calls > 2
+
+    def test_graph_shapes_match_oracle(self):
+        g = random_graph(300, 0.05, np.random.default_rng(11))
+        for seed in range(3):
+            val_neg = oracle_sample_negatives(g, 668, np.random.default_rng(seed + 10))
+            for count, forbidden in ((668, None), (668, val_neg), (935, None)):
+                expected = sampled(oracle_sample_negatives, g, count, seed, forbidden)
+                assert np.array_equal(sampled(sample_negatives, g, count, seed, forbidden), expected)
+
+    def test_split_and_training_draws_are_pinned(self):
+        # the values written before the sampler sorted its batches
+        g = random_graph(300, 0.05, np.random.default_rng(11))
+        s = split_edges(g, rng_seed=3)
+        fields = [s.message_edges, s.supervision_pos, s.val_pos, s.test_pos, s.val_neg, s.test_neg]
+        assert [len(f) for f in fields] == [2183, 935, 668, 668, 668, 668]
+        assert int64_digest(fields) == "9c18ba8dc94a57e5825565fc7e76d69fa7034a43a2dd2bc04ae006e3477604b6"
+        rng = np.random.default_rng(5)  # as train() draws one batch per epoch
+        draws = [sample_negatives(g, len(s.supervision_pos), rng) for _ in range(3)]
+        assert int64_digest(draws) == "54c12a68c87404451e03a2f8eb258fcddec130b9689acc915d512e8ae060bce4"

@@ -289,3 +289,79 @@ def test_config_restatements_are_recognised():
 def test_no_key_parser_is_a_lambda():
     # argparse names a flag's parser in its error: "invalid <lambda> value" names no rule
     assert [key for key, (_name, parse) in _KEYS.items() if parse.__name__ == "<lambda>"] == []
+
+
+def numpy_calls(text, function, name):
+    """For each call of ``np.<name>`` in the top-level ``function``, the
+    ``if`` branches around it, outermost first, as ``(test, "if" or "else")``."""
+    found = []
+
+    def visit(node, branches):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == f"np.{name}":
+            found.append(branches)
+        if isinstance(node, ast.If):
+            visit(node.test, branches)
+            for part, label in ((node.body, "if"), (node.orelse, "else")):
+                for child in part:
+                    visit(child, branches + [(ast.unparse(node.test), label)])
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, branches)
+
+    for top in ast.parse(text).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            visit(top, [])
+    return found
+
+
+def index_gathers(text, function):
+    """Subscripts in the top-level ``function`` whose index is a name or an
+    attribute, as an index array is: ``x[perm]`` or ``x[g.out_perm]``."""
+    return [
+        ast.unparse(node)
+        for top in ast.parse(text).body
+        if isinstance(top, ast.FunctionDef) and top.name == function
+        for node in ast.walk(top)
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_sampler_sorts_without_unique_and_densify_ranks_by_counting():
+    # the sampler sorts each batch once itself, and _densify reaches for np.unique
+    # only when its ids are too spread out (or negative) for a presence mask
+    split_source = (SOURCE / "split.py").read_text(encoding="utf-8")
+    graph_source = (SOURCE / "graph.py").read_text(encoding="utf-8")
+    assert numpy_calls(split_source, "sample_negatives", "argsort") == [[]]  # once per batch
+    assert numpy_calls(split_source, "sample_negatives", "unique") == []
+    fallbacks = numpy_calls(graph_source, "_densify", "unique")
+    assert len(fallbacks) == 1 and fallbacks[0][-1][1] == "else" and "_RANK_SPAN" in fallbacks[0][-1][0]
+
+
+def test_narrow_row_gathers_use_take():
+    # numpy's fancy index copies narrow rows several times slower than np.take
+    for module, function in (("gat.py", "edge_scores"), ("split.py", "split_edges")):
+        source = (SOURCE / module).read_text(encoding="utf-8")
+        assert numpy_calls(source, function, "take") and index_gathers(source, function) == [], function
+
+
+def test_numpy_calls_and_index_gathers_are_recognised():
+    text = (
+        "def f(a, ids, g):\n"
+        "    b = np.take(a, ids, axis=0)\n"
+        "    if a.size and a.min() >= 0:\n"
+        "        c = a[ids] + a[g.out_perm] + a[:, 0] + a[1:]\n"
+        "    elif a.size:\n"
+        "        c = np.unique(a)\n"
+        "    else:\n"
+        "        c = np.unique(np.take(a, ids))\n"
+        "    return np.unique(c)\n"
+        "def g(a):\n"
+        "    return np.unique(a)\n"
+    )
+    assert numpy_calls(text, "f", "unique") == [
+        [("a.size and a.min() >= 0", "else"), ("a.size", "if")],
+        [("a.size and a.min() >= 0", "else"), ("a.size", "else")],
+        [],
+    ]
+    assert numpy_calls(text, "f", "take") == [[], [("a.size and a.min() >= 0", "else"), ("a.size", "else")]]
+    assert index_gathers(text, "f") == ["a[ids]", "a[g.out_perm]"]
