@@ -18,7 +18,6 @@ from .pipeline import (
     PipelineError,
     benchmark,
     compute_method_scores,
-    load_config,
     run_pipeline,
     train_and_test_auc,
 )

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .graph import AttributedGraph, EmptyGraphError
+from .graph import AttributedGraph, EmptyGraphError, node_mask
 
 MODELS = ("ltp", "icp", "sir")
 
@@ -142,15 +142,7 @@ def _require_nodes(g: AttributedGraph) -> None:
 
 
 def _seed_mask(g: AttributedGraph, seeds) -> np.ndarray:
-    mask = np.zeros(g.num_nodes, dtype=bool)
-    seeds = np.asarray(list(seeds))
-    if seeds.size:
-        if seeds.dtype.kind not in "iu":  # 2.7, True and '1' name no node
-            raise ValueError(f"seed ids must be integers, not {seeds.flat[0].item()!r}")
-        if seeds.min() < 0 or seeds.max() >= g.num_nodes:
-            raise ValueError("seed id outside [0, N)")
-        mask[seeds] = True
-    return mask
+    return node_mask(g.num_nodes, seeds, "seed")
 
 
 def _segment_cumsum(values: np.ndarray, in_ptr: np.ndarray, dst: np.ndarray) -> np.ndarray:

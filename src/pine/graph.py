@@ -118,19 +118,6 @@ def write_int_rows(path, rows: np.ndarray) -> None:
         fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
-def _stable_bucket(keys: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
-    """``ids`` reordered stably by ``keys`` in [0, n).  A CSR matrix with one
-    entry per row, converted to CSC, is a counting sort in scipy's C code:
-    entries land in their column in row order, and no duplicate is summed."""
-    rows = sparse.csr_matrix((ids, keys, np.arange(ids.size + 1)), shape=(ids.size, n))
-    return rows.tocsc().data
-
-
-def _pointers(ids: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointers of edges grouped by ``ids`` in [0, n)."""
-    return np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=n))])
-
-
 def build_graph(
     num_nodes: int,
     src: np.ndarray,
@@ -140,46 +127,41 @@ def build_graph(
     id_map: list[str] | None = None,
 ) -> AttributedGraph:
     """Assemble a graph from dense-id edge arrays, dropping self-loops and
-    collapsing duplicate (src, dst, type) triples."""
+    collapsing duplicate (src, dst, type) triples: the one constructor of
+    ``AttributedGraph``, subgraphs included.
+
+    Edge k is an entry of an N x N*T matrix at row dst and column
+    ``src * T + rank``, with ``rank`` ordering the T distinct types (T = 1 and
+    rank 0 untyped).  scipy's COO->CSR conversion sorts each row by column and
+    sums repeats, giving the canonical (dst, src, type) order, ``in_ptr`` and
+    the duplicate count; the CSR->CSC conversion of the canonical ids, a
+    stable counting sort by source, gives ``out_ptr`` and ``out_perm``."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
-        raise DimensionError(
-            f"feature matrix has {features.shape[0] if features.ndim == 2 else '?'} rows, "
-            f"graph has {num_nodes} nodes"
-        )
+        rows = features.shape[0] if features.ndim == 2 else "?"
+        raise DimensionError(f"feature matrix has {rows} rows, graph has {num_nodes} nodes")
     if src.size and (src.min() < 0 or src.max() >= num_nodes or dst.min() < 0 or dst.max() >= num_nodes):
         raise GraphFormatError("edge endpoint outside [0, N)")
 
     keep = src != dst
-    dropped = int(src.size - keep.sum())
-    src, dst = src[keep], dst[keep]
-    # canonical order (dst, src, type): a stable sort by type, then stable
-    # counting sorts by source and by destination, as np.lexsort would give
+    src, dst, kept = src[keep], dst[keep], int(keep.sum())
+    types, rank = None, 0
     if edge_type is not None:
-        edge_type = np.asarray(edge_type, dtype=np.int64)[keep]
-    order = np.arange(src.size) if edge_type is None else np.argsort(edge_type, kind="stable")
-    for key in (src, dst):
-        order = _stable_bucket(key[order], order, num_nodes)
-    src, dst = src[order], dst[order]
-    uniq = np.ones(src.size, dtype=bool)
-    uniq[1:] = (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
-    if edge_type is not None:
-        edge_type = edge_type[order]
-        uniq[1:] |= edge_type[1:] != edge_type[:-1]
-        edge_type = edge_type[uniq]
-    duplicates = int(src.size - uniq.sum())
-    src, dst = src[uniq], dst[uniq]
-
-    in_ptr, out_ptr = _pointers(dst, num_nodes), _pointers(src, num_nodes)
-    out_perm = _stable_bucket(src, np.arange(src.size), num_nodes)
-
+        types, rank = np.unique(np.asarray(edge_type, dtype=np.int64)[keep], return_inverse=True)
+    t = 1 if types is None else max(types.size, 1)
+    # float64 ones: a sum of repeats is a count and never wraps to 0; scipy's int32 indices are cast to int64
+    incoming = sparse.csr_matrix((np.ones(kept), (dst, src * t + rank)), shape=(num_nodes, num_nodes * t))
+    in_ptr, column = incoming.indptr.astype(np.int64), incoming.indices.astype(np.int64)
+    src, dst = column // t, np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(in_ptr))
+    outgoing = sparse.csr_matrix((np.arange(src.size), src, in_ptr), shape=(num_nodes, num_nodes)).tocsc()
     return AttributedGraph(
-        num_nodes=num_nodes, num_edges=src.size, edge_src=src, edge_dst=dst, edge_type=edge_type,
-        in_ptr=in_ptr, out_ptr=out_ptr, out_perm=out_perm, features=features,
+        num_nodes=num_nodes, num_edges=src.size, edge_src=src, edge_dst=dst,
+        edge_type=None if types is None else types[column % t],
+        in_ptr=in_ptr, out_ptr=outgoing.indptr.astype(np.int64), out_perm=outgoing.data, features=features,
         id_map=id_map if id_map is not None else [str(i) for i in range(num_nodes)],
-        dropped_self_loops=dropped, collapsed_duplicates=duplicates,
+        dropped_self_loops=keep.size - kept, collapsed_duplicates=kept - src.size,
     )
 
 
@@ -413,42 +395,45 @@ def load_graph(
     return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
 
 
-def _edge_subgraph(g: AttributedGraph, keep: np.ndarray, edge_type, nodes=None) -> AttributedGraph:
-    """The graph on ``nodes`` (increasing ids; every node when None) with the
-    canonical edges where ``keep`` holds.  Renumbering nodes in order keeps the
-    (dst, src) order: edges and ``out_perm`` are filtered and renumbered, unsorted."""
-    src, dst = g.edge_src[keep], g.edge_dst[keep]
-    n, features, id_map = g.num_nodes, g.features, list(g.id_map)
-    if nodes is not None:
-        remap = np.full(g.num_nodes, -1, dtype=np.int64)
-        remap[nodes] = np.arange(nodes.size)
-        src, dst = remap[src], remap[dst]
-        n, features, id_map = nodes.size, np.take(g.features, nodes, axis=0), [g.id_map[v] for v in nodes]
-    new_id = np.cumsum(keep) - 1  # canonical id among the kept edges
-    return AttributedGraph(
-        num_nodes=n, num_edges=src.size, edge_src=src, edge_dst=dst, edge_type=edge_type,
-        in_ptr=_pointers(dst, n), out_ptr=_pointers(src, n), out_perm=new_id[g.out_perm[keep[g.out_perm]]],
-        features=features, id_map=id_map, feature_csr=g.feature_csr if nodes is None else {},
-    )
-
-
 def subgraph_by_edge_type(g: AttributedGraph, type_id: int) -> AttributedGraph:
-    """Same node set, only edges of the given type retained (untyped result)."""
+    """Same node set, only edges of the given type retained (untyped result),
+    built by ``build_graph``; it shares ``g``'s features and so their CSR inputs."""
     if g.edge_type is None:
         raise ValueError("graph has no edge types")
     keep = g.edge_type == type_id
     if not keep.any():
         raise ValueError(f"unknown edge type {type_id}; present types: {np.unique(g.edge_type).tolist()}")
-    return _edge_subgraph(g, keep, None)
+    sub = build_graph(g.num_nodes, g.edge_src[keep], g.edge_dst[keep], g.features, id_map=list(g.id_map))
+    sub.feature_csr = g.feature_csr
+    return sub
 
 
-def induced_subgraph(g: AttributedGraph, nodes: np.ndarray) -> AttributedGraph:
-    """Subgraph induced on the given node set, with remapped dense ids."""
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    inside = np.zeros(g.num_nodes, dtype=bool)
-    inside[nodes] = True
+def node_mask(num_nodes: int, ids, what: str = "node") -> np.ndarray:
+    """Boolean mask of the given ids (any iterable, with repeats) over [0, N).
+    An id that is not an integer in [0, N) raises ``ValueError`` naming it."""
+    mask = np.zeros(num_nodes, dtype=bool)
+    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if ids.size:
+        if ids.dtype.kind not in "iu":  # 2.7, True and '1' name no node
+            raise ValueError(f"{what} ids must be integers, not {ids.flat[0].item()!r}")
+        outside = (ids < 0) | (ids >= num_nodes)
+        if outside.any():
+            raise ValueError(f"{what} id {ids.flat[np.argmax(outside)].item()} outside [0, {num_nodes})")
+        mask[ids] = True
+    return mask
+
+
+def induced_subgraph(g: AttributedGraph, nodes) -> AttributedGraph:
+    """Subgraph induced on ``nodes`` (as ``node_mask`` reads them), built by
+    ``build_graph``: node k of the result is the k-th smallest id given.  Its
+    features are a copy, with a CSR cache of their own."""
+    inside = node_mask(g.num_nodes, nodes)
+    nodes, remap = np.flatnonzero(inside), np.cumsum(inside) - 1
     keep = inside[g.edge_src] & inside[g.edge_dst]
-    return _edge_subgraph(g, keep, None if g.edge_type is None else g.edge_type[keep], nodes)
+    return build_graph(
+        nodes.size, remap[g.edge_src[keep]], remap[g.edge_dst[keep]], np.take(g.features, nodes, axis=0),
+        None if g.edge_type is None else g.edge_type[keep], [g.id_map[v] for v in nodes.tolist()],
+    )
 
 
 def weak_components(g: AttributedGraph) -> np.ndarray:
@@ -464,7 +449,5 @@ def largest_weak_component(g: AttributedGraph) -> AttributedGraph:
     go to the component containing the smallest node id.  A graph with no
     nodes gives an empty graph."""
     labels = weak_components(g)
-    if labels.size == 0:
-        return induced_subgraph(g, labels)
-    best = int(np.argmax(np.bincount(labels)))  # the first maximum: the tie rule
-    return induced_subgraph(g, np.nonzero(labels == best)[0])
+    best = np.argmax(np.bincount(labels, minlength=1))  # the first maximum: the tie rule
+    return induced_subgraph(g, np.flatnonzero(labels == best))

@@ -54,7 +54,9 @@ def select_edge_types(
     """Train one attention model per edge-type subgraph (largest types
     first) and keep the types whose scores correlate positively, by
     Spearman over labeled nodes touching that subgraph, with the validation
-    importance."""
+    importance.  ``top_k_types`` below 1 raises ``ValueError``."""
+    if top_k_types < 1:
+        raise ValueError(f"top_k_types must be at least 1, got {top_k_types}")
     if g.edge_type is None:
         raise ValueError("graph has no edge types")
     if not val_labels:

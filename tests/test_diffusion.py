@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import networkx as nx
 import numpy as np
@@ -358,6 +359,15 @@ class TestInfluenceSpread:
         # each used to simulate a node: 2.7 as node 2, True and '1' as node 1
         g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)))
         with pytest.raises(ValueError, match="^seed ids must be integers, not "):
+            influence_spread(g, DiffusionConfig(model="icp", num_runs=2), seeds)
+
+    @pytest.mark.parametrize(
+        "seeds, bad", [([1, -1], -1), (np.array([3, 0]), 3), ({7}, 7)], ids=["negative", "past", "set"]
+    )
+    def test_out_of_range_seed_named(self, seeds, bad):
+        # graph.node_mask, which induced_subgraph shares, names the first bad id
+        g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)))
+        with pytest.raises(ValueError, match=re.escape(f"seed id {bad} outside [0, 3)")):
             influence_spread(g, DiffusionConfig(model="icp", num_runs=2), seeds)
 
     @pytest.mark.parametrize(

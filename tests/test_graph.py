@@ -484,6 +484,18 @@ class TestBuildGraphOracle:
         again = graph_oracle.build_graph(n, expected.edge_src, expected.edge_dst, feats, expected.edge_type)
         assert_graphs_identical(build_graph(n, expected.edge_src, expected.edge_dst, feats, expected.edge_type), again)
 
+    def test_more_than_2_31_columns_and_extreme_types(self, rng):
+        # N * T > 2**31 makes scipy index columns in int64; types near +-2**62 are only ranked
+        n, m = 60_000, 40_000
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        etype = rng.permutation(m).astype(np.int64) * 10**9
+        etype[:4] = [2**62, -(2**62), 2**62 - 1, -(2**62) + 1]
+        etype[4:8] = etype[:4]  # repeats of the extreme types, on other edges
+        src[8:10], dst[8:10], etype[8:10] = src[0], dst[0], etype[0]  # one duplicate of an extreme edge
+        assert n * np.unique(etype).size > 2**31
+        feats = np.ones((n, 1))
+        assert_graphs_identical(build_graph(n, src, dst, feats, etype), graph_oracle.build_graph(n, src, dst, feats, etype))
+
 
 @st.composite
 def multigraphs(draw, max_nodes=10):
@@ -508,8 +520,8 @@ EMPTY_GRAPHS = [(0, np.zeros((0, 3), dtype=np.int64)), (4, np.zeros((0, 3), dtyp
 
 
 class TestSortFreeGraphOracle:
-    """build_graph's counting sorts and the subgraphs' filter-and-renumber
-    against the lexsort builder and the subgraphs that called it."""
+    """build_graph's scipy conversions, and the subgraphs that filter,
+    renumber and call it, against the lexsort builder and its subgraphs."""
 
     @pytest.mark.parametrize("typed", [False, True])
     @pytest.mark.parametrize("order", ["file", "reversed", "shuffled"])
@@ -756,3 +768,24 @@ class TestInducedSubgraph:
         assert np.allclose(sub.features, g.features[nodes])
         for u, v in zip(sub.edge_src, sub.edge_dst):
             assert (int(nodes[u]), int(nodes[v])) in set(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([-1, -2], "node id -1 outside [0, 4)"),
+            ([7], "node id 7 outside [0, 4)"),
+            ([1, 9, -3], "node id 9 outside [0, 4)"),
+            ([2.7, 1.0], "node ids must be integers, not 2.7"),
+            ([True], "node ids must be integers, not True"),
+        ],
+        ids=["negative", "past-the-end", "first-bad-named", "float", "bool"],
+    )
+    def test_bad_node_id_named(self, nodes, message):
+        # negative ids would wrap to the last nodes, and floats would be truncated
+        path = build_graph(4, [0, 1, 2], [1, 2, 3], np.ones((4, 1)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            induced_subgraph(path, nodes)
+
+    def test_empty_node_list_gives_empty_graph(self):
+        sub = induced_subgraph(build_graph(4, [0, 1, 2], [1, 2, 3], np.ones((4, 1))), [])
+        assert (sub.num_nodes, sub.num_edges, sub.features.shape, sub.id_map) == (0, 0, (0, 1), [])

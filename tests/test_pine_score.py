@@ -157,6 +157,13 @@ class TestSelectEdgeTypes:
         heterogeneous_pine(g, sorted(result.models), result.models)
         assert len(result.models) == 3 and calls == [np.float32]
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_fewer_than_one_type_rejected(self, rng, top_k):
+        # [:-1] would silently skip the smallest type, and [:0] would train nothing
+        g = random_graph(10, 0.3, rng, typed=2)
+        with pytest.raises(ValueError, match=f"top_k_types must be at least 1, got {top_k}"):
+            select_edge_types(g, [(0, 1.0)], top_k_types=top_k, config=SMALL_TRAIN)
+
     def test_untyped_graph_rejected(self, rng):
         g = random_graph(10, 0.3, rng)
         with pytest.raises(ValueError, match="edge types"):

@@ -839,6 +839,14 @@ class TestCli:
         assert main(["score", "--graph", str(edges), "--labels", str(labels)]) == 1
         assert f"{labels}{message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top_types", ["0", "-1"])
+    def test_score_top_types_below_one_fails(self, tmp_path, rng, capsys, top_types):
+        edges, labels = tmp_path / "typed.txt", tmp_path / "labels.tsv"
+        random_graph(30, 0.2, rng, typed=2).write_edge_list(edges)
+        labels.write_text("0\t1\n1\t2\n")
+        assert main(["score", "--graph", str(edges), "--labels", str(labels), "--top-types", top_types]) == 1
+        assert f"error [score] top_k_types must be at least 1, got {top_types}" in capsys.readouterr().err
+
     def test_component_subcommand(self, tmp_path, rng, capsys):
         # two weak components: a 4-cycle and an edge pair
         edges = tmp_path / "two.txt"

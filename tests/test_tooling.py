@@ -365,3 +365,71 @@ def test_numpy_calls_and_index_gathers_are_recognised():
     ]
     assert numpy_calls(text, "f", "take") == [[], [("a.size and a.min() >= 0", "else"), ("a.size", "else")]]
     assert index_gathers(text, "f") == ["a[ids]", "a[g.out_perm]"]
+
+
+def unused_imports(text):
+    """Names the module's imports bind and the module never reads, in
+    source order; a name listed in the module's ``__all__`` is a re-export
+    and counts as read."""
+    tree = ast.parse(text)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(elt.value for elt in getattr(node.value, "elts", []) if isinstance(elt, ast.Constant))
+    return [name for _line, name in sorted(bound) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = sorted(SOURCE.rglob("*.py"))
+    assert modules
+    found = {str(m.relative_to(SOURCE)): unused_imports(m.read_text(encoding="utf-8")) for m in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_imports_are_recognised():
+    text = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import scipy.sparse\n"
+        "from . import gat, metrics\n"
+        "from .graph import build_graph as build, load_graph\n"
+        "from .scores import ScoreVector\n"
+        "__all__ = ['ScoreVector']\n"
+        "def f(g) -> np.ndarray:\n"
+        "    gat = None\n"
+        "    return scipy.sparse.csr_matrix(metrics.x), build\n"
+    )
+    assert unused_imports(text) == ["os", "os", "gat", "load_graph"]
+
+
+def constructor_calls(text, name):
+    """The top-level function (None outside any) of each call of ``name``."""
+    return [owner for owner, callee, _names in calls_by_function(text) if callee.split(".")[-1] == name]
+
+
+def test_build_graph_is_the_one_graph_constructor():
+    # every graph, subgraphs included, is ordered and collapsed by graph.build_graph alone
+    found = {
+        (str(m.relative_to(SOURCE)), owner)
+        for m in sorted(SOURCE.rglob("*.py"))
+        for owner in constructor_calls(m.read_text(encoding="utf-8"), "AttributedGraph")
+    }
+    assert found == {("graph.py", "build_graph")}
+
+
+def test_constructor_calls_are_recognised():
+    text = (
+        "g = AttributedGraph(1)\n"
+        "def build_graph(n):\n    return AttributedGraph(num_nodes=n)\n"
+        "def sub(g):\n    return graph.AttributedGraph(g.num_nodes)\n"
+        "def other(g):\n    return isinstance(g, AttributedGraph), AttributedGraphs(g)\n"
+    )
+    assert constructor_calls(text, "AttributedGraph") == [None, "build_graph", "sub"]
