@@ -271,36 +271,35 @@ def _as_int(token: str) -> int | None:
         return None
 
 
-def _densify(tokens: np.ndarray, fast: np.ndarray, values: np.ndarray, words: np.ndarray):
-    """Dense index of each id token, and the ids in dense order: ids that
-    ``int()`` accepts by value, equal values by token string, then the other
-    ids by string.
+def _densify(values: np.ndarray, fast: np.ndarray, others: np.ndarray):
+    """Dense index of each id token, and the ids in dense order, from the tokens' ``values``, which
+    are canonical decimals (``fast``) and the other tokens as bytes (``others``): ids that ``int()``
+    accepts by value, equal values by token string, then the other ids by string.
 
     Canonical decimals are ranked by value: by a presence mask and its ``cumsum`` when all are
     nonnegative and below ``_RANK_SPAN`` times the token count (so one huge id allocates no huge
     mask), else by ``np.unique``; when every token is canonical that rank is the order.  Otherwise
-    the distinct canonical values, as strings, and the other tokens (``words``) are ranked by one Python sort."""
-    is_fast = fast[tokens]
-    ids = values[tokens[is_fast]]
+    the distinct canonical values, as strings, and the other tokens are ranked by one Python sort."""
+    ids = values[fast]
     top = int(ids.max(initial=-1))
-    if 0 <= top < _RANK_SPAN * tokens.size and ids.min() >= 0:
+    if 0 <= top < _RANK_SPAN * values.size and ids.min() >= 0:
         present = np.zeros(top + 1, dtype=bool)
         present[ids] = True
         known, fast_inverse = np.flatnonzero(present), np.cumsum(present)[ids] - 1
     else:
         known, fast_inverse = np.unique(ids, return_inverse=True)
-    if is_fast.all():
+    if not others.size:
         return fast_inverse, known.astype(str).tolist()
     slot: dict[bytes, int] = {}  # distinct other tokens, in first-seen order
-    other_inverse = np.array([slot.setdefault(w, len(slot)) for w in words[tokens[~is_fast]]], dtype=np.int64)
+    other_inverse = np.array([slot.setdefault(w, len(slot)) for w in others], dtype=np.int64)
     names = known.astype(str).tolist() + [w.decode("utf-8") for w in slot]
     numbers = known.tolist() + [_as_int(name) for name in names[known.size :]]
     order = sorted(range(len(names)), key=lambda k: (numbers[k] is None, numbers[k] or 0, names[k]))
     rank = np.empty(len(names), dtype=np.int64)
     rank[order] = np.arange(len(names))
-    index = np.empty(tokens.size, dtype=np.int64)
-    index[is_fast] = rank[fast_inverse]
-    index[~is_fast] = rank[known.size + other_inverse]
+    index = np.empty(values.size, dtype=np.int64)
+    index[fast] = rank[fast_inverse]
+    index[~fast] = rank[known.size + other_inverse]
     return index, [names[k] for k in order]
 
 
@@ -309,37 +308,29 @@ def _line_text(path, lineno: int) -> str:
         return next(itertools.islice(fh, lineno - 1, None)).strip()
 
 
-def load_graph(
-    edge_list_path,
-    feature_path=None,
-    reverse_edges: bool = False,
-    num_nodes: int | None = None,
-) -> AttributedGraph:
-    r"""Load an attributed graph from an edge-list file plus a feature file.
+def _canonical_table(data: bytes) -> np.ndarray | None:
+    r"""The (M, 2|3) int64 table of an edge list in the canonical layout, read by one ``np.fromstring``:
+    only digits, spaces, tabs and ``\n``, ending in ``\n``; the same 2 or 3 tokens on every line, split
+    by one space or tab; tokens of 1 to 18 digits, no leading zero.  None for any other layout."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if not data.endswith(b"\n") or (buf > ord("9")).any():
+        return None
+    ends = np.flatnonzero(buf < ord("0"))  # the byte after each token
+    cols = int(np.argmax(buf[ends] == ord("\n"))) + 1
+    if cols not in (2, 3) or ends.size % cols:
+        return None
+    seps, lengths = buf[ends].reshape(-1, cols), np.diff(ends, prepend=-1) - 1
+    leading_zero = (buf[ends - lengths] == ord("0")) & (lengths > 1)
+    if (seps[:, -1] != ord("\n")).any() or not np.isin(seps[:, :-1], (ord(" "), ord("\t"))).all():
+        return None
+    if not 1 <= lengths.min() <= lengths.max() <= _CANONICAL_DIGITS or leading_zero.any():
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=" ")  # any whitespace separates
+    return values.reshape(-1, cols) if values.size == ends.size else None
 
-    The edge list is UTF-8 text with one edge per line, ``src dst`` or
-    ``src dst type``, in columns split by any whitespace ``str.split``
-    knows (spaces, tabs, ...).  One leading byte-order mark is skipped; a
-    file that is not UTF-8 raises ``GraphFormatError`` at the line of its
-    first bad byte.  Lines end at ``\n``, ``\r\n`` or ``\r``.
-    Blank lines and lines whose first character after leading whitespace
-    is ``#`` are skipped.  Every other line must have 2 or 3 columns, all
-    lines the same number, and a type must be an integer in int64; else
-    ``GraphFormatError`` names ``path:lineno``.
 
-    Node ids are tokens, densified to [0, N): ids that ``int()`` accepts
-    come first, by integer value, and tokens of equal value (``7``,
-    ``07``, ``+7``) are distinct nodes ordered by token string; every other
-    id follows, in string order.  ``id_map`` holds the tokens in that
-    order.  Self-loops are dropped and repeated (src, dst[, type]) edges
-    collapsed, counted in ``dropped_self_loops`` and
-    ``collapsed_duplicates``.  When ``feature_path`` is None every node
-    gets a single constant feature.  ``reverse_edges`` flips edge
-    orientation at load time, for raw citation files stored citing ->
-    cited.  ``num_nodes`` adds trailing isolated nodes.
-    """
-    path = edge_list_path
-    data = _read_edge_bytes(path)
+def _tokenized(path, data: bytes):
+    """Edge types (None untyped) and ``_densify`` inputs of any edge-list file, read token by token."""
     buf = np.frombuffer(data, dtype=np.uint8)
     starts, lengths, token_line = _token_spans(buf)
     heads = np.flatnonzero(np.diff(token_line, prepend=0))  # first token of each non-blank line
@@ -375,14 +366,56 @@ def load_graph(
             raise GraphFormatError(f"{path}:{lines[r]}: inconsistent column count")
         raise GraphFormatError(f"{path}:{lines[r]}: bad edge type {words[heads[r] + 2].decode('utf-8')!r}")
 
-    index, id_map = _densify(np.concatenate([heads, heads + 1]), fast, values, words)
+    ids = np.concatenate([heads, heads + 1])
+    return etype, values[ids], fast[ids], words[ids[~fast[ids]]]
+
+
+def load_graph(
+    edge_list_path,
+    feature_path=None,
+    reverse_edges: bool = False,
+    num_nodes: int | None = None,
+) -> AttributedGraph:
+    r"""Load an attributed graph from an edge-list file plus a feature file.
+
+    The edge list is UTF-8 text with one edge per line, ``src dst`` or
+    ``src dst type``, in columns split by any whitespace ``str.split``
+    knows (spaces, tabs, ...).  One leading byte-order mark is skipped; a
+    file that is not UTF-8 raises ``GraphFormatError`` at the line of its
+    first bad byte.  Lines end at ``\n``, ``\r\n`` or ``\r``.
+    Blank lines and lines whose first character after leading whitespace
+    is ``#`` are skipped.  Every other line must have 2 or 3 columns, all
+    lines the same number, and a type must be an integer in int64; else
+    ``GraphFormatError`` names ``path:lineno``.
+
+    Node ids are tokens, densified to [0, N): ids that ``int()`` accepts
+    come first, by integer value, and tokens of equal value (``7``,
+    ``07``, ``+7``) are distinct nodes ordered by token string; every other
+    id follows, in string order.  ``id_map`` holds the tokens in that
+    order.  Self-loops are dropped and repeated (src, dst[, type]) edges
+    collapsed, counted in ``dropped_self_loops`` and
+    ``collapsed_duplicates``.  When ``feature_path`` is None every node
+    gets a single constant feature.  ``reverse_edges`` flips edge
+    orientation at load time, for raw citation files stored citing ->
+    cited.  ``num_nodes`` adds trailing isolated nodes.  A file in
+    ``_canonical_table``'s layout is parsed in one pass, to the same graph.
+    """
+    path = edge_list_path
+    data = _read_edge_bytes(path)
+    table = _canonical_table(data)
+    if table is None:
+        etype, values, fast, others = _tokenized(path, data)
+    else:
+        etype = table[:, 2] if table.shape[1] == 3 else None
+        values, fast, others = table[:, :2].T.ravel(), np.ones(2 * table.shape[0], dtype=bool), np.empty(0, object)
+    index, id_map = _densify(values, fast, others)
     n = len(id_map)
     if num_nodes is not None:
         if num_nodes < n:
             raise GraphFormatError(f"num_nodes={num_nodes} but edge list references {n} ids")
         # trailing isolated nodes with dense ids
         n = num_nodes
-    src, dst = index[: heads.size], index[heads.size :]
+    src, dst = np.split(index, 2)
     if reverse_edges:
         src, dst = dst, src
 

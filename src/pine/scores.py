@@ -78,6 +78,8 @@ def node_rows(path, num_nodes: int | None, width: int):
                 raise ScoreFileError(f"{path}:{lineno}: expected {expected}, got {text!r} ({exc})") from exc
             if node < 0:
                 raise ScoreFileError(f"{path}:{lineno}: node id {node} is negative")
+            if num_nodes == 0:
+                raise ScoreFileError(f"{path}:{lineno}: node id {node} names no node: the graph has no nodes")
             if num_nodes is not None and node >= num_nodes:
                 raise ScoreFileError(f"{path}:{lineno}: node id {node} is past the last node ({num_nodes - 1})")
             yield lineno, node, value

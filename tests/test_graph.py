@@ -400,12 +400,84 @@ class TestLoaderOracle:
         assert_graphs_identical(got, expected)
         assert not set(got.id_map) <= set(map(str, range(n)))  # the unusual ids are nodes too
 
-    def test_benchmark_shaped_file(self, tmp_path, rng):
+    @pytest.mark.parametrize("header", ["# generated\n", ""], ids=["comment", "canonical"])
+    def test_benchmark_shaped_file(self, tmp_path, rng, header):
+        # the benchmark writes the canonical layout, which the one-pass parse reads
         n, m = 3000, 30000
         src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
         text = "".join(f"{s} {d}\n" for s, d in zip(src.tolist(), dst.tolist()))
-        path = write_edges(tmp_path, "# generated\n" + text)
-        assert_graphs_identical(load_graph(path), graph_oracle.load_graph(path))
+        path = write_edges(tmp_path, header + text)
+        with mock.patch.object(pine.graph, "_token_spans", wraps=pine.graph._token_spans) as tokenizer:
+            got = load_graph(path)
+        assert tokenizer.called == bool(header)
+        assert_graphs_identical(got, graph_oracle.load_graph(path))
+
+
+CANONICAL_TOKENS = st.one_of(st.integers(0, 30), st.integers(0, 10**18 - 1)).map(str)
+NEAR_MISSES = [
+    "leading-zero", "minus", "plus", "letter", "19-digit", "crlf", "cr", "double-space", "odd-separator",
+    "leading-space", "trailing-space", "joined-lines", "blank-line", "comment-line", "mixed-columns",
+    "one-column", "four-columns", "no-final-newline",
+]
+
+
+@st.composite
+def canonical_or_near_miss(draw):
+    """(None, text) for an edge list in the canonical layout: the same 2 or 3
+    decimals of 1 to 18 digits without a leading zero on every line, split by
+    one space or tab, each line ended by ``\n``; or (kind, text) for such a
+    file with one near miss of that kind."""
+    columns = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.lists(CANONICAL_TOKENS, min_size=columns, max_size=columns), min_size=1, max_size=10))
+    miss = draw(st.sampled_from([None] * len(NEAR_MISSES) + NEAR_MISSES))
+    if miss in ("one-column", "four-columns"):
+        rows = [row[:1] if miss == "one-column" else row + ["1"] * (4 - columns) for row in rows]
+    seps = [[draw(st.sampled_from([" ", "\t"])) for _ in row[1:]] for row in rows]
+    ends = ["\n"] * len(rows)
+    r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows[0]) - 1))
+    # a type beyond int64 is test_type_beyond_int64_names_line's: the oracle raised a bare OverflowError
+    longest = 2**63 - 1 if c == 2 else 10**19 - 1
+    spelled = {"leading-zero": "0" + rows[r][c], "minus": "-" + rows[r][c], "plus": "+" + rows[r][c],
+               "letter": rows[r][c] + "x", "19-digit": str(draw(st.integers(10**18, longest)))}
+    rows[r][c] = spelled.get(miss, rows[r][c])
+    if miss == "double-space":
+        seps[r][0] += " "
+    elif miss == "odd-separator":
+        seps[r][0] = draw(st.sampled_from(list("-+,.#/\x0b\x0c\r")))
+    ends[r] = {"crlf": "\r\n", "cr": "\r", "trailing-space": " \n", "joined-lines": " "}.get(miss, "\n")
+    lines = ["".join(t + s for t, s in zip(row, sep + [end])) for row, sep, end in zip(rows, seps, ends)]
+    inserted = {"blank-line": "\n", "comment-line": "# x\n", "mixed-columns": " ".join(["1"] * (5 - columns)) + "\n"}
+    if miss in inserted:
+        lines.insert(draw(st.integers(0, len(lines))), inserted[miss])
+    text = ("" if miss != "leading-space" else " ") + "".join(lines)
+    return miss, text[:-1] if miss == "no-final-newline" else text
+
+
+class TestCanonicalTable:
+    """Edge lists in the canonical layout are parsed by one ``np.fromstring``;
+    every other file, near misses included, by the tokenizer."""
+
+    @given(canonical_or_near_miss(), st.booleans())
+    @example((None, "999999999999999999\t0\n1 0\n"), False)
+    @example((None, "0 1 999999999999999999\n1\t0\t0\n"), True)
+    @example(("19-digit", "1000000000000000000 0\n"), False)
+    @example(("leading-zero", "0 01\n"), False)
+    @example(("double-space", "1  2\n"), False)
+    @example(("trailing-space", "1 2 \n"), False)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_oracle_on_the_path_the_layout_picks(self, tmp_path_factory, case, reverse):
+        miss, text = case
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_bytes(text.encode("ascii"))
+        with mock.patch.object(graph_oracle, "_id_sort_key", oracle_key_with_tie_rule):
+            expected = outcome(graph_oracle.load_graph, path, reverse_edges=reverse)
+        with mock.patch.object(pine.graph, "_token_spans", wraps=pine.graph._token_spans) as tokenizer:
+            got = outcome(load_graph, path, reverse_edges=reverse)
+        assert tokenizer.called == (miss is not None)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert_graphs_identical(got, expected)
 
 
 NONNEGATIVE_IDS = st.one_of(st.integers(0, 20).map(str), st.sampled_from(["0", "@bound-1", "@bound", "@bound+1"]))

@@ -236,8 +236,9 @@ class TestReadScoreTsv:
             ("0\t1\n1\t2\n0\t3\n", None, r":3: node id 0 given twice"),
             ("0\t1\n3\t2\n", 3, r":2: node id 3 is past the last node \(2\)"),
             ("# header\n0\t1\n1.5\t2\n", None, r":3: expected node_id<TAB>value, got '1.5\\t2'"),
+            ("# header\n0\t1\n", 0, r":2: node id 0 names no node: the graph has no nodes"),
         ],
-        ids=["negative", "duplicate", "past-the-end", "fractional"],
+        ids=["negative", "duplicate", "past-the-end", "fractional", "no-nodes"],
     )
     def test_bad_id_names_path_and_line(self, tmp_path, text, num_nodes, message):
         path = tmp_path / "scores.tsv"
@@ -970,6 +971,16 @@ class TestCli:
         assert main(["score", "--graph", edges, "--features", feats, "--model", str(model_path)]) == 1
         assert f"{model_path}: layer count is 0" in capsys.readouterr().err
 
+    def test_seed_on_empty_graph_says_it_has_no_nodes(self, tmp_path, capsys):
+        # the message used to read "node id 0 is past the last node (-1)"
+        edges, seeds = tmp_path / "empty.txt", tmp_path / "seeds0.txt"
+        edges.write_text("")
+        seeds.write_text("0\n")
+        assert main(["simulate", "--graph", str(edges), "--model", "ltp", "--seeds", str(seeds)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error [simulate] {seeds}:1: node id 0 names no node: the graph has no nodes\n"
+
     def test_score_needs_model_or_labels(self, graph_files, capsys):
         _g, edges, feats = graph_files
         with pytest.raises(SystemExit) as exc:
@@ -977,6 +988,99 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--model" in err and "--labels" in err
+
+
+# text, then the nodes and edges left once the loader drops self-loops
+DEGENERATE_EDGE_LISTS = {
+    "empty": ("", 0, 0),
+    "self-loop": ("1 1\n", 1, 0),
+    "one-edge": ("0 1\n", 2, 1),
+    "3-cycle": ("0 1\n1 2\n2 0\n", 3, 3),
+}
+DEGENERATE_COMMANDS = [f"centrality:{m}" for m in METHODS if m != "pine"] + [
+    "train", "score:model", "score:labels", "simulate:ltp", "simulate:icp", "simulate:sir",
+    "evaluate", "pipeline", "bench", "split", "component",
+]
+TOO_SMALL = "graph with M={m} edges is too small to split into nonempty parts"
+NO_NODES = ":1: node id 0 names no node: the graph has no nodes"
+NOT_EMPTY = ["self-loop", "one-edge", "3-cycle"]
+ALL_ZERO = "NDCG undefined: ground-truth importance is all zero"
+# the message of each run that exits 1, by subcommand and edge list; every other run exits 0
+DEGENERATE_ERRORS = {
+    **{name: dict.fromkeys(DEGENERATE_EDGE_LISTS, f"error [{name}] {TOO_SMALL}") for name in ("train", "split")},
+    "bench": dict.fromkeys(DEGENERATE_EDGE_LISTS, f"error [bench] {TOO_SMALL}"),
+    "pipeline": {
+        "empty": "error [simulate:ltp] graph has no nodes",
+        **dict.fromkeys(NOT_EMPTY, f"error [pine] {TOO_SMALL}"),
+    },
+    "score:labels": {
+        "empty": "labels.tsv" + NO_NODES,
+        **dict.fromkeys(NOT_EMPTY, "error [score] graph has no edge types"),
+    },
+    **{f"simulate:{model}": {"empty": "seeds.txt" + NO_NODES} for model in ("ltp", "icp", "sir")},
+    "evaluate": dict.fromkeys(["empty", "self-loop"], f"error [evaluate] {ALL_ZERO}"),
+}
+
+
+class TestDegenerateEdgeLists:
+    """Every subcommand on an empty edge list, a lone self-loop, one edge and a
+    3-cycle: it exits 0 with output sized by the graph, or exits 1 with one
+    ``error [...]`` line that names the input or the property that fails."""
+
+    @staticmethod
+    def arguments(tmp_path, command, text):
+        edges, scores = tmp_path / "edges.txt", str(tmp_path / "scores.tsv")
+        edges.write_text(text)
+        (tmp_path / "seeds.txt").write_text("0\n")
+        (tmp_path / "labels.tsv").write_text("0\t1\n")
+        gat.save_model(gat.init_model(1, 4, 2, np.random.default_rng(0)), tmp_path / "model.bin")
+        config = tmp_path / "conf.ini"
+        config.write_text(
+            f"[graph]\nedges = {edges}\n[pipeline]\nmethods = out_degree, pine\nmodels = ltp\n"
+            "[diffusion]\nruns = 5\n[train]\nhidden = 4\nmax_epochs = 2\n"
+        )
+        name, _, option = command.partition(":")
+        graph = [name, "--graph", str(edges)]
+        return {
+            "centrality": [*graph, "--method", option, "--out", scores],
+            "train": [*graph, "--hidden", "4", "--max-epochs", "2", "--out", str(tmp_path / "trained.bin")],
+            "score": [*graph, f"--{option}", str(tmp_path / ("model.bin" if option == "model" else "labels.tsv"))],
+            "simulate": [*graph, "--model", option, "--seeds", str(tmp_path / "seeds.txt"), "--runs", "5"],
+            "evaluate": [name, "--scores", scores, "--truth", scores],
+            "pipeline": [name, str(config)],
+            "bench": [name, str(config)],
+            "split": [*graph, "--out-prefix", str(tmp_path / "split")],
+            "component": [*graph, "--out", str(tmp_path / "component.txt")],
+        }[name]
+
+    @pytest.mark.parametrize("edge_list", DEGENERATE_EDGE_LISTS)
+    @pytest.mark.parametrize("command", DEGENERATE_COMMANDS)
+    def test_output_or_named_error(self, tmp_path, capsys, command, edge_list):
+        text, n, m = DEGENERATE_EDGE_LISTS[edge_list]
+        args = self.arguments(tmp_path, command, text)
+        if command == "evaluate":  # the graph's degrees, as truth and as prediction
+            assert main(self.arguments(tmp_path, "centrality:degree", text)) == 0
+        rc = main(args)
+        out, err = capsys.readouterr()
+        error = DEGENERATE_ERRORS.get(command, {}).get(edge_list)
+        if error is not None:
+            assert (rc, out) == (1, "") and err.startswith("error [") and err.count("\n") == 1, err
+            assert error.format(m=m) in err
+            return
+        assert (rc, err) == (0, "")
+        name = command.partition(":")[0]
+        if name in ("centrality", "score"):
+            written = Path(args[-1]).read_text() if name == "centrality" else out
+            rows = [line.split("\t") for line in written.splitlines()]
+            assert sorted(int(node) for node, _value in rows) == list(range(n))
+            assert all(np.isfinite(float(value)) for _node, value in rows)
+        elif name == "simulate":
+            header, row = out.splitlines()
+            assert header == "mean_spread\tstd_spread\truns" and row.endswith("\t5")
+        elif name == "evaluate":
+            assert [line.split("\t")[0] for line in out.splitlines()] == ["ndcg@100", "spearman", "precision@100"]
+        else:
+            assert out == f"nodes\t{n}\nedges\t{m}\n"
 
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
