@@ -8,7 +8,7 @@ import sys
 from . import __version__, gat, metrics
 from .diffusion import MODELS, influence_spread
 from .graph import largest_weak_component, load_graph, write_int_rows
-from .pine_score import TOP_K_TYPES, heterogeneous_pine, score_graph, select_edge_types
+from .pine_score import TOP_K_TYPES, score_graph, select_edge_types
 from .pipeline import (
     _KEYS,
     _SECTION_CLASS,
@@ -97,11 +97,9 @@ def cmd_score(args):
     g, layer = _load(args), args.score_layer
     if args.labels:
         labels = list(read_score_rows(args.labels, g.num_nodes).items())
-        sel = select_edge_types(g, labels, top_k_types=args.top_types, config=_config(args), layer_index=layer)
-        scores = heterogeneous_pine(g, sel.selected, sel.models, layer_index=layer)
+        scores = select_edge_types(g, labels, top_k_types=args.top_types, config=_config(args), layer_index=layer).scores
     else:
-        model = gat.load_model(args.model)
-        scores = score_graph(g, model, layer)
+        scores = score_graph(g, gat.load_model(args.model), layer)
     _emit_scores(CALIBRATIONS[args.calibrate](scores, g), args.out)
 
 

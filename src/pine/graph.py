@@ -181,17 +181,21 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
     """Load a feature matrix from CSV (row order = node id) or the PINEF1
     binary format, detected by magic bytes: ``PINEF1``, the row and column
     counts as little-endian uint64 (a 22-byte header), then the rows as
-    little-endian float32.  The bytes are read once: a CSV of one-digit fields
-    split by ``,``, every line ended by ``\n`` and of one width, is reshaped
-    from them, and ``np.loadtxt`` reads any other CSV from them as UTF-8."""
+    little-endian float32 and nothing after them.  The bytes are read once: a
+    CSV of one-digit fields split by ``,``, every line ended by ``\n`` and of
+    one width, is reshaped from them, and ``np.loadtxt`` reads any other CSV
+    from them as UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read()
     feats = None if data.startswith(MAGIC_FEATURES) else _digit_csv(data)
     if feats is None:  # one-digit fields are finite; float32 blobs and np.loadtxt values may not be
         if data.startswith(MAGIC_FEATURES):
             n, d = struct.unpack_from("<QQ", data[:22].ljust(22, b"\0"), 6)  # a short header fails below
-            if len(data) < 22 + 4 * n * d:
+            extra = len(data) - 22 - 4 * n * d
+            if extra < 0:
                 raise GraphFormatError(f"{path}: PINEF1 file cut short")
+            if extra:
+                raise GraphFormatError(f"{path}: {extra} trailing bytes after the {n} x {d} PINEF1 rows")
             feats = np.frombuffer(data, "<f4", n * d, 22).reshape(n, d).astype(np.float64)
         else:
             try:

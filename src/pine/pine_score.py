@@ -34,7 +34,7 @@ def score_graph(g: AttributedGraph, model: gat.GatModel, layer_index: int = 0) -
 class TypeSelectionResult:
     selected: list[int]
     correlations: dict[int, float]
-    models: dict[int, gat.GatModel]
+    scores: ScoreVector  # the heterogeneous score: the selected types' scores, summed
     skipped: list[int]
 
 
@@ -51,10 +51,11 @@ def select_edge_types(
     config: TrainConfig | None = None,
     layer_index: int = 0,
 ) -> TypeSelectionResult:
-    """Train one attention model per edge-type subgraph (largest types
-    first) and keep the types whose scores correlate positively, by
-    Spearman over labeled nodes touching that subgraph, with the validation
-    importance.  ``top_k_types`` below 1 raises ``ValueError``."""
+    """Heterogeneous pine in one pass: train one attention model per edge-type
+    subgraph (largest types first), keep the types whose scores correlate
+    positively, by Spearman over labeled nodes touching that subgraph, with
+    the validation importance, and sum the kept types' scores.  No model is
+    kept.  ``top_k_types`` below 1 raises ``ValueError``."""
     if top_k_types < 1:
         raise ValueError(f"top_k_types must be at least 1, got {top_k_types}")
     if g.edge_type is None:
@@ -65,7 +66,8 @@ def select_edge_types(
     label_nodes = np.array([v for v, _ in val_labels], dtype=np.int64)
     label_values = np.array([imp for _, imp in val_labels], dtype=np.float64)
 
-    result = TypeSelectionResult([], {}, {}, [])
+    selected, correlations, skipped = [], {}, []
+    total = np.zeros(g.num_nodes)
     for type_id, size in _type_sizes(g)[:top_k_types]:
         sub = subgraph_by_edge_type(g, type_id)
         try:
@@ -73,38 +75,23 @@ def select_edge_types(
             model, _log = train(sub, split, config)
         except SplitError as exc:
             logger.info("edge type %d skipped (%d edges): %s", type_id, size, exc)
-            result.skipped.append(type_id)
+            skipped.append(type_id)
             continue
-        scores = score_graph(sub, model, layer_index)
+        values = score_graph(sub, model, layer_index).values
         touched = (sub.in_degrees() + sub.out_degrees())[label_nodes] > 0
         if touched.sum() < 2:
             logger.info("edge type %d skipped: fewer than 2 labeled nodes in subgraph", type_id)
-            result.skipped.append(type_id)
+            skipped.append(type_id)
             continue
-        rho = metrics.spearman(scores.values[label_nodes[touched]], label_values[touched])
-        result.correlations[type_id] = rho
-        result.models[type_id] = model
+        rho = metrics.spearman(values[label_nodes[touched]], label_values[touched])
+        correlations[type_id] = rho
         if np.isfinite(rho) and rho > 0:
-            result.selected.append(type_id)
-    if not result.selected:
-        logger.warning("no edge types exhibited positive correlation; selection is empty")
-    return result
-
-
-def heterogeneous_pine(
-    g: AttributedGraph,
-    selected: list[int],
-    models: dict[int, gat.GatModel],
-    layer_index: int = 0,
-) -> ScoreVector:
-    """Sum of type-restricted scores over the selected edge types."""
-    values = np.zeros(g.num_nodes)
+            selected.append(type_id)
+            total += values
     if not selected:
-        logger.warning("empty type selection: heterogeneous scores are all zero")
-    for type_id in selected:
-        sub = subgraph_by_edge_type(g, type_id)
-        values += score_graph(sub, models[type_id], layer_index).values
-    return ScoreVector(values, f"pine_heterogeneous[{sorted(selected)}]")
+        logger.warning("no edge types exhibited positive correlation: selection is empty, scores are all zero")
+    scores = ScoreVector(total, f"pine_heterogeneous[{sorted(selected)}]")
+    return TypeSelectionResult(selected, correlations, scores, skipped)
 
 
 def calibrate_by_out_degree(scores: ScoreVector, g: AttributedGraph) -> ScoreVector:

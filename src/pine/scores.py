@@ -57,8 +57,9 @@ def node_rows(path, num_nodes: int | None, width: int):
     (``width`` 1, value None) or ``node_id<TAB>value`` rows (``width`` 2).
     Lines are UTF-8, ``#`` starts a comment anywhere on a line, and blank lines
     are skipped.  A line that is not UTF-8, a row that is not ``width``
-    tab-separated fields, or an id that is not an integer in [0, num_nodes)
-    (>= 0 when ``num_nodes`` is None) raises ``ScoreFileError`` at ``path:lineno``."""
+    tab-separated fields, an id that is not an integer in [0, num_nodes)
+    (>= 0 when ``num_nodes`` is None) or a value that is not finite raises
+    ``ScoreFileError`` at ``path:lineno``."""
     expected = "<TAB>".join(("node_id", "value")[:width])
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -82,6 +83,8 @@ def node_rows(path, num_nodes: int | None, width: int):
                 raise ScoreFileError(f"{path}:{lineno}: node id {node} names no node: the graph has no nodes")
             if num_nodes is not None and node >= num_nodes:
                 raise ScoreFileError(f"{path}:{lineno}: node id {node} is past the last node ({num_nodes - 1})")
+            if width > 1 and not np.isfinite(value):
+                raise ScoreFileError(f"{path}:{lineno}: value {fields[1]!r} of node {node} is not finite")
             yield lineno, node, value
 
 

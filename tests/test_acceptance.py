@@ -14,16 +14,11 @@ import numpy as np
 import pytest
 
 from pine import centrality as ct
-from pine import gat
+from pine import diffusion, gat
 from pine.diffusion import DiffusionConfig, compute_influence_weights, influence_spread
 from pine.graph import build_graph, largest_weak_component, load_graph
 from pine.metrics import ndcg_at_k, precision_at_k, spearman
-from pine.pine_score import (
-    calibrate_by_out_degree,
-    heterogeneous_pine,
-    score_graph,
-    select_edge_types,
-)
+from pine.pine_score import calibrate_by_out_degree, score_graph, select_edge_types
 from pine.pipeline import run_pipeline
 from pine.train import TrainConfig
 
@@ -282,8 +277,7 @@ def test_criterion_8_heterogeneous_planted():
     rng = np.random.default_rng(0)
     labeled = rng.choice(g.num_nodes, size=300, replace=False)
     result = select_edge_types(g, [(int(v), float(imp[v])) for v in labeled], top_k_types=3, config=config)
-    combined = heterogeneous_pine(g, result.selected, result.models)
-    calibrated = calibrate_by_out_degree(combined, g)
+    calibrated = calibrate_by_out_degree(result.scores, g)
     rho = spearman(calibrated.values, imp)
     ok = recovered >= 9 and rho >= 0.5
     _report(8, ok, f"planted type recovered in {recovered}/10 runs, calibrated spearman {rho:.3f}")
@@ -302,8 +296,10 @@ def test_criterion_9_pipeline_determinism(tmp_path, monkeypatch):
         "[diffusion]\nruns = 200\n[train]\nhidden = 8\nmax_epochs = 15\npatience = 5\nlr = 0.01\n"
     )
     reports = []
-    for workers in ("1", "8", "1", "8"):
+    # PINE_THREADS is read by nothing in pine; a chunk budget of 1 runs each Monte Carlo run in a chunk of its own
+    for workers, budget in (("1", diffusion.CHUNK_BUDGET), ("8", 1), ("1", diffusion.CHUNK_BUDGET), ("8", 1)):
         monkeypatch.setenv("PINE_THREADS", workers)
+        monkeypatch.setattr(diffusion, "CHUNK_BUDGET", budget)
         reports.append(run_pipeline(config))
     ok = all(r == reports[0] for r in reports[1:])
-    _report(9, ok, f"4 runs across worker counts {{1, 8}} byte-identical: {ok}")
+    _report(9, ok, f"4 runs across worker counts {{1, 8}} and 1 or all runs per chunk byte-identical: {ok}")

@@ -388,8 +388,10 @@ class TestInfluenceSpread:
         g = random_graph(25, 0.15, rng)
         config = DiffusionConfig(model="icp", num_runs=64, rng_seed=7)
         results = []
-        for threads in ("1", "8"):
+        # PINE_THREADS is read by nothing in pine; a chunk budget of 1 runs each run in a chunk of its own
+        for threads, budget in (("1", diffusion.CHUNK_BUDGET), ("8", 1)):
             monkeypatch.setenv("PINE_THREADS", threads)
+            monkeypatch.setattr(diffusion, "CHUNK_BUDGET", budget)
             results.append(influence_spread(g, config, [0, 1, 2]).activated_counts)
         assert np.array_equal(results[0], results[1])
 

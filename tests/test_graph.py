@@ -187,24 +187,21 @@ DIGIT_MATRICES = st.integers(1, 12).flatmap(
 
 class TestFeatureFileReadOnce:
     @pytest.mark.parametrize(
-        "cut, message",
-        [(8, "PINEF1 file cut short"), (6 + 16 + 4 * 5, "PINEF1 file cut short")],
-        ids=["header", "blob"],
+        "size, message",
+        [
+            (8, "PINEF1 file cut short"),
+            (6 + 16 + 4 * 5, "PINEF1 file cut short"),
+            (6 + 16 + 4 * 9, "12 trailing bytes after the 2 x 3 PINEF1 rows"),
+        ],
+        ids=["header", "blob", "trailing"],
     )
-    def test_truncated_binary_names_path(self, tmp_path, cut, message):
-        # a header cut short used to fail as a bare struct.error
+    def test_truncated_binary_names_path(self, tmp_path, size, message):
+        # a header cut short used to fail as a bare struct.error, and bytes after the rows were ignored
         path = tmp_path / "f.bin"
         write_features_binary(path, np.ones((2, 3)))
-        path.write_bytes(path.read_bytes()[:cut])
+        path.write_bytes(path.read_bytes()[:size].ljust(size, b"\x00"))
         with pytest.raises(GraphFormatError, match=f"^{re.escape(str(path))}: {message}$"):
             load_features(path)
-
-    def test_bytes_after_blob_ignored(self, tmp_path):
-        path = tmp_path / "f.bin"
-        feats = np.arange(6, dtype=np.float32).reshape(2, 3)
-        write_features_binary(path, feats)
-        path.write_bytes(path.read_bytes() + b"\x00\x01")
-        assert np.array_equal(load_features(path), feats)
 
     @pytest.mark.parametrize("layout", ["digits", "floats", "binary"])
     def test_file_opened_once(self, tmp_path, layout):

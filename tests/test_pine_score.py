@@ -1,15 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
-from pine import gat
+from pine import gat, pine_score
 from pine.graph import build_graph, subgraph_by_edge_type
 from pine.metrics import spearman
-from pine.pine_score import (
-    calibrate_by_out_degree,
-    heterogeneous_pine,
-    score_graph,
-    select_edge_types,
-)
+from pine.pine_score import calibrate_by_out_degree, score_graph, select_edge_types
 from pine.scores import ScoreVector
 from pine.train import TrainConfig
 
@@ -25,6 +22,13 @@ def randomized_model(g, rng, hidden=4, layers=1):
 
 
 SMALL_TRAIN = TrainConfig(learning_rate=1e-2, hidden_size=8, num_layers=1, max_epochs=30, patience=10, rng_seed=0)
+
+
+def record_results(monkeypatch, name):
+    """The list of what each call of ``pine_score.<name>`` returns, from now on."""
+    results, inner = [], getattr(pine_score, name)
+    monkeypatch.setattr(pine_score, name, lambda *args, **kwargs: results.append(inner(*args, **kwargs)) or results[-1])
+    return results
 
 
 class TestPineScores:
@@ -80,31 +84,30 @@ class TestPineScores:
 
 
 class TestHeterogeneousPine:
-    def test_single_type_equals_subgraph_scores(self, rng):
-        g, _imp = planted_heterogeneous_graph(n=80, planted_edges=200, noise_edges=60, seed=1)
-        sub = subgraph_by_edge_type(g, 0)
-        model = randomized_model(sub, np.random.default_rng(0))
-        combined = heterogeneous_pine(g, [0], {0: model})
-        assert np.allclose(combined.values, score_graph(sub, model).values)
+    """``select_edge_types`` sums the selected types' scores in the pass that trains and scores them."""
 
-    def test_two_types_sum_elementwise(self, rng):
+    def test_single_type_equals_subgraph_scores(self, monkeypatch):
+        g, imp = planted_heterogeneous_graph(n=80, planted_edges=200, noise_edges=60, seed=1)
+        trained = record_results(monkeypatch, "train")
+        result = select_edge_types(g, [(v, float(imp[v])) for v in range(80)], top_k_types=1, config=SMALL_TRAIN)
+        [(model, _log)] = trained
+        assert result.selected == [0]
+        assert np.allclose(result.scores.values, score_graph(subgraph_by_edge_type(g, 0), model).values)
+
+    def test_two_types_sum_elementwise(self, monkeypatch):
         g, _imp = planted_heterogeneous_graph(n=80, planted_edges=200, noise_edges=120, seed=2)
-        models = {}
-        parts = []
-        for t in (0, 1):
-            sub = subgraph_by_edge_type(g, t)
-            models[t] = randomized_model(sub, np.random.default_rng(t))
-            parts.append(score_graph(sub, models[t]).values)
-        combined = heterogeneous_pine(g, [0, 1], models)
-        assert np.allclose(combined.values, parts[0] + parts[1])
+        parts = record_results(monkeypatch, "score_graph")
+        labels = [(v, float(degree)) for v, degree in enumerate(g.out_degrees())]
+        result = select_edge_types(g, labels, top_k_types=2, config=SMALL_TRAIN)
+        assert len(result.selected) == len(parts) == 2
+        assert np.allclose(result.scores.values, parts[0].values + parts[1].values)
 
-    def test_empty_selection_warns_and_zeros(self, rng, caplog):
+    def test_empty_selection_warns_and_zeros(self, caplog):
         g, _imp = planted_heterogeneous_graph(n=50, planted_edges=100, noise_edges=40, seed=3)
-        import logging
-
         with caplog.at_level(logging.WARNING, logger="pine.pine_score"):
-            combined = heterogeneous_pine(g, [], {})
-        assert np.all(combined.values == 0.0)
+            result = select_edge_types(g, [(v, 1.0) for v in range(50)], top_k_types=3, config=SMALL_TRAIN)
+        assert result.selected == [] and result.scores.values.shape == (g.num_nodes,)
+        assert np.all(result.scores.values == 0.0)
         assert any("empty" in rec.message for rec in caplog.records)
 
 
@@ -132,8 +135,6 @@ class TestSelectEdgeTypes:
     def test_constant_labels_select_nothing(self, caplog):
         g, _imp = planted_heterogeneous_graph(n=300, planted_edges=900, noise_edges=200, seed=9)
         labels = [(v, 1.0) for v in range(100)]
-        import logging
-
         with caplog.at_level(logging.WARNING):
             result = select_edge_types(g, labels, top_k_types=3, config=SMALL_TRAIN)
         assert result.selected == []
@@ -154,8 +155,7 @@ class TestSelectEdgeTypes:
         monkeypatch.setattr(gat, "input_matrix", lambda features, dtype: calls.append(dtype) or build(features, dtype))
         config = TrainConfig(learning_rate=1e-2, hidden_size=4, max_epochs=3, rng_seed=0)
         result = select_edge_types(g, [(v, float(imp[v])) for v in range(0, 200, 4)], top_k_types=3, config=config)
-        heterogeneous_pine(g, sorted(result.models), result.models)
-        assert len(result.models) == 3 and calls == [np.float32]
+        assert len(result.correlations) == 3 and calls == [np.float32]
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_fewer_than_one_type_rejected(self, rng, top_k):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import re
+import struct
 import sys
 from pathlib import Path
 
@@ -9,10 +10,10 @@ import pytest
 
 import pine.cli as cli
 import pine.pipeline as pp
-from pine import diffusion, gat
+from pine import diffusion, gat, pine_score
 from pine.cli import main
 from pine.diffusion import DiffusionConfig, influence_spread
-from pine.graph import EmptyGraphError, load_graph
+from pine.graph import MAGIC_FEATURES, EmptyGraphError, build_graph, load_graph
 from pine.metrics import ndcg_at_k
 from pine.pine_score import TOP_K_TYPES, calibrate_by_out_degree, score_graph
 from pine.pipeline import (
@@ -28,7 +29,7 @@ from pine.scores import ScoreFileError, ScoreVector, node_rows, read_score_rows,
 from pine.split import split_edges
 from pine.train import TrainConfig
 
-from conftest import random_graph
+from conftest import planted_heterogeneous_graph, random_graph
 
 
 @pytest.fixture()
@@ -237,8 +238,11 @@ class TestReadScoreTsv:
             ("0\t1\n3\t2\n", 3, r":2: node id 3 is past the last node \(2\)"),
             ("# header\n0\t1\n1.5\t2\n", None, r":3: expected node_id<TAB>value, got '1.5\\t2'"),
             ("# header\n0\t1\n", 0, r":2: node id 0 names no node: the graph has no nodes"),
+            ("0\t1\n1\tnan\n", None, r":2: value 'nan' of node 1 is not finite"),
+            ("0\t1\n1\tinf\n", 3, r":2: value 'inf' of node 1 is not finite"),
+            ("0\t-inf\n", None, r":1: value '-inf' of node 0 is not finite"),
         ],
-        ids=["negative", "duplicate", "past-the-end", "fractional", "no-nodes"],
+        ids=["negative", "duplicate", "past-the-end", "fractional", "no-nodes", "nan", "inf", "-inf"],
     )
     def test_bad_id_names_path_and_line(self, tmp_path, text, num_nodes, message):
         path = tmp_path / "scores.tsv"
@@ -317,6 +321,21 @@ class TestNodeFiles:
         assert captured.out == "" and captured.err.startswith(f"error [{args[0]}] ")
         assert f"{path}:2: {message}" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("reader", ["score", "truth", "label"])
+    def test_non_finite_value_names_path_and_line(self, tmp_path, graph_files, capsys, reader, value):
+        # read on, a nan score gives spearman 0.5, a nan truth ndcg nan, and a nan label drops its edge type
+        _g, edges, feats = graph_files
+        path = tmp_path / f"{reader}.txt"
+        path.write_text(f"0\t0.5\n1\t{value}\n")
+        args = self.command("score" if reader == "truth" else reader, str(path), edges, feats, tmp_path)
+        if reader == "truth":
+            args[2], args[4] = args[4], args[2]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error [{args[0]}] {path}:2: value '{value}' of node 1 is not finite\n"
+
     @pytest.mark.parametrize("width", [1, 2])
     def test_comments_and_blank_lines_skipped(self, tmp_path, width):
         value = "" if width == 1 else "\t0.5"
@@ -372,7 +391,9 @@ class TestPipeline:
         config = write_config(tmp_path, edges, feats)
         monkeypatch.setenv("PINE_THREADS", "1")
         serial = run_pipeline(config)
+        # PINE_THREADS is read by nothing in pine; a chunk budget of 1 runs each Monte Carlo run in a chunk of its own
         monkeypatch.setenv("PINE_THREADS", "8")
+        monkeypatch.setattr(diffusion, "CHUNK_BUDGET", 1)
         parallel = run_pipeline(config)
         assert serial == parallel
 
@@ -848,6 +869,34 @@ class TestCli:
         assert main(["score", "--graph", str(edges), "--labels", str(labels), "--top-types", top_types]) == 1
         assert f"error [score] top_k_types must be at least 1, got {top_types}" in capsys.readouterr().err
 
+    def test_score_labels_builds_and_scores_each_type_once(self, tmp_path, capsys, monkeypatch):
+        # selection and the summed scores are one pass: no type is built or scored a second time
+        g, imp = planted_heterogeneous_graph(n=200, planted_edges=600, noise_edges=300, seed=9)
+        g = build_graph(  # and a fourth type of 2 edges, too small to split
+            g.num_nodes, np.append(g.edge_src, [0, 1]), np.append(g.edge_dst, [1, 2]), g.features,
+            edge_type=np.append(g.edge_type, [3, 3]),
+        )
+        edges, feats, labels = tmp_path / "typed.txt", tmp_path / "feats.csv", tmp_path / "labels.tsv"
+        g.write_edge_list(edges)
+        np.savetxt(feats, g.features, delimiter=",")
+        labels.write_text("".join(f"{v}\t{float(imp[v])!r}\n" for v in range(0, 200, 2)))
+        calls = {}
+
+        def record(owner, name):
+            inner, results = getattr(owner, name), calls.setdefault(name, [])
+            monkeypatch.setattr(owner, name, lambda *a, **k: results.append(inner(*a, **k)) or results[-1])
+
+        for name in ("subgraph_by_edge_type", "train", "score_graph"):
+            record(pine_score, name)
+        record(cli, "select_edge_types")
+        args = ["score", "--graph", str(edges), "--features", str(feats), "--labels", str(labels), "--hidden", "4"]
+        assert main(args) == 0
+        [result] = calls["select_edge_types"]
+        assert result.selected and result.skipped == [3]  # 4 types tried, 3 trained
+        counts = {name: len(results) for name, results in calls.items()}
+        assert counts == {"subgraph_by_edge_type": 4, "train": 3, "score_graph": 3, "select_edge_types": 1}
+        assert capsys.readouterr().out == "".join(result.scores.tsv_lines())
+
     def test_component_subcommand(self, tmp_path, rng, capsys):
         # two weak components: a 4-cycle and an edge pair
         edges = tmp_path / "two.txt"
@@ -1028,7 +1077,8 @@ class TestDegenerateEdgeLists:
     ``error [...]`` line that names the input or the property that fails."""
 
     @staticmethod
-    def arguments(tmp_path, command, text):
+    def arguments(tmp_path, command, text, features=None):
+        """``command``'s arguments on an edge list of ``text``, with ``features`` as its feature file if given."""
         edges, scores = tmp_path / "edges.txt", str(tmp_path / "scores.tsv")
         edges.write_text(text)
         (tmp_path / "seeds.txt").write_text("0\n")
@@ -1036,11 +1086,12 @@ class TestDegenerateEdgeLists:
         gat.save_model(gat.init_model(1, 4, 2, np.random.default_rng(0)), tmp_path / "model.bin")
         config = tmp_path / "conf.ini"
         config.write_text(
-            f"[graph]\nedges = {edges}\n[pipeline]\nmethods = out_degree, pine\nmodels = ltp\n"
+            f"[graph]\nedges = {edges}\n" + (f"features = {features}\n" if features else "")
+            + "[pipeline]\nmethods = out_degree, pine\nmodels = ltp\n"
             "[diffusion]\nruns = 5\n[train]\nhidden = 4\nmax_epochs = 2\n"
         )
         name, _, option = command.partition(":")
-        graph = [name, "--graph", str(edges)]
+        graph = [name, "--graph", str(edges)] + (["--features", str(features)] if features else [])
         return {
             "centrality": [*graph, "--method", option, "--out", scores],
             "train": [*graph, "--hidden", "4", "--max-epochs", "2", "--out", str(tmp_path / "trained.bin")],
@@ -1081,6 +1132,47 @@ class TestDegenerateEdgeLists:
             assert [line.split("\t")[0] for line in out.splitlines()] == ["ndcg@100", "spearman", "precision@100"]
         else:
             assert out == f"nodes\t{n}\nedges\t{m}\n"
+
+
+def pinef1(rows, extra=b""):
+    """A PINEF1 feature file of ``rows`` as bytes, then ``extra``."""
+    rows = np.asarray(rows, dtype="<f4")
+    return MAGIC_FEATURES + struct.pack("<QQ", *rows.shape) + rows.tobytes() + extra
+
+
+# a broken feature file of 3 rows for the 3-cycle: its name, bytes and the message after "<path>: "
+BROKEN_FEATURES = {
+    "nan-csv": ("feats.csv", b"1,2\nnan,0\n3,4\n", "feature row 2 holds a NaN or infinite value"),
+    "nan-pinef1": ("feats.bin", pinef1([[1, 2], [3, 4], [np.nan, 0]]), "feature row 3 holds a NaN or infinite value"),
+    "truncated-pinef1": ("feats.bin", pinef1([[1, 2], [3, 4], [5, 6]])[:-1], "PINEF1 file cut short"),
+    "trailing-pinef1": (
+        "feats.bin", pinef1([[1, 2], [3, 4], [5, 6]], b"\0" * 5), "5 trailing bytes after the 3 x 2 PINEF1 rows"
+    ),
+}
+
+
+class TestDegenerateFeatureAndModelFiles:
+    """Every subcommand that reads ``--features`` or ``[graph] features`` on a
+    feature file with a NaN row (CSV and PINEF1), cut short or with trailing
+    bytes, and ``score --model`` on a model file cut short: each exits 1 with
+    one ``error [...]`` line that names the file and what is wrong with it."""
+
+    @pytest.mark.parametrize("case", BROKEN_FEATURES)
+    @pytest.mark.parametrize("command", [command for command in DEGENERATE_COMMANDS if command != "evaluate"])
+    def test_broken_feature_file_named(self, tmp_path, capsys, command, case):
+        name, data, message = BROKEN_FEATURES[case]
+        features = tmp_path / name
+        features.write_bytes(data)
+        assert main(TestDegenerateEdgeLists.arguments(tmp_path, command, "0 1\n1 2\n2 0\n", features)) == 1
+        stage = "load" if command in ("pipeline", "bench") else command.partition(":")[0]
+        assert capsys.readouterr() == ("", f"error [{stage}] {features}: {message}\n")
+
+    def test_truncated_model_file_named(self, tmp_path, capsys):
+        args = TestDegenerateEdgeLists.arguments(tmp_path, "score:model", "0 1\n1 2\n2 0\n")
+        model = tmp_path / "model.bin"
+        model.write_bytes(model.read_bytes()[:-3])  # the last layer's attention vector loses 3 bytes
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error [score] {model}: layer 2 is truncated (13 of 16 bytes)\n")
 
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
