@@ -72,12 +72,11 @@ def pagerank(
     out_deg = g.out_degrees().astype(np.float64)
     dangling = out_deg == 0
     r = np.full(n, 1.0 / n)
-    src, dst = g.edge_src, g.edge_dst
     inv_out = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
+    incoming = g.in_csr(inv_out[g.edge_src])  # row i sums r[j] / out_deg[j] over i's in-neighbours j
     residual = np.inf
     for _ in range(max_iter):
-        contrib = r * inv_out
-        flow = np.bincount(dst, weights=contrib[src], minlength=n)
+        flow = incoming @ r
         r_new = damping * (flow + r[dangling].sum() / n) + (1.0 - damping) / n
         residual = np.abs(r_new - r).sum()
         r = r_new
@@ -106,12 +105,12 @@ def katz(
     """
     check_parameter("attenuation", attenuation)
     n = g.num_nodes
-    src, dst = g.edge_src, g.edge_dst
+    incoming = g.in_csr()
     x = np.zeros(n)
     growth_streak = 0
     prev_delta = np.inf
     for _ in range(max_iter):
-        at_x = np.bincount(dst, weights=1.0 + x[src], minlength=n)
+        at_x = incoming @ (1.0 + x)
         x_new = attenuation * at_x
         delta = np.linalg.norm(x_new - x)
         if delta > prev_delta:

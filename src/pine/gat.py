@@ -129,16 +129,15 @@ def forward(model: GatModel, g: AttributedGraph):
         raise ValueError(
             f"layer 1 expects width {model.layers[0].d_in}, graph features have {g.feature_dim}"
         )
-    src, n = g.edge_src, g.num_nodes
     h, h_t = graph_input(g, model.layers[0].proj.dtype)
     tapes: list[_LayerTape] = []
     for li, layer in enumerate(model.layers):
         projected = h @ layer.proj
         score_src = projected @ layer.attn_src
         score_dst = projected @ layer.attn_dst
-        pre_act = score_src[src] + score_dst[g.edge_dst]
+        pre_act = score_src[g.edge_src] + score_dst[g.edge_dst]
         alpha = g.in_edge_softmax(_leaky(pre_act, model.leaky_slope))
-        adj = sparse.csr_matrix((alpha, src, g.in_ptr), shape=(n, n))
+        adj = g.in_csr(alpha)
         aggregated = adj @ projected
         tapes.append(_LayerTape(h_t, projected, pre_act, alpha, adj, aggregated))
         h = _elu(aggregated) if li < model.num_layers - 1 else aggregated

@@ -14,7 +14,7 @@ import io
 import itertools
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -93,12 +93,14 @@ class AttributedGraph:
         denom = np.bincount(self.edge_dst, weights=exp, minlength=self.num_nodes).astype(exp.dtype)
         return (exp / denom[self.edge_dst]).astype(w.dtype)
 
-    def adjacency(self) -> sparse.csr_matrix:
-        """Unit-weight CSR matrix whose row j holds j's out-neighbours."""
+    def in_csr(self, weights: np.ndarray | None = None) -> sparse.csr_matrix:
+        """CSR matrix whose row i holds the ``weights`` of i's in-edges (canonical
+        order, ones by default) at their sources' columns: ``in_csr(w) @ x`` sums
+        ``w * x[src]`` over each row from 0 in canonical order, as
+        ``np.bincount(edge_dst, weights=w * x[edge_src])`` does."""
         n = self.num_nodes
-        return sparse.csr_matrix(
-            (np.ones(self.num_edges), self.edge_dst[self.out_perm], self.out_ptr), shape=(n, n)
-        )
+        data = np.ones(self.num_edges) if weights is None else weights
+        return sparse.csr_matrix((data, self.edge_src, self.in_ptr), shape=(n, n))
 
     def write_edge_list(self, path) -> None:
         columns = [self.edge_src, self.edge_dst] + ([] if self.edge_type is None else [self.edge_type])
@@ -128,7 +130,9 @@ def build_graph(
 ) -> AttributedGraph:
     """Assemble a graph from dense-id edge arrays, dropping self-loops and
     collapsing duplicate (src, dst, type) triples: the one constructor of
-    ``AttributedGraph``, subgraphs included.
+    ``AttributedGraph``, subgraphs included.  The one other way to make a
+    graph is ``largest_weak_component``'s ``dataclasses.replace`` of a graph
+    that is one component, whose arrays ``build_graph`` already ordered.
 
     Edge k is an entry of an N x N*T matrix at row dst and column
     ``src * T + rank``, with ``rank`` ordering the T distinct types (T = 1 and
@@ -194,6 +198,8 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
             extra = len(data) - 22 - 4 * n * d
             if extra < 0:
                 raise GraphFormatError(f"{path}: PINEF1 file cut short")
+            if not d:
+                raise GraphFormatError(f"{path}: PINEF1 rows have 0 columns")
             if extra:
                 raise GraphFormatError(f"{path}: {extra} trailing bytes after the {n} x {d} PINEF1 rows")
             feats = np.frombuffer(data, "<f4", n * d, 22).reshape(n, d).astype(np.float64)
@@ -293,10 +299,10 @@ def _densify(values: np.ndarray, fast: np.ndarray, others: np.ndarray):
     else:
         known, fast_inverse = np.unique(ids, return_inverse=True)
     if not others.size:
-        return fast_inverse, known.astype(str).tolist()
+        return fast_inverse, list(map(str, known.tolist()))
     slot: dict[bytes, int] = {}  # distinct other tokens, in first-seen order
     other_inverse = np.array([slot.setdefault(w, len(slot)) for w in others], dtype=np.int64)
-    names = known.astype(str).tolist() + [w.decode("utf-8") for w in slot]
+    names = list(map(str, known.tolist())) + [w.decode("utf-8") for w in slot]
     numbers = known.tolist() + [_as_int(name) for name in names[known.size :]]
     order = sorted(range(len(names)), key=lambda k: (numbers[k] is None, numbers[k] or 0, names[k]))
     rank = np.empty(len(names), dtype=np.int64)
@@ -474,17 +480,21 @@ def induced_subgraph(g: AttributedGraph, nodes) -> AttributedGraph:
 
 
 def weak_components(g: AttributedGraph) -> np.ndarray:
-    """Component label per node under edge-direction-blind connectivity.
-    Labels are numbered in ascending order of each component's smallest
-    node id."""
-    _count, labels = csgraph.connected_components(g.adjacency(), connection="weak")
+    """Component label per node under edge-direction-blind connectivity,
+    read off the in-CSR as an undirected graph.  Labels are numbered in
+    ascending order of each component's smallest node id."""
+    _count, labels = csgraph.connected_components(g.in_csr(), directed=False)
     return labels
 
 
 def largest_weak_component(g: AttributedGraph) -> AttributedGraph:
     """Induced subgraph on the largest weakly connected component; size ties
     go to the component containing the smallest node id.  A graph with no
-    nodes gives an empty graph."""
+    nodes gives an empty graph.  When one component holds every node the
+    result shares ``g``'s arrays, features and their CSR inputs, with its own
+    ``id_map`` and zeroed loader counters, as a rebuilt component has."""
     labels = weak_components(g)
+    if g.num_nodes and not labels.any():
+        return replace(g, id_map=list(g.id_map), dropped_self_loops=0, collapsed_duplicates=0)
     best = np.argmax(np.bincount(labels, minlength=1))  # the first maximum: the tie rule
     return induced_subgraph(g, np.flatnonzero(labels == best))

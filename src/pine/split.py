@@ -65,7 +65,8 @@ def sample_negatives(
     Candidate pairs are drawn in batches and accepted in draw order; after
     ``100 * count + 1000`` draws without ``count`` acceptances the graph is
     taken to have too few non-edges and ``SplitError`` is raised.  A batch's keys are
-    sorted once, stably, for the membership searches and to find repeats; a mask keeps draw order."""
+    sorted once; each run of equal keys gives its first draw and one key for the
+    membership searches, and a mask keeps draw order."""
     n = g.num_nodes
     blocked = _pair_keys(g.edge_src, g.edge_dst, n)
     if forbidden is not None and len(forbidden):
@@ -85,12 +86,13 @@ def sample_negatives(
         drawn += batch
         uv = rng.integers(0, n, size=(batch, 2))
         keys = _pair_keys(uv[:, 0], uv[:, 1], n)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         ordered = keys[order]
-        ok = (uv[:, 0] != uv[:, 1])[order] & ~_isin_sorted(blocked, ordered) & ~_isin_sorted(np.sort(accepted), ordered)
-        ok[1:] &= ordered[1:] != ordered[:-1]  # the first draw of each key
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))  # keys are >= 0
+        first, distinct = np.minimum.reduceat(order, starts), ordered[starts]  # the first draw of each key
+        ok = (uv[first, 0] != uv[first, 1]) & ~_isin_sorted(blocked, distinct) & ~_isin_sorted(np.sort(accepted), distinct)
         keep = np.zeros(batch, dtype=bool)
-        keep[order[ok]] = True
+        keep[first[ok]] = True
         accepted = np.concatenate([accepted, keys[keep][:need]])
     dst, src = np.divmod(accepted, max(n, 1))
     return np.stack([src, dst], axis=1)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -163,6 +164,76 @@ class TestPageRank:
         assert np.allclose(mine, [expected[v] for v in range(n)], rtol=0, atol=1e-8)
 
 
+def pagerank_bincount_oracle(g, damping=0.85, tol=1e-9, max_iter=200):
+    """``pagerank`` as it was before it iterated one CSR product: each
+    iteration scatters ``r / out_degree`` of the sources with ``np.bincount``."""
+    n = g.num_nodes
+    out_deg = g.out_degrees().astype(np.float64)
+    dangling = out_deg == 0
+    r = np.full(n, 1.0 / n)
+    inv_out = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
+    for _ in range(max_iter):
+        contrib = r * inv_out
+        flow = np.bincount(g.edge_dst, weights=contrib[g.edge_src], minlength=n)
+        r_new = damping * (flow + r[dangling].sum() / n) + (1.0 - damping) / n
+        residual = np.abs(r_new - r).sum()
+        r = r_new
+        if residual < tol:
+            break
+    return r
+
+
+def katz_bincount_oracle(g, attenuation=0.005, tol=1e-12, max_iter=1000):
+    """``katz`` as it was before it iterated one CSR product, unnormalized;
+    the string ``"diverges"`` where it raised ``ConvergenceError``."""
+    x, growth_streak, prev_delta = np.zeros(g.num_nodes), 0, np.inf
+    for _ in range(max_iter):
+        x_new = attenuation * np.bincount(g.edge_dst, weights=1.0 + x[g.edge_src], minlength=g.num_nodes)
+        delta = np.linalg.norm(x_new - x)
+        growth_streak = growth_streak + 1 if delta > prev_delta else 0
+        if growth_streak >= 10:
+            return "diverges"
+        prev_delta, x = delta, x_new
+        if delta < tol:
+            break
+    return x
+
+
+def bincount_oracle_cases():
+    """Graphs with dangling nodes, hubs, an edgeless graph and a lone node."""
+    yield "random", random_graph(40, 0.05, np.random.default_rng(5))
+    yield "hubs", zipf_hub_graph(n=500, m=6000, seed=1)
+    yield "edgeless", build_graph(4, [], [], np.ones((4, 1)))
+    yield "lone-node", build_graph(1, [0], [0], np.ones((1, 1)))
+    yield "path", path3()
+
+
+class TestCsrIterationsBitEqualToBincount:
+    @pytest.mark.parametrize("damping, max_iter", [(0.85, 200), (0.5, 200), (0.85, 3)])
+    def test_pagerank(self, damping, max_iter):
+        for name, g in bincount_oracle_cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # max_iter 3 stops before convergence
+                values = ct.pagerank(g, damping=damping, max_iter=max_iter).values
+            expected = pagerank_bincount_oracle(g, damping=damping, max_iter=max_iter)
+            assert np.array_equal(values.view(np.int64), expected.view(np.int64)), name
+
+    @pytest.mark.parametrize("attenuation", [0.005, 0.05, 0.3, 2.0])
+    def test_katz(self, attenuation):
+        # 0.3 and 2.0 diverge on the graphs with cycles
+        outcomes = set()
+        for name, g in [*bincount_oracle_cases(), ("empty", build_graph(0, [], [], np.ones((0, 1))))]:
+            expected = katz_bincount_oracle(g, attenuation)
+            if isinstance(expected, str):
+                with pytest.raises(ct.ConvergenceError, match="diverges"):
+                    ct.katz(g, attenuation=attenuation, normalize=False)
+            else:
+                values = ct.katz(g, attenuation=attenuation, normalize=False).values
+                assert np.array_equal(values.view(np.int64), expected.view(np.int64)), name
+            outcomes.add(isinstance(expected, str))
+        assert outcomes == ({False, True} if attenuation >= 0.3 else {False})
+
+
 class TestKatz:
     def test_empty_graph_uniform(self):
         g = build_graph(4, [], [], np.ones((4, 1)))
@@ -263,7 +334,7 @@ def closeness_shortest_path_oracle(g: AttributedGraph) -> np.ndarray:
     graphs that are not strongly connected."""
     n = g.num_nodes
     values = np.zeros(n)
-    for rows, dist in shortest_path_chunks(g.adjacency(), n):
+    for rows, dist in shortest_path_chunks(g.in_csr().T, n):
         reached = np.isfinite(dist)
         r = reached.sum(axis=1) - 1  # nodes reached, the source excluded
         total = np.where(reached, dist, 0.0).sum(axis=1)

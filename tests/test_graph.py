@@ -808,6 +808,22 @@ class TestLargestWeakComponent:
             sizes[r] = sizes.get(r, 0) + 1
         assert largest_weak_component(g).num_nodes == max(sizes.values())
 
+    @pytest.mark.parametrize("typed", [False, True])
+    def test_one_component_is_shared_not_rebuilt(self, typed):
+        # a cycle through every node, plus a self-loop and a repeated edge for the loader counters
+        n = 12
+        src = np.r_[np.arange(n), 3, 5, np.random.default_rng(1).integers(0, n, 20)]
+        dst = np.r_[(np.arange(n) + 1) % n, 3, 6, np.random.default_rng(2).integers(0, n, 20)]
+        g = build_graph(n, src, dst, np.arange(2.0 * n).reshape(n, 2), src % 3 if typed else None)
+        assert not weak_components(g).any() and g.dropped_self_loops and g.collapsed_duplicates
+        with mock.patch("pine.graph.build_graph", wraps=build_graph) as spy:
+            sub = largest_weak_component(g)
+        assert spy.call_count == 0
+        assert_graphs_identical(sub, graph_oracle.induced_subgraph(g, np.arange(n)))
+        # g's arrays, features and feature CSR cache; an id_map of its own
+        assert sub.edge_src is g.edge_src and sub.features is g.features and sub.feature_csr is g.feature_csr
+        assert sub.id_map == g.id_map and sub.id_map is not g.id_map
+
     def test_size_tie_takes_smallest_id(self):
         # components {0,1} and {2,3}, same size
         g = build_graph(4, [0, 2], [1, 3], np.ones((4, 1)))

@@ -1148,13 +1148,14 @@ BROKEN_FEATURES = {
     "trailing-pinef1": (
         "feats.bin", pinef1([[1, 2], [3, 4], [5, 6]], b"\0" * 5), "5 trailing bytes after the 3 x 2 PINEF1 rows"
     ),
+    "zero-columns-pinef1": ("feats.bin", pinef1(np.zeros((3, 0))), "PINEF1 rows have 0 columns"),
 }
 
 
 class TestDegenerateFeatureAndModelFiles:
     """Every subcommand that reads ``--features`` or ``[graph] features`` on a
-    feature file with a NaN row (CSV and PINEF1), cut short or with trailing
-    bytes, and ``score --model`` on a model file cut short: each exits 1 with
+    feature file with a NaN row (CSV and PINEF1), cut short, with trailing
+    bytes or with 0 columns, and ``score --model`` on a model file cut short: each exits 1 with
     one ``error [...]`` line that names the file and what is wrong with it."""
 
     @pytest.mark.parametrize("case", BROKEN_FEATURES)

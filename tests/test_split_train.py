@@ -373,6 +373,19 @@ class TestSampleNegativesOracle:
                 expected = sampled(oracle_sample_negatives, g, count, seed, forbidden)
                 assert np.array_equal(sampled(sample_negatives, g, count, seed, forbidden), expected)
 
+    def test_large_batches_of_repeated_keys_match_oracle(self):
+        # batches of thousands of draws over a few thousand free pairs: most keys repeat in a batch,
+        # and the first draw of each, not the one the unstable sort puts first, is the one kept
+        g = random_graph(60, 0.3, np.random.default_rng(6))
+        free = 60 * 59 - g.num_edges
+        forbidden = oracle_sample_negatives(g, free // 4, np.random.default_rng(7))
+        for seed in range(3):
+            for count, given_forbidden in ((free - 5, None), (free - free // 4 - 3, forbidden)):
+                rngs = CountingRng(seed), CountingRng(seed)
+                got = sample_negatives(g, count, rngs[0], forbidden=given_forbidden)
+                assert np.array_equal(got, oracle_sample_negatives(g, count, rngs[1], forbidden=given_forbidden))
+                assert rngs[0].calls == rngs[1].calls > 1
+
     def test_split_and_training_draws_are_pinned(self):
         # the values written before the sampler sorted its batches
         g = random_graph(300, 0.05, np.random.default_rng(11))

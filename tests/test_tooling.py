@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pine
+from pine.graph import AttributedGraph
 from pine.pipeline import _KEYS
 
 SOURCE = pathlib.Path(pine.__file__).parent
@@ -415,14 +417,42 @@ def constructor_calls(text, name):
     return [owner for owner, callee, _names in calls_by_function(text) if callee.split(".")[-1] == name]
 
 
+GRAPH_FIELDS = {f.name for f in dataclasses.fields(AttributedGraph)}
+
+
+def graph_replacements(text):
+    """The top-level function (None outside any) of each ``dataclasses.replace``
+    (or ``replace`` imported from ``dataclasses``) whose first argument is
+    annotated ``AttributedGraph`` in the function's signature or whose keywords
+    name an ``AttributedGraph`` field."""
+    tree = ast.parse(text)
+    callees = {"dataclasses.replace"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            callees.update(alias.asname or alias.name for alias in node.names if alias.name == "replace")
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        arguments = top.args.args if owner else []
+        graphs = {a.arg for a in arguments if a.annotation and "AttributedGraph" in ast.unparse(a.annotation)}
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in callees:
+                first = ast.unparse(node.args[0]) if node.args else None
+                if first in graphs or GRAPH_FIELDS & {k.arg for k in node.keywords}:
+                    found.append(owner)
+    return found
+
+
 def test_build_graph_is_the_one_graph_constructor():
-    # every graph, subgraphs included, is ordered and collapsed by graph.build_graph alone
-    found = {
-        (str(m.relative_to(SOURCE)), owner)
-        for m in sorted(SOURCE.rglob("*.py"))
-        for owner in constructor_calls(m.read_text(encoding="utf-8"), "AttributedGraph")
-    }
+    # every graph, subgraphs included, is ordered and collapsed by graph.build_graph alone; the one copy of
+    # a graph is largest_weak_component's, of a graph that is one component and so already canonical
+    found, copies = set(), set()
+    for m in sorted(SOURCE.rglob("*.py")):
+        text = m.read_text(encoding="utf-8")
+        found.update((str(m.relative_to(SOURCE)), owner) for owner in constructor_calls(text, "AttributedGraph"))
+        copies.update((str(m.relative_to(SOURCE)), owner) for owner in graph_replacements(text))
     assert found == {("graph.py", "build_graph")}
+    assert copies == {("graph.py", "largest_weak_component")}
 
 
 def test_constructor_calls_are_recognised():
@@ -433,3 +463,17 @@ def test_constructor_calls_are_recognised():
         "def other(g):\n    return isinstance(g, AttributedGraph), AttributedGraphs(g)\n"
     )
     assert constructor_calls(text, "AttributedGraph") == [None, "build_graph", "sub"]
+
+
+def test_graph_replacements_are_recognised():
+    text = (
+        "import dataclasses\n"
+        "from dataclasses import replace\n"
+        "h = replace(g, id_map=[])\n"
+        "def a(g: AttributedGraph):\n    return dataclasses.replace(g)\n"
+        "def b(g: 'graph.AttributedGraph', config):\n    return replace(config, model='ltp'), replace(g, x=1)\n"
+        "def c(config):\n    return replace(config, num_nodes=0), replace(config, runs=1)\n"
+        "def d(flag):\n    return flag.replace('_', '-'), str.replace(flag, 'a', 'b')\n"
+    )
+    assert graph_replacements(text) == [None, "a", "b", "c"]
+    assert graph_replacements(text.replace("from dataclasses import replace\n", "")) == ["a"]
