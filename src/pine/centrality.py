@@ -135,17 +135,24 @@ def katz(
     return ScoreVector(x, "katz")
 
 
-# sources per chunk: each array of a chunk holds about 2^20 values, so
-# temporaries stay at a few MB whatever the graph's size
+# a chunk's seen matrix holds 4 * _CHUNK_CELLS one-byte flags, and its
+# slots, DAG edges and expanded level stay within _CHUNK_CELLS // 8 values,
+# so temporaries stay at a few MB whatever the graph's size
 _CHUNK_CELLS = 1 << 20
 
 
 def _bfs_chunks(g: AttributedGraph):
-    """Level-synchronous BFS from runs of _CHUNK_CELLS // (N + M)
-    consecutive sources: per source a chunk keeps N slot-matrix cells, at
-    most N slots and at most M out-edges.  One slot matrix serves every
-    chunk; each chunk resets the cells it set.  Yields (sources, node, row,
-    starts, dag) per chunk.
+    """Level-synchronous BFS from runs of consecutive sources.  Yields
+    (sources, node, row, starts, dag) per chunk.
+
+    A chunk starts with as many sources as a seen matrix of 4 * _CHUNK_CELLS
+    flags holds, one row of N per source.  Before a level is expanded, the
+    chunk's slots and DAG edges plus the level's out-edges must fit in
+    _CHUNK_CELLS // 8; if they do not, the chunk is dropped and retried with
+    half its sources.  A one-source chunk always goes ahead.  Later chunks
+    keep the step that worked, doubled (up to the matrix's rows) after a
+    chunk that held at most half the budget.  So chunks follow the pairs
+    they reach.
 
     Slot s is the pair (sources[row[s]], node[s]): a source and a node it
     reaches.  Slots run by level, then source, then discovery position:
@@ -156,49 +163,117 @@ def _bfs_chunks(g: AttributedGraph):
     """
     n = g.num_nodes
     out_ptr, out_dst = g.out_ptr, g.edge_dst[g.out_perm]
-    step = max(1, _CHUNK_CELLS // max(n + g.num_edges, 1))
-    slot = np.full((min(step, n), n), -1, dtype=np.int64)  # -1: not reached yet
-    for lo in range(0, n, step):
+    rows = step = min(max(1, 4 * _CHUNK_CELLS // max(n, 1)), n)
+    seen = np.zeros(rows * n, dtype=bool)  # cell row * N + node: reached from the row's source
+    lo = 0
+    while lo < n:
         sources = np.arange(lo, min(lo + step, n))
-        slot[np.arange(sources.size), sources] = np.arange(sources.size)
-        nodes, rows, starts, dag = [sources], [np.arange(sources.size)], [0, sources.size], []
+        peak, chunk = _bfs_chunk(sources, n, out_ptr, out_dst, seen)
+        if chunk is None:
+            step = max(1, sources.size // 2)
+            continue
+        if 2 * peak <= _CHUNK_CELLS // 8:
+            step = min(2 * step, rows)
+        lo += sources.size
+        yield chunk
+
+
+def _bfs_chunk(sources, n, out_ptr, out_dst, seen):
+    """(peak, chunk): the most cells the chunk from ``sources`` held before
+    a level was expanded, and the chunk, or None when it outgrew the budget.
+    Either way every cell of ``seen`` is unset again."""
+    cells = [np.arange(sources.size) * n + sources]  # each level's slots as seen cells
+    starts, dag = [0, sources.size], []
+    kept = peak = sources.size
+    seen[cells[0]] = True
+    try:
         while True:
-            # every out-edge of the last level, as (tail slot, head node)
-            first = out_ptr[nodes[-1]]
-            deg = out_ptr[nodes[-1] + 1] - first
-            edge = np.arange(deg.sum()) + np.repeat(first - (np.cumsum(deg) - deg), deg)
+            # every out-edge of the last level, as (tail slot, head cell)
+            node = cells[-1] % n
+            first = out_ptr[node]
+            deg = out_ptr[node + 1] - first
+            size = deg.sum()
+            peak = max(peak, kept + size)
+            if sources.size > 1 and peak > _CHUNK_CELLS // 8:
+                return peak, None
+            edge = np.arange(size) + np.repeat(first - (np.cumsum(deg) - deg), deg)
             tail = np.repeat(np.arange(starts[-2], starts[-1]), deg)
-            tail_row, head_node = np.repeat(rows[-1], deg), out_dst[edge]
-            new = slot[tail_row, head_node] < 0
-            _, seen_at = np.unique(tail_row[new] * n + head_node[new], return_index=True)
-            if seen_at.size == 0:
+            cell = np.repeat(cells[-1] - node, deg) + out_dst[edge]
+            new = ~seen[cell]  # a DAG edge is exactly an edge whose head is new in its level
+            tail, cell = tail[new], cell[new]
+            if not cell.size:
                 break
-            seen_at.sort()  # first appearance: tails run by source, then discovery
-            rows.append(tail_row[new][seen_at])
-            nodes.append(head_node[new][seen_at])
-            slot[rows[-1], nodes[-1]] = starts[-1] + np.arange(seen_at.size)
-            starts.append(starts[-1] + seen_at.size)
-            head = slot[tail_row, head_node]
-            on_dag = head >= starts[-2]  # the other heads lie on earlier levels
-            dag.append((tail[on_dag], head[on_dag]))
-        node, row = np.concatenate(nodes), np.concatenate(rows)
-        slot[row, node] = -1  # every cell this chunk set: the next chunk starts unreached
-        yield sources, node, row, np.array(starts), dag
+            # each new cell once, at its first appearance: tails run by source, then discovery
+            order = np.argsort(cell)
+            ordered = cell[order]
+            change = np.diff(ordered, prepend=-1) != 0  # cells are >= 0
+            runs = np.flatnonzero(change)
+            by_first = np.argsort(np.minimum.reduceat(order, runs))
+            slot_of_run = np.empty(runs.size, dtype=np.int64)
+            slot_of_run[by_first] = starts[-1] + np.arange(runs.size)
+            head = np.empty(cell.size, dtype=np.int64)
+            head[order] = slot_of_run[np.cumsum(change) - 1]
+            cells.append(ordered[runs][by_first])
+            seen[cells[-1]] = True
+            starts.append(starts[-1] + runs.size)
+            dag.append((tail, head))
+            kept += runs.size + head.size
+        row, node = np.divmod(np.concatenate(cells), n)
+        return peak, (sources, node, row, np.array(starts), dag)
+    finally:
+        seen[np.concatenate(cells)] = False  # every cell this chunk set: the next chunk starts unreached
+
+
+def _path_scores(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Closeness and betweenness values of ``g`` from one pass over
+    ``_bfs_chunks``, kept on the graph as ``path_scores``."""
+    if g.path_scores is None:
+        n = g.num_nodes
+        close, between = np.zeros(n), np.zeros(n)
+        for sources, node, row, starts, dag in _bfs_chunks(g):
+            level = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+            r = np.bincount(row, minlength=sources.size) - 1  # nodes reached, the source excluded
+            total = np.bincount(row, weights=level, minlength=sources.size)
+            hit = total > 0
+            close[sources[hit]] = (r[hit] / (n - 1)) * (r[hit] / total[hit])
+            _add_dependencies(between, node, row, starts, dag)
+        if n > 2:
+            between /= (n - 1) * (n - 2)
+        g.path_scores = close, between
+    return g.path_scores
+
+
+def _add_dependencies(values, node, row, starts, dag) -> None:
+    """Add a chunk's Brandes dependencies into ``values``."""
+    sigma = np.zeros(node.size)
+    sigma[: starts[1]] = 1.0
+    for d in range(1, starts.size - 1):
+        tail, head = dag[d - 1]
+        by_head = np.argsort(head)[::-1]  # heads in decreasing discovery position
+        tail, head = dag[d - 1] = tail[by_head], head[by_head]
+        sigma[starts[d] : starts[d + 1]] = np.bincount(
+            head - starts[d], weights=sigma[tail], minlength=starts[d + 1] - starts[d]
+        )
+    delta = np.zeros(node.size)
+    for d in range(len(dag), 0, -1):
+        tail, head = dag[d - 1]
+        # bincount adds in input order: each tail sums its terms as the loop does
+        delta[starts[d - 1] : starts[d]] = np.bincount(
+            tail - starts[d - 1],
+            weights=sigma[tail] / sigma[head] * (1.0 + delta[head]),
+            minlength=starts[d] - starts[d - 1],
+        )
+    # every slot but the sources' own, in source order; add.at adds in index order
+    by_source = starts[1] + np.argsort(row[starts[1] :], kind="stable")
+    np.add.at(values, node[by_source], delta[by_source])
 
 
 def closeness(g: AttributedGraph) -> ScoreVector:
     """Out-direction closeness with the Wasserman-Faust correction for
     graphs that are not strongly connected.  A source's reach and distance
-    sum are its slot count and level sum in ``_bfs_chunks``."""
-    n = g.num_nodes
-    values = np.zeros(n)
-    for sources, _node, row, starts, _dag in _bfs_chunks(g):
-        level = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-        r = np.bincount(row, minlength=sources.size) - 1  # nodes reached, the source excluded
-        total = np.bincount(row, weights=level, minlength=sources.size)
-        hit = total > 0
-        values[sources[hit]] = (r[hit] / (n - 1)) * (r[hit] / total[hit])
-    return ScoreVector(values, "closeness")
+    sum are its slot count and level sum in ``_bfs_chunks``; the traversal
+    also gives ``betweenness``, and whichever is asked first pays for it."""
+    return ScoreVector(_path_scores(g)[0].copy(), "closeness")
 
 
 def betweenness(g: AttributedGraph) -> ScoreVector:
@@ -206,40 +281,14 @@ def betweenness(g: AttributedGraph) -> ScoreVector:
     (N-1)(N-2).
 
     Sources go in chunks, and within a chunk level by level over the slots
-    and DAG edges of ``_bfs_chunks``.  Path counts are integers, so their
-    sums are exact in any order.  Each node's dependency sums its terms in
-    decreasing discovery position of the head, and the sources'
-    dependencies are added into the scores in source order: the
-    floating-point order of Brandes' one-source-at-a-time loop, so the
-    scores equal that loop's bit for bit.
+    and DAG edges of ``_bfs_chunks`` (the traversal ``closeness`` shares).
+    Path counts are integers, so their sums are exact in any order.  Each
+    node's dependency sums its terms in decreasing discovery position of the
+    head, and the sources' dependencies are added into the scores in source
+    order: the floating-point order of Brandes' one-source-at-a-time loop,
+    so the scores equal that loop's bit for bit.
     """
-    n = g.num_nodes
-    values = np.zeros(n)
-    for _sources, node, row, starts, dag in _bfs_chunks(g):
-        sigma = np.zeros(node.size)
-        sigma[: starts[1]] = 1.0
-        for d in range(1, starts.size - 1):
-            tail, head = dag[d - 1]
-            by_head = np.argsort(head)[::-1]  # heads in decreasing discovery position
-            tail, head = dag[d - 1] = tail[by_head], head[by_head]
-            sigma[starts[d] : starts[d + 1]] = np.bincount(
-                head - starts[d], weights=sigma[tail], minlength=starts[d + 1] - starts[d]
-            )
-        delta = np.zeros(node.size)
-        for d in range(len(dag), 0, -1):
-            tail, head = dag[d - 1]
-            # bincount adds in input order: each tail sums its terms as the loop does
-            delta[starts[d - 1] : starts[d]] = np.bincount(
-                tail - starts[d - 1],
-                weights=sigma[tail] / sigma[head] * (1.0 + delta[head]),
-                minlength=starts[d] - starts[d - 1],
-            )
-        # every slot but the sources' own, in source order; add.at adds in index order
-        by_source = starts[1] + np.argsort(row[starts[1] :], kind="stable")
-        np.add.at(values, node[by_source], delta[by_source])
-    if n > 2:
-        values /= (n - 1) * (n - 2)
-    return ScoreVector(values, "betweenness")
+    return ScoreVector(_path_scores(g)[1].copy(), "betweenness")
 
 
 def voterank(g: AttributedGraph, k: int) -> tuple[list[int], ScoreVector]:

@@ -206,7 +206,7 @@ def _reached_counts(n: int, indptr, indices, steps, seeds: np.ndarray, max_steps
     runs = (indptr.size - 1) // n
     root = runs * n  # super-source with a one-step edge to every run's seeds
     indptr = np.append(indptr, indptr[-1] + runs * seeds.size)
-    indices = np.concatenate([indices, (np.arange(runs)[:, None] * n + seeds).ravel()])
+    indices = np.concatenate([indices, (np.arange(runs)[:, None] * n + seeds).ravel()], dtype=indices.dtype)
     data = np.ones(indices.size) if steps is None else np.concatenate([steps, np.ones(runs * seeds.size)])
     adj = sparse.csr_matrix((data, indices, indptr), shape=(root + 1, root + 1))
     if steps is None:
@@ -220,7 +220,9 @@ def _chunk_rows(g: AttributedGraph, config: DiffusionConfig):
     """Out-CSR ``indptr`` and ``indices`` of each chunk of a prepared config's
     runs, stacked block-diagonally (node v of a chunk's i-th run is i * N + v),
     with each live edge's transmission step for capped SIR (else None); the
-    first chunk is ``config.sample``'s when it has one."""
+    first chunk is ``config.sample``'s when it has one.  The index arrays are
+    int32, the type ``scipy.sparse.csgraph`` searches with, so a search of
+    the sample copies none of them."""
     _drawn_for, _graph, *rows = config.sample or (None, None)
     start, n = 0, g.num_nodes
     if rows:
@@ -232,10 +234,10 @@ def _chunk_rows(g: AttributedGraph, config: DiffusionConfig):
         runs = range(lo, min(lo + chunk, config.num_runs))
         live = np.take(np.stack([draw(np.random.default_rng([config.rng_seed, r])) for r in runs]), g.out_perm, axis=1)
         out_src, out_dst = g.edge_src[g.out_perm], g.edge_dst[g.out_perm]  # gathered only when a chunk is drawn
-        run, e = np.nonzero(live)  # row-major, so sorted by (run, source)
-        indptr = np.zeros(len(runs) * n + 1, dtype=np.int64)
+        run, e = np.divmod(np.flatnonzero(live), live.shape[1])  # row-major, so sorted by (run, source)
+        indptr = np.zeros(len(runs) * n + 1, dtype=np.int32)
         np.cumsum(np.bincount(run * n + out_src[e], minlength=len(runs) * n), out=indptr[1:])
-        yield indptr, run * n + out_dst[e], None if live.dtype == bool else live[run, e]
+        yield indptr, (run * n + out_dst[e]).astype(np.int32), None if live.dtype == bool else live[run, e]
 
 
 def prepare(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from scipy.sparse import csgraph
 
 from pine import centrality as ct
-from pine.graph import AttributedGraph, build_graph, largest_weak_component
-from pine.pipeline import METHODS, PipelineConfig, compute_method_scores
+from pine.graph import AttributedGraph, build_graph, induced_subgraph, largest_weak_component, subgraph_by_edge_type
+from pine.pipeline import METHODS, PipelineConfig, benchmark, compute_method_scores, run_pipeline
 from pine.scores import ScoreVector
+from pine.split import split_edges
 
 from conftest import (
     cosine_similarity,
@@ -567,6 +568,136 @@ class TestBetweenness:
         # chunk holds about _CHUNK_CELLS values
         peak = traced_peak_bytes(ct.betweenness, block_ring_graph())
         assert peak < 16 * ct._CHUNK_CELLS  # bytes: two float64 arrays of a chunk
+
+
+def citation_dag(n=2700, m=5400, seed=0):
+    """A citation-like DAG: each edge runs from an older node, drawn by a
+    Zipf popularity of random age, to a newer one; ids are shuffled, as a
+    loader's are.  Each source reaches about 30 nodes."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum((1.0 / np.arange(1, n + 1))[rng.permutation(n)])
+    dst = rng.integers(1, n, m)
+    src = np.searchsorted(cdf, rng.random(m) * cdf[dst - 1])
+    ids = rng.permutation(n)
+    return build_graph(n, ids[src], ids[dst], np.ones((n, 1)))
+
+
+def spy_traversals(monkeypatch):
+    """Record each ``_bfs_chunks`` call, and each chunk attempt as
+    (sources, yielded) in the order ``_bfs_chunk`` makes them."""
+    calls, attempts = [], []
+    chunks, chunk = ct._bfs_chunks, ct._bfs_chunk
+
+    def counted_chunks(g):
+        calls.append(g)
+        return chunks(g)
+
+    def recorded_chunk(sources, *args):
+        peak, found = chunk(sources, *args)
+        attempts.append((sources.tolist(), found is not None))
+        return peak, found
+
+    monkeypatch.setattr(ct, "_bfs_chunks", counted_chunks)
+    monkeypatch.setattr(ct, "_bfs_chunk", recorded_chunk)
+    return calls, attempts
+
+
+def assert_path_scores_equal_oracles(g):
+    close, between = ct.closeness(g).values, ct.betweenness(g).values
+    assert np.array_equal(close.view(np.int64), closeness_shortest_path_oracle(g).view(np.int64))
+    assert np.array_equal(between.view(np.int64), betweenness_loop_oracle(g).view(np.int64))
+
+
+class TestOneTraversal:
+    def test_pipeline_and_bench_traverse_once_for_both(self, tmp_path, monkeypatch):
+        g = random_graph(40, 0.08, np.random.default_rng(3))
+        edges = tmp_path / "edges.txt"
+        g.write_edge_list(edges)
+        config = tmp_path / "paths.ini"
+        config.write_text(
+            f"[graph]\nedges = {edges}\n[pipeline]\nmethods = closeness, out_degree, betweenness\n"
+            "models = ltp\n[diffusion]\nruns = 5\n"
+        )
+        calls, _attempts = spy_traversals(monkeypatch)
+        run_pipeline(config)
+        assert len(calls) == 1
+        benchmark(config)
+        assert len(calls) == 2  # one more graph loaded, one more traversal
+
+    def test_scores_of_one_graph_traverse_once(self, monkeypatch):
+        g = random_graph(30, 0.1, np.random.default_rng(4))
+        calls, _attempts = spy_traversals(monkeypatch)
+        config = PipelineConfig(edges="")
+        for method in ("betweenness", "closeness", "betweenness", "closeness"):
+            compute_method_scores(g, method, config, 3)
+        assert calls == [g]
+
+    def test_citation_dag_takes_at_most_two_chunks(self, monkeypatch):
+        # one chunk per 2^20 // (N + M) sources would take 21 here
+        g = citation_dag()
+        _calls, attempts = spy_traversals(monkeypatch)
+        values = ct.closeness(g).values
+        assert [yielded for _sources, yielded in attempts] == [True] * len(attempts)
+        assert len(attempts) <= 2
+        assert np.array_equal(values.view(np.int64), closeness_shortest_path_oracle(g).view(np.int64))
+
+    def test_halving_retry_bit_equal_to_oracles(self, monkeypatch):
+        # a budget of 200 cells: the first chunk of all 40 sources outgrows it
+        # and is retried with half of them until 2 fit; chunks that use at
+        # most half the budget let the next one grow, and no source is
+        # skipped or repeated
+        monkeypatch.setattr(ct, "_CHUNK_CELLS", 1600)
+        g = random_graph(40, 0.03, np.random.default_rng(5))
+        _calls, attempts = spy_traversals(monkeypatch)
+        assert_path_scores_equal_oracles(g)
+        assert attempts[:5] == [(list(range(size)), size == 2) for size in (40, 20, 10, 5, 2)]
+        assert [s for sources, yielded in attempts if yielded for s in sources] == list(range(40))
+        assert max(len(sources) for sources, yielded in attempts if yielded) == 8
+
+    def test_one_source_over_budget_still_finishes(self, monkeypatch):
+        # a strongly connected ring with chords: every source reaches all 30
+        # nodes, past the budget of two cells; two sources are dropped, one
+        # goes ahead
+        monkeypatch.setattr(ct, "_CHUNK_CELLS", 16)
+        ring, chords = np.arange(30), np.random.default_rng(6).integers(0, 30, (2, 30))
+        src, dst = np.concatenate([ring, chords[0]]), np.concatenate([(ring + 1) % 30, chords[1]])
+        g = build_graph(30, src, dst, np.ones((30, 1)))
+        _calls, attempts = spy_traversals(monkeypatch)
+        assert_path_scores_equal_oracles(g)
+        assert attempts[0] == ([0, 1], False)
+        assert attempts[1:] == [([s], True) for s in range(30)]
+
+    @pytest.mark.parametrize("method", ["closeness", "betweenness"])
+    def test_returned_scores_are_copies(self, method):
+        g = random_graph(30, 0.1, np.random.default_rng(7))
+        measure = getattr(ct, method)
+        first = measure(g)
+        expected = first.values.copy()
+        first.values[:] = -1.0
+        assert np.array_equal(measure(g).values, expected)
+        other = ct.betweenness if method == "closeness" else ct.closeness
+        other(g).values[:] = -1.0
+        assert np.array_equal(measure(g).values, expected)
+
+    def test_new_graphs_carry_no_path_scores(self):
+        rng = np.random.default_rng(8)
+        typed = random_graph(40, 0.15, rng, typed=2)
+        one_component = build_graph(4, [0, 1, 2], [1, 2, 3], np.ones((4, 1)))
+        split = split_edges(typed, rng_seed=0)
+        for g in (typed, one_component):
+            ct.closeness(g)
+            assert g.path_scores is not None
+        made = {
+            "subgraph_by_edge_type": subgraph_by_edge_type(typed, int(typed.edge_type[0])),
+            "induced_subgraph": induced_subgraph(typed, range(0, 40, 2)),
+            "message_graph": split.message_graph(typed),
+            "largest_weak_component": largest_weak_component(typed),
+            "largest_weak_component of one component": largest_weak_component(one_component),
+        }
+        for name, g in made.items():
+            assert g.path_scores is None, name
+            assert_path_scores_equal_oracles(g)
+        assert made["largest_weak_component of one component"].edge_src is one_component.edge_src
 
 
 def voterank_oracle(g, k):
