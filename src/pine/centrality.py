@@ -101,7 +101,9 @@ def katz(
     """Katz centrality x = sum_{k>=1} a^k (A^T)^k 1 by fixed-point iteration.
 
     Divergence (increment norm growing for 10 consecutive iterations) raises
-    ConvergenceError with advice to lower the attenuation.
+    ConvergenceError with advice to lower the attenuation.  Without
+    convergence in ``max_iter`` iterations the last iterate is returned with
+    a ``RuntimeWarning``.
     """
     check_parameter("attenuation", attenuation)
     n = g.num_nodes
@@ -126,6 +128,12 @@ def katz(
         x = x_new
         if delta < tol:
             break
+    else:
+        warnings.warn(
+            f"katz did not converge in {max_iter} iterations (last increment {prev_delta:.3g}, tol {tol:g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if normalize:
         norm = np.linalg.norm(x)
         if norm > 0:

@@ -13,13 +13,15 @@ searched at once.  With a step cap, SIR is first-passage percolation: each
 live edge also draws its transmission step (the first success of
 Geom(beta), within its source's infectious period), and a node counts when
 the seeds reach it with steps summing to at most ``max_steps``.  None of
-this depends on the seeds, so ``prepare`` fills a config's weights or beta
-and draws its first chunk of runs once, and every call with the prepared
-config on the same graph object searches that chunk.
+this depends on the seeds, so the graph keeps it in ``g.diffusion``: the
+weights of the last alphas asked for, and each model's beta and first chunk
+of runs.  Every later call with an equal config on that graph object
+searches the kept chunk.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,7 +71,7 @@ def compute_influence_weights(g: AttributedGraph, alpha1: float = 0.5, alpha2: f
     return InfluenceWeights(structural, g.in_edge_softmax(g.edge_cosine()), alpha1, alpha2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiffusionConfig:
     model: str = "ltp"
     alpha1: float = 0.5
@@ -79,12 +81,6 @@ class DiffusionConfig:
     max_steps: int | None = None
     num_runs: int = 1000
     rng_seed: int = 0
-    # LT+/IC+ weights of the graph from compute_influence_weights with these
-    # alphas; None: computed by prepare
-    weights: InfluenceWeights | None = field(default=None, repr=False, compare=False)
-    # (prepared config, graph, indptr, indices, steps) from prepare: the
-    # first _chunk_rows and what they were drawn for
-    sample: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -162,14 +158,14 @@ def _segment_cumsum(values: np.ndarray, in_ptr: np.ndarray, dst: np.ndarray) -> 
 
 def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig):
     """Function of a run's RNG returning its live edges in canonical order,
-    for a prepared config: a mask, or for SIR with a step cap each edge's
-    transmission step (0 where the edge is dead)."""
+    for a config with its beta filled in: a mask, or for SIR with a step cap
+    each edge's transmission step (0 where the edge is dead)."""
     n, src, dst = g.num_nodes, g.edge_src, g.edge_dst
     if config.model == "ltp":
         # A node keeps in-edge e when its uniform threshold falls in e's slice
         # [lo, hi) of the node's cumulative in-influence: at most one edge,
         # edge e with probability weight[e].
-        hi = _segment_cumsum(config.weights.combined, g.in_ptr, dst)
+        hi = _segment_cumsum(_weights(g, config).combined, g.in_ptr, dst)
         lo = np.zeros_like(hi)
         lo[1:] = hi[:-1]
         lo[g.in_ptr[dst] == np.arange(dst.size)] = 0.0
@@ -180,7 +176,7 @@ def _live_edge_sampler(g: AttributedGraph, config: DiffusionConfig):
 
         return ltp
     if config.model == "icp":
-        influence = config.weights.combined
+        influence = _weights(g, config).combined
         return lambda rng: rng.random(dst.size) < influence
     beta, gamma = config.sir_beta, config.sir_gamma
 
@@ -216,18 +212,13 @@ def _reached_counts(n: int, indptr, indices, steps, seeds: np.ndarray, max_steps
     return np.bincount(reached // n, minlength=runs + 1)[:runs]
 
 
-def _chunk_rows(g: AttributedGraph, config: DiffusionConfig):
-    """Out-CSR ``indptr`` and ``indices`` of each chunk of a prepared config's
-    runs, stacked block-diagonally (node v of a chunk's i-th run is i * N + v),
-    with each live edge's transmission step for capped SIR (else None); the
-    first chunk is ``config.sample``'s when it has one.  The index arrays are
-    int32, the type ``scipy.sparse.csgraph`` searches with, so a search of
-    the sample copies none of them."""
-    _drawn_for, _graph, *rows = config.sample or (None, None)
-    start, n = 0, g.num_nodes
-    if rows:
-        yield rows
-        start = (rows[0].size - 1) // n
+def _chunk_rows(g: AttributedGraph, config: DiffusionConfig, start: int = 0):
+    """Out-CSR ``indptr`` and ``indices`` of each chunk of ``config``'s runs
+    from run ``start`` on, stacked block-diagonally (node v of a chunk's i-th
+    run is i * N + v), with each live edge's transmission step for capped SIR
+    (else None).  The index arrays are int32, the type ``scipy.sparse.csgraph``
+    searches with, so a search of a kept chunk copies none of them."""
+    n = g.num_nodes
     draw = _live_edge_sampler(g, config) if start < config.num_runs else None
     chunk = max(1, CHUNK_BUDGET // (n + g.num_edges))
     for lo in range(start, config.num_runs, chunk):
@@ -240,31 +231,28 @@ def _chunk_rows(g: AttributedGraph, config: DiffusionConfig):
         yield indptr, (run * n + out_dst[e]).astype(np.int32), None if live.dtype == bool else live[run, e]
 
 
-def prepare(g: AttributedGraph, config: DiffusionConfig) -> DiffusionConfig:
-    """``config`` with the LT+/IC+ weights or SIR's automatic beta filled in
-    and its first chunk of runs drawn as ``sample``; ``config`` itself when
-    that sample was drawn for this ``g`` object, equal fields and the same
-    weights object.  Weights already given must match its alphas and the
-    graph's edge count, else ``ValueError``; no nodes is ``EmptyGraphError``."""
-    drawn_for, graph = (config.sample or (None, None))[:2]
-    if graph is g and drawn_for == config and drawn_for.weights is config.weights:
-        return config
-    _require_nodes(g)
-    weights = config.weights
-    if weights is not None:
-        if (weights.alpha1, weights.alpha2) != (config.alpha1, config.alpha2):
-            raise ValueError(
-                f"weights were computed for alpha1={weights.alpha1}, alpha2={weights.alpha2}, "
-                f"the config has alpha1={config.alpha1}, alpha2={config.alpha2}"
-            )
-        if weights.structural.size != g.num_edges or weights.semantic.size != g.num_edges:
-            raise ValueError(f"weights cover {weights.structural.size} edges, the graph has {g.num_edges}")
-    if config.model != "sir" and weights is None:
-        config = replace(config, weights=compute_influence_weights(g, config.alpha1, config.alpha2))
-    if config.model == "sir" and config.sir_beta is None:
-        config = replace(config, sir_beta=critical_sir_beta(g))
-    config = replace(config, sample=None)
-    return replace(config, sample=(config, g, *next(_chunk_rows(g, config))))
+def _weights(g: AttributedGraph, config: DiffusionConfig) -> InfluenceWeights:
+    """The LT+/IC+ weights of ``config``'s alphas, kept in ``g.diffusion``
+    until other alphas are asked for."""
+    weights = g.diffusion.get("weights")
+    if weights is None or (weights.alpha1, weights.alpha2) != (config.alpha1, config.alpha2):
+        weights = g.diffusion["weights"] = compute_influence_weights(g, config.alpha1, config.alpha2)
+    return weights
+
+
+def _ready(g: AttributedGraph, config: DiffusionConfig) -> tuple[DiffusionConfig, tuple]:
+    """``config`` with SIR's automatic beta filled in, and its first chunk of
+    runs; both are kept in ``g.diffusion`` under the model's name until a
+    config that is not equal asks for that model.  No nodes is
+    ``EmptyGraphError``."""
+    kept = g.diffusion.get(config.model)
+    if kept is None or kept[0] != config:
+        _require_nodes(g)
+        ready = config
+        if config.model == "sir" and config.sir_beta is None:
+            ready = replace(config, sir_beta=critical_sir_beta(g))
+        kept = g.diffusion[config.model] = (config, ready, next(_chunk_rows(g, ready)))
+    return kept[1:]
 
 
 def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> DiffusionResult:
@@ -272,12 +260,12 @@ def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> Diff
 
     Run r draws from its own stream ``default_rng([rng_seed, r])``, so the
     counts do not depend on how runs are grouped.  ``max_steps`` caps SIR
-    only.  A caller that simulates many seed sets on one graph passes a
-    ``prepare``d config, so weights, beta and the first chunk are made once.
+    only.  Weights, beta and the first chunk of runs are kept on ``g``, so a
+    caller that simulates many seed sets with one config makes them once.
     """
-    config = prepare(g, config)
+    config, first = _ready(g, config)
     seed_ids = np.flatnonzero(_seed_mask(g, seeds))
-    chunks = _chunk_rows(g, config)
+    chunks = itertools.chain([first], _chunk_rows(g, config, (first[0].size - 1) // g.num_nodes))
     counts = np.concatenate([_reached_counts(g.num_nodes, *rows, seed_ids, config.max_steps) for rows in chunks])
     spreads = counts / g.num_nodes
     return DiffusionResult(float(spreads.mean()), float(spreads.std()), counts)

@@ -147,12 +147,8 @@ def forward(model: GatModel, g: AttributedGraph):
 
 def _sigmoid(x):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def edge_scores(h_out: np.ndarray, pairs: np.ndarray) -> np.ndarray:

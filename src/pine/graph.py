@@ -55,6 +55,7 @@ class AttributedGraph:
     collapsed_duplicates: int = 0
     feature_csr: dict = field(default_factory=dict, repr=False, compare=False)  # gat.graph_input's, by dtype
     path_scores: tuple | None = field(default=None, repr=False, compare=False)  # centrality._path_scores's
+    diffusion: dict = field(default_factory=dict, repr=False, compare=False)  # diffusion._weights's and _ready's
 
     @property
     def feature_dim(self) -> int:
@@ -493,10 +494,12 @@ def largest_weak_component(g: AttributedGraph) -> AttributedGraph:
     go to the component containing the smallest node id.  A graph with no
     nodes gives an empty graph.  When one component holds every node the
     result shares ``g``'s arrays, features and their CSR inputs, with its own
-    ``id_map``, zeroed loader counters and no path scores, as a rebuilt
-    component has."""
+    ``id_map``, zeroed loader counters, no path scores and no diffusion
+    state, as a rebuilt component has."""
     labels = weak_components(g)
     if g.num_nodes and not labels.any():
-        return replace(g, id_map=list(g.id_map), dropped_self_loops=0, collapsed_duplicates=0, path_scores=None)
+        return replace(
+            g, id_map=list(g.id_map), dropped_self_loops=0, collapsed_duplicates=0, path_scores=None, diffusion={}
+        )
     best = np.argmax(np.bincount(labels, minlength=1))  # the first maximum: the tie rule
     return induced_subgraph(g, np.flatnonzero(labels == best))

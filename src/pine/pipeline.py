@@ -248,9 +248,8 @@ def run_pipeline(config_path) -> str:
     config, g, seed_count = _load(config_path)
     lines = _report_header(g, config, seed_count)
     lines.append("method\tmodel\tmean_spread\tstd_spread\truns\tseeds")
-    # Weights, beta and live-edge runs do not depend on the seeds: each model's
-    # prepared config is made once, in its first stage, so errors name it.
-    dconf, prepared = config.diffusion, {}
+    # Weights, beta and live-edge runs do not depend on the seeds: g keeps
+    # them from each model's first stage, so errors name that stage.
     for method in config.methods:
         try:
             scores = compute_method_scores(g, method, config, seed_count)
@@ -261,9 +260,7 @@ def run_pipeline(config_path) -> str:
             raise PipelineError(method, exc) from exc
         for model_name in config.models:
             try:
-                if model_name not in prepared:
-                    dconf = prepared[model_name] = diffusion.prepare(g, replace(dconf, model=model_name))
-                result = influence_spread(g, prepared[model_name], seeds)
+                result = influence_spread(g, replace(config.diffusion, model=model_name), seeds)
             except Exception as exc:
                 raise PipelineError(f"simulate:{model_name}", exc) from exc
             lines.append(

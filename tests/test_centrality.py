@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from scipy.sparse import csgraph
 
 from pine import centrality as ct
+from pine.diffusion import DiffusionConfig, influence_spread
 from pine.graph import AttributedGraph, build_graph, induced_subgraph, largest_weak_component, subgraph_by_edge_type
 from pine.pipeline import METHODS, PipelineConfig, benchmark, compute_method_scores, run_pipeline
 from pine.scores import ScoreVector
@@ -259,6 +260,20 @@ class TestKatz:
         g = build_graph(2, [0], [1], np.ones((2, 1)))
         with pytest.raises(ValueError, match="^attenuation must be positive and finite, not "):
             ct.katz(g, attenuation=attenuation)
+
+    def test_no_convergence_warns(self):
+        # on the 3-cycle each node's series is a + a^2 + ... = 999; 1000 terms sum to 631.67
+        g = build_graph(3, [0, 1, 2], [1, 2, 0], np.ones((3, 1)))
+        with pytest.warns(RuntimeWarning, match=r"katz did not converge in 1000 iterations \(last increment 0\.6\d+"):
+            values = ct.katz(g, attenuation=0.999, normalize=False).values
+        assert np.allclose(values, 999.0 * (1.0 - 0.999**1000))
+
+    def test_convergence_does_not_warn(self):
+        g = build_graph(3, [0, 1, 2], [1, 2, 0], np.ones((3, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = ct.katz(g, attenuation=0.5, normalize=False).values
+        assert np.allclose(values, 1.0)
 
     def test_divergence_detected(self):
         g = build_graph(2, [0, 1], [1, 0], np.ones((2, 1)))
@@ -686,7 +701,8 @@ class TestOneTraversal:
         split = split_edges(typed, rng_seed=0)
         for g in (typed, one_component):
             ct.closeness(g)
-            assert g.path_scores is not None
+            influence_spread(g, DiffusionConfig(model="icp", num_runs=2), [0])
+            assert g.path_scores is not None and set(g.diffusion) == {"weights", "icp"}
         made = {
             "subgraph_by_edge_type": subgraph_by_edge_type(typed, int(typed.edge_type[0])),
             "induced_subgraph": induced_subgraph(typed, range(0, 40, 2)),
@@ -695,7 +711,7 @@ class TestOneTraversal:
             "largest_weak_component of one component": largest_weak_component(one_component),
         }
         for name, g in made.items():
-            assert g.path_scores is None, name
+            assert g.path_scores is None and g.diffusion == {}, name
             assert_path_scores_equal_oracles(g)
         assert made["largest_weak_component of one component"].edge_src is one_component.edge_src
 

@@ -14,7 +14,6 @@ from pine.diffusion import (
     compute_influence_weights,
     critical_sir_beta,
     influence_spread,
-    prepare,
 )
 from pine.graph import AttributedGraph, EmptyGraphError, build_graph
 
@@ -299,50 +298,63 @@ class TestSir:
         assert critical_sir_beta(g) == min(1.0, 1.5 * k / (k2 - k))
 
 
-class TestPrepare:
-    @pytest.mark.parametrize(
-        "model, given",
-        [("ltp", "weights"), ("icp", "weights"), ("sir", "sir_beta"), ("sir", "both")],
-    )
-    def test_config_with_its_input_is_returned_itself(self, rng, model, given):
+class TestKeptInputs:
+    """A call fills in what its config leaves out and keeps it in
+    ``g.diffusion`` for the next call on that graph."""
+
+    def test_given_beta_is_used_as_given(self, rng):
         g = random_graph(15, 0.25, rng)
-        fields = {
-            "weights": {"weights": compute_influence_weights(g, 0.3, 0.7)},
-            "sir_beta": {"sir_beta": 0.2},
-            "both": {"weights": compute_influence_weights(g, 0.3, 0.7), "sir_beta": 0.2},
-        }[given]
-        config = DiffusionConfig(model=model, alpha1=0.3, alpha2=0.7, **fields)
-        readied = prepare(g, config)
-        # what was given is kept, not computed again, and a config readied for g is returned itself
-        assert readied == config and readied.weights is config.weights
-        assert prepare(g, readied) is readied
-        copy = dataclasses.replace(readied)  # carries the sample along
-        assert prepare(g, copy) is copy
+        config = DiffusionConfig(model="sir", sir_beta=0.2, num_runs=7)
+        influence_spread(g, config, [0])
+        kept = g.diffusion["sir"]
+        assert kept[0] is config and kept[1] is config  # nothing to fill in
+        assert "weights" not in g.diffusion
+        influence_spread(g, dataclasses.replace(config), [1])  # an equal config
+        assert g.diffusion["sir"] is kept
 
     @pytest.mark.parametrize("model", ["ltp", "icp"])
     def test_missing_weights_are_computed(self, rng, model):
         g = random_graph(15, 0.25, rng)
         config = DiffusionConfig(model=model, alpha1=0.3, alpha2=0.7, num_runs=7)
-        prepared = prepare(g, config)
-        expected = compute_influence_weights(g, 0.3, 0.7)
-        assert config.weights is None
-        assert dataclasses.replace(prepared, weights=None) == config
-        assert (prepared.weights.alpha1, prepared.weights.alpha2) == (0.3, 0.7)
-        assert np.array_equal(prepared.weights.structural, expected.structural)
-        assert np.array_equal(prepared.weights.semantic, expected.semantic)
+        influence_spread(g, config, [0])
+        kept, expected = g.diffusion["weights"], compute_influence_weights(g, 0.3, 0.7)
+        assert g.diffusion[model][1] is config
+        assert (kept.alpha1, kept.alpha2) == (0.3, 0.7)
+        assert np.array_equal(kept.structural, expected.structural)
+        assert np.array_equal(kept.semantic, expected.semantic)
+
+    def test_ltp_and_icp_share_the_weights_of_their_alphas(self, rng, monkeypatch):
+        g = random_graph(15, 0.25, rng)
+        calls = []
+        compute = diffusion.compute_influence_weights
+        monkeypatch.setattr(diffusion, "compute_influence_weights", lambda g, *a: calls.append(a) or compute(g, *a))
+        for model, alpha1 in (("ltp", 0.3), ("icp", 0.3), ("icp", 0.6), ("ltp", 0.6)):
+            influence_spread(g, DiffusionConfig(model=model, alpha1=alpha1, alpha2=1 - alpha1, num_runs=3), [0])
+        assert calls == [(0.3, 0.7), (0.6, 0.4)]
 
     def test_missing_beta_is_computed(self, rng):
         g = random_graph(15, 0.25, rng)
         config = DiffusionConfig(model="sir", num_runs=7)
-        prepared = prepare(g, config)
-        assert config.sir_beta is None and prepared.weights is None
-        assert prepared == dataclasses.replace(config, sir_beta=critical_sir_beta(g))
+        influence_spread(g, config, [0])
+        kept_for, ready, _first = g.diffusion["sir"]
+        assert kept_for is config and config.sir_beta is None and "weights" not in g.diffusion
+        assert ready == dataclasses.replace(config, sir_beta=critical_sir_beta(g))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_empty_graph_is_named_error(self, model):
         g = build_graph(0, [], [], np.zeros((0, 2)))
         with pytest.raises(EmptyGraphError, match="no nodes"):
-            prepare(g, DiffusionConfig(model=model))
+            influence_spread(g, DiffusionConfig(model=model), [])
+        assert g.diffusion == {}
+
+    def test_config_is_frozen_and_hashable(self):
+        config = DiffusionConfig(model="icp", num_runs=5)
+        assert hash(config) == hash(DiffusionConfig(model="icp", num_runs=5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.num_runs = 6
+        assert [f.name for f in dataclasses.fields(DiffusionConfig)] == [
+            "model", "alpha1", "alpha2", "sir_beta", "sir_gamma", "max_steps", "num_runs", "rng_seed"
+        ]
 
 
 class TestInfluenceSpread:
@@ -392,6 +404,7 @@ class TestInfluenceSpread:
         for threads, budget in (("1", diffusion.CHUNK_BUDGET), ("8", 1)):
             monkeypatch.setenv("PINE_THREADS", threads)
             monkeypatch.setattr(diffusion, "CHUNK_BUDGET", budget)
+            g.diffusion.clear()  # draw the runs again, not the kept first chunk
             results.append(influence_spread(g, config, [0, 1, 2]).activated_counts)
         assert np.array_equal(results[0], results[1])
 
@@ -413,31 +426,14 @@ class TestInfluenceSpread:
         ) / g.num_nodes
         assert large.mean_spread >= small.mean_spread - 3 * pooled
 
-    @pytest.mark.parametrize("model", ["ltp", "icp"])
-    def test_precomputed_weights_match_one_shot(self, rng, model):
-        g = random_graph(25, 0.15, rng)
-        config = DiffusionConfig(model=model, alpha1=0.3, alpha2=0.7, num_runs=60, rng_seed=4)
-        shared = dataclasses.replace(config, weights=compute_influence_weights(g, 0.3, 0.7))
-        for seeds in ([0], [3, 7, 11]):
-            expected = influence_spread(g, config, seeds).activated_counts
-            assert np.array_equal(influence_spread(g, shared, seeds).activated_counts, expected)
-
-    @pytest.mark.parametrize("model", MODELS)
-    def test_mismatched_weights_rejected(self, rng, model):
-        g = random_graph(25, 0.15, rng)
-        config = DiffusionConfig(model=model, num_runs=5, weights=compute_influence_weights(g, 0.3, 0.7))
-        with pytest.raises(ValueError, match="alpha1=0.3"):
-            influence_spread(g, config, [0])
-        config.weights = compute_influence_weights(random_graph(25, 0.3, rng))
-        with pytest.raises(ValueError, match=f"the graph has {g.num_edges}"):
-            influence_spread(g, config, [0])
-
     def test_alpha2_zero_ignores_features(self, rng):
         g = random_graph(15, 0.25, rng)
         config = DiffusionConfig(model="ltp", alpha1=1.0, alpha2=0.0, num_runs=2000, rng_seed=5)
         base = influence_spread(g, config, [0, 1])
-        g.features = np.random.default_rng(99).normal(size=g.features.shape)
-        scrambled = influence_spread(g, config, [0, 1])
+        scrambled_features = np.random.default_rng(99).normal(size=g.features.shape)
+        other = build_graph(g.num_nodes, g.edge_src, g.edge_dst, scrambled_features)
+        assert np.array_equal(other.edge_src, g.edge_src) and np.array_equal(other.edge_dst, g.edge_dst)
+        scrambled = influence_spread(other, config, [0, 1])
         # identical weights => identical RNG stream => identical outcomes
         assert np.array_equal(base.activated_counts, scrambled.activated_counts)
 
@@ -490,6 +486,7 @@ class TestLiveEdgeEngine:
         default = influence_spread(g, config, [0, 1]).activated_counts
         for runs_per_chunk in (1, 3):  # 3 does not divide num_runs
             monkeypatch.setattr(diffusion, "CHUNK_BUDGET", runs_per_chunk * (g.num_nodes + g.num_edges))
+            g.diffusion.clear()  # draw the runs again, not the kept first chunk
             assert np.array_equal(influence_spread(g, config, [0, 1]).activated_counts, default)
 
     def test_sir_without_recovery_reaches_all_descendants(self):
@@ -522,17 +519,17 @@ class TestLiveEdgeEngine:
             critical_sir_beta(g)
 
 
-class TestPresample:
-    """A prepared config carries its first chunk of stacked runs; every
-    call it serves gives the counts of a call that draws them itself."""
+class TestKeptRuns:
+    """A graph keeps each model's first chunk of stacked runs; every call
+    that searches it gives the counts of a call that draws them itself."""
 
     @staticmethod
-    def zero_spread(config):
-        """``config`` whose cached runs have no live edge: a call that
-        searches them reaches the seeds alone."""
-        drawn_for, graph, indptr, indices, steps = config.sample
+    def zero_spread(g, model):
+        """Replace the runs ``g`` keeps for ``model`` by runs with no live
+        edge: a call that searches them reaches the seeds alone."""
+        config, ready, (indptr, indices, steps) = g.diffusion[model]
         no_steps = None if steps is None else steps[:0]
-        return dataclasses.replace(config, sample=(drawn_for, graph, np.zeros_like(indptr), indices[:0], no_steps))
+        g.diffusion[model] = (config, ready, (np.zeros_like(indptr), indices[:0], no_steps))
 
     @pytest.mark.parametrize(
         "model, max_steps", [("ltp", None), ("icp", None), ("sir", None), ("sir", 2)], ids=MODELS + ("sir-capped",)
@@ -540,20 +537,27 @@ class TestPresample:
     def test_counts_equal_fresh_calls_across_chunks(self, model, max_steps, rng, monkeypatch):
         g = random_graph(20, 0.15, rng)
         config = DiffusionConfig(model=model, sir_gamma=0.5, max_steps=max_steps, num_runs=40, rng_seed=3)
-        expected = {seeds: influence_spread(g, config, seeds).activated_counts for seeds in ((0,), (4, 9, 13))}
+        expected = {}
+        for seeds in ((0,), (4, 9, 13)):
+            g.diffusion.clear()
+            expected[seeds] = influence_spread(g, config, seeds).activated_counts
         for sampled_runs, used_runs in ((3, 3), (3, 7), (40, 3), (7, 40)):
             monkeypatch.setattr(diffusion, "CHUNK_BUDGET", sampled_runs * (g.num_nodes + g.num_edges))
-            presampled = prepare(g, config)
-            assert prepare(g, presampled) is presampled
-            assert presampled.sample[2].size == sampled_runs * g.num_nodes + 1
+            g.diffusion.clear()
+            influence_spread(g, config, [])
+            kept = g.diffusion[model]
+            assert kept[2][0].size == sampled_runs * g.num_nodes + 1
             monkeypatch.setattr(diffusion, "CHUNK_BUDGET", used_runs * (g.num_nodes + g.num_edges))
             for seeds, counts in expected.items():
-                assert np.array_equal(influence_spread(g, presampled, seeds).activated_counts, counts)
+                assert np.array_equal(influence_spread(g, config, seeds).activated_counts, counts)
+            assert g.diffusion[model] is kept
 
-    def test_cached_runs_are_searched(self, rng):
+    def test_kept_runs_are_searched(self, rng):
         g = random_graph(20, 0.3, rng)
-        presampled = self.zero_spread(prepare(g, DiffusionConfig(model="icp", num_runs=30, rng_seed=2)))
-        assert influence_spread(g, presampled, [0, 5]).activated_counts.tolist() == [2] * 30
+        config = DiffusionConfig(model="icp", num_runs=30, rng_seed=2)
+        influence_spread(g, config, [0])
+        self.zero_spread(g, "icp")
+        assert influence_spread(g, config, [0, 5]).activated_counts.tolist() == [2] * 30
 
     @pytest.mark.parametrize(
         "change",
@@ -563,36 +567,36 @@ class TestPresample:
             {"num_runs": 31},
             {"num_runs": 29},
             {"rng_seed": 3},
-            {"alpha1": 0.3, "alpha2": 0.7, "weights": None},
-            "same weights, another object",
+            {"alpha1": 0.3, "alpha2": 0.7},
             "another graph of the same size",
         ],
-        ids=["ltp", "sir", "more-runs", "fewer-runs", "rng-seed", "alphas", "weights-object", "graph"],
+        ids=["ltp", "sir", "more-runs", "fewer-runs", "rng-seed", "alphas", "graph"],
     )
-    def test_stale_sample_is_not_used(self, rng, change):
+    def test_stale_runs_are_not_used(self, rng, change):
         g = random_graph(20, 0.3, rng)
-        presampled = self.zero_spread(prepare(g, DiffusionConfig(model="icp", num_runs=30, rng_seed=2)))
-        if change == "same weights, another object":
-            config, graph = dataclasses.replace(presampled, weights=compute_influence_weights(g)), g
-        elif change == "another graph of the same size":
+        config = DiffusionConfig(model="icp", num_runs=30, rng_seed=2)
+        influence_spread(g, config, [0])
+        self.zero_spread(g, "icp")
+        if change == "another graph of the same size":
             graph = build_graph(g.num_nodes, g.edge_dst, g.edge_src, g.features)
             assert (graph.num_nodes, graph.num_edges) == (g.num_nodes, g.num_edges)
-            config = presampled
         else:
-            config, graph = dataclasses.replace(presampled, **change), g
-        fresh = influence_spread(graph, dataclasses.replace(config, sample=None), [0, 5]).activated_counts
-        assert np.array_equal(influence_spread(graph, config, [0, 5]).activated_counts, fresh)
-        assert fresh.max() > 2  # the cached runs would reach the seeds alone
+            config, graph = dataclasses.replace(config, **change), g
+        counts = influence_spread(graph, config, [0, 5]).activated_counts
+        graph.diffusion.clear()
+        fresh = influence_spread(graph, config, [0, 5]).activated_counts
+        assert np.array_equal(counts, fresh)
+        assert fresh.max() > 2  # the zeroed runs would reach the seeds alone
 
-    def test_capped_sir_gets_a_sample(self, rng):
+    def test_capped_sir_keeps_each_edge_step(self, rng):
         g = random_graph(20, 0.2, rng)
         config = DiffusionConfig(model="sir", sir_beta=0.4, sir_gamma=0.5, max_steps=3, num_runs=30, rng_seed=8)
-        presampled = prepare(g, config)
-        _drawn_for, _graph, _indptr, indices, steps = presampled.sample
-        assert steps.size == indices.size and np.all(steps >= 1)  # a transmission step per live edge
         expected = influence_spread(g, config, [0, 5]).activated_counts
-        assert np.array_equal(influence_spread(g, presampled, [0, 5]).activated_counts, expected)
-        assert influence_spread(g, self.zero_spread(presampled), [0, 5]).activated_counts.tolist() == [2] * 30
+        _config, _ready, (_indptr, indices, steps) = g.diffusion["sir"]
+        assert steps.size == indices.size and np.all(steps >= 1)  # a transmission step per live edge
+        assert np.array_equal(influence_spread(g, config, [0, 5]).activated_counts, expected)
+        self.zero_spread(g, "sir")
+        assert influence_spread(g, config, [0, 5]).activated_counts.tolist() == [2] * 30
 
 
 class TestCappedSir:

@@ -127,6 +127,31 @@ class TestPredictEdge:
             assert predict_edge(h, j, i) == pytest.approx(direct)
 
 
+def two_branch_sigmoid(x):
+    """Each sign's overflow-free formula on its own mask: the oracle of ``gat._sigmoid``."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_equal_to_two_branch_oracle(self, rng):
+        tiny = np.finfo(np.float64).tiny
+        edges = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 36.0, -36.0, 5e-324, -5e-324, tiny / 2]
+        x = np.concatenate([edges] + [rng.normal(scale=scale, size=50_000) for scale in (1, 10, 100, 1000)])
+        for values in (x, x.astype(np.float32)):
+            got = gat._sigmoid(values)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), two_branch_sigmoid(values).view(np.int64))
+
+    def test_nan_gives_nan(self):
+        assert np.isnan(gat._sigmoid([np.nan, 1.0, -np.nan])).tolist() == [True, False, True]
+
+
 class TestLossAndGradients:
     def test_forced_half_probability_loss(self, rng):
         # orthogonal final embeddings => z = 0.5 => loss = ln 2

@@ -423,8 +423,8 @@ class TestPipeline:
         report = run_pipeline(path)
         assert calls == ["ltp", "icp", "sir"]
         monkeypatch.setattr(diffusion, "_live_edge_sampler", sampler)
-        # a config without its sample is readied again, so every call draws its own runs
-        unsampled = lambda g, c, seeds: influence_spread(g, dataclasses.replace(c, sample=None), seeds)
+        # a graph without its kept state draws the runs again, so every call draws its own runs
+        unsampled = lambda g, c, seeds: g.diffusion.clear() or influence_spread(g, c, seeds)
         monkeypatch.setattr(pp, "influence_spread", unsampled)
         assert run_pipeline(path) == report
 
