@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .graph import AttributedGraph, EmptyGraphError, node_mask
+from .graph import AttributedGraph, EmptyGraphError, check_count, node_mask
 
 MODELS = ("ltp", "icp", "sir")
 
@@ -90,10 +90,9 @@ class DiffusionConfig:
             raise ValueError("sir_beta must lie in [0, 1]")
         if not 0.0 <= self.sir_gamma <= 1.0:
             raise ValueError("sir_gamma must lie in [0, 1]")
-        if self.num_runs < 1:
-            raise ValueError("num_runs must be >= 1")
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
+        check_count("num_runs", self.num_runs, 1)
+        if self.max_steps is not None:
+            check_count("max_steps", self.max_steps, 0)
 
 
 @dataclass

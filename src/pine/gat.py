@@ -12,9 +12,9 @@ traversal of the same graph.
 Each projection ``U`` is stored (d_in, d_out), so no product copies a
 transpose.  The layer-0 input ``X`` is the feature matrix as CSR, so
 bag-of-words features cost only their nonzeros in ``X @ U`` and in the
-gradient ``Xᵀ d``; ``X`` and ``Xᵀ`` are built once per graph and kept on it
-(``graph_input``).  A training epoch's one forward serves both the
-validation score and, through ``loss_and_gradients``, the next gradient.
+gradient ``X.T @ d``, a CSC view of ``X``; ``X`` is built once per graph and
+kept on it (``graph_input``).  A training epoch's one forward serves both
+the validation score and, through ``loss_and_gradients``, the next gradient.
 
 A ``GatModel`` holds parameters only.  The attention of a pass is part of
 what ``forward`` returns: ``tapes[layer].alpha``, one weight per edge in the
@@ -96,7 +96,7 @@ def _elu(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LayerTape:
-    h_in_t: np.ndarray | sparse.csr_matrix  # the input transposed: CSR Xᵀ at layer 0, a view after
+    h_in: np.ndarray | sparse.csr_matrix  # the layer's input: CSR X at layer 0, the dense h after
     projected: np.ndarray
     pre_act: np.ndarray  # per-edge coefficient before LeakyReLU
     alpha: np.ndarray
@@ -109,13 +109,12 @@ def input_matrix(features: np.ndarray, dtype) -> sparse.csr_matrix:
     return sparse.csr_matrix(features, dtype=dtype)
 
 
-def graph_input(g: AttributedGraph, dtype) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """``(X, Xᵀ)``: ``g.features`` as CSR in ``dtype``, built once per features array and kept on ``g``."""
+def graph_input(g: AttributedGraph, dtype) -> sparse.csr_matrix:
+    """``X``: ``g.features`` as CSR in ``dtype``, built once per features array and kept on ``g``."""
     cached = g.feature_csr.get(np.dtype(dtype))
     if cached is None or cached[0] is not g.features:
-        x = input_matrix(g.features, dtype)
-        cached = g.feature_csr[np.dtype(dtype)] = (g.features, x, x.T.tocsr())
-    return cached[1:]
+        cached = g.feature_csr[np.dtype(dtype)] = (g.features, input_matrix(g.features, dtype))
+    return cached[1]
 
 
 def forward(model: GatModel, g: AttributedGraph):
@@ -129,7 +128,7 @@ def forward(model: GatModel, g: AttributedGraph):
         raise ValueError(
             f"layer 1 expects width {model.layers[0].d_in}, graph features have {g.feature_dim}"
         )
-    h, h_t = graph_input(g, model.layers[0].proj.dtype)
+    h = graph_input(g, model.layers[0].proj.dtype)
     tapes: list[_LayerTape] = []
     for li, layer in enumerate(model.layers):
         projected = h @ layer.proj
@@ -139,9 +138,8 @@ def forward(model: GatModel, g: AttributedGraph):
         alpha = g.in_edge_softmax(_leaky(pre_act, model.leaky_slope))
         adj = g.in_csr(alpha)
         aggregated = adj @ projected
-        tapes.append(_LayerTape(h_t, projected, pre_act, alpha, adj, aggregated))
+        tapes.append(_LayerTape(h, projected, pre_act, alpha, adj, aggregated))
         h = _elu(aggregated) if li < model.num_layers - 1 else aggregated
-        h_t = h.T
     return h, tapes
 
 
@@ -226,7 +224,7 @@ def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_ou
         d_attn_dst = projected.T @ d_score_dst.astype(dtype)
         d_proj += d_score_src[:, None].astype(dtype) * layer.attn_src
         d_proj += d_score_dst[:, None].astype(dtype) * layer.attn_dst
-        d_u = tape.h_in_t @ d_proj
+        d_u = tape.h_in.T @ d_proj
         if li > 0:  # the input features carry no gradient
             d_h = d_proj @ layer.proj.T
         grads.append((d_u, d_attn_src, d_attn_dst))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import codecs
 import io
 import itertools
+import numbers
 import re
 import struct
 from dataclasses import dataclass, field, replace
@@ -53,7 +54,7 @@ class AttributedGraph:
     id_map: list[str] = field(default_factory=list)
     dropped_self_loops: int = 0
     collapsed_duplicates: int = 0
-    feature_csr: dict = field(default_factory=dict, repr=False, compare=False)  # gat.graph_input's, by dtype
+    feature_csr: dict = field(default_factory=dict, repr=False, compare=False)  # gat.graph_input's (features, X), by dtype
     path_scores: tuple | None = field(default=None, repr=False, compare=False)  # centrality._path_scores's
     diffusion: dict = field(default_factory=dict, repr=False, compare=False)  # diffusion._weights's and _ready's
 
@@ -176,9 +177,10 @@ def _digit_csv(data: bytes) -> np.ndarray | None:
     width = data.find(b"\n") + 1  # d digits, d - 1 commas and a newline
     if width < 2 or width % 2 or len(data) % width:
         return None
-    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-    digits = rows[:, ::2] - ord("0")  # uint8 wraps below "0"
-    if (rows[:, -1] != ord("\n")).any() or (rows[:, 1:-1:2] != ord(",")).any() or (digits > 9).any():
+    # (digit, separator) pairs as uint16 less "0," ("0\n" last): a bad digit or separator leaves > 9
+    expected = np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", dtype="<u2")
+    digits = np.frombuffer(data, dtype="<u2").reshape(-1, width // 2) - expected
+    if (digits > 9).any():
         return None
     return digits.astype(np.float64)
 
@@ -466,6 +468,14 @@ def node_mask(num_nodes: int, ids, what: str = "node") -> np.ndarray:
             raise ValueError(f"{what} id {ids.flat[np.argmax(outside)].item()} outside [0, {num_nodes})")
         mask[ids] = True
     return mask
+
+
+def check_count(name: str, value, low: int) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer (a numpy one too, not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # 2.5, nan and True count nothing
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 def induced_subgraph(g: AttributedGraph, nodes) -> AttributedGraph:

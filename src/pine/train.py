@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gat
-from .graph import AttributedGraph
+from .graph import AttributedGraph, check_count
 from .metrics import average_ranks
 from .split import EdgeSplit, sample_negatives
 
@@ -34,8 +34,7 @@ class TrainConfig:
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning rate must be positive and finite")
         for name in ("num_layers", "hidden_size", "max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_count(name, getattr(self, name), 1)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -274,16 +275,41 @@ class TestSparseInput:
 
     def test_graph_input_is_built_once_per_features_array(self, rng):
         g = bag_of_words_graph(rng)
-        x, x_t = gat.graph_input(g, np.float32)
-        again, again_t = gat.graph_input(g, np.dtype("float32"))
-        assert again is x and again_t is x_t
-        assert x_t.format == "csr" and np.array_equal(x_t.toarray(), x.toarray().T)
-        assert np.array_equal(gat.graph_input(g, np.float64)[0].toarray(), g.features)
+        x = gat.graph_input(g, np.float32)
+        assert gat.graph_input(g, np.dtype("float32")) is x
+        assert x.format == "csr" and x.dtype == np.float32
+        assert np.array_equal(x.toarray(), g.features.astype(np.float32))
+        assert np.array_equal(gat.graph_input(g, np.float64).toarray(), g.features)
+        # one (features, X) pair per dtype and no transpose kept beside it
+        assert {k: len(v) for k, v in g.feature_csr.items()} == {np.dtype(np.float32): 2, np.dtype(np.float64): 2}
+        assert g.feature_csr[np.dtype(np.float32)][0] is g.features and g.feature_csr[np.dtype(np.float32)][1] is x
         sub = induced_subgraph(g, np.arange(5))  # other features, own inputs
-        assert np.array_equal(gat.graph_input(sub, np.float32)[0].toarray(), x.toarray()[:5])
-        assert gat.graph_input(g, np.float32)[0] is x
+        assert np.array_equal(gat.graph_input(sub, np.float32).toarray(), x.toarray()[:5])
+        assert gat.graph_input(g, np.float32) is x
         g.features = g.features + 1.0  # a new features array is read again
-        assert np.array_equal(gat.graph_input(g, np.float32)[0].toarray(), g.features.astype(np.float32))
+        assert np.array_equal(gat.graph_input(g, np.float32).toarray(), g.features.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("features", ["bag-of-words", "dense"])
+    def test_layer0_gradient_through_transpose_view_equals_transposed_csr(self, features, dtype, rng):
+        # d_u = X.T @ d_proj reads X.T as a CSC view; it must add each node's term
+        # into a gradient row in the order a CSR copy of Xᵀ does, so both are bit-equal
+        if features == "dense":
+            g = random_graph(300, 0.02, rng, d=24)
+        else:
+            g = bag_of_words_graph(rng, n=300, d=40)
+        model = randomized_model(g.feature_dim, 16, 2, rng, dtype=dtype)
+        _h, tapes = gat.forward(model, g)
+        x = tapes[0].h_in
+        assert x is gat.graph_input(g, dtype) and x.format == "csr" and x.nnz > 3 * g.feature_dim
+        d_out = rng.normal(size=(g.num_nodes, 16)).astype(dtype)
+        grads = gat._backward(model, g, tapes, d_out)
+        transposed = dataclasses.replace(tapes[0], h_in=types.SimpleNamespace(T=x.T.tocsr()))
+        grads_csr = gat._backward(model, g, [transposed, *tapes[1:]], d_out)
+        assert grads[0][0].dtype == dtype and grads[0][0].flags.c_contiguous
+        for triple, triple_csr in zip(grads, grads_csr):
+            for a, b in zip(triple, triple_csr):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_forward_matches_dense_oracle(self, layers, rng):

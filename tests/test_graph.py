@@ -249,9 +249,19 @@ class TestDigitCsvFeatures:
             "0,1,2,3\n0,1\n0,1\n",
             "0, 1\n1, 0\n",
             "",
+            "0;1\n1;0\n",
+            "0,1\n1,/\n",
+            "0,1\n1,:\n",
+            "/-0\n0,1\n",
+            "0,1\n1\n0\n",
+            "0,1\n1,0,",
         ],
         ids=["comment", "comment-at-width", "blank-lines", "crlf", "two-digit", "signed", "float",
-             "no-final-newline", "one-row-no-newline", "ragged", "space", "empty"],
+             "no-final-newline", "one-row-no-newline", "ragged", "space", "empty",
+             # one-pass check: wrong separator, a byte just below "0" (it borrows) and just above "9",
+             # a borrow into a separator one above ",", "\n" in a comma's column, "," in the newline's
+             "semicolon", "slash", "colon", "borrow-into-separator", "newline-in-comma-column",
+             "comma-in-newline-column"],
     )
     @pytest.mark.filterwarnings("ignore:loadtxt")
     def test_near_miss_layout_falls_back_to_loadtxt(self, tmp_path, text):

@@ -530,6 +530,18 @@ class TestPipeline:
             run_pipeline(path)
 
 
+INTEGER_FIELDS = [(DiffusionConfig, "num_runs"), (DiffusionConfig, "max_steps")] + [
+    (TrainConfig, name) for name in ("num_layers", "hidden_size", "max_epochs", "patience")
+]
+
+NON_INTEGERS = {"true": True, "false": False, "np-true": np.True_, "2.5": 2.5, "3.0": 3.0,
+                "nan": float("nan"), "np-float": np.float64(2), "str": "3", "none": None}
+NON_INTEGER_CASES = [  # None is max_steps' "no cap"
+    pytest.param(cls, field, value, id=f"{field}-{name}") for cls, field in INTEGER_FIELDS
+    for name, value in NON_INTEGERS.items() if (field, value) != ("max_steps", None)
+]
+
+
 class TestConfigRangeChecks:
     """Values that used to fail only after the graph loaded (or never) fail
     at stage config, naming their [section] key and value."""
@@ -582,6 +594,25 @@ class TestConfigRangeChecks:
         DiffusionConfig(max_steps=0)  # the seeds alone
         with pytest.raises(ValueError, match="^max_steps must be >= 0$"):
             DiffusionConfig(max_steps=-1)
+
+    @pytest.mark.parametrize("cls, field, value", NON_INTEGER_CASES)
+    def test_integer_fields_reject_other_values(self, cls, field, value):
+        # seen before the check: max_steps=nan counted not even the seeds, num_runs=True ran one
+        # run, and hidden_size=nan or 2.5 and max_epochs=True were accepted
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("cls, field", INTEGER_FIELDS, ids=[f for _c, f in INTEGER_FIELDS])
+    def test_integer_fields_accept_numpy_integers(self, cls, field):
+        for value in (np.int64(2), np.int32(3), np.uint8(1)):
+            assert getattr(cls(**{field: value}), field) == value
+
+    def test_nan_max_steps_is_named_not_run(self):
+        g = build_graph(4, [0, 1, 2], [1, 2, 3], np.eye(4))
+        with pytest.raises(ValueError, match="^max_steps must be an integer, not nan$"):
+            influence_spread(g, DiffusionConfig(model="sir", sir_beta=1.0, max_steps=float("nan")), [0, 1])
+        counts = influence_spread(g, DiffusionConfig(model="sir", sir_beta=1.0, max_steps=1, num_runs=3), [0, 1])
+        assert counts.activated_counts.tolist() == [3, 3, 3]  # the seeds and the one step from them
 
     @pytest.mark.parametrize(
         "command, flags, message",

@@ -102,18 +102,39 @@ def feature_csr_builders(text):
     return builders, {owner for owner, callee, _names in calls if callee.split(".")[-1] == "input_matrix"}
 
 
+def transposed_csr_copies(text):
+    """(enclosing top-level function or None, call) for every ``.tocsr()`` of a ``.T`` or a ``.transpose()``."""
+    return [
+        (owner, callee)
+        for owner, callee, _names in calls_by_function(text)
+        if callee.endswith((".T.tocsr", ".transpose().tocsr"))
+    ]
+
+
 def test_gat_makes_no_contiguous_copy_and_one_function_builds_the_feature_csr():
-    # projections are stored in the layout their products use, and the CSR of
-    # the features is built by gat.input_matrix alone, called only by the
-    # per-graph cache gat.graph_input
+    # projections are stored in the layout their products use, a transpose is
+    # read as a view (X.T is CSC over X's arrays), and the CSR of the features
+    # is built by gat.input_matrix alone, called only by the per-graph cache
+    # gat.graph_input
     gat_source = (SOURCE / "gat.py").read_text(encoding="utf-8")
     assert not [callee for _owner, callee, _names in calls_by_function(gat_source) if "ascontiguousarray" in callee]
+    assert transposed_csr_copies(gat_source) == []
     found = set()
     for module in sorted(SOURCE.rglob("*.py")):
         builders, users = feature_csr_builders(module.read_text(encoding="utf-8"))
         found.update({(module.name, "builds", owner) for owner in builders})
         found.update({(module.name, "calls input_matrix", owner) for owner in users})
     assert found == {("gat.py", "builds", "input_matrix"), ("gat.py", "calls input_matrix", "graph_input")}
+
+
+def test_transposed_csr_copies_are_recognised():
+    text = (
+        "x_t = x.T.tocsr()\n"
+        "def a(g, x):\n    return (x.T.tocsr(), x.tocsr(), x.T)\n"
+        "def b(tape):\n    return tape.h_in.transpose().tocsr() @ d\n"
+        "def c(x):\n    return x.T @ d, x.tocsc().T\n"
+    )
+    assert transposed_csr_copies(text) == [(None, "x.T.tocsr"), ("a", "x.T.tocsr"), ("b", "tape.h_in.transpose().tocsr")]
 
 
 def test_feature_csr_builders_are_recognised():
