@@ -12,6 +12,9 @@ that two files can be compared seed by seed), and from the traced runs each
 layer's self time and share of the traced pipeline_s and every named
 per-layer metric (train.epoch_ms, trace.overhead_s, ...), as median and
 quartiles over the seeds.  Quartiles are benchmark/compare.py's.
+
+A run record names the commit by ``git rev-parse HEAD`` alone, so the script
+refuses to run while src/, benchmark/ or BENCHMARK.json differ from HEAD.
 """
 
 from __future__ import annotations
@@ -80,10 +83,21 @@ def fold(spec: dict, records: dict[tuple[str, int, int], dict], seeds: list[int]
     return out
 
 
+def edited_files(root: str) -> list[str]:
+    """``git status --porcelain`` lines of the files the benchmark runs or reads that differ from HEAD."""
+    cmd = ["git", "status", "--porcelain", "--", "src", "benchmark", "BENCHMARK.json"]
+    return subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     seeds = sorted(set(parser.parse_args(argv).seeds))
+    edited = edited_files(ROOT)
+    if edited:
+        print("error: the records would name HEAD, but these files differ from it; commit or stash them:",
+              *edited, sep="\n", file=sys.stderr)
+        return 1
     status = 0
     for trace in (0, 1):
         cmd = [sys.executable, os.path.join(BENCH, "suite.py"), "--trace", str(trace), "--seeds", *map(str, seeds)]

@@ -28,18 +28,18 @@ def check_parameter(name: str, value: float) -> float:
 
 
 def degree(g: AttributedGraph) -> ScoreVector:
-    return ScoreVector(g.in_degrees() + g.out_degrees(), "degree")
+    return ScoreVector(g.in_degrees() + g.out_degrees())
 
 
 def out_degree(g: AttributedGraph) -> ScoreVector:
-    return ScoreVector(g.out_degrees(), "out_degree")
+    return ScoreVector(g.out_degrees())
 
 
 def weighted_out_degree(g: AttributedGraph) -> ScoreVector:
     """Sum of cosine similarities over each node's out-edges."""
     sims = g.edge_cosine()
     values = np.bincount(g.edge_src, weights=sims, minlength=g.num_nodes)
-    return ScoreVector(values, "weighted_out_degree")
+    return ScoreVector(values)
 
 
 def relative_out_degree(g: AttributedGraph, tuning: float = 0.5) -> ScoreVector:
@@ -53,7 +53,7 @@ def relative_out_degree(g: AttributedGraph, tuning: float = 0.5) -> ScoreVector:
     od = g.out_degrees().astype(np.float64)
     wd = np.maximum(weighted_out_degree(g).values, 0.0)
     values = np.where(od > 0, od ** (1.0 - tuning) * wd**tuning, 0.0)
-    return ScoreVector(values, f"relative_out_degree[{tuning}]")
+    return ScoreVector(values)
 
 
 def pagerank(
@@ -68,7 +68,7 @@ def pagerank(
     check_parameter("damping", damping)
     n = g.num_nodes
     if n == 0:
-        return ScoreVector(np.zeros(0), "pagerank")
+        return ScoreVector(np.zeros(0))
     out_deg = g.out_degrees().astype(np.float64)
     dangling = out_deg == 0
     r = np.full(n, 1.0 / n)
@@ -88,7 +88,7 @@ def pagerank(
             RuntimeWarning,
             stacklevel=2,
         )
-    return ScoreVector(r, "pagerank")
+    return ScoreVector(r)
 
 
 def katz(
@@ -140,7 +140,7 @@ def katz(
             x = x / norm
         elif n > 0:  # empty-edge graph: uniform scores
             x = np.full(n, 1.0 / np.sqrt(n))
-    return ScoreVector(x, "katz")
+    return ScoreVector(x)
 
 
 # a chunk's seen matrix holds 4 * _CHUNK_CELLS one-byte flags, and its
@@ -281,7 +281,7 @@ def closeness(g: AttributedGraph) -> ScoreVector:
     graphs that are not strongly connected.  A source's reach and distance
     sum are its slot count and level sum in ``_bfs_chunks``; the traversal
     also gives ``betweenness``, and whichever is asked first pays for it."""
-    return ScoreVector(_path_scores(g)[0].copy(), "closeness")
+    return ScoreVector(_path_scores(g)[0].copy())
 
 
 def betweenness(g: AttributedGraph) -> ScoreVector:
@@ -296,7 +296,7 @@ def betweenness(g: AttributedGraph) -> ScoreVector:
     order: the floating-point order of Brandes' one-source-at-a-time loop,
     so the scores equal that loop's bit for bit.
     """
-    return ScoreVector(_path_scores(g)[1].copy(), "betweenness")
+    return ScoreVector(_path_scores(g)[1].copy())
 
 
 def voterank(g: AttributedGraph, k: int) -> tuple[list[int], ScoreVector]:
@@ -359,7 +359,7 @@ def voterank(g: AttributedGraph, k: int) -> tuple[list[int], ScoreVector]:
     lift = final.max(initial=0.0) + 1.0
     for pos, node in enumerate(elected):
         final[node] = lift + (k - pos)
-    return elected, ScoreVector(final, f"voterank[{k}]")
+    return elected, ScoreVector(final)
 
 
 # exact all-pairs traversals become impractical beyond this many nodes

@@ -150,8 +150,8 @@ def cmd_bench(args):
 
 
 def cmd_split(args):
-    g = _load(args)
-    split = split_edges(g, rng_seed=args.rng_seed)
+    seed = _config(args).rng_seed
+    split = split_edges(_load(args), rng_seed=seed)
     for field, pairs in vars(split).items():  # the EdgeSplit fields, in order
         name = field.removesuffix("_edges")
         path = f"{args.out_prefix}.{name}.txt"

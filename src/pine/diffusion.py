@@ -93,6 +93,7 @@ class DiffusionConfig:
         check_count("num_runs", self.num_runs, 1)
         if self.max_steps is not None:
             check_count("max_steps", self.max_steps, 0)
+        check_count("rng_seed", self.rng_seed, 0)
 
 
 @dataclass

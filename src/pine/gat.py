@@ -54,7 +54,6 @@ class GatLayer:
 @dataclass
 class GatModel:
     layers: list[GatLayer]
-    leaky_slope: float = LEAKY_SLOPE
 
     @property
     def num_layers(self) -> int:
@@ -86,8 +85,8 @@ def init_model(
     return GatModel(layers)
 
 
-def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
+def _leaky(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, LEAKY_SLOPE * x)
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -135,7 +134,7 @@ def forward(model: GatModel, g: AttributedGraph):
         score_src = projected @ layer.attn_src
         score_dst = projected @ layer.attn_dst
         pre_act = score_src[g.edge_src] + score_dst[g.edge_dst]
-        alpha = g.in_edge_softmax(_leaky(pre_act, model.leaky_slope))
+        alpha = g.in_edge_softmax(_leaky(pre_act))
         adj = g.in_csr(alpha)
         aggregated = adj @ projected
         tapes.append(_LayerTape(h, projected, pre_act, alpha, adj, aggregated))
@@ -217,7 +216,7 @@ def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_ou
         # softmax over in-edge segments
         seg = np.bincount(dst, weights=alpha * d_alpha, minlength=n)
         d_w = alpha * (d_alpha - seg[dst])
-        d_pre = d_w * np.where(tape.pre_act > 0, 1.0, model.leaky_slope)
+        d_pre = d_w * np.where(tape.pre_act > 0, 1.0, LEAKY_SLOPE)
         d_score_src = np.bincount(src, weights=d_pre, minlength=n)
         d_score_dst = np.bincount(dst, weights=d_pre, minlength=n)
         d_attn_src = projected.T @ d_score_src.astype(dtype)

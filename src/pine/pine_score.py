@@ -27,7 +27,7 @@ def score_graph(g: AttributedGraph, model: gat.GatModel, layer_index: int = 0) -
     _h, tapes = gat.forward(model, g)
     alpha = tapes[layer_index].alpha
     values = np.bincount(g.edge_src, weights=alpha.astype(np.float64), minlength=g.num_nodes)
-    return ScoreVector(values, f"pine[layer={layer_index}]")
+    return ScoreVector(values)
 
 
 @dataclass
@@ -47,8 +47,8 @@ def _type_sizes(g: AttributedGraph) -> list[tuple[int, int]]:
 def select_edge_types(
     g: AttributedGraph,
     val_labels: list[tuple[int, float]],
+    config: TrainConfig,
     top_k_types: int = TOP_K_TYPES,
-    config: TrainConfig | None = None,
     layer_index: int = 0,
 ) -> TypeSelectionResult:
     """Heterogeneous pine in one pass: train one attention model per edge-type
@@ -62,7 +62,6 @@ def select_edge_types(
         raise ValueError("graph has no edge types")
     if not val_labels:
         raise ValueError("validation labels are empty")
-    config = config or TrainConfig()
     label_nodes = np.array([v for v, _ in val_labels], dtype=np.int64)
     label_values = np.array([imp for _, imp in val_labels], dtype=np.float64)
 
@@ -90,7 +89,7 @@ def select_edge_types(
             total += values
     if not selected:
         logger.warning("no edge types exhibited positive correlation: selection is empty, scores are all zero")
-    scores = ScoreVector(total, f"pine_heterogeneous[{sorted(selected)}]")
+    scores = ScoreVector(total)
     return TypeSelectionResult(selected, correlations, scores, skipped)
 
 
@@ -98,4 +97,4 @@ def calibrate_by_out_degree(scores: ScoreVector, g: AttributedGraph) -> ScoreVec
     """Multiply each score by log(1 + out-degree) taken from the whole
     graph (not a type subgraph)."""
     out_deg = g.out_degrees().astype(np.float64)
-    return ScoreVector(scores.values * np.log1p(out_deg), scores.method_name + "+log-degree")
+    return ScoreVector(scores.values * np.log1p(out_deg))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from . import centrality as ct
 from . import diffusion
 from .diffusion import DiffusionConfig, influence_spread, worker_count
-from .graph import AttributedGraph, load_graph
+from .graph import AttributedGraph, check_count, load_graph
 from .pine_score import calibrate_by_out_degree, score_graph
 from .scores import ScoreVector
 from .split import split_edges
@@ -67,8 +67,23 @@ def _centrality_parameter(name: str):
     return parse
 
 
+def _count(name: str, low: int):
+    """The parser of an integer key of at least ``low`` (``check_count``), named for argparse's messages."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        check_count(name, value, low)
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
 def _flag(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes", "on")
+    """configparser's boolean words, in any case: 1/yes/true/on and 0/no/false/off."""
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not one of {', '.join(configparser.ConfigParser.BOOLEAN_STATES)}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 # Score calibrations by name, as (scores, graph) -> ScoreVector.
@@ -98,17 +113,17 @@ _KEYS = {
     ("diffusion", "sir_beta"): ("sir_beta", float),
     ("diffusion", "sir_gamma"): ("sir_gamma", float),
     ("diffusion", "max_steps"): ("max_steps", int),
-    ("diffusion", "seed"): ("rng_seed", int),
+    ("diffusion", "seed"): ("rng_seed", _count("rng_seed", 0)),
     ("train", "layers"): ("num_layers", int),
     ("train", "hidden"): ("hidden_size", int),
     ("train", "lr"): ("learning_rate", float),
     ("train", "max_epochs"): ("max_epochs", int),
     ("train", "patience"): ("patience", int),
-    ("train", "seed"): ("rng_seed", int),
+    ("train", "seed"): ("rng_seed", _count("rng_seed", 0)),
     ("centrality", "damping"): ("damping", _centrality_parameter("damping")),
     ("centrality", "attenuation"): ("attenuation", _centrality_parameter("attenuation")),
     ("centrality", "tuning"): ("tuning", _centrality_parameter("tuning")),
-    ("centrality", "node_budget"): ("node_budget", int),
+    ("centrality", "node_budget"): ("node_budget", _count("node_budget", 0)),
     ("score", "layer"): ("score_layer", int),
     ("score", "calibrate"): ("calibrate", calibration),
 }

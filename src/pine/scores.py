@@ -15,14 +15,13 @@ def descending_order(values: np.ndarray) -> np.ndarray:
 @dataclass
 class ScoreVector:
     values: np.ndarray
-    method_name: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise ValueError("scores must be a flat vector")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"{self.method_name}: non-finite score values")
+            raise ValueError(f"score of node {np.flatnonzero(~np.isfinite(self.values))[0]} is not finite")
 
     def __len__(self) -> int:
         return self.values.size

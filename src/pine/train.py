@@ -16,6 +16,9 @@ from .graph import AttributedGraph, check_count
 from .metrics import average_ranks
 from .split import EdgeSplit, sample_negatives
 
+# Adam's moment decay rates and denominator offset (Kingma and Ba, ICLR 2015)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -25,9 +28,6 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 20
     rng_seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     dtype: type = np.float32
 
     def __post_init__(self):
@@ -35,6 +35,7 @@ class TrainConfig:
             raise ValueError("learning rate must be positive and finite")
         for name in ("num_layers", "hidden_size", "max_epochs", "patience"):
             check_count(name, getattr(self, name), 1)
+        check_count("rng_seed", self.rng_seed, 0)
 
 
 @dataclass
@@ -71,22 +72,21 @@ class Adam:
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        c = self.config
         self.t += 1
         for p, grad, m, v, (a, b) in zip(params, grads, self.m, self.v, self.scratch):
             np.copyto(a, grad, casting="unsafe")  # g = grad.astype(p.dtype)
-            m *= c.beta1
-            np.multiply(a, 1 - c.beta1, out=b)
+            m *= BETA1
+            np.multiply(a, 1 - BETA1, out=b)
             m += b  # m += (1 - beta1) * g
-            v *= c.beta2
-            np.multiply(a, 1 - c.beta2, out=b)
+            v *= BETA2
+            np.multiply(a, 1 - BETA2, out=b)
             b *= a
             v += b  # v += (1 - beta2) * g * g
-            np.divide(v, 1 - c.beta2**self.t, out=a)  # v_hat
+            np.divide(v, 1 - BETA2**self.t, out=a)  # v_hat
             np.sqrt(a, out=a)
-            a += c.adam_eps
-            np.divide(m, 1 - c.beta1**self.t, out=b)  # m_hat
-            b *= c.learning_rate
+            a += ADAM_EPS
+            np.divide(m, 1 - BETA1**self.t, out=b)  # m_hat
+            b *= self.config.learning_rate
             b /= a
             p -= b  # p -= lr * m_hat / (sqrt(v_hat) + eps)
 

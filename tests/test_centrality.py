@@ -778,7 +778,7 @@ def voterank_recount_oracle(g: AttributedGraph, k: int) -> tuple[list[int], Scor
     lift = final.max(initial=0.0) + 1.0
     for pos, node in enumerate(elected):
         final[node] = lift + (k - pos)
-    return elected, ScoreVector(final, f"voterank[{k}]")
+    return elected, ScoreVector(final)
 
 
 def assert_voterank_bit_equal(g, ks):

@@ -173,24 +173,24 @@ class TestSelectEdgeTypes:
 class TestCalibration:
     def test_no_out_edges_all_zero(self):
         g = build_graph(3, [], [], np.ones((3, 1)))
-        scores = ScoreVector(np.array([1.0, 2.0, 3.0]), "x")
+        scores = ScoreVector(np.array([1.0, 2.0, 3.0]))
         assert np.all(calibrate_by_out_degree(scores, g).values == 0.0)
 
     def test_uniform_scores_rank_by_out_degree(self, rng):
         g = random_graph(15, 0.3, rng)
-        scores = ScoreVector(np.ones(15), "x")
+        scores = ScoreVector(np.ones(15))
         calibrated = calibrate_by_out_degree(scores, g)
         assert np.all(np.diff(g.out_degrees()[np.argsort(calibrated.values)]) >= 0)
 
     def test_matches_direct_formula(self, rng):
         g = random_graph(20, 0.25, rng)
         raw = rng.random(20)
-        calibrated = calibrate_by_out_degree(ScoreVector(raw, "x"), g)
+        calibrated = calibrate_by_out_degree(ScoreVector(raw), g)
         assert np.allclose(calibrated.values, raw * np.log1p(g.out_degrees()))
 
     def test_preserves_order_at_equal_out_degree(self, rng):
         g = build_graph(4, [0, 1], [2, 3], np.ones((4, 1)))  # nodes 0,1 both out-degree 1
-        scores = ScoreVector(np.array([0.3, 0.9, 0.0, 0.0]), "x")
+        scores = ScoreVector(np.array([0.3, 0.9, 0.0, 0.0]))
         calibrated = calibrate_by_out_degree(scores, g)
         assert calibrated.values[1] > calibrated.values[0]
 
@@ -198,7 +198,7 @@ class TestCalibration:
         # calibration must use full-graph out-degree, not a subgraph's
         g, _imp = planted_heterogeneous_graph(n=60, planted_edges=150, noise_edges=80, seed=11)
         sub = subgraph_by_edge_type(g, 0)
-        scores = ScoreVector(np.ones(g.num_nodes), "x")
+        scores = ScoreVector(np.ones(g.num_nodes))
         full = calibrate_by_out_degree(scores, g)
         assert np.allclose(full.values, np.log1p(g.out_degrees()))
         assert not np.allclose(g.out_degrees(), sub.out_degrees())

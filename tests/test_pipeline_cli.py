@@ -349,20 +349,32 @@ class TestNodeFiles:
 
 class TestTopFraction:
     def test_floor_of_fraction(self):
-        sv = ScoreVector(np.arange(10.0), "x")
+        sv = ScoreVector(np.arange(10.0))
         assert sv.top_fraction(0.25).size == 2
 
     def test_highest_scores_selected(self):
-        sv = ScoreVector(np.array([5.0, 1.0, 9.0, 3.0]), "x")
+        sv = ScoreVector(np.array([5.0, 1.0, 9.0, 3.0]))
         assert set(sv.top_fraction(0.5)) == {0, 2}
 
     def test_boundary_tie_by_id(self):
-        sv = ScoreVector(np.array([1.0, 2.0, 2.0, 2.0]), "x")
+        sv = ScoreVector(np.array([1.0, 2.0, 2.0, 2.0]))
         assert list(sv.top_fraction(0.5)) == [1, 2]
 
     def test_zero_when_tiny_fraction(self):
-        sv = ScoreVector(np.arange(5.0), "x")
+        sv = ScoreVector(np.arange(5.0))
         assert sv.top_fraction(0.1).size == 0
+
+
+class TestScoreVector:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_the_first_node(self, bad):
+        values = np.arange(6.0)
+        values[[2, 4]] = bad
+        with pytest.raises(ValueError, match="^score of node 2 is not finite$"):
+            ScoreVector(values)
+
+    def test_values_are_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(ScoreVector)] == ["values"]
 
 
 class TestPipeline:
@@ -530,14 +542,20 @@ class TestPipeline:
             run_pipeline(path)
 
 
-INTEGER_FIELDS = [(DiffusionConfig, "num_runs"), (DiffusionConfig, "max_steps")] + [
-    (TrainConfig, name) for name in ("num_layers", "hidden_size", "max_epochs", "patience")
+INTEGER_FIELDS = [(DiffusionConfig, "num_runs"), (DiffusionConfig, "max_steps"), (DiffusionConfig, "rng_seed")] + [
+    (TrainConfig, name) for name in ("num_layers", "hidden_size", "max_epochs", "patience", "rng_seed")
 ]
+
+
+
+def field_id(cls, field):
+    return f"{cls.__name__}.{field}" if field == "rng_seed" else field  # both classes have a seed
+
 
 NON_INTEGERS = {"true": True, "false": False, "np-true": np.True_, "2.5": 2.5, "3.0": 3.0,
                 "nan": float("nan"), "np-float": np.float64(2), "str": "3", "none": None}
 NON_INTEGER_CASES = [  # None is max_steps' "no cap"
-    pytest.param(cls, field, value, id=f"{field}-{name}") for cls, field in INTEGER_FIELDS
+    pytest.param(cls, field, value, id=f"{field_id(cls, field)}-{name}") for cls, field in INTEGER_FIELDS
     for name, value in NON_INTEGERS.items() if (field, value) != ("max_steps", None)
 ]
 
@@ -567,10 +585,14 @@ class TestConfigRangeChecks:
                 "[centrality]\nattenuation = 0\n",
                 "[centrality] attenuation = '0': attenuation must be positive and finite, not 0.0",
             ),
+            ("[diffusion]\nseed = -1\n", "[diffusion] seed = '-1': rng_seed must be >= 0"),
+            ("[train]\nseed = -1\n", "[train] seed = '-1': rng_seed must be >= 0"),
+            ("[centrality]\nnode_budget = -1\n", "[centrality] node_budget = '-1': node_budget must be >= 0"),
         ],
         ids=["models", "methods", "fraction-above", "fraction-below", "fraction-nan", "layer-past", "layer-negative",
              "layer-past-two", "train-layers", "train-hidden", "train-max-epochs", "diffusion-max-steps",
-             "centrality-damping", "centrality-tuning-nan", "centrality-attenuation-zero"],
+             "centrality-damping", "centrality-tuning-nan", "centrality-attenuation-zero", "diffusion-seed",
+             "train-seed", "centrality-node-budget"],
     )
     def test_fails_at_config_before_load(self, tmp_path, graph_files, monkeypatch, text, message):
         _g, edges, feats = graph_files
@@ -595,6 +617,61 @@ class TestConfigRangeChecks:
         with pytest.raises(ValueError, match="^max_steps must be >= 0$"):
             DiffusionConfig(max_steps=-1)
 
+    @pytest.mark.parametrize("cls", [TrainConfig, DiffusionConfig])
+    def test_seed_bound(self, cls):
+        # seed -1 used to pass the config and fail in numpy with "expected non-negative integer"
+        assert cls(rng_seed=0).rng_seed == 0
+        with pytest.raises(ValueError, match="^rng_seed must be >= 0$"):
+            cls(rng_seed=-1)
+
+    def test_reverse_edges_takes_configparser_boolean_words_only(self, tmp_path, graph_files, monkeypatch):
+        # any other word used to read as false
+        _g, edges, _feats = graph_files
+        monkeypatch.setattr(pp, "load_graph", lambda *a, **k: pytest.fail("the graph loaded"))
+        path = tmp_path / "conf.ini"
+        for raw, value in [("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+                           ("0", False), ("No", False), ("false", False), ("OFF", False)]:
+            path.write_text(f"[graph]\nedges = {edges}\nreverse_edges = {raw}\n")
+            assert load_config(path).reverse_edges is value
+        for raw in ("maybe", "2", "y", "truee"):
+            path.write_text(f"[graph]\nedges = {edges}\nreverse_edges = {raw}\n")
+            with pytest.raises(PipelineError) as exc:
+                run_pipeline(path)
+            assert exc.value.stage == "config"
+            assert str(exc.value) == (
+                f"[config] [graph] reverse_edges = {raw!r}: not one of 1, yes, true, on, 0, no, false, off"
+            )
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("split", ["--seed", "-2", "--out-prefix", "s"], "--seed: invalid rng_seed value: '-2': rng_seed must be >= 0"),
+            ("train", ["--seed", "-1", "--out", "m.bin"], "--seed: invalid rng_seed value: '-1': rng_seed must be >= 0"),
+            (
+                "simulate",
+                ["--model", "ltp", "--seeds", "s.txt", "--seed", "-1"],
+                "--seed: invalid rng_seed value: '-1': rng_seed must be >= 0",
+            ),
+            (
+                "centrality",
+                ["--method", "closeness", "--node-budget", "-3"],
+                "--node-budget: invalid node_budget value: '-3': node_budget must be >= 0",
+            ),
+        ],
+        ids=["split-seed", "train-seed", "simulate-seed", "centrality-node-budget"],
+    )
+    def test_flag_fails_before_load(self, tmp_path, capsys, command, flags, message):
+        # pine split --seed -2 used to fail in numpy after the graph loaded, and --node-budget -3
+        # refused every closeness or betweenness call "above -3 nodes"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", str(tmp_path / "missing.txt")] + flags)
+        assert exc.value.code == 2 and capsys.readouterr().err.endswith(f"error: argument {message}\n")
+
+    def test_node_budget_zero_refuses_every_graph(self, graph_files, capsys):
+        _g, edges, feats = graph_files
+        assert main(["centrality", "--graph", edges, "--features", feats, "--method", "closeness", "--node-budget", "0"]) == 1
+        assert capsys.readouterr().err == "error [closeness] exact closeness refused above 0 nodes (N=50)\n"
+
     @pytest.mark.parametrize("cls, field, value", NON_INTEGER_CASES)
     def test_integer_fields_reject_other_values(self, cls, field, value):
         # seen before the check: max_steps=nan counted not even the seeds, num_runs=True ran one
@@ -602,7 +679,7 @@ class TestConfigRangeChecks:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
             cls(**{field: value})
 
-    @pytest.mark.parametrize("cls, field", INTEGER_FIELDS, ids=[f for _c, f in INTEGER_FIELDS])
+    @pytest.mark.parametrize("cls, field", INTEGER_FIELDS, ids=[field_id(c, f) for c, f in INTEGER_FIELDS])
     def test_integer_fields_accept_numpy_integers(self, cls, field):
         for value in (np.int64(2), np.int32(3), np.uint8(1)):
             assert getattr(cls(**{field: value}), field) == value
@@ -792,8 +869,8 @@ class TestCli:
 
         truth = tmp_path / "truth.tsv"
         pred = tmp_path / "pred.tsv"
-        ScoreVector(g.out_degrees().astype(float), "t").write_tsv(truth)
-        ScoreVector(g.out_degrees().astype(float), "p").write_tsv(pred)
+        ScoreVector(g.out_degrees().astype(float)).write_tsv(truth)
+        ScoreVector(g.out_degrees().astype(float)).write_tsv(pred)
         rc = main(
             ["evaluate", "--scores", str(pred), "--truth", str(truth), "--metrics", "spearman,ndcg@10"]
         )

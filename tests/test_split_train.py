@@ -205,23 +205,25 @@ class TestFusedEpoch:
 class TestAdam:
     @staticmethod
     def reference_step(params, grads, m, v, t, c):
-        # the update as plain numpy expressions, each temporary allocated
+        # the update as plain numpy expressions, each temporary allocated, with the module's constants
+        from pine.train import ADAM_EPS, BETA1, BETA2
+
         for p, grad, mi, vi in zip(params, grads, m, v):
             g = grad.astype(p.dtype)
-            mi *= c.beta1
-            mi += (1 - c.beta1) * g
-            vi *= c.beta2
-            vi += (1 - c.beta2) * g * g
-            m_hat = mi / (1 - c.beta1**t)
-            v_hat = vi / (1 - c.beta2**t)
-            p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+            mi *= BETA1
+            mi += (1 - BETA1) * g
+            vi *= BETA2
+            vi += (1 - BETA2) * g * g
+            m_hat = mi / (1 - BETA1**t)
+            v_hat = vi / (1 - BETA2**t)
+            p -= c.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_steps_bit_equal_to_plain_expressions(self, dtype):
         from pine.train import Adam
 
         rng = np.random.default_rng(5)
-        config = TrainConfig(learning_rate=3e-3, adam_eps=1e-7)
+        config = TrainConfig(learning_rate=3e-3)
         shapes = [(17, 9), (9,), (1,)]
         params = [rng.normal(size=s).astype(dtype) for s in shapes]
         expected = [p.copy() for p in params]

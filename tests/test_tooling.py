@@ -7,8 +7,10 @@ import pathlib
 import numpy as np
 
 import pine
+from pine.diffusion import DiffusionConfig
 from pine.graph import AttributedGraph, build_graph
-from pine.pipeline import _KEYS
+from pine.pipeline import _KEYS, _SECTION_CLASS, PipelineConfig
+from pine.train import TrainConfig
 
 SOURCE = pathlib.Path(pine.__file__).parent
 
@@ -314,6 +316,20 @@ def test_config_restatements_are_recognised():
 def test_no_key_parser_is_a_lambda():
     # argparse names a flag's parser in its error: "invalid <lambda> value" names no rule
     assert [key for key, (_name, parse) in _KEYS.items() if parse.__name__ == "<lambda>"] == []
+
+
+def test_every_config_field_is_set_by_a_config_key():
+    # a field that no [section] key (and so no flag) sets is a library-only knob, as Adam's
+    # beta1, beta2 and adam_eps were; dtype stays (tests train in float64), a report row sets
+    # model, and diffusion and train hold the [diffusion] and [train] sections
+    keyed = {(_SECTION_CLASS.get(section, PipelineConfig), name) for (section, _key), (name, _parse) in _KEYS.items()}
+    unkeyed = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (TrainConfig, DiffusionConfig, PipelineConfig)
+        for f in dataclasses.fields(cls)
+        if (cls, f.name) not in keyed and f.name not in ("dtype", "model", "diffusion", "train")
+    ]
+    assert unkeyed == []
 
 
 def numpy_calls(text, function, name):
