@@ -9,11 +9,12 @@ node's own representation is deliberately left out.  Nodes without in-edges
 map to the zero vector.  Gradients are accumulated by reverse-mode
 traversal of the same graph.
 
-Each projection ``U`` is stored (d_in, d_out), so no product copies a
-transpose.  The layer-0 input ``X`` is the feature matrix as CSR, so
-bag-of-words features cost only their nonzeros in ``X @ U`` and in the
-gradient ``X.T @ d``, a CSC view of ``X``; ``X`` is built once per graph and
-kept on it (``graph_input``).  A training epoch's one forward serves both
+Each coefficient is taken as h_j (U s) + h_i (U t), so only the nodes S with
+out-edges are projected (``h[S] @ U``) and no product is a BLAS gemv, whose
+sums change with its thread count.  ``U`` is stored (d_in, d_out).  The
+layer-0 input is the CSR ``X`` of the features, with ``X[S]``, built once
+per graph and kept on it (``graph_input``, ``source_input``); the gradient
+reads ``X[S].T`` as a CSC view.  A training epoch's one forward serves both
 the validation score and, through ``loss_and_gradients``, the next gradient.
 
 A ``GatModel`` holds parameters only.  The attention of a pass is part of
@@ -96,10 +97,11 @@ def _elu(x: np.ndarray) -> np.ndarray:
 @dataclass
 class _LayerTape:
     h_in: np.ndarray | sparse.csr_matrix  # the layer's input: CSR X at layer 0, the dense h after
-    projected: np.ndarray
+    h_src: np.ndarray | sparse.csr_matrix  # h_in's rows at the nodes with out-edges, S
+    projected: np.ndarray  # h_src @ proj: one row per node of S
     pre_act: np.ndarray  # per-edge coefficient before LeakyReLU
     alpha: np.ndarray
-    adj: sparse.csr_matrix  # alpha laid on the graph's CSR, rows = destinations
+    adj: sparse.csr_matrix  # alpha laid on the graph's CSR, rows = destinations, columns = S
     aggregated: np.ndarray  # node embeddings before inter-layer activation
 
 
@@ -116,6 +118,23 @@ def graph_input(g: AttributedGraph, dtype) -> sparse.csr_matrix:
     return cached[1]
 
 
+def source_input(g: AttributedGraph, dtype):
+    """``(X, S, columns, X[S])``: ``graph_input``'s ``X``, the nodes with out-edges, each edge's source's
+    row among them and their rows of ``X``; built once per ``X`` and kept on ``g``."""
+    x = graph_input(g, dtype)
+    cached = g.source_csr.get(np.dtype(dtype))
+    if cached is None or cached[0] is not x:
+        has_out = np.diff(g.out_ptr) > 0
+        sources = np.flatnonzero(has_out)
+        cached = g.source_csr[np.dtype(dtype)] = (x, sources, (np.cumsum(has_out) - 1)[g.edge_src], x[sources])
+    return cached
+
+
+def _matvec(m, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for a sparse ``m``, an einsum for a dense one: a BLAS gemv's sums depend on its thread count."""
+    return np.einsum("ij,j->i", m, v) if isinstance(m, np.ndarray) else m @ v
+
+
 def forward(model: GatModel, g: AttributedGraph):
     """Run the attention layers over the graph's features, read through
     ``graph_input``.  Returns ``(h, tapes)``: the final node embeddings and
@@ -124,20 +143,19 @@ def forward(model: GatModel, g: AttributedGraph):
     pass needs.
     """
     if model.layers[0].d_in != g.feature_dim:
-        raise ValueError(
-            f"layer 1 expects width {model.layers[0].d_in}, graph features have {g.feature_dim}"
-        )
-    h = graph_input(g, model.layers[0].proj.dtype)
+        raise ValueError(f"layer 1 expects width {model.layers[0].d_in}, graph features have {g.feature_dim}")
+    h, sources, columns, h_src = source_input(g, model.layers[0].proj.dtype)
     tapes: list[_LayerTape] = []
     for li, layer in enumerate(model.layers):
-        projected = h @ layer.proj
-        score_src = projected @ layer.attn_src
-        score_dst = projected @ layer.attn_dst
+        h_src = np.take(h, sources, axis=0) if li else h_src
+        projected = h_src @ layer.proj
+        score_src = _matvec(h, _matvec(layer.proj, layer.attn_src))
+        score_dst = _matvec(h, _matvec(layer.proj, layer.attn_dst))
         pre_act = score_src[g.edge_src] + score_dst[g.edge_dst]
         alpha = g.in_edge_softmax(_leaky(pre_act))
-        adj = g.in_csr(alpha)
+        adj = sparse.csr_matrix((alpha, columns, g.in_ptr), shape=(g.num_nodes, sources.size))
         aggregated = adj @ projected
-        tapes.append(_LayerTape(h, projected, pre_act, alpha, adj, aggregated))
+        tapes.append(_LayerTape(h, h_src, projected, pre_act, alpha, adj, aggregated))
         h = _elu(aggregated) if li < model.num_layers - 1 else aggregated
     return h, tapes
 
@@ -198,36 +216,35 @@ def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_ou
     src, dst = g.edge_src, g.edge_dst
     n = g.num_nodes
     dtype = d_out.dtype
+    _x, sources, columns, _x_src = source_input(g, model.layers[0].proj.dtype)
     grads = []
     d_h = d_out
     for li in reversed(range(model.num_layers)):
         layer = model.layers[li]
         tape = tapes[li]
-        if li < model.num_layers - 1:
-            # through the inter-layer ELU
-            a = tape.aggregated
-            d_agg = d_h * np.where(a > 0, 1.0, np.exp(np.minimum(a, 0.0))).astype(dtype)
-        else:
-            d_agg = d_h
+        a = tape.aggregated  # through the inter-layer ELU, below the last layer
+        d_agg = d_h * np.where(a > 0, 1.0, np.exp(np.minimum(a, 0.0))).astype(dtype) if li < model.num_layers - 1 else d_h
         alpha, projected = tape.alpha, tape.projected
-        # aggregated_i = sum_e alpha_e projected[src_e]
-        d_alpha = np.einsum("ij,ij->i", np.take(d_agg, dst, axis=0), np.take(projected, src, axis=0))
+        # aggregated_i = sum_e alpha_e projected[column_e]
+        d_alpha = np.einsum("ij,ij->i", np.take(d_agg, dst, axis=0), np.take(projected, columns, axis=0))
         d_proj = tape.adj.T @ d_agg
         # softmax over in-edge segments
         seg = np.bincount(dst, weights=alpha * d_alpha, minlength=n)
         d_w = alpha * (d_alpha - seg[dst])
         d_pre = d_w * np.where(tape.pre_act > 0, 1.0, LEAKY_SLOPE)
-        d_score_src = np.bincount(src, weights=d_pre, minlength=n)
-        d_score_dst = np.bincount(dst, weights=d_pre, minlength=n)
-        d_attn_src = projected.T @ d_score_src.astype(dtype)
-        d_attn_dst = projected.T @ d_score_dst.astype(dtype)
-        d_proj += d_score_src[:, None].astype(dtype) * layer.attn_src
-        d_proj += d_score_dst[:, None].astype(dtype) * layer.attn_dst
-        d_u = tape.h_in.T @ d_proj
+        # score_src = h_in @ (proj @ attn_src), likewise score_dst
+        d_score_src = np.bincount(src, weights=d_pre, minlength=n).astype(dtype)
+        d_score_dst = np.bincount(dst, weights=d_pre, minlength=n).astype(dtype)
+        h_d_src, h_d_dst = _matvec(tape.h_in.T, d_score_src), _matvec(tape.h_in.T, d_score_dst)
+        d_attn_src, d_attn_dst = _matvec(layer.proj.T, h_d_src), _matvec(layer.proj.T, h_d_dst)
+        d_u = tape.h_src.T @ d_proj
+        d_u += np.outer(h_d_src, layer.attn_src)
+        d_u += np.outer(h_d_dst, layer.attn_dst)
         if li > 0:  # the input features carry no gradient
-            d_h = d_proj @ layer.proj.T
-        grads.append((d_u, d_attn_src, d_attn_dst))
-    grads.reverse()
+            d_h = np.outer(d_score_src, _matvec(layer.proj, layer.attn_src))
+            d_h += np.outer(d_score_dst, _matvec(layer.proj, layer.attn_dst))
+            d_h[sources] += d_proj @ layer.proj.T
+        grads.insert(0, (d_u, d_attn_src, d_attn_dst))
     return grads
 
 

@@ -55,6 +55,7 @@ class AttributedGraph:
     dropped_self_loops: int = 0
     collapsed_duplicates: int = 0
     feature_csr: dict = field(default_factory=dict, repr=False, compare=False)  # gat.graph_input's (features, X), by dtype
+    source_csr: dict = field(default_factory=dict, repr=False, compare=False)  # gat.source_input's (X, S, columns, X[S]), by dtype
     path_scores: tuple | None = field(default=None, repr=False, compare=False)  # centrality._path_scores's
     diffusion: dict = field(default_factory=dict, repr=False, compare=False)  # diffusion._weights's and _ready's
 

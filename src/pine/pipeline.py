@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import centrality as ct
 from . import diffusion
@@ -57,26 +58,23 @@ def _models(raw: str) -> list[str]:
     return _names(raw, diffusion.MODELS)
 
 
-def _centrality_parameter(name: str):
-    """The parser of ``[centrality] name`` by ``check_parameter``'s rule, named for argparse's messages."""
+def _checked(name: str, cast, check):
+    """The parser of a key: ``cast``, then ``check(name, value)``, named ``name`` for argparse's messages."""
 
-    def parse(raw: str) -> float:
-        return ct.check_parameter(name, float(raw))
-
-    parse.__name__ = name
-    return parse
-
-
-def _count(name: str, low: int):
-    """The parser of an integer key of at least ``low`` (``check_count``), named for argparse's messages."""
-
-    def parse(raw: str) -> int:
-        value = int(raw)
-        check_count(name, value, low)
+    def parse(raw: str):
+        value = cast(raw)
+        check(name, value)
         return value
 
     parse.__name__ = name
     return parse
+
+
+def _field(cls, name: str, cast):
+    """The parser of a ``cls`` field's key, checked by ``cls`` on that value alone; an alpha is
+    checked with its complement as the other alpha, the pair itself in ``load_config``."""
+    other = {"alpha1": "alpha2", "alpha2": "alpha1"}.get(name)
+    return _checked(name, cast, lambda _name, value: cls(**{name: value}, **({other: 1.0 - value} if other else {})))
 
 
 def _flag(raw: str) -> bool:
@@ -98,8 +96,10 @@ def calibration(raw: str) -> str:
 
 # (section, key) -> (field, parser).  Keys of [train] set TrainConfig
 # fields, keys of [diffusion] DiffusionConfig fields (_SECTION_CLASS), every
-# other key a PipelineConfig field.  The CLI's parameter flags are made from
-# this table, so a key renamed here renames its flag.
+# other key a PipelineConfig field; the class checks a [train] or [diffusion]
+# value as it is parsed (_field), so its error names the key or flag and the
+# value.  The CLI's parameter flags are made from this table, so a key
+# renamed here renames its flag.
 _KEYS = {
     ("graph", "edges"): ("edges", str),
     ("graph", "features"): ("features", str),
@@ -113,32 +113,34 @@ _KEYS = {
     ("diffusion", "sir_beta"): ("sir_beta", float),
     ("diffusion", "sir_gamma"): ("sir_gamma", float),
     ("diffusion", "max_steps"): ("max_steps", int),
-    ("diffusion", "seed"): ("rng_seed", _count("rng_seed", 0)),
+    ("diffusion", "seed"): ("rng_seed", int),
     ("train", "layers"): ("num_layers", int),
     ("train", "hidden"): ("hidden_size", int),
     ("train", "lr"): ("learning_rate", float),
     ("train", "max_epochs"): ("max_epochs", int),
     ("train", "patience"): ("patience", int),
-    ("train", "seed"): ("rng_seed", _count("rng_seed", 0)),
-    ("centrality", "damping"): ("damping", _centrality_parameter("damping")),
-    ("centrality", "attenuation"): ("attenuation", _centrality_parameter("attenuation")),
-    ("centrality", "tuning"): ("tuning", _centrality_parameter("tuning")),
-    ("centrality", "node_budget"): ("node_budget", _count("node_budget", 0)),
+    ("train", "seed"): ("rng_seed", int),
+    ("centrality", "damping"): ("damping", _checked("damping", float, ct.check_parameter)),
+    ("centrality", "attenuation"): ("attenuation", _checked("attenuation", float, ct.check_parameter)),
+    ("centrality", "tuning"): ("tuning", _checked("tuning", float, ct.check_parameter)),
+    ("centrality", "node_budget"): ("node_budget", _checked("node_budget", int, partial(check_count, low=0))),
     ("score", "layer"): ("score_layer", int),
     ("score", "calibrate"): ("calibrate", calibration),
 }
 
 
 _SECTION_CLASS = {"train": TrainConfig, "diffusion": DiffusionConfig}
+_KEYS.update({(sec, key): (name, _field(_SECTION_CLASS[sec], name, cast))
+              for (sec, key), (name, cast) in _KEYS.items() if sec in _SECTION_CLASS})
 
 
 def load_config(path) -> PipelineConfig:
     """Parse the flat sectioned key-value config; unknown sections or keys
     are errors so typos fail fast, and a value that does not parse, or that
-    ``TrainConfig`` rejects, names its ``[section] key``, as do an unknown
-    method or model, a seed fraction outside [0, 1] and a score layer outside
-    [0, ``[train] layers``).  Values that ``DiffusionConfig`` rejects name
-    ``[diffusion]``.  A ``;`` after whitespace starts a comment, and an empty
+    ``TrainConfig`` or ``DiffusionConfig`` rejects, names its ``[section] key``
+    and the value, as do an unknown method or model, a seed fraction outside
+    [0, 1] and a score layer outside [0, ``[train] layers``); an alpha pair
+    that does not sum to 1 names both keys.  A ``;`` after whitespace starts a comment, and an empty
     value means the default.  A file that is not valid INI or not UTF-8 fails
     at stage ``config`` too.  A ``%`` is literal, and ``[DEFAULT]`` is an
     unknown section like any other: the default section's name is one no
@@ -167,8 +169,6 @@ def load_config(path) -> PipelineConfig:
             name, cast = _KEYS[section, key]
             try:
                 value = cast(raw)
-                if target is TrainConfig:
-                    TrainConfig(**{name: value})  # its checks, named by key
             except ValueError as exc:
                 raise PipelineError("config", f"[{section}] {key} = {raw!r}: {exc}") from exc
             values[target][name] = value
@@ -176,8 +176,9 @@ def load_config(path) -> PipelineConfig:
         raise PipelineError("config", "missing required [graph] edges entry")
     try:
         diffusion_config = DiffusionConfig(**values[DiffusionConfig])
-    except ValueError as exc:
-        raise PipelineError("config", f"[diffusion] {exc}") from exc
+    except ValueError as exc:  # each value passed alone, so the alpha pair failed
+        a1, a2 = (values[DiffusionConfig].get(k, getattr(DiffusionConfig, k)) for k in ("alpha1", "alpha2"))
+        raise PipelineError("config", f"[diffusion] alpha1 = {a1}, alpha2 = {a2}: {exc}") from exc
     config = PipelineConfig(
         **values[PipelineConfig], diffusion=diffusion_config, train=TrainConfig(**values[TrainConfig])
     )

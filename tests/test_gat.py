@@ -259,7 +259,7 @@ def bag_of_words_graph(rng, n=14, d=30):
     return build_graph(n, g.edge_src[keep], g.edge_dst[keep], feats.astype(np.float64))
 
 
-def assert_gradients_match_finite_differences(model, g, pos, neg, grads, eps=1e-6):
+def assert_gradients_match_finite_differences(model, g, pos, neg, grads, eps=1e-6, rtol=1e-4, atol=1e-9):
     for li, layer in enumerate(model.layers):
         for arr, analytic in zip([layer.proj, layer.attn_src, layer.attn_dst], grads[li]):
             assert analytic.shape == arr.shape
@@ -274,7 +274,7 @@ def assert_gradients_match_finite_differences(model, g, pos, neg, grads, eps=1e-
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 an = analytic.reshape(-1)[idx]
-                assert abs(fd - an) <= 1e-4 * max(1e-8, abs(fd) + abs(an)) + 1e-9
+                assert abs(fd - an) <= rtol * max(1e-8, abs(fd) + abs(an)) + atol
 
 
 class TestSparseInput:
@@ -306,19 +306,25 @@ class TestSparseInput:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("features", ["bag-of-words", "dense"])
     def test_layer0_gradient_through_transpose_view_equals_transposed_csr(self, features, dtype, rng):
-        # d_u = X.T @ d_proj reads X.T as a CSC view; it must add each node's term
-        # into a gradient row in the order a CSR copy of Xᵀ does, so both are bit-equal
+        # d_u = X[S].T @ d_proj and X.T @ d_score read the transposes as CSC views; each must add
+        # a node's term into a gradient row in the order a CSR copy of the transpose does, so both
+        # are bit-equal
         if features == "dense":
             g = random_graph(300, 0.02, rng, d=24)
         else:
             g = bag_of_words_graph(rng, n=300, d=40)
         model = randomized_model(g.feature_dim, 16, 2, rng, dtype=dtype)
         _h, tapes = gat.forward(model, g)
-        x = tapes[0].h_in
+        x, x_src = tapes[0].h_in, tapes[0].h_src
         assert x is gat.graph_input(g, dtype) and x.format == "csr" and x.nnz > 3 * g.feature_dim
+        assert x_src is gat.source_input(g, dtype)[3] and x_src.format == "csr" and x_src.nnz > 3 * g.feature_dim
+        assert x_src.shape[0] == np.count_nonzero(g.out_degrees())
+        assert features == "bag-of-words" or x_src.shape[0] < g.num_nodes  # here some nodes send nothing
         d_out = rng.normal(size=(g.num_nodes, 16)).astype(dtype)
         grads = gat._backward(model, g, tapes, d_out)
-        transposed = dataclasses.replace(tapes[0], h_in=types.SimpleNamespace(T=x.T.tocsr()))
+        transposed = dataclasses.replace(
+            tapes[0], h_in=types.SimpleNamespace(T=x.T.tocsr()), h_src=types.SimpleNamespace(T=x_src.T.tocsr())
+        )
         grads_csr = gat._backward(model, g, [transposed, *tapes[1:]], d_out)
         assert grads[0][0].dtype == dtype and grads[0][0].flags.c_contiguous
         for triple, triple_csr in zip(grads, grads_csr):
@@ -367,6 +373,19 @@ class TestSparseInput:
         for triple in grads:
             for a in triple:
                 assert np.all(a == 0.0)
+
+    def test_source_input_is_built_once_per_graph_input(self, rng):
+        g = bag_of_words_graph(rng)
+        x, sources, columns, x_src = gat.source_input(g, np.float32)
+        assert x is gat.graph_input(g, np.float32) and gat.source_input(g, np.float32)[3] is x_src
+        assert np.array_equal(sources, np.flatnonzero(g.out_degrees()))
+        assert np.array_equal(sources[columns], g.edge_src)
+        assert x_src.format == "csr" and np.array_equal(x_src.toarray(), x.toarray()[sources])
+        assert set(g.feature_csr) == set(g.source_csr) == {np.dtype(np.float32)}  # kept apart from X
+        sub = induced_subgraph(g, np.arange(5))  # its own sources
+        assert np.array_equal(gat.source_input(sub, np.float32)[1], np.flatnonzero(sub.out_degrees()))
+        g.features = g.features + 1.0  # a new X, so new rows of it
+        assert np.array_equal(gat.source_input(g, np.float32)[3].toarray(), g.features[sources].astype(np.float32))
 
     def test_gradients_are_c_contiguous_d_in_by_d_out(self, rng):
         g = bag_of_words_graph(rng)
@@ -426,3 +445,48 @@ class TestLoadModelChecks:
             gat.load_model(path)
         self.write_raw(path, [(6, 4), (4, 3)])
         assert [(l.d_in, l.d_out) for l in gat.load_model(path).layers] == [(6, 4), (4, 3)]
+
+
+SOURCE_ROW_GRAPHS = {
+    "edgeless": (6, [], []),  # S is empty
+    "one-node": (1, [], []),
+    "all-sources": (5, [0, 1, 2, 3, 4, 0, 2], [1, 2, 3, 4, 0, 3, 0]),
+    # 4..7 hear every node of the cycle 0 -> 1 -> 2 -> 3 -> 0 and send nothing
+    "sinks": (8, [0, 1, 2, 3] + [0, 1, 2, 3] * 4, [1, 2, 3, 0] + [4] * 4 + [5] * 4 + [6] * 4 + [7] * 4),
+}
+
+
+class TestSourceRows:
+    """Only the nodes with out-edges are projected: graphs where they are none, all or some of the
+    nodes, against the dense node-loop oracle and finite differences of a float64 copy."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("shape", list(SOURCE_ROW_GRAPHS))
+    def test_forward_and_gradients(self, shape, layers, dtype, rng):
+        n, src, dst = SOURCE_ROW_GRAPHS[shape]
+        g = build_graph(n, src, dst, rng.normal(size=(n, 5)))
+        model = randomized_model(5, 4, layers, rng, dtype=dtype)
+        sources = np.flatnonzero(g.out_degrees())
+        assert sources.size == {"edgeless": 0, "one-node": 0, "all-sources": n, "sinks": 4}[shape]
+        h, tapes = gat.forward(model, g)
+        assert h.dtype == dtype and all(tape.projected.shape == (sources.size, 4) for tape in tapes)
+        for tape in tapes[: bool(sources.size) * layers]:
+            # a node whose in-edges' pre-activations straddle 0, or the destination term has no gradient
+            signs = [np.sign(tape.pre_act[lo:hi]) for lo, hi in zip(g.in_ptr[:-1], g.in_ptr[1:])]
+            assert any((s > 0).any() and (s < 0).any() for s in signs)
+        tol = {"atol": 1e-9, "rtol": 1e-9} if dtype == np.float64 else {"atol": 1e-5, "rtol": 1e-5}
+        assert np.allclose(h, dense_forward_oracle(model, g), **tol)
+        rows = np.arange(n)
+        pos = np.stack([np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)], axis=1)
+        neg = np.stack([rows, rows[::-1]], axis=1)
+        _loss, grads = gat.loss_and_gradients(model, g, pos, neg)
+        for layer, triple in zip(model.layers, grads):
+            assert [a.dtype for a in triple] == [dtype] * 3 and triple[0].shape == layer.proj.shape
+        model64 = gat.GatModel([dataclasses.replace(
+            layer, **{f: getattr(layer, f).astype(np.float64) for f in ("proj", "attn_src", "attn_dst")}
+        ) for layer in model.layers])
+        if dtype == np.float64:
+            assert_gradients_match_finite_differences(model64, g, pos, neg, grads)
+        else:
+            assert_gradients_match_finite_differences(model64, g, pos, neg, grads, rtol=2e-3, atol=1e-5)

@@ -578,7 +578,7 @@ class TestConfigRangeChecks:
             ("[train]\nlayers = 0\n", "[train] layers = '0': num_layers must be >= 1"),
             ("[train]\nhidden = 0\n", "[train] hidden = '0': hidden_size must be >= 1"),
             ("[train]\nmax_epochs = 0\n", "[train] max_epochs = '0': max_epochs must be >= 1"),
-            ("[diffusion]\nmax_steps = -1\n", "[diffusion] max_steps must be >= 0"),
+            ("[diffusion]\nmax_steps = -1\n", "[diffusion] max_steps = '-1': max_steps must be >= 0"),
             ("[centrality]\ndamping = 2\n", "[centrality] damping = '2': damping must lie in (0, 1), not 2.0"),
             ("[centrality]\ntuning = nan\n", "[centrality] tuning = 'nan': tuning must lie in [0, 1], not nan"),
             (
@@ -588,11 +588,29 @@ class TestConfigRangeChecks:
             ("[diffusion]\nseed = -1\n", "[diffusion] seed = '-1': rng_seed must be >= 0"),
             ("[train]\nseed = -1\n", "[train] seed = '-1': rng_seed must be >= 0"),
             ("[centrality]\nnode_budget = -1\n", "[centrality] node_budget = '-1': node_budget must be >= 0"),
+            ("[diffusion]\nruns = 0\n", "[diffusion] runs = '0': num_runs must be >= 1"),
+            ("[diffusion]\nsir_beta = 2\n", "[diffusion] sir_beta = '2': sir_beta must lie in [0, 1]"),
+            ("[diffusion]\nsir_gamma = nan\n", "[diffusion] sir_gamma = 'nan': sir_gamma must lie in [0, 1]"),
+            ("[diffusion]\nmax_steps = 2.5\n", "[diffusion] max_steps = '2.5': invalid literal for int()"),
+            ("[diffusion]\nalpha1 = 1.5\n", "[diffusion] alpha1 = '1.5': alpha1 and alpha2 must be nonnegative"),
+            ("[diffusion]\nalpha2 = nan\n", "[diffusion] alpha2 = 'nan': alpha1 and alpha2 must be nonnegative"),
+            (
+                "[diffusion]\nalpha1 = 0.25\n",
+                "[diffusion] alpha1 = 0.25, alpha2 = 0.5: alpha1 and alpha2 must be nonnegative and sum to 1",
+            ),
+            (
+                "[diffusion]\nalpha1 = 0.25\nalpha2 = 0.5\n",
+                "[diffusion] alpha1 = 0.25, alpha2 = 0.5: alpha1 and alpha2 must be nonnegative and sum to 1",
+            ),
+            ("[train]\nlr = inf\n", "[train] lr = 'inf': learning rate must be positive and finite"),
+            ("[train]\npatience = 0\n", "[train] patience = '0': patience must be >= 1"),
         ],
         ids=["models", "methods", "fraction-above", "fraction-below", "fraction-nan", "layer-past", "layer-negative",
              "layer-past-two", "train-layers", "train-hidden", "train-max-epochs", "diffusion-max-steps",
              "centrality-damping", "centrality-tuning-nan", "centrality-attenuation-zero", "diffusion-seed",
-             "train-seed", "centrality-node-budget"],
+             "train-seed", "centrality-node-budget", "diffusion-runs", "diffusion-sir-beta", "diffusion-sir-gamma-nan",
+             "diffusion-max-steps-float", "diffusion-alpha1-alone", "diffusion-alpha2-nan", "diffusion-alpha-pair",
+             "diffusion-alpha-pair-both-given", "train-lr-inf", "train-patience"],
     )
     def test_fails_at_config_before_load(self, tmp_path, graph_files, monkeypatch, text, message):
         _g, edges, feats = graph_files
@@ -657,8 +675,41 @@ class TestConfigRangeChecks:
                 ["--method", "closeness", "--node-budget", "-3"],
                 "--node-budget: invalid node_budget value: '-3': node_budget must be >= 0",
             ),
+            ("train", ["--hidden", "0", "--out", "m.bin"], "--hidden: invalid hidden_size value: '0': hidden_size must be >= 1"),
+            (
+                "train",
+                ["--max-epochs", "0", "--out", "m.bin"],
+                "--max-epochs: invalid max_epochs value: '0': max_epochs must be >= 1",
+            ),
+            ("train", ["--patience", "0", "--out", "m.bin"], "--patience: invalid patience value: '0': patience must be >= 1"),
+            (
+                "score",
+                ["--labels", "l.tsv", "--lr", "-1"],
+                "--lr: invalid learning_rate value: '-1': learning rate must be positive and finite",
+            ),
+            (
+                "simulate",
+                ["--model", "ltp", "--seeds", "s.txt", "--runs", "0"],
+                "--runs: invalid num_runs value: '0': num_runs must be >= 1",
+            ),
+            (
+                "simulate",
+                ["--model", "ltp", "--seeds", "s.txt", "--alpha1", "1.5"],
+                "--alpha1: invalid alpha1 value: '1.5': alpha1 and alpha2 must be nonnegative and sum to 1",
+            ),
+            (
+                "simulate",
+                ["--model", "sir", "--seeds", "s.txt", "--beta", "2"],
+                "--beta: invalid sir_beta value: '2': sir_beta must lie in [0, 1]",
+            ),
+            (
+                "simulate",
+                ["--model", "sir", "--seeds", "s.txt", "--gamma", "-0.5"],
+                "--gamma: invalid sir_gamma value: '-0.5': sir_gamma must lie in [0, 1]",
+            ),
         ],
-        ids=["split-seed", "train-seed", "simulate-seed", "centrality-node-budget"],
+        ids=["split-seed", "train-seed", "simulate-seed", "centrality-node-budget", "train-hidden", "train-max-epochs",
+             "train-patience", "score-lr", "simulate-runs", "simulate-alpha1", "simulate-beta", "simulate-gamma"],
     )
     def test_flag_fails_before_load(self, tmp_path, capsys, command, flags, message):
         # pine split --seed -2 used to fail in numpy after the graph loaded, and --node-budget -3
@@ -694,19 +745,25 @@ class TestConfigRangeChecks:
     @pytest.mark.parametrize(
         "command, flags, message",
         [
-            ("train", ["--layers", "0", "--out", "m.bin"], "num_layers must be >= 1"),
-            ("simulate", ["--model", "sir", "--seeds", "seeds.txt", "--max-steps", "-1"], "max_steps must be >= 0"),
+            ("train", ["--layers", "0", "--out", "m.bin"], "--layers: invalid num_layers value: '0': num_layers must be >= 1"),
+            (
+                "simulate",
+                ["--model", "sir", "--seeds", "seeds.txt", "--max-steps", "-1"],
+                "--max-steps: invalid max_steps value: '-1': max_steps must be >= 0",
+            ),
         ],
         ids=["train-layers", "simulate-max-steps"],
     )
     def test_cli_names_degenerate_value(self, tmp_path, graph_files, capsys, monkeypatch, command, flags, message):
-        # pine train --layers 0 used to fail with IndexError; --max-steps -1 ran zero steps
+        # pine train --layers 0 used to fail with IndexError and --max-steps -1 ran zero steps; then both
+        # failed after the graph loaded as "error [train] num_layers must be >= 1", naming neither flag nor value
         _g, edges, feats = graph_files
         monkeypatch.chdir(tmp_path)
         (tmp_path / "seeds.txt").write_text("0\n")
-        assert main([command, "--graph", edges, "--features", feats] + flags) == 1
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", edges, "--features", feats] + flags)
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error [{command}] {message}\n"
+        assert exc.value.code == 2 and captured.out == "" and captured.err.endswith(f"error: argument {message}\n")
 
 
 class TestNonFiniteValues:
@@ -717,10 +774,13 @@ class TestNonFiniteValues:
         edges.write_text("0 1\n1 2\n")
         seeds.write_text("0\n")
         args = ["simulate", "--graph", str(edges), "--model", "icp", "--seeds", str(seeds), "--alpha1", "nan"]
-        assert main(args) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(args)
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error [simulate] alpha1 and alpha2 must be nonnegative and sum to 1\n"
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --alpha1: invalid alpha1 value: 'nan': alpha1 and alpha2 must be nonnegative and sum to 1\n"
+        )
 
     def test_config_nan_alphas_fail_at_config(self, tmp_path, graph_files, monkeypatch):
         diffusion = "alpha1 = nan\nalpha2 = nan"
@@ -736,10 +796,11 @@ class TestNonFiniteValues:
         calls = []
         monkeypatch.setattr(pp, "split_edges", lambda *a, **k: calls.append("split"))
         args = ["train", "--graph", edges, "--features", feats, "--lr", "nan", "--out", str(tmp_path / "m.bin")]
-        assert main(args) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(args)
         captured = capsys.readouterr()
-        assert calls == [] and captured.out == ""
-        assert captured.err.startswith("error [train] learning rate must be positive")
+        assert exc.value.code == 2 and calls == [] and captured.out == ""
+        assert captured.err.endswith("error: argument --lr: invalid learning_rate value: 'nan': learning rate must be positive and finite\n")
 
 
 class TestEvaluateMetrics:

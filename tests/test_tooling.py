@@ -548,17 +548,17 @@ def assigned_attributes(text, function):
 
 def test_graph_caches_are_left_out_of_equality_and_start_empty():
     # a cache field is one that build_graph does not pass: gat.graph_input's feature CSR,
-    # centrality._path_scores' scores and diffusion's weights and runs.  Out of repr and ==, a filled
-    # cache cannot break the equality that graph_oracle tests rely on, and build_graph neither passes
-    # nor sets one
+    # gat.source_input's rows of it, centrality._path_scores' scores and diffusion's weights
+    # and runs.  Out of repr and ==, a filled cache cannot break the equality that graph_oracle
+    # tests rely on, and build_graph neither passes nor sets one
     text = (SOURCE / "graph.py").read_text(encoding="utf-8")
     passed = constructor_keywords(text, "build_graph", "AttributedGraph")
     caches = [f for f in dataclasses.fields(AttributedGraph) if f.name not in passed]
-    assert [f.name for f in caches] == ["feature_csr", "path_scores", "diffusion"]
+    assert [f.name for f in caches] == ["feature_csr", "source_csr", "path_scores", "diffusion"]
     assert [(f.name, f.repr, f.compare) for f in caches] == [(f.name, False, False) for f in caches]
     assert assigned_attributes(text, "build_graph") & {f.name for f in caches} == set()
     g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)))
-    assert [getattr(g, f.name) for f in caches] == [{}, None, {}]
+    assert [getattr(g, f.name) for f in caches] == [{}, {}, None, {}]
 
 
 def test_constructor_keywords_and_assigned_attributes_are_recognised():
