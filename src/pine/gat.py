@@ -17,6 +17,11 @@ per graph and kept on it (``graph_input``, ``source_input``); the gradient
 reads ``X[S].T`` as a CSC view.  A training epoch's one forward serves both
 the validation score and, through ``loss_and_gradients``, the next gradient.
 
+Each layer's hidden units form ``BLOCKS`` fixed column blocks, as in a
+column-parallel linear layer: block 0's products run on the caller, block 1's
+on one worker thread (``in_blocks``), and the caller adds their partial sums
+over the hidden units, so results depend on neither CPU count nor timing.
+
 A ``GatModel`` holds parameters only.  The attention of a pass is part of
 what ``forward`` returns: ``tapes[layer].alpha``, one weight per edge in the
 graph's canonical edge order.
@@ -24,7 +29,9 @@ graph's canonical edge order.
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +42,9 @@ from .graph import AttributedGraph
 MAGIC_MODEL = b"PINEM1"
 LEAKY_SLOPE = 0.2
 PROB_EPS = 1e-7
+BLOCKS = 2  # column blocks per layer, whatever the CPU count: the blocks fix the sums' order
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pine-gat")
+os.register_at_fork(after_in_child=lambda: globals().update(_WORKER=ThreadPoolExecutor(max_workers=1)))
 
 
 @dataclass
@@ -98,11 +108,27 @@ def _elu(x: np.ndarray) -> np.ndarray:
 class _LayerTape:
     h_in: np.ndarray | sparse.csr_matrix  # the layer's input: CSR X at layer 0, the dense h after
     h_src: np.ndarray | sparse.csr_matrix  # h_in's rows at the nodes with out-edges, S
-    projected: np.ndarray  # h_src @ proj: one row per node of S
+    attn_proj: tuple  # (U attn_src, U attn_dst), each summed over the column blocks
+    projected: list[np.ndarray]  # h_src @ proj per column block: one row per node of S
     pre_act: np.ndarray  # per-edge coefficient before LeakyReLU
     alpha: np.ndarray
     adj: sparse.csr_matrix  # alpha laid on the graph's CSR, rows = destinations, columns = S
-    aggregated: np.ndarray  # node embeddings before inter-layer activation
+    aggregated: list[np.ndarray]  # node embeddings before inter-layer activation, per column block
+
+
+def _blocks(width: int) -> list[slice]:
+    """``width`` hidden units in ``BLOCKS`` column blocks, the first ones wider; fewer below ``BLOCKS`` units."""
+    return [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(width), BLOCKS) if b.size]
+
+
+def in_blocks(fn, items) -> list:
+    """``[fn(item) for item in items]``: the first here, the rest on the worker; all end before it returns or raises."""
+    first, *rest = items
+    later = [_WORKER.submit(fn, item) for item in rest]
+    try:
+        return [fn(first), *(f.result() for f in later)]
+    finally:
+        wait(later)
 
 
 def input_matrix(features: np.ndarray, dtype) -> sparse.csr_matrix:
@@ -148,15 +174,18 @@ def forward(model: GatModel, g: AttributedGraph):
     tapes: list[_LayerTape] = []
     for li, layer in enumerate(model.layers):
         h_src = np.take(h, sources, axis=0) if li else h_src
-        projected = h_src @ layer.proj
-        score_src = _matvec(h, _matvec(layer.proj, layer.attn_src))
-        score_dst = _matvec(h, _matvec(layer.proj, layer.attn_dst))
-        pre_act = score_src[g.edge_src] + score_dst[g.edge_dst]
+
+        def project(c):
+            return h_src @ (u := layer.proj[:, c]), _matvec(u, layer.attn_src[c]), _matvec(u, layer.attn_dst[c])
+
+        projected, u_src, u_dst = zip(*in_blocks(project, _blocks(layer.d_out)))
+        attn_proj = (sum(u_src), sum(u_dst))
+        pre_act = _matvec(h, attn_proj[0])[g.edge_src] + _matvec(h, attn_proj[1])[g.edge_dst]
         alpha = g.in_edge_softmax(_leaky(pre_act))
         adj = sparse.csr_matrix((alpha, columns, g.in_ptr), shape=(g.num_nodes, sources.size))
-        aggregated = adj @ projected
-        tapes.append(_LayerTape(h, h_src, projected, pre_act, alpha, adj, aggregated))
-        h = _elu(aggregated) if li < model.num_layers - 1 else aggregated
+        aggregated = in_blocks(lambda p: adj @ p, projected)
+        tapes.append(_LayerTape(h, h_src, attn_proj, projected, pre_act, alpha, adj, aggregated))
+        h = np.concatenate([_elu(a) if li < model.num_layers - 1 else a for a in aggregated], axis=1)
     return h, tapes
 
 
@@ -166,12 +195,12 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def edge_scores(h_out: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Edge-existence probabilities for an (E, 2) array of (src, dst) pairs.  Rows are
-    gathered by ``np.take``: on narrow rows the fancy index ``h[ids]`` is several times slower."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    logits = np.einsum("ij,ij->i", *np.take(h_out, pairs.T, axis=0))
-    return _sigmoid(logits)
+def edge_scores(h_out: np.ndarray | list, pairs: np.ndarray) -> np.ndarray:
+    """Edge-existence probabilities for an (E, 2) array of (src, dst) pairs, from ``h_out`` or the list
+    of its column blocks, whose dot products are added in block order.  Rows are gathered by
+    ``np.take``: on narrow rows the fancy index ``h[ids]`` is several times slower."""
+    pairs, blocks = np.asarray(pairs, dtype=np.int64).reshape(-1, 2), h_out if isinstance(h_out, list) else [h_out]
+    return _sigmoid(sum(in_blocks(lambda a: np.einsum("ij,ij->i", *np.take(a, pairs.T, axis=0)), blocks)))
 
 
 def loss_and_gradients(
@@ -192,42 +221,43 @@ def loss_and_gradients(
     clamped probability contributes zero gradient (the clamp is flat), which
     keeps finite differences of the computed loss exact.
     """
-    dtype = model.layers[0].proj.dtype
-    n = g.num_nodes
-    h_out, tapes = taped_forward if taped_forward is not None else forward(model, g)
+    dtype, n = model.layers[0].proj.dtype, g.num_nodes
+    _h, tapes = taped_forward if taped_forward is not None else forward(model, g)
     pairs = np.concatenate([np.asarray(pos_edges).reshape(-1, 2), np.asarray(neg_edges).reshape(-1, 2)]).astype(np.int64)
     labels = np.concatenate([np.ones(len(pos_edges)), np.zeros(len(neg_edges))])
 
-    z = edge_scores(h_out, pairs)
+    z = edge_scores(tapes[-1].aggregated, pairs)
     z_clamped = np.clip(z, PROB_EPS, 1.0 - PROB_EPS)
     loss = -np.sum(labels * np.log(z_clamped) + (1.0 - labels) * np.log(1.0 - z_clamped))
 
     inside = (z > PROB_EPS) & (z < 1.0 - PROB_EPS)
     dlogit = np.where(inside, z - labels, 0.0).astype(dtype)
     # logit_k = h[a_k] . h[b_k]: d_h[a] += dlogit h[b] and d_h[b] += dlogit h[a]
-    pair_grad = sparse.csr_matrix((dlogit, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    d_h = pair_grad @ h_out + pair_grad.T @ h_out
+    rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+    pair_grad = sparse.csr_matrix((np.concatenate([dlogit, dlogit]), (rows, cols)), shape=(n, n))
+    d_h = in_blocks(lambda a: pair_grad @ a, tapes[-1].aggregated)
 
     grads = _backward(model, g, tapes, d_h)
     return float(loss), grads
 
 
-def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_out: np.ndarray):
-    src, dst = g.edge_src, g.edge_dst
-    n = g.num_nodes
-    dtype = d_out.dtype
+def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_h: list[np.ndarray]):
+    """Every layer's parameter gradients from ``d_h``, the last layer's output gradient per column block."""
+    src, dst, n = g.edge_src, g.edge_dst, g.num_nodes
     _x, sources, columns, _x_src = source_input(g, model.layers[0].proj.dtype)
     grads = []
-    d_h = d_out
     for li in reversed(range(model.num_layers)):
-        layer = model.layers[li]
-        tape = tapes[li]
-        a = tape.aggregated  # through the inter-layer ELU, below the last layer
-        d_agg = d_h * np.where(a > 0, 1.0, np.exp(np.minimum(a, 0.0))).astype(dtype) if li < model.num_layers - 1 else d_h
-        alpha, projected = tape.alpha, tape.projected
-        # aggregated_i = sum_e alpha_e projected[column_e]
-        d_alpha = np.einsum("ij,ij->i", np.take(d_agg, dst, axis=0), np.take(projected, columns, axis=0))
-        d_proj = tape.adj.T @ d_agg
+        layer, tape = model.layers[li], tapes[li]
+        dtype, blocks = layer.proj.dtype, _blocks(layer.d_out)
+        if li < model.num_layers - 1:  # through the inter-layer ELU
+            d_h = [d * np.where(a > 0, 1.0, np.exp(np.minimum(a, 0.0))).astype(dtype) for d, a in zip(d_h, tape.aggregated)]
+
+        def spread(k):  # aggregated_i = sum_e alpha_e projected[column_e]
+            d_alpha = np.einsum("ij,ij->i", np.take(d_h[k], dst, axis=0), np.take(tape.projected[k], columns, axis=0))
+            return d_alpha, tape.adj.T @ d_h[k]
+
+        d_alpha, d_proj = zip(*in_blocks(spread, range(len(blocks))))
+        d_alpha, alpha = sum(d_alpha), tape.alpha
         # softmax over in-edge segments
         seg = np.bincount(dst, weights=alpha * d_alpha, minlength=n)
         d_w = alpha * (d_alpha - seg[dst])
@@ -236,14 +266,21 @@ def _backward(model: GatModel, g: AttributedGraph, tapes: list[_LayerTape], d_ou
         d_score_src = np.bincount(src, weights=d_pre, minlength=n).astype(dtype)
         d_score_dst = np.bincount(dst, weights=d_pre, minlength=n).astype(dtype)
         h_d_src, h_d_dst = _matvec(tape.h_in.T, d_score_src), _matvec(tape.h_in.T, d_score_dst)
-        d_attn_src, d_attn_dst = _matvec(layer.proj.T, h_d_src), _matvec(layer.proj.T, h_d_dst)
-        d_u = tape.h_src.T @ d_proj
-        d_u += np.outer(h_d_src, layer.attn_src)
-        d_u += np.outer(h_d_dst, layer.attn_dst)
+        d_u, d_attn_src, d_attn_dst = (np.empty_like(p) for p in (layer.proj, layer.attn_src, layer.attn_dst))
+
+        def gather(k):
+            c, u = blocks[k], layer.proj[:, blocks[k]]
+            d_attn_src[c], d_attn_dst[c] = _matvec(u.T, h_d_src), _matvec(u.T, h_d_dst)
+            np.add(tape.h_src.T @ d_proj[k], np.outer(h_d_src, layer.attn_src[c]), out=d_u[:, c])
+            d_u[:, c] += np.outer(h_d_dst, layer.attn_dst[c])
+            return d_proj[k] @ u.T if li else None  # this block's share of the input rows' gradient
+
+        d_rows = in_blocks(gather, range(len(blocks)))
         if li > 0:  # the input features carry no gradient
-            d_h = np.outer(d_score_src, _matvec(layer.proj, layer.attn_src))
-            d_h += np.outer(d_score_dst, _matvec(layer.proj, layer.attn_dst))
-            d_h[sources] += d_proj @ layer.proj.T
+            d_in = np.outer(d_score_src, tape.attn_proj[0])
+            d_in += np.outer(d_score_dst, tape.attn_proj[1])
+            d_in[sources] += sum(d_rows)
+            d_h = [d_in[:, c] for c in _blocks(layer.d_in)]
         grads.insert(0, (d_u, d_attn_src, d_attn_dst))
     return grads
 

@@ -73,7 +73,11 @@ class Adam:
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
+        gat.in_blocks(lambda k: self._step_rows(params, grads, k), range(gat.BLOCKS))  # each parameter's rows
+
+    def _step_rows(self, params, grads, k: int) -> None:
         for p, grad, m, v, (a, b) in zip(params, grads, self.m, self.v, self.scratch):
+            p, grad, m, v, a, b = (np.array_split(x, gat.BLOCKS)[k] for x in (p, grad, m, v, a, b))
             np.copyto(a, grad, casting="unsafe")  # g = grad.astype(p.dtype)
             m *= BETA1
             np.multiply(a, 1 - BETA1, out=b)
@@ -96,10 +100,10 @@ def evaluate_auc(
     message_graph: AttributedGraph,
     pos: np.ndarray,
     neg: np.ndarray,
-    h: np.ndarray | None = None,
+    h: np.ndarray | list[np.ndarray] | None = None,
 ) -> float:
     """Validation ROC AUC of the model's edge scores; ``h`` is the final
-    embedding of a forward already run on ``message_graph``."""
+    embedding of a forward already run on ``message_graph``, or its column blocks."""
     if h is None:
         h, _tapes = gat.forward(model, message_graph)
     scores = np.concatenate([gat.edge_scores(h, pos), gat.edge_scores(h, neg)])
@@ -128,10 +132,9 @@ def train(g: AttributedGraph, split: EdgeSplit, config: TrainConfig) -> tuple[ga
                 f"loss became non-finite at epoch {epoch}; try a smaller learning rate "
                 f"(current {config.learning_rate})"
             )
-        flat_grads = [a for triple in grads for a in triple]
-        optimizer.step(list(model.parameters()), flat_grads)
+        optimizer.step(list(model.parameters()), [a for triple in grads for a in triple])
         taped = gat.forward(model, mg)
-        val_auc = evaluate_auc(model, mg, split.val_pos, split.val_neg, h=taped[0])
+        val_auc = evaluate_auc(model, mg, split.val_pos, split.val_neg, h=taped[1][-1].aggregated)
         log.epochs.append({"epoch": epoch, "loss": loss, "val_auc": val_auc})
         if val_auc > log.best_val_auc:
             log.best_val_auc = val_auc

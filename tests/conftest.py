@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -67,6 +71,22 @@ def to_networkx(g):
     G.add_nodes_from(range(g.num_nodes))
     G.add_edges_from(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
     return G
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``benchmark/workloads.py``, loaded read-only by path.  Its frozen
+    dataclasses look their module up in ``sys.modules``, so it is registered
+    there before it runs, and removed when the module's tests end."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.modules.pop(spec.name, None)
 
 
 @pytest.fixture

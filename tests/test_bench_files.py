@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -16,6 +17,7 @@ SPEC = {
     "workloads": [{"name": "w"}],
     "end_to_end": [{"name": "pipeline_s", "unit": "s", "better": "lower", "bound": 0.25},
                    {"name": "seed_spread", "unit": "fraction", "better": "higher", "bound": 0.15}],
+    "per_layer": [{"name": "train.epoch_ms", "unit": "ms", "better": "lower"}],
 }
 ENV = {"git": "abc", "numpy": "2.4"}
 
@@ -66,29 +68,36 @@ def test_traced_run_without_layers_is_named():
         bench_files.fold(SPEC, recs, [1, 2])
 
 
-@pytest.fixture()
-def checkout(tmp_path, monkeypatch):
-    """A committed git repository with a source file, a benchmark, BENCHMARK.json and the
-    run records of seeds 1 and 2, and the suite's subprocess.run spied: git runs, the suite
-    is only recorded."""
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "m.py").write_text("x = 1\n")
-    results = tmp_path / "benchmark" / "_results"
+def make_checkout(root, times):
+    """A committed git repository at ``root`` with a source file, a benchmark, BENCHMARK.json
+    and the run records of the seeds of ``times``."""
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "m.py").write_text("x = 1\n")
+    results = root / "benchmark" / "_results"
     results.mkdir(parents=True)
-    (tmp_path / "benchmark" / "suite.py").write_text("")
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
-    (tmp_path / ".gitignore").write_text("/benchmark/_results/\n")
-    for (_w, seed, trace), rec in records({1: 1.0, 2: 2.0}).items():
+    (root / "benchmark" / "suite.py").write_text("")
+    (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    (root / ".gitignore").write_text("/benchmark/_results/\n")
+    for (_w, seed, trace), rec in records(times, env={**ENV, "git": str(root)}).items():
         (results / f"w-seed{seed}-trace{trace}.json").write_text(json.dumps(rec))
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path, check=True)
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=root, check=True)
+
+
+@pytest.fixture()
+def checkout(tmp_path, monkeypatch):
+    """A checkout with the run records of seeds 1 and 2 (``make_checkout``), and the suite's
+    subprocess.run spied: git runs, the suite is only recorded, and must run in its checkout."""
+    make_checkout(tmp_path, {1: 1.0, 2: 2.0})
     monkeypatch.setattr(bench_files, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench_files, "BENCH", str(tmp_path / "benchmark"))
+    monkeypatch.setattr(bench_files.compare, "ROOT", str(tmp_path))
     suite_calls, run = [], subprocess.run
 
     def spy(cmd, *args, **kwargs):
         if cmd[0] == "git":
             return run(cmd, *args, **kwargs)
+        assert cmd[1] == os.path.join(kwargs["cwd"], "benchmark", "suite.py")
         suite_calls.append(cmd)
         return subprocess.CompletedProcess(cmd, 0)
 
@@ -124,3 +133,36 @@ def test_edited_tree_is_refused_before_anything_runs(checkout, capsys, edit, lis
     assert suite_calls == [] and not (root / "BENCH_w.json").exists()
     err = capsys.readouterr().err
     assert err.startswith("error: the records would name HEAD") and err.endswith(f"\n{listed}\n")
+
+
+@pytest.fixture()
+def parent_checkout(checkout, tmp_path_factory):
+    """A second checkout, of the parent, whose runs were slower than the change's."""
+    parent = tmp_path_factory.mktemp("parent")
+    make_checkout(parent, {1: 2.0, 2: 2.1})
+    return parent
+
+
+def test_parent_and_change_alternate_seed_by_seed(checkout, parent_checkout, capsys):
+    root, suite_calls = checkout
+    assert bench_files.main(["--seeds", "2", "1", "--parent", str(parent_checkout)]) == 0
+    parent, change = str(parent_checkout), str(root)
+    # the parent first on odd seeds, the change first on even ones, one seed per suite run
+    order = [(parent, "1"), (change, "1"), (change, "2"), (parent, "2")]
+    expected = [[os.path.join(d, "benchmark", "suite.py"), "--trace", t, "--seeds", s] for t in "01" for d, s in order]
+    assert [cmd[1:] for cmd in suite_calls] == expected
+    for side, times in ((parent_checkout, {"1": 2.0, "2": 2.1}), (root, {"1": 1.0, "2": 2.0})):
+        bench = json.loads((side / "BENCH_w.json").read_text())
+        assert bench["env"]["git"] == str(side) and bench["end_to_end"]["pipeline_s"]["by_seed"] == times
+    out = capsys.readouterr().out
+    assert "\nw\n" in out and "pipeline_s" in out and "win (2/2 pairs)" in out  # compare.py's verdict
+
+
+def test_edited_parent_is_refused_before_anything_runs(checkout, parent_checkout, capsys):
+    root, suite_calls = checkout
+    (parent_checkout / "src" / "m.py").write_text("x = 3\n")
+    assert bench_files.main(["--seeds", "1", "2", "--parent", str(parent_checkout)]) == 1
+    assert suite_calls == [] and not (root / "BENCH_w.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the records would name HEAD, but these files of {parent_checkout} differ")
+    assert err.endswith("\n M src/m.py\n")

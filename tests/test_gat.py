@@ -216,9 +216,13 @@ class TestSerialization:
         assert np.array_equal(gat.forward(model, g)[0], gat.forward(loaded, g)[0])
 
     def test_trained_model_file_bytes_are_pinned(self, tmp_path):
-        # The sha256 a model trained and saved this way had before projections
-        # were stored (d_in, d_out).  Training runs in float64 so the float32
-        # file does not hang on the last bit of the machine's BLAS kernels.
+        # Training runs in float64 so the float32 file does not hang on the last
+        # bit of the machine's BLAS kernels.  The digest moved once, when each
+        # layer's hidden units were split into column blocks: with every
+        # pre-activation at 0 the first gradient of attn_dst is zero but for
+        # rounding (the softmax ignores a term shared by a node's in-edges), and
+        # Adam's first step turns that noise into steps of +-lr whose signs
+        # follow the summation order.
         g = random_graph(30, 0.15, np.random.default_rng(5), d=5)
         config = TrainConfig(
             hidden_size=4, num_layers=2, max_epochs=4, patience=4, learning_rate=0.05, rng_seed=2, dtype=np.float64
@@ -227,7 +231,7 @@ class TestSerialization:
         path = tmp_path / "m.bin"
         gat.save_model(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "73291431e2c8127d4639c213611bfb5a27a493c4cbfb747236f6160904633049"
+        assert digest == "fabf1fc257f15538f09e31a95c1c77f5165af55b59a478a1934bee43822002ec"
 
     def test_reloaded_model_scores_bit_equal_to_the_saved_one(self, tmp_path, rng):
         # the file holds no LeakyReLU slope: a model that carried one of its own
@@ -320,7 +324,7 @@ class TestSparseInput:
         assert x_src is gat.source_input(g, dtype)[3] and x_src.format == "csr" and x_src.nnz > 3 * g.feature_dim
         assert x_src.shape[0] == np.count_nonzero(g.out_degrees())
         assert features == "bag-of-words" or x_src.shape[0] < g.num_nodes  # here some nodes send nothing
-        d_out = rng.normal(size=(g.num_nodes, 16)).astype(dtype)
+        d_out = [rng.normal(size=(g.num_nodes, 8)).astype(dtype) for _block in range(2)]
         grads = gat._backward(model, g, tapes, d_out)
         transposed = dataclasses.replace(
             tapes[0], h_in=types.SimpleNamespace(T=x.T.tocsr()), h_src=types.SimpleNamespace(T=x_src.T.tocsr())
@@ -457,20 +461,30 @@ SOURCE_ROW_GRAPHS = {
 
 
 class TestSourceRows:
-    """Only the nodes with out-edges are projected: graphs where they are none, all or some of the
-    nodes, against the dense node-loop oracle and finite differences of a float64 copy."""
+    """Only the nodes with out-edges are projected, in column blocks of the hidden units: graphs where
+    the sources are none, all or some of the nodes, hidden sizes of one block (1) and of two blocks (2,
+    3 and 4, the last block the narrower one at 3), against the dense node-loop oracle and finite
+    differences of a float64 copy."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("hidden, widths", [(1, [1]), (2, [1, 1]), (3, [2, 1]), (4, [2, 2])])
     @pytest.mark.parametrize("shape", list(SOURCE_ROW_GRAPHS))
-    def test_forward_and_gradients(self, shape, layers, dtype, rng):
+    def test_forward_and_gradients(self, shape, hidden, widths, layers, dtype, rng):
+        if hidden == 1:
+            # one hidden unit seldom puts a node's in-edges on both sides of the kink: 5 of seeds 0-59
+            # do on every graph here, the fixture's does not, and 12 is the first that does
+            rng = np.random.default_rng(12)
         n, src, dst = SOURCE_ROW_GRAPHS[shape]
         g = build_graph(n, src, dst, rng.normal(size=(n, 5)))
-        model = randomized_model(5, 4, layers, rng, dtype=dtype)
+        model = randomized_model(5, hidden, layers, rng, dtype=dtype)
         sources = np.flatnonzero(g.out_degrees())
         assert sources.size == {"edgeless": 0, "one-node": 0, "all-sources": n, "sinks": 4}[shape]
         h, tapes = gat.forward(model, g)
-        assert h.dtype == dtype and all(tape.projected.shape == (sources.size, 4) for tape in tapes)
+        assert h.dtype == dtype and h.shape == (n, hidden) and h.flags.c_contiguous
+        for tape in tapes:
+            assert [p.shape for p in tape.projected] == [(sources.size, w) for w in widths]
+            assert [a.shape for a in tape.aggregated] == [(n, w) for w in widths]
         for tape in tapes[: bool(sources.size) * layers]:
             # a node whose in-edges' pre-activations straddle 0, or the destination term has no gradient
             signs = [np.sign(tape.pre_act[lo:hi]) for lo, hi in zip(g.in_ptr[:-1], g.in_ptr[1:])]
@@ -483,6 +497,7 @@ class TestSourceRows:
         _loss, grads = gat.loss_and_gradients(model, g, pos, neg)
         for layer, triple in zip(model.layers, grads):
             assert [a.dtype for a in triple] == [dtype] * 3 and triple[0].shape == layer.proj.shape
+            assert all(a.flags.c_contiguous for a in triple)
         model64 = gat.GatModel([dataclasses.replace(
             layer, **{f: getattr(layer, f).astype(np.float64) for f in ("proj", "attn_src", "attn_dst")}
         ) for layer in model.layers])

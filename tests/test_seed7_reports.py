@@ -9,8 +9,6 @@ its file in the same change.
 """
 
 import difflib
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -18,22 +16,6 @@ import pytest
 from pine.pipeline import run_pipeline
 
 HERE = Path(__file__).resolve().parent
-WORKLOADS_PATH = HERE.parent / "benchmark" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    """``benchmark/workloads.py``, loaded read-only by path.  Its frozen
-    dataclasses look their module up in ``sys.modules``, so it is registered
-    there before it runs, and removed when the tests end."""
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        sys.modules.pop(spec.name, None)
 
 
 @pytest.mark.parametrize("name", ["cora-train", "cora-spread", "scale-500k"])
