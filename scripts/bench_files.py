@@ -156,8 +156,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", metavar="DIR", help="a checkout of the parent commit, run seed by seed beside this one")
     args = parser.parse_args(argv)
     seeds = sorted(set(args.seeds))
-    parent = None if args.parent is None else os.path.abspath(args.parent)
-    for root in [parent, ROOT] if parent else [ROOT]:
+    roots = [ROOT] if args.parent is None else [os.path.abspath(args.parent), ROOT]
+    for root in roots:
         edited = edited_files(root)
         if edited:
             print(f"error: the records would name HEAD, but these files of {root} differ from it; commit or stash them:",
@@ -165,17 +165,17 @@ def main(argv=None) -> int:
             return 1
     status = 0
     for trace in (0, 1):
-        if parent is None:
+        if len(roots) == 1:
             status |= run_suite(ROOT, seeds, trace)
             continue
-        for seed in seeds:
-            for root in [parent, ROOT] if seed % 2 else [ROOT, parent]:
+        for seed in seeds:  # the parent first on odd seeds
+            for root in roots if seed % 2 else roots[::-1]:
                 status |= run_suite(root, [seed], trace)
-    for root in [parent, ROOT] if parent else [ROOT]:
+    for root in roots:
         if write_bench_files(root, seeds):
             return 1
-    if parent:
-        compare_runs(parent, seeds)
+    if len(roots) == 2:
+        compare_runs(roots[0], seeds)
     return status
 
 
