@@ -12,8 +12,8 @@ traversal of the same graph.
 Each coefficient is taken as h_j (U s) + h_i (U t), so only the nodes S with
 out-edges are projected (``h[S] @ U``) and no product is a BLAS gemv, whose
 sums change with its thread count.  ``U`` is stored (d_in, d_out).  The
-layer-0 input is the CSR ``X`` of the features, with ``X[S]``, built once
-per graph and kept on it (``graph_input``, ``source_input``); the gradient
+layer-0 input is the graph's one CSR of the features, ``X``
+(``AttributedGraph.feature_rows``), with ``X[S]`` kept beside it (``source_input``); the gradient
 reads ``X[S].T`` as a CSC view.  A training epoch's one forward serves both
 the validation score and, through ``loss_and_gradients``, the next gradient.
 
@@ -131,23 +131,10 @@ def in_blocks(fn, items) -> list:
         wait(later)
 
 
-def input_matrix(features: np.ndarray, dtype) -> sparse.csr_matrix:
-    """The layer-0 input: the feature matrix as CSR in the model's dtype."""
-    return sparse.csr_matrix(features, dtype=dtype)
-
-
-def graph_input(g: AttributedGraph, dtype) -> sparse.csr_matrix:
-    """``X``: ``g.features`` as CSR in ``dtype``, built once per features array and kept on ``g``."""
-    cached = g.feature_csr.get(np.dtype(dtype))
-    if cached is None or cached[0] is not g.features:
-        cached = g.feature_csr[np.dtype(dtype)] = (g.features, input_matrix(g.features, dtype))
-    return cached[1]
-
-
 def source_input(g: AttributedGraph, dtype):
-    """``(X, S, columns, X[S])``: ``graph_input``'s ``X``, the nodes with out-edges, each edge's source's
+    """``(X, S, columns, X[S])``: ``g.feature_rows(dtype)``, the nodes with out-edges, each edge's source's
     row among them and their rows of ``X``; built once per ``X`` and kept on ``g``."""
-    x = graph_input(g, dtype)
+    x = g.feature_rows(dtype)
     cached = g.source_csr.get(np.dtype(dtype))
     if cached is None or cached[0] is not x:
         has_out = np.diff(g.out_ptr) > 0
@@ -163,7 +150,7 @@ def _matvec(m, v: np.ndarray) -> np.ndarray:
 
 def forward(model: GatModel, g: AttributedGraph):
     """Run the attention layers over the graph's features, read through
-    ``graph_input``.  Returns ``(h, tapes)``: the final node embeddings and
+    ``source_input``.  Returns ``(h, tapes)``: the final node embeddings and
     one ``_LayerTape`` per layer, holding that layer's attention (``alpha``,
     in the graph's canonical edge order) and the intermediates the backward
     pass needs.
@@ -183,9 +170,16 @@ def forward(model: GatModel, g: AttributedGraph):
         pre_act = _matvec(h, attn_proj[0])[g.edge_src] + _matvec(h, attn_proj[1])[g.edge_dst]
         alpha = g.in_edge_softmax(_leaky(pre_act))
         adj = sparse.csr_matrix((alpha, columns, g.in_ptr), shape=(g.num_nodes, sources.size))
-        aggregated = in_blocks(lambda p: adj @ p, projected)
+        blocks, out = _blocks(layer.d_out), np.empty((g.num_nodes, layer.d_out), np.result_type(alpha, projected[0]))
+
+        def aggregate(k):  # block k's embeddings, and its columns of the layer's output
+            a = adj @ projected[k]
+            out[:, blocks[k]] = _elu(a) if li < model.num_layers - 1 else a
+            return a
+
+        aggregated = in_blocks(aggregate, range(len(blocks)))
         tapes.append(_LayerTape(h, h_src, attn_proj, projected, pre_act, alpha, adj, aggregated))
-        h = np.concatenate([_elu(a) if li < model.num_layers - 1 else a for a in aggregated], axis=1)
+        h = out
     return h, tapes
 
 

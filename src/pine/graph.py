@@ -54,7 +54,7 @@ class AttributedGraph:
     id_map: list[str] = field(default_factory=list)
     dropped_self_loops: int = 0
     collapsed_duplicates: int = 0
-    feature_csr: dict = field(default_factory=dict, repr=False, compare=False)  # gat.graph_input's (features, X), by dtype
+    feature_csr: dict = field(default_factory=dict, repr=False, compare=False)  # feature_rows' (features, X), by dtype
     source_csr: dict = field(default_factory=dict, repr=False, compare=False)  # gat.source_input's (X, S, columns, X[S]), by dtype
     path_scores: tuple | None = field(default=None, repr=False, compare=False)  # centrality._path_scores's
     diffusion: dict = field(default_factory=dict, repr=False, compare=False)  # diffusion._weights's and _ready's
@@ -69,20 +69,43 @@ class AttributedGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_ptr)
 
+    def feature_rows(self, dtype=np.float64) -> sparse.csr_matrix:
+        """``features`` as CSR in ``dtype``, kept in ``feature_csr`` per features array: float64 by ``scan_csr``,
+        another dtype a cast of its ``data``.  A finite value beyond ``dtype``'s range raises ``ValueError``."""
+        key = np.dtype(dtype)
+        if key not in self.feature_csr or self.feature_csr[key][0] is not self.features:
+            base = scan_csr(self.features) if key == np.float64 else self.feature_rows()
+            bad = np.flatnonzero(np.isfinite(base.data) & (np.abs(base.data) > np.finfo(key).max))
+            if bad.size:
+                node = self.id_map[np.searchsorted(base.indptr, bad[0], side="right") - 1]
+                raise ValueError(f"feature row of node {node} holds {base.data[bad[0]]:g}, beyond {key}'s range")
+            x = sparse.csr_matrix((base.data.astype(key, copy=False), base.indices, base.indptr), shape=base.shape)
+            self.feature_csr[key] = (self.features, x)
+        return self.feature_csr[key][1]
+
     def edge_cosine(self) -> np.ndarray:
-        """Per-edge cosine similarity sim(src, dst) in canonical order; 0.0
-        where either feature vector has zero norm.  Endpoint features are
-        gathered in chunks of about 2^18 values, so temporaries stay small
-        for wide features."""
-        x = self.features
-        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-        dots = np.empty(self.num_edges)
-        step = max(1, (1 << 18) // max(1, x.shape[1]))
-        for lo in range(0, self.num_edges, step):
-            src, dst = self.edge_src[lo : lo + step], self.edge_dst[lo : lo + step]
-            dots[lo : lo + step] = np.einsum("ij,ij->i", np.take(x, src, axis=0), np.take(x, dst, axis=0))
+        """Per-edge cosine similarity sim(src, dst) in canonical order; 0.0 where either feature vector is 0.
+        Rows are first scaled by powers of two to a largest |value| in [0.5, 1): no square overflows, and
+        ``x * 2^k`` gives the bits of ``x``.  Features at most half nonzero are summed over ``feature_rows``'
+        entries in column order (the same bits on integers), others over dense rows, 2^18 values at a time."""
+        x, n, m = self.feature_rows(), self.num_nodes, self.num_edges
+        counts = np.diff(x.indptr)  # an empty row's shift is read from a later row and scales only zeros
+        shift = -np.frexp(np.maximum.reduceat(np.append(np.abs(x.data), 0.0), x.indptr[:-1]))[1]
+        if 2 * x.nnz <= self.features.size:
+            data = np.ldexp(x.data, np.repeat(shift, counts))
+            norms = np.sqrt(np.bincount(np.repeat(np.arange(n), counts), weights=data * data, minlength=n))
+            rows = sparse.csr_matrix((data, x.indices, x.indptr), shape=x.shape)[self.edge_src]  # each edge's source
+            edge, dst = np.repeat(np.arange(m), np.diff(rows.indptr)), np.repeat(self.edge_dst, np.diff(rows.indptr))
+            other = np.ldexp(np.take(self.features, dst * x.shape[1] + rows.indices), shift[dst])  # at the destination
+            dots = np.bincount(edge, rows.data * other, minlength=m)
+        else:
+            x, dots = np.ldexp(self.features, shift[:, None]), np.empty(m)
+            norms, step = np.sqrt(np.einsum("ij,ij->i", x, x)), max(1, (1 << 18) // max(1, x.shape[1]))
+            for lo in range(0, m, step):
+                src, dst = self.edge_src[lo : lo + step], self.edge_dst[lo : lo + step]
+                dots[lo : lo + step] = np.einsum("ij,ij->i", np.take(x, src, axis=0), np.take(x, dst, axis=0))
         denom = norms[self.edge_src] * norms[self.edge_dst]
-        return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+        return np.divide(dots, denom, out=np.zeros(m), where=denom > 0)
 
     def in_edge_softmax(self, w: np.ndarray) -> np.ndarray:
         """Softmax of per-edge values ``w`` (canonical order) over each node's
@@ -114,6 +137,16 @@ class AttributedGraph:
         with open(path, "w", encoding="utf-8") as fh:
             for dense, original in enumerate(self.id_map):
                 fh.write(f"{dense}\t{original}\n")
+
+
+def scan_csr(features: np.ndarray) -> sparse.csr_matrix:
+    """``sparse.csr_matrix(features)`` bit for bit, by one row-major scan of the nonzero mask: no COO step, no sort."""
+    n, d = features.shape
+    step = max(1, (1 << 16) // max(1, d))  # rows per block of the mask, which then stays in cache
+    at = np.concatenate([np.flatnonzero(features[lo : lo + step] != 0) + lo * d for lo in range(0, max(n, 1), step)])
+    indptr = np.searchsorted(at, np.arange(n + 1) * d)
+    columns = at - np.repeat(np.arange(0, n * d, d), np.diff(indptr))  # scipy makes both int32 while they fit
+    return sparse.csr_matrix((features.ravel()[at], columns, indptr), shape=(n, d))
 
 
 def write_int_rows(path, rows: np.ndarray) -> None:

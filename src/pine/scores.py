@@ -31,12 +31,14 @@ class ScoreVector:
         return descending_order(self.values)
 
     def top_fraction(self, fraction: float) -> np.ndarray:
-        """The floor(fraction * N) highest-scoring node ids, deterministic
-        under boundary ties (ascending id)."""
+        """The floor(fraction * N) highest-scoring node ids, ascending: those above the k-th largest
+        value, found by ``np.partition``, and the smallest ids tied at it (``ranking``'s tie rule)."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
-        k = int(fraction * self.values.size)
-        return np.sort(self.ranking()[:k])
+        v, k = self.values, int(fraction * self.values.size)
+        kth = np.partition(v, v.size - k)[v.size - k] if k else np.inf
+        above = np.flatnonzero(v > kth)
+        return np.sort(np.concatenate([above, np.flatnonzero(v == kth)[: k - above.size]]))
 
     def tsv_lines(self):
         """``node<TAB>value`` lines in ranking order, each ending in a newline."""

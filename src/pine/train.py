@@ -60,15 +60,16 @@ def roc_auc(scores, labels) -> float:
 
 
 class Adam:
-    """Adam whose step writes into two scratch buffers per parameter instead
-    of allocating temporaries; the operations run in the order of the plain
-    expressions in the comments, so updates are the same bit for bit."""
+    """Adam whose step writes into two scratch buffers per parameter instead of allocating temporaries (a
+    gradient of another dtype is cast to a copy); the operations run in the order of the plain expressions
+    in the comments, so updates are the same bit for bit.  Block k of ``gat.BLOCKS`` steps rows ``rows[k]``."""
 
     def __init__(self, params: list[np.ndarray], config: TrainConfig):
         self.config = config
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.rows = [(gat._blocks(len(p)) + [slice(0, 0)] * gat.BLOCKS)[: gat.BLOCKS] for p in params]
         self.t = 0
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -76,15 +77,15 @@ class Adam:
         gat.in_blocks(lambda k: self._step_rows(params, grads, k), range(gat.BLOCKS))  # each parameter's rows
 
     def _step_rows(self, params, grads, k: int) -> None:
-        for p, grad, m, v, (a, b) in zip(params, grads, self.m, self.v, self.scratch):
-            p, grad, m, v, a, b = (np.array_split(x, gat.BLOCKS)[k] for x in (p, grad, m, v, a, b))
-            np.copyto(a, grad, casting="unsafe")  # g = grad.astype(p.dtype)
+        for p, grad, m, v, (a, b), rows in zip(params, grads, self.m, self.v, self.scratch, self.rows):
+            p, grad, m, v, a, b = (x[rows[k]] for x in (p, grad, m, v, a, b))
+            g = grad if grad.dtype == p.dtype else grad.astype(p.dtype)
             m *= BETA1
-            np.multiply(a, 1 - BETA1, out=b)
+            np.multiply(g, 1 - BETA1, out=b)
             m += b  # m += (1 - beta1) * g
             v *= BETA2
-            np.multiply(a, 1 - BETA2, out=b)
-            b *= a
+            np.multiply(g, 1 - BETA2, out=b)
+            b *= g
             v += b  # v += (1 - beta2) * g * g
             np.divide(v, 1 - BETA2**self.t, out=a)  # v_hat
             np.sqrt(a, out=a)

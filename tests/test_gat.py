@@ -285,27 +285,22 @@ class TestSparseInput:
     """The CSR layer-0 input and the CSR attention matrix against the dense
     node-loop oracle and finite differences."""
 
-    def test_input_matrix_is_csr_of_features(self, rng):
+    def test_layer0_input_is_the_graphs_feature_csr(self, rng):
+        # the GAT reads the graph's one feature CSR in the model's dtype: built at first use, kept on g
         g = bag_of_words_graph(rng)
-        x = gat.input_matrix(g.features, np.float32)
+        x = g.feature_rows(np.float32)
+        assert gat.source_input(g, np.float32)[0] is x and g.feature_rows(np.dtype("float32")) is x
         assert x.format == "csr" and x.dtype == np.float32
         assert np.array_equal(x.toarray(), g.features.astype(np.float32))
-
-    def test_graph_input_is_built_once_per_features_array(self, rng):
-        g = bag_of_words_graph(rng)
-        x = gat.graph_input(g, np.float32)
-        assert gat.graph_input(g, np.dtype("float32")) is x
-        assert x.format == "csr" and x.dtype == np.float32
-        assert np.array_equal(x.toarray(), g.features.astype(np.float32))
-        assert np.array_equal(gat.graph_input(g, np.float64).toarray(), g.features)
+        assert np.array_equal(g.feature_rows().toarray(), g.features)
         # one (features, X) pair per dtype and no transpose kept beside it
         assert {k: len(v) for k, v in g.feature_csr.items()} == {np.dtype(np.float32): 2, np.dtype(np.float64): 2}
         assert g.feature_csr[np.dtype(np.float32)][0] is g.features and g.feature_csr[np.dtype(np.float32)][1] is x
         sub = induced_subgraph(g, np.arange(5))  # other features, own inputs
-        assert np.array_equal(gat.graph_input(sub, np.float32).toarray(), x.toarray()[:5])
-        assert gat.graph_input(g, np.float32) is x
+        assert np.array_equal(sub.feature_rows(np.float32).toarray(), x.toarray()[:5])
+        assert g.feature_rows(np.float32) is x
         g.features = g.features + 1.0  # a new features array is read again
-        assert np.array_equal(gat.graph_input(g, np.float32).toarray(), g.features.astype(np.float32))
+        assert np.array_equal(g.feature_rows(np.float32).toarray(), g.features.astype(np.float32))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("features", ["bag-of-words", "dense"])
@@ -320,7 +315,7 @@ class TestSparseInput:
         model = randomized_model(g.feature_dim, 16, 2, rng, dtype=dtype)
         _h, tapes = gat.forward(model, g)
         x, x_src = tapes[0].h_in, tapes[0].h_src
-        assert x is gat.graph_input(g, dtype) and x.format == "csr" and x.nnz > 3 * g.feature_dim
+        assert x is g.feature_rows(dtype) and x.format == "csr" and x.nnz > 3 * g.feature_dim
         assert x_src is gat.source_input(g, dtype)[3] and x_src.format == "csr" and x_src.nnz > 3 * g.feature_dim
         assert x_src.shape[0] == np.count_nonzero(g.out_degrees())
         assert features == "bag-of-words" or x_src.shape[0] < g.num_nodes  # here some nodes send nothing
@@ -378,14 +373,17 @@ class TestSparseInput:
             for a in triple:
                 assert np.all(a == 0.0)
 
-    def test_source_input_is_built_once_per_graph_input(self, rng):
+    def test_source_input_is_built_once_per_feature_csr(self, rng):
         g = bag_of_words_graph(rng)
         x, sources, columns, x_src = gat.source_input(g, np.float32)
-        assert x is gat.graph_input(g, np.float32) and gat.source_input(g, np.float32)[3] is x_src
+        assert x is g.feature_rows(np.float32) and gat.source_input(g, np.float32)[3] is x_src
         assert np.array_equal(sources, np.flatnonzero(g.out_degrees()))
         assert np.array_equal(sources[columns], g.edge_src)
         assert x_src.format == "csr" and np.array_equal(x_src.toarray(), x.toarray()[sources])
-        assert set(g.feature_csr) == set(g.source_csr) == {np.dtype(np.float32)}  # kept apart from X
+        # kept apart from X; the float32 X is a cast of the float64 CSR, which shares its index arrays
+        assert set(g.feature_csr) == {np.dtype(np.float32), np.dtype(np.float64)}
+        assert set(g.source_csr) == {np.dtype(np.float32)}
+        assert np.shares_memory(x.indices, g.feature_rows().indices) and np.shares_memory(x.indptr, g.feature_rows().indptr)
         sub = induced_subgraph(g, np.arange(5))  # its own sources
         assert np.array_equal(gat.source_input(sub, np.float32)[1], np.flatnonzero(sub.out_degrees()))
         g.features = g.features + 1.0  # a new X, so new rows of it

@@ -11,9 +11,10 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 import pine
-
+from pine import graph
 from pine.graph import (
     MAGIC_FEATURES,
     DimensionError,
@@ -683,6 +684,62 @@ class TestCosineSimilarity:
         assert -1.0 - 1e-12 <= sab <= 1.0 + 1e-12
 
 
+@st.composite
+def feature_matrices(draw, max_rows=6, max_cols=5):
+    """Float64 matrices with empty rows, all zeros, one column and N = 0 among them, whose
+    entries mix 0.0, -0.0, subnormals, integers and values outside float32's precision."""
+    n, d = draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))
+    value = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-40, 1.0, 3.0, -2.0, 0.1, 1e30])
+    return np.array(draw(st.lists(value, min_size=n * d, max_size=n * d)), dtype=np.float64).reshape(n, d)
+
+
+def stored_densely(x):
+    """A CSR of ``x`` that stores every entry, zeros too, so ``edge_cosine`` takes its dense route."""
+    n, d = x.shape
+    return sparse.csr_matrix((x.ravel(), np.tile(np.arange(d), n), np.arange(0, n * d + 1, d)), shape=(n, d))
+
+
+def graph_with_features(feats, rng, p=0.4):
+    g0 = random_graph(feats.shape[0], p, rng, d=1)
+    return build_graph(feats.shape[0], g0.edge_src, g0.edge_dst, feats)
+
+
+class TestFeatureRows:
+    """The graph's one CSR of its features, read by the GAT input and ``edge_cosine``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(feature_matrices())
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((4, 1)))
+    @example(np.array([[0.0, -0.0], [5e-324, 0.0], [0.0, 0.0]]))
+    def test_equals_scipy_conversion(self, x):
+        g = build_graph(x.shape[0], [], [], x)
+        for dtype in (np.float64, np.float32):
+            got, want = g.feature_rows(dtype), sparse.csr_matrix(x, dtype=dtype)
+            assert got.shape == want.shape and got.format == "csr"
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_built_once_per_features_array_by_one_scan(self, rng):
+        g = random_graph(9, 0.3, rng, d=4)
+        with mock.patch("pine.graph.scan_csr", wraps=graph.scan_csr) as spy:
+            x = g.feature_rows()
+            assert g.feature_rows(np.float64) is x and g.feature_rows(np.float32).data.dtype == np.float32
+            g.edge_cosine()
+            assert spy.call_count == 1
+            g.features = g.features * 2.0  # a new features array is scanned again
+            assert np.array_equal(g.feature_rows().toarray(), g.features) and spy.call_count == 2
+
+    @pytest.mark.parametrize("value", [1e39, -1e200])
+    def test_float32_overflow_names_the_row(self, value):
+        feats = np.array([[1.0, 0.0], [0.0, 3.4e38], [0.0, 2.0], [value, 1.0], [value, 0.0]])
+        g = build_graph(5, [0, 1], [1, 2], feats, id_map=["a", "b", "c", "d", "e"])
+        with pytest.raises(ValueError, match=re.escape(f"feature row of node d holds {value:g}, beyond float32's range")):
+            g.feature_rows(np.float32)
+        assert np.float32 not in g.feature_csr and np.array_equal(g.feature_rows().toarray(), feats)
+
+
 class TestEdgeCosine:
     @pytest.mark.parametrize("d", [3, 1 << 16])
     def test_matches_pairwise_cosine(self, d, rng):
@@ -695,8 +752,72 @@ class TestEdgeCosine:
         expected = [cosine_similarity(g, int(j), int(i)) for j, i in zip(g.edge_src, g.edge_dst)]
         assert np.allclose(g.edge_cosine(), expected, rtol=1e-12, atol=1e-15)
 
+    def test_sparse_rows_match_pairwise_cosine(self, rng):
+        feats = rng.normal(size=(30, 40)) * (rng.random((30, 40)) < 0.1)
+        feats[4] = 0.0
+        g = graph_with_features(feats, rng, p=0.2)
+        expected = [cosine_similarity(g, int(j), int(i)) for j, i in zip(g.edge_src, g.edge_dst)]
+        assert np.allclose(g.edge_cosine(), expected, rtol=1e-12, atol=1e-15)
+
     def test_edgeless(self):
         assert build_graph(3, [], [], np.ones((3, 2))).edge_cosine().shape == (0,)
+
+    @pytest.mark.parametrize("nonzero, dense", [(24, False), (25, True), (0, False)])
+    def test_route_follows_the_density(self, nonzero, dense):
+        # the dense rows are read (by einsum) only when more than half the 48 features are nonzero
+        feats = np.zeros(48)
+        feats[:nonzero] = np.arange(1, nonzero + 1)
+        rng = np.random.default_rng(nonzero)
+        g = graph_with_features(rng.permutation(feats).reshape(8, 6), rng)
+        with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+            with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+                g.edge_cosine()
+        assert (einsum.call_count > 0, bincount.call_count > 0) == (dense, not dense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.005, 0.5), st.integers(1, 7))
+    def test_sparse_and_dense_routes_agree_on_integer_features(self, seed, density, top):
+        # every norm and dot product of integers is exact, so the two summation orders give the same bits
+        rng = np.random.default_rng(seed)
+        feats = rng.integers(-top, top + 1, (12, 9)) * (rng.random((12, 9)) < density)
+        g = graph_with_features(feats.astype(np.float64), rng)
+        sparse_route = g.edge_cosine()
+        g.feature_rows = lambda dtype=np.float64: stored_densely(g.features)
+        assert np.array_equal(g.edge_cosine(), sparse_route)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sparse", "dense", "integer"]), st.data())
+    def test_power_of_two_scale_keeps_the_bits(self, seed, kind, data):
+        # edge_cosine(x * 2^k) == edge_cosine(x) for every k that keeps each nonzero value normal,
+        # one k for all rows and one per row
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(10, 6)) * np.exp2(rng.integers(-60, 60, (10, 1)))
+        if kind != "dense":
+            feats *= rng.random((10, 6)) < 0.2
+        if kind == "integer":
+            feats = np.round(feats / np.abs(feats).max(initial=1.0) * 9.0)
+        g = graph_with_features(feats, rng)
+        expected = g.edge_cosine()
+        exps = np.frexp(feats[feats != 0])[1]
+        lo, hi = -1021 - exps.min(initial=0), 1024 - exps.max(initial=0)
+        k = data.draw(st.integers(lo, hi))
+        per_row = np.array(data.draw(st.lists(st.integers(lo, hi), min_size=10, max_size=10)))[:, None]
+        for shift in (k, per_row):
+            scaled = np.ldexp(feats, shift)
+            assert np.all(np.abs(scaled[feats != 0]) >= np.finfo(np.float64).tiny) and np.isfinite(scaled).all()
+            assert np.array_equal(build_graph(10, g.edge_src, g.edge_dst, scaled).edge_cosine(), expected)
+
+    @pytest.mark.parametrize("scale", [1e200, -1e200, 1e-200, -1e-200])
+    @pytest.mark.parametrize("density", [1.0, 0.2])
+    def test_any_finite_scale(self, scale, density, rng):
+        # no square overflows to inf or underflows to 0: the cosines are those of the unscaled rows
+        feats = rng.normal(size=(40, 4)) * (rng.random((40, 4)) < density)
+        g = graph_with_features(feats, rng, p=0.1)
+        scaled = build_graph(40, g.edge_src, g.edge_dst, feats * scale)
+        with np.errstate(all="raise"):
+            got = scaled.edge_cosine()
+        assert g.num_edges > 20 and np.isfinite(got).all()
+        assert np.allclose(got, g.edge_cosine(), rtol=1e-12, atol=1e-15)
 
 
 def gat_inline_softmax(g, w):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pine
-from pine import gat, pine_score
+from pine import gat, graph, pine_score
 from pine.graph import build_graph, subgraph_by_edge_type
 from pine.metrics import spearman
 from pine.pine_score import calibrate_by_out_degree, score_graph, select_edge_types
@@ -156,11 +156,11 @@ class TestSelectEdgeTypes:
         # each type subgraph keeps the graph's features, and so its CSR input
         g, imp = planted_heterogeneous_graph(n=200, planted_edges=600, noise_edges=300, seed=9)
         calls = []
-        build = gat.input_matrix
-        monkeypatch.setattr(gat, "input_matrix", lambda features, dtype: calls.append(dtype) or build(features, dtype))
+        build = graph.scan_csr
+        monkeypatch.setattr(graph, "scan_csr", lambda features: calls.append(features) or build(features))
         config = TrainConfig(learning_rate=1e-2, hidden_size=4, max_epochs=3, rng_seed=0)
         result = select_edge_types(g, [(v, float(imp[v])) for v in range(0, 200, 4)], top_k_types=3, config=config)
-        assert len(result.correlations) == 3 and calls == [np.float32]
+        assert len(result.correlations) == 3 and len(calls) == 1 and calls[0] is g.features
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_fewer_than_one_type_rejected(self, rng, top_k):

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pine.cli as cli
 import pine.pipeline as pp
-from pine import diffusion, gat, pine_score
+from pine import diffusion, gat, graph, pine_score
 from pine.cli import main
 from pine.diffusion import DiffusionConfig, influence_spread
 from pine.graph import MAGIC_FEATURES, EmptyGraphError, build_graph, load_graph
@@ -364,6 +365,22 @@ class TestTopFraction:
         sv = ScoreVector(np.arange(5.0))
         assert sv.top_fraction(0.1).size == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -7.0, 1e300]), max_size=40),
+        st.floats(0.0, 1.0),
+    )
+    @example([], 0.0)
+    @example([], 1.0)
+    @example([0.0, -0.0, -0.0, 0.0], 0.5)
+    @example([-0.0, 0.0, 1.0], 1.0)
+    def test_same_ids_as_a_full_sort(self, values, fraction):
+        # heavy ties, -0.0 against 0.0 (equal scores), k = 0 and k = N against the lexsort oracle
+        sv = ScoreVector(np.array(values, dtype=np.float64))
+        got = sv.top_fraction(fraction)
+        want = np.sort(np.lexsort((np.arange(len(values)), -sv.values))[: int(fraction * len(values))])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestScoreVector:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -441,11 +458,11 @@ class TestPipeline:
         assert run_pipeline(path) == report
 
     def test_feature_csr_built_once(self, tmp_path, graph_files, monkeypatch):
-        # training, validation and scoring all read the one CSR built from the loaded features
+        # training, validation, scoring and LT+'s cosine all read the one CSR scanned from the loaded features
         _g, edges, feats = graph_files
         calls = []
-        build = gat.input_matrix
-        monkeypatch.setattr(gat, "input_matrix", lambda features, dtype: calls.append(dtype) or build(features, dtype))
+        build = graph.scan_csr
+        monkeypatch.setattr(graph, "scan_csr", lambda features: calls.append(features.shape) or build(features))
         path = tmp_path / "pine.ini"
         path.write_text(
             f"[graph]\nedges = {edges}\nfeatures = {feats}\n"
@@ -453,7 +470,7 @@ class TestPipeline:
             "[train]\nhidden = 8\nlayers = 2\nmax_epochs = 3\n"
         )
         run_pipeline(path)
-        assert calls == [np.float32]
+        assert calls == [load_graph(edges, feats).features.shape]
 
     def test_report_equals_one_shot_rows(self, tmp_path, graph_files):
         # the pipeline shares the influence weights and SIR's automatic beta
@@ -1320,12 +1337,22 @@ BROKEN_FEATURES = {
     "zero-columns-pinef1": ("feats.bin", pinef1(np.zeros((3, 0))), "PINEF1 rows have 0 columns"),
 }
 
+# the commands that cast features beyond float32 into the GAT's input, by their one error line
+FLOAT32_ERRORS = {
+    "train": "error [train] {}",
+    "score:model": "error [score] {}",
+    "score:labels": "error [score] graph has no edge types",
+    "pipeline": "error [pine] {}",
+    "bench": "error [bench] {}",
+}
+
 
 class TestDegenerateFeatureAndModelFiles:
     """Every subcommand that reads ``--features`` or ``[graph] features`` on a
     feature file with a NaN row (CSV and PINEF1), cut short, with trailing
     bytes or with 0 columns, and ``score --model`` on a model file cut short: each exits 1 with
-    one ``error [...]`` line that names the file and what is wrong with it."""
+    one ``error [...]`` line that names the file and what is wrong with it.  On a finite feature
+    that float32 cannot hold, each command that trains or runs the GAT names the row."""
 
     @pytest.mark.parametrize("case", BROKEN_FEATURES)
     @pytest.mark.parametrize("command", [command for command in DEGENERATE_COMMANDS if command != "evaluate"])
@@ -1336,6 +1363,21 @@ class TestDegenerateFeatureAndModelFiles:
         assert main(TestDegenerateEdgeLists.arguments(tmp_path, command, "0 1\n1 2\n2 0\n", features)) == 1
         stage = "load" if command in ("pipeline", "bench") else command.partition(":")[0]
         assert capsys.readouterr() == ("", f"error [{stage}] {features}: {message}\n")
+
+    @pytest.mark.parametrize("command", [command for command in DEGENERATE_COMMANDS if command != "evaluate"])
+    def test_feature_beyond_float32_named_where_the_gat_casts_it(self, tmp_path, capsys, command):
+        # finite features that float32 cannot hold: the GAT's float32 input names the row, and every
+        # other command, the cosine of LT+ and IC+ included, runs on them
+        features = tmp_path / "feats.csv"
+        features.write_text("1\n2\n-1e200\n3\n1e-200\n5\n")
+        edges = "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 2\n1 3\n2 4\n3 5\n"
+        assert main(TestDegenerateEdgeLists.arguments(tmp_path, command, edges, features)) == (command in FLOAT32_ERRORS)
+        out, err = capsys.readouterr()
+        if command in FLOAT32_ERRORS:
+            message = "feature row of node 2 holds -1e+200, beyond float32's range"
+            assert (out, err) == ("", FLOAT32_ERRORS[command].format(message) + "\n")
+        else:
+            assert err == "" and "nan" not in out.lower() and "inf" not in out.lower()
 
     def test_truncated_model_file_named(self, tmp_path, capsys):
         args = TestDegenerateEdgeLists.arguments(tmp_path, "score:model", "0 1\n1 2\n2 0\n")

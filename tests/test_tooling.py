@@ -82,26 +82,29 @@ SPARSE_BUILDERS = ("csr_matrix", "csr_array", "csc_matrix", "csc_array", "coo_ma
 
 
 def calls_by_function(text):
-    """(enclosing top-level function or None, callee, names in the
-    arguments) for every call in the module."""
+    """(enclosing top-level function, ``Class.method`` for a call in a
+    method of a top-level class, or None, callee, names in the arguments)
+    for every call in the module."""
     found = []
     for top in ast.parse(text).body:
         owner = top.name if isinstance(top, ast.FunctionDef) else None
+        methods = [m for m in top.body if isinstance(m, ast.FunctionDef)] if isinstance(top, ast.ClassDef) else []
+        method_of = {id(n): f"{top.name}.{m.name}" for m in methods for n in ast.walk(m)}
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 args = [n for a in [*node.args, *node.keywords] for n in ast.walk(a)]
                 names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in args}
-                found.append((owner, ast.unparse(node.func), names))
+                found.append((method_of.get(id(node), owner), ast.unparse(node.func), names))
     return found
 
 
 def feature_csr_builders(text):
-    """Functions that turn ``features`` into a sparse matrix, and those that call ``input_matrix``."""
+    """Functions that turn ``features`` into a sparse matrix, and those that call ``scan_csr``."""
     calls = calls_by_function(text)
     builders = {
         owner for owner, callee, names in calls if callee.split(".")[-1] in SPARSE_BUILDERS and "features" in names
     }
-    return builders, {owner for owner, callee, _names in calls if callee.split(".")[-1] == "input_matrix"}
+    return builders, {owner for owner, callee, _names in calls if callee.split(".")[-1] == "scan_csr"}
 
 
 def transposed_csr_copies(text):
@@ -116,8 +119,8 @@ def transposed_csr_copies(text):
 def test_gat_makes_no_contiguous_copy_and_one_function_builds_the_feature_csr():
     # projections are stored in the layout their products use, a transpose is
     # read as a view (X.T is CSC over X's arrays), and the CSR of the features
-    # is built by gat.input_matrix alone, called only by the per-graph cache
-    # gat.graph_input
+    # is built by graph.scan_csr alone, called only by the per-graph cache
+    # AttributedGraph.feature_rows, which the GAT input and edge_cosine read
     gat_source = (SOURCE / "gat.py").read_text(encoding="utf-8")
     assert not [callee for _owner, callee, _names in calls_by_function(gat_source) if "ascontiguousarray" in callee]
     assert transposed_csr_copies(gat_source) == []
@@ -125,8 +128,8 @@ def test_gat_makes_no_contiguous_copy_and_one_function_builds_the_feature_csr():
     for module in sorted(SOURCE.rglob("*.py")):
         builders, users = feature_csr_builders(module.read_text(encoding="utf-8"))
         found.update({(module.name, "builds", owner) for owner in builders})
-        found.update({(module.name, "calls input_matrix", owner) for owner in users})
-    assert found == {("gat.py", "builds", "input_matrix"), ("gat.py", "calls input_matrix", "graph_input")}
+        found.update({(module.name, "calls scan_csr", owner) for owner in users})
+    assert found == {("graph.py", "builds", "scan_csr"), ("graph.py", "calls scan_csr", "AttributedGraph.feature_rows")}
 
 
 def test_transposed_csr_copies_are_recognised():
@@ -146,9 +149,11 @@ def test_feature_csr_builders_are_recognised():
         "def a(features):\n    return sparse.csr_matrix(features, dtype=float)\n"
         "def b(g):\n    return csc_array(np.abs(g.features))\n"
         "def c(g):\n    return sparse.csr_matrix((g.data, g.idx, g.ptr))\n"
-        "def d(g):\n    return gat.input_matrix(g.features, np.float32)\n"
+        "def d(g):\n    return graph.scan_csr(g.features)\n"
+        "class G:\n    k = sparse.csr_array(features)\n"
+        "    def rows(self):\n        return scan_csr(self.features), sparse.csr_matrix(self.features.T)\n"
     )
-    assert feature_csr_builders(text) == ({None, "a", "b"}, {"d"})
+    assert feature_csr_builders(text) == ({None, "a", "b", "G.rows"}, {"d", "G.rows"})
 
 
 def test_segment_max_references_are_recognised():
