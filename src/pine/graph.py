@@ -96,8 +96,9 @@ class AttributedGraph:
             norms = np.sqrt(np.bincount(np.repeat(np.arange(n), counts), weights=data * data, minlength=n))
             rows = sparse.csr_matrix((data, x.indices, x.indptr), shape=x.shape)[self.edge_src]  # each edge's source
             edge, dst = np.repeat(np.arange(m), np.diff(rows.indptr)), np.repeat(self.edge_dst, np.diff(rows.indptr))
-            other = np.ldexp(np.take(self.features, dst * x.shape[1] + rows.indices), shift[dst])  # at the destination
-            dots = np.bincount(edge, rows.data * other, minlength=m)
+            other = np.take(self.features, dst * x.shape[1] + rows.indices)  # the destination's values
+            np.multiply(np.ldexp(other, shift[dst], out=other), rows.data, out=other)  # in place: first calls fault pages
+            dots = np.bincount(edge, other, minlength=m)
         else:
             x, dots = np.ldexp(self.features, shift[:, None]), np.empty(m)
             norms, step = np.sqrt(np.einsum("ij,ij->i", x, x)), max(1, (1 << 18) // max(1, x.shape[1]))

@@ -712,6 +712,8 @@ class TestFeatureRows:
     @example(np.zeros((0, 3)))
     @example(np.zeros((4, 1)))
     @example(np.array([[0.0, -0.0], [5e-324, 0.0], [0.0, 0.0]]))
+    @example(np.eye(7, 30000) * 2.5)  # wide rows: the mask is scanned a few rows at a time
+    @example(np.tile([0.0, -1.5, 0.0, 2.0], (5, 9000)))
     def test_equals_scipy_conversion(self, x):
         g = build_graph(x.shape[0], [], [], x)
         for dtype in (np.float64, np.float32):

@@ -1367,17 +1367,22 @@ class TestDegenerateFeatureAndModelFiles:
     @pytest.mark.parametrize("command", [command for command in DEGENERATE_COMMANDS if command != "evaluate"])
     def test_feature_beyond_float32_named_where_the_gat_casts_it(self, tmp_path, capsys, command):
         # finite features that float32 cannot hold: the GAT's float32 input names the row, and every
-        # other command, the cosine of LT+ and IC+ included, runs on them
-        features = tmp_path / "feats.csv"
-        features.write_text("1\n2\n-1e200\n3\n1e-200\n5\n")
+        # other command gives what it gives on the same rows at scale 1, as a cosine does not see scale
+        features, scores = tmp_path / "feats.csv", tmp_path / "scores.tsv"
         edges = "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 2\n1 3\n2 4\n3 5\n"
-        assert main(TestDegenerateEdgeLists.arguments(tmp_path, command, edges, features)) == (command in FLOAT32_ERRORS)
-        out, err = capsys.readouterr()
+
+        def run(rows):
+            features.write_text("\n".join(rows) + "\n")
+            scores.unlink(missing_ok=True)
+            rc = main(TestDegenerateEdgeLists.arguments(tmp_path, command, edges, features))
+            return rc, *capsys.readouterr(), scores.read_text() if scores.exists() else None
+
+        got = run(["1", "2", "-1e200", "3", "1e-200", "5"])
         if command in FLOAT32_ERRORS:
-            message = "feature row of node 2 holds -1e+200, beyond float32's range"
-            assert (out, err) == ("", FLOAT32_ERRORS[command].format(message) + "\n")
+            message = FLOAT32_ERRORS[command].format("feature row of node 2 holds -1e+200, beyond float32's range")
+            assert got == (1, "", message + "\n", None)
         else:
-            assert err == "" and "nan" not in out.lower() and "inf" not in out.lower()
+            assert got[0] == 0 and got == run(["1", "2", "-1", "3", "1", "5"])
 
     def test_truncated_model_file_named(self, tmp_path, capsys):
         args = TestDegenerateEdgeLists.arguments(tmp_path, "score:model", "0 1\n1 2\n2 0\n")
