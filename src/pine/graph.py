@@ -146,7 +146,7 @@ def scan_csr(features: np.ndarray) -> sparse.csr_matrix:
     step = max(1, (1 << 16) // max(1, d))  # rows per block of the mask, which then stays in cache
     at = np.concatenate([np.flatnonzero(features[lo : lo + step] != 0) + lo * d for lo in range(0, max(n, 1), step)])
     indptr = np.searchsorted(at, np.arange(n + 1) * d)
-    columns = at - np.repeat(np.arange(0, n * d, d), np.diff(indptr))  # scipy makes both int32 while they fit
+    columns = at - np.repeat(np.arange(n) * d, np.diff(indptr))  # scipy makes both int32 while they fit
     return sparse.csr_matrix((features.ravel()[at], columns, indptr), shape=(n, d))
 
 

@@ -686,9 +686,9 @@ class TestCosineSimilarity:
 
 @st.composite
 def feature_matrices(draw, max_rows=6, max_cols=5):
-    """Float64 matrices with empty rows, all zeros, one column and N = 0 among them, whose
+    """Float64 matrices with empty rows, all zeros, no or one column and N = 0 among them, whose
     entries mix 0.0, -0.0, subnormals, integers and values outside float32's precision."""
-    n, d = draw(st.integers(0, max_rows)), draw(st.integers(1, max_cols))
+    n, d = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
     value = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-40, 1.0, 3.0, -2.0, 0.1, 1e30])
     return np.array(draw(st.lists(value, min_size=n * d, max_size=n * d)), dtype=np.float64).reshape(n, d)
 
@@ -711,6 +711,7 @@ class TestFeatureRows:
     @given(feature_matrices())
     @example(np.zeros((0, 3)))
     @example(np.zeros((4, 1)))
+    @example(np.zeros((3, 0)))
     @example(np.array([[0.0, -0.0], [5e-324, 0.0], [0.0, 0.0]]))
     @example(np.eye(7, 30000) * 2.5)  # wide rows: the mask is scanned a few rows at a time
     @example(np.tile([0.0, -1.5, 0.0, 2.0], (5, 9000)))
@@ -763,6 +764,9 @@ class TestEdgeCosine:
 
     def test_edgeless(self):
         assert build_graph(3, [], [], np.ones((3, 2))).edge_cosine().shape == (0,)
+
+    def test_no_feature_columns(self):
+        assert np.array_equal(build_graph(3, [0, 2], [1, 1], np.ones((3, 0))).edge_cosine(), [0.0, 0.0])
 
     @pytest.mark.parametrize("nonzero, dense", [(24, False), (25, True), (0, False)])
     def test_route_follows_the_density(self, nonzero, dense):
