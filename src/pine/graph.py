@@ -22,6 +22,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 MAGIC_FEATURES = b"PINEF1"
+SPARSE_COSINE_DENSITY = 0.05  # edge_cosine sums over the feature CSR up to this share of nonzero values (measured)
+COSINE_CHUNK = 1 << 18  # values edge_cosine gathers at a time
 
 
 class GraphFormatError(ValueError):
@@ -85,23 +87,36 @@ class AttributedGraph:
 
     def edge_cosine(self) -> np.ndarray:
         """Per-edge cosine similarity sim(src, dst) in canonical order; 0.0 where either feature vector is 0.
-        Rows are first scaled by powers of two to a largest |value| in [0.5, 1): no square overflows, and
-        ``x * 2^k`` gives the bits of ``x``.  Features at most half nonzero are summed over ``feature_rows``'
-        entries in column order (the same bits on integers), others over dense rows, 2^18 values at a time."""
-        x, n, m = self.feature_rows(), self.num_nodes, self.num_edges
-        counts = np.diff(x.indptr)  # an empty row's shift is read from a later row and scales only zeros
-        shift = -np.frexp(np.maximum.reduceat(np.append(np.abs(x.data), 0.0), x.indptr[:-1]))[1]
-        if 2 * x.nnz <= self.features.size:
-            data = np.ldexp(x.data, np.repeat(shift, counts))
+        The sums are those of rows scaled by powers of two to a largest |value| in [0.5, 1): no square overflows,
+        and ``x * 2^k`` gives the bits of ``x``.  Features at most ``SPARSE_COSINE_DENSITY`` nonzero are summed
+        over ``feature_rows``' entries in column order (the same bits on integers), about ``COSINE_CHUNK``
+        gathered entries at a time; others over dense rows, ``COSINE_CHUNK`` values at a time, unscaled while
+        every nonzero |value| is within 2^-240..2^240, where scaling changes no bit, and from a scaled copy if not."""
+        x, n, m = self.features, self.num_nodes, self.num_edges
+        d, dots, nonzero = x.shape[1], np.zeros(m), np.count_nonzero(x != 0)  # a bool mask counts faster than floats
+        if nonzero <= SPARSE_COSINE_DENSITY * x.size:
+            csr = self.feature_rows()
+            counts = np.diff(csr.indptr)  # an empty row's shift is read from a later row and scales only zeros
+            shift = -np.frexp(np.maximum.reduceat(np.append(np.abs(csr.data), 0.0), csr.indptr[:-1]))[1]
+            data = np.ldexp(csr.data, np.repeat(shift, counts))
             norms = np.sqrt(np.bincount(np.repeat(np.arange(n), counts), weights=data * data, minlength=n))
-            rows = sparse.csr_matrix((data, x.indices, x.indptr), shape=x.shape)[self.edge_src]  # each edge's source
-            edge, dst = np.repeat(np.arange(m), np.diff(rows.indptr)), np.repeat(self.edge_dst, np.diff(rows.indptr))
-            other = np.take(self.features, dst * x.shape[1] + rows.indices)  # the destination's values
-            np.multiply(np.ldexp(other, shift[dst], out=other), rows.data, out=other)  # in place: first calls fault pages
-            dots = np.bincount(edge, other, minlength=m)
-        else:
-            x, dots = np.ldexp(self.features, shift[:, None]), np.empty(m)
-            norms, step = np.sqrt(np.einsum("ij,ij->i", x, x)), max(1, (1 << 18) // max(1, x.shape[1]))
+            ends = np.cumsum(np.append(0, counts[self.edge_src]))  # edge k gathers its source's entries ends[k]:ends[k+1]
+            cuts = np.searchsorted(ends, np.arange(0, ends[-1], COSINE_CHUNK), side="right") - 1
+            for lo, hi in zip(cuts, np.append(cuts[1:], m)):
+                k = counts[self.edge_src[lo:hi]]
+                at = np.arange(ends[lo], ends[hi]) + np.repeat(csr.indptr[self.edge_src[lo:hi]] - ends[lo:hi], k)
+                dst = np.repeat(self.edge_dst[lo:hi], k)
+                other = np.take(x, dst * d + csr.indices[at])  # the destination's values, scaled in place
+                np.multiply(np.ldexp(other, shift[dst], out=other), data[at], out=other)
+                dots[lo:hi] = np.bincount(np.repeat(np.arange(hi - lo), k), other, minlength=hi - lo)
+        else:  # within 2^-240..2^240 no product or sum leaves the normal range, scaled or not
+            step, below, top = max(1, COSINE_CHUNK // max(1, d)), 0, 0.0  # |values| < 2^-240, zeros too; the largest
+            for lo in range(0, n, step):
+                a = np.abs(x[lo : lo + step])
+                below, top = below + np.count_nonzero(a < 2.0**-240), np.maximum(top, a.max(initial=0.0))
+            if below > x.size - nonzero or not top <= 2.0**240:
+                x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None])
+            norms = np.sqrt(np.einsum("ij,ij->i", x, x))
             for lo in range(0, m, step):
                 src, dst = self.edge_src[lo : lo + step], self.edge_dst[lo : lo + step]
                 dots[lo : lo + step] = np.einsum("ij,ij->i", np.take(x, src, axis=0), np.take(x, dst, axis=0))

@@ -693,10 +693,9 @@ def feature_matrices(draw, max_rows=6, max_cols=5):
     return np.array(draw(st.lists(value, min_size=n * d, max_size=n * d)), dtype=np.float64).reshape(n, d)
 
 
-def stored_densely(x):
-    """A CSR of ``x`` that stores every entry, zeros too, so ``edge_cosine`` takes its dense route."""
-    n, d = x.shape
-    return sparse.csr_matrix((x.ravel(), np.tile(np.arange(d), n), np.arange(0, n * d + 1, d)), shape=(n, d))
+def routed(route):
+    """Set ``edge_cosine``'s density rule so that every graph takes ``route``, "csr" or "dense"."""
+    return mock.patch.object(graph, "SPARSE_COSINE_DENSITY", 1.0 if route == "csr" else -1.0)
 
 
 def graph_with_features(feats, rng, p=0.4):
@@ -768,17 +767,20 @@ class TestEdgeCosine:
     def test_no_feature_columns(self):
         assert np.array_equal(build_graph(3, [0, 2], [1, 1], np.ones((3, 0))).edge_cosine(), [0.0, 0.0])
 
-    @pytest.mark.parametrize("nonzero, dense", [(24, False), (25, True), (0, False)])
-    def test_route_follows_the_density(self, nonzero, dense):
-        # the dense rows are read (by einsum) only when more than half the 48 features are nonzero
-        feats = np.zeros(48)
+    @pytest.mark.parametrize("extra, dense", [(0, False), (1, True), (None, False)])
+    def test_route_follows_the_density(self, extra, dense):
+        # the dense rows are read (by einsum) only when more than SPARSE_COSINE_DENSITY of the 200 features
+        # are nonzero, and only the CSR route builds the feature CSR
+        nonzero = 0 if extra is None else int(graph.SPARSE_COSINE_DENSITY * 200) + extra
+        feats = np.zeros(200)
         feats[:nonzero] = np.arange(1, nonzero + 1)
         rng = np.random.default_rng(nonzero)
-        g = graph_with_features(rng.permutation(feats).reshape(8, 6), rng)
+        g = graph_with_features(rng.permutation(feats).reshape(20, 10), rng)
         with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
             with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
-                g.edge_cosine()
-        assert (einsum.call_count > 0, bincount.call_count > 0) == (dense, not dense)
+                with mock.patch("pine.graph.scan_csr", wraps=graph.scan_csr) as scan:
+                    g.edge_cosine()
+        assert (einsum.call_count > 0, bincount.call_count > 0, scan.call_count) == (dense, not dense, int(not dense))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.005, 0.5), st.integers(1, 7))
@@ -787,15 +789,47 @@ class TestEdgeCosine:
         rng = np.random.default_rng(seed)
         feats = rng.integers(-top, top + 1, (12, 9)) * (rng.random((12, 9)) < density)
         g = graph_with_features(feats.astype(np.float64), rng)
-        sparse_route = g.edge_cosine()
-        g.feature_rows = lambda dtype=np.float64: stored_densely(g.features)
-        assert np.array_equal(g.edge_cosine(), sparse_route)
+        with routed("csr"):
+            sparse_route = g.edge_cosine()
+        with routed("dense"):
+            assert np.array_equal(g.edge_cosine(), sparse_route)
+
+    @pytest.mark.parametrize("route", ["csr", "dense"])
+    def test_chunks_keep_the_bits(self, route, rng):
+        # whatever the chunk, each edge's sum is taken in one piece and in the same order
+        feats = rng.normal(size=(30, 12)) * (rng.random((30, 12)) < 0.3)
+        feats[5] = 0.0
+        g = graph_with_features(feats, rng, p=0.3)
+        with routed(route):
+            want = g.edge_cosine()
+            for chunk in (1, 5, 64):
+                with mock.patch.object(graph, "COSINE_CHUNK", chunk):
+                    assert np.array_equal(g.edge_cosine(), want)
+
+    @pytest.mark.parametrize("route, density", [("csr", 0.02), ("dense", 1.0)])
+    def test_temporaries_stay_small(self, route, density, rng):
+        # the CSR route gathers about COSINE_CHUNK entries at a time, where all edges together gather about
+        # 8 MB here; the dense route copies no features.  Both keep their arrays per edge and per node.
+        n = 400 if route == "csr" else 2000
+        feats = rng.normal(size=(n, 500)) * (rng.random((n, 500)) < density)
+        src = np.repeat(np.arange(n), 50 if route == "csr" else 1)
+        dst = (src + np.tile(np.arange(1, 51 if route == "csr" else 2), n)) % n
+        g = build_graph(n, src, dst, feats)
+        g.feature_rows()
+        with routed(route), mock.patch.object(graph, "COSINE_CHUNK", 1 << 12):
+            tracemalloc.start()
+            try:
+                g.edge_cosine()
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < (2 << 20 if route == "csr" else feats.nbytes // 4)
 
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sparse", "dense", "integer"]), st.data())
-    def test_power_of_two_scale_keeps_the_bits(self, seed, kind, data):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sparse", "dense", "integer"]), st.sampled_from(["csr", "dense"]), st.data())
+    def test_power_of_two_scale_keeps_the_bits(self, seed, kind, route, data):
         # edge_cosine(x * 2^k) == edge_cosine(x) for every k that keeps each nonzero value normal,
-        # one k for all rows and one per row
+        # one k for all rows and one per row, on either route
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(10, 6)) * np.exp2(rng.integers(-60, 60, (10, 1)))
         if kind != "dense":
@@ -803,27 +837,46 @@ class TestEdgeCosine:
         if kind == "integer":
             feats = np.round(feats / np.abs(feats).max(initial=1.0) * 9.0)
         g = graph_with_features(feats, rng)
-        expected = g.edge_cosine()
         exps = np.frexp(feats[feats != 0])[1]
         lo, hi = -1021 - exps.min(initial=0), 1024 - exps.max(initial=0)
         k = data.draw(st.integers(lo, hi))
         per_row = np.array(data.draw(st.lists(st.integers(lo, hi), min_size=10, max_size=10)))[:, None]
-        for shift in (k, per_row):
-            scaled = np.ldexp(feats, shift)
-            assert np.all(np.abs(scaled[feats != 0]) >= np.finfo(np.float64).tiny) and np.isfinite(scaled).all()
-            assert np.array_equal(build_graph(10, g.edge_src, g.edge_dst, scaled).edge_cosine(), expected)
+        with routed(route):
+            expected = g.edge_cosine()
+            for shift in (k, per_row):
+                scaled = np.ldexp(feats, shift)
+                assert np.all(np.abs(scaled[feats != 0]) >= np.finfo(np.float64).tiny) and np.isfinite(scaled).all()
+                assert np.array_equal(build_graph(10, g.edge_src, g.edge_dst, scaled).edge_cosine(), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(241, 700))
+    def test_dense_rows_in_range_are_summed_unscaled_to_the_scaled_bits(self, seed, k):
+        # values of any sign and binade within 2^-240..2^240, sparse or not: the dense route sums them unscaled,
+        # and the same rows times 2^k, outside that range, from a scaled copy; the bits are the same
+        rng = np.random.default_rng(seed)
+        feats = np.ldexp(rng.uniform(0.5, 1.0, (12, 7)) * rng.choice([-1.0, 1.0], (12, 7)), rng.integers(-239, 241, (12, 7)))
+        feats *= rng.random((12, 7)) < rng.uniform(0.2, 1.0)
+        g = graph_with_features(feats, rng)
+        with routed("dense"):
+            with mock.patch.object(np, "ldexp", wraps=np.ldexp) as ldexp:
+                want = g.edge_cosine()
+            assert ldexp.call_count == 0
+            for shift in (k, -k):
+                assert np.array_equal(build_graph(12, g.edge_src, g.edge_dst, np.ldexp(feats, shift)).edge_cosine(), want)
 
     @pytest.mark.parametrize("scale", [1e200, -1e200, 1e-200, -1e-200])
+    @pytest.mark.parametrize("route", ["csr", "dense"])
     @pytest.mark.parametrize("density", [1.0, 0.2])
-    def test_any_finite_scale(self, scale, density, rng):
+    def test_any_finite_scale(self, scale, route, density, rng):
         # no square overflows to inf or underflows to 0: the cosines are those of the unscaled rows
         feats = rng.normal(size=(40, 4)) * (rng.random((40, 4)) < density)
         g = graph_with_features(feats, rng, p=0.1)
         scaled = build_graph(40, g.edge_src, g.edge_dst, feats * scale)
-        with np.errstate(all="raise"):
-            got = scaled.edge_cosine()
-        assert g.num_edges > 20 and np.isfinite(got).all()
-        assert np.allclose(got, g.edge_cosine(), rtol=1e-12, atol=1e-15)
+        with routed(route):
+            with np.errstate(all="raise"):
+                got = scaled.edge_cosine()
+            assert g.num_edges > 20 and np.isfinite(got).all()
+            assert np.allclose(got, g.edge_cosine(), rtol=1e-12, atol=1e-15)
 
 
 def gat_inline_softmax(g, w):

@@ -457,9 +457,14 @@ class TestPipeline:
         monkeypatch.setattr(pp, "influence_spread", unsampled)
         assert run_pipeline(path) == report
 
-    def test_feature_csr_built_once(self, tmp_path, graph_files, monkeypatch):
-        # training, validation, scoring and LT+'s cosine all read the one CSR scanned from the loaded features
-        _g, edges, feats = graph_files
+    def test_feature_csr_built_once(self, tmp_path, graph_files, monkeypatch, rng):
+        # training, validation, scoring and LT+'s cosine all read the one CSR scanned from the loaded features,
+        # which are sparse enough for the cosine's CSR route
+        g, edges, _feats = graph_files
+        feats = tmp_path / "sparse.csv"
+        np.savetxt(feats, np.where(rng.random(g.features.shape) < 0.03, g.features, 0.0), delimiter=",")
+        loaded = load_graph(edges, feats).features
+        assert 0 < np.count_nonzero(loaded) <= graph.SPARSE_COSINE_DENSITY * loaded.size
         calls = []
         build = graph.scan_csr
         monkeypatch.setattr(graph, "scan_csr", lambda features: calls.append(features.shape) or build(features))
@@ -470,7 +475,7 @@ class TestPipeline:
             "[train]\nhidden = 8\nlayers = 2\nmax_epochs = 3\n"
         )
         run_pipeline(path)
-        assert calls == [load_graph(edges, feats).features.shape]
+        assert calls == [loaded.shape]
 
     def test_report_equals_one_shot_rows(self, tmp_path, graph_files):
         # the pipeline shares the influence weights and SIR's automatic beta
