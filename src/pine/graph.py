@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, issparse
 
 MAGIC_FEATURES = b"PINEF1"
 SPARSE_COSINE_DENSITY = 0.05  # edge_cosine sums over the feature CSR up to this share of nonzero values (measured)
@@ -51,7 +51,7 @@ class AttributedGraph:
     # CSR over sources: out-edge canonical ids of j are out_perm[out_ptr[j]:out_ptr[j+1]]
     out_ptr: np.ndarray
     out_perm: np.ndarray
-    features: np.ndarray
+    features: np.ndarray | sparse.csr_matrix  # load_features' form: dense float64, or a float64 CSR of digit rows
     # densified id -> original id label (strings), for reporting
     id_map: list[str] = field(default_factory=list)
     dropped_self_loops: int = 0
@@ -72,44 +72,46 @@ class AttributedGraph:
         return np.diff(self.out_ptr)
 
     def feature_rows(self, dtype=np.float64) -> sparse.csr_matrix:
-        """``features`` as CSR in ``dtype``, kept in ``feature_csr`` per features array: float64 by ``scan_csr``,
-        another dtype a cast of its ``data``.  A finite value beyond ``dtype``'s range raises ``ValueError``."""
-        key = np.dtype(dtype)
-        if key not in self.feature_csr or self.feature_csr[key][0] is not self.features:
-            base = scan_csr(self.features) if key == np.float64 else self.feature_rows()
+        """``features`` as CSR in ``dtype``, kept in ``feature_csr`` per features array: a CSR's own arrays or float64 by
+        ``scan_csr``, another dtype a cast of their ``data``.  A finite value beyond its range raises ``ValueError``."""
+        key, features = np.dtype(dtype), self.features
+        if key not in self.feature_csr or self.feature_csr[key][0] is not features:
+            base = features if issparse(features) else scan_csr(features) if key == np.float64 else self.feature_rows()
             bad = np.flatnonzero(np.isfinite(base.data) & (np.abs(base.data) > np.finfo(key).max))
             if bad.size:
                 node = self.id_map[np.searchsorted(base.indptr, bad[0], side="right") - 1]
                 raise ValueError(f"feature row of node {node} holds {base.data[bad[0]]:g}, beyond {key}'s range")
             x = sparse.csr_matrix((base.data.astype(key, copy=False), base.indices, base.indptr), shape=base.shape)
-            self.feature_csr[key] = (self.features, x)
+            self.feature_csr[key] = (features, x)
         return self.feature_csr[key][1]
 
     def edge_cosine(self) -> np.ndarray:
-        """Per-edge cosine similarity sim(src, dst) in canonical order; 0.0 where either feature vector is 0.
-        The sums are those of rows scaled by powers of two to a largest |value| in [0.5, 1): no square overflows,
-        and ``x * 2^k`` gives the bits of ``x``.  Features at most ``SPARSE_COSINE_DENSITY`` nonzero are summed
-        over ``feature_rows``' entries in column order (the same bits on integers), about ``COSINE_CHUNK``
-        gathered entries at a time; others over dense rows, ``COSINE_CHUNK`` values at a time, unscaled while
+        """Per-edge cosine similarity sim(src, dst) in canonical order; 0.0 where either feature vector is 0. The sums
+        are those of rows scaled by powers of two to a largest |value| in [0.5, 1): no square overflows, and ``x * 2^k``
+        gives the bits of ``x``.  Features at most ``SPARSE_COSINE_DENSITY`` nonzero are summed over ``feature_rows``'
+        entries in column order (the same bits on integers), about ``COSINE_CHUNK`` gathered entries at a time,
+        destination values by ``searchsorted``; others over dense rows, ``COSINE_CHUNK`` values at a time, unscaled while
         every nonzero |value| is within 2^-240..2^240, where scaling changes no bit, and from a scaled copy if not."""
-        x, n, m = self.features, self.num_nodes, self.num_edges
-        d, dots, nonzero = x.shape[1], np.zeros(m), np.count_nonzero(x != 0)  # a bool mask counts faster than floats
-        if nonzero <= SPARSE_COSINE_DENSITY * x.size:
+        x, n, m, d = self.features, self.num_nodes, self.num_edges, self.feature_dim
+        dots, nonzero = np.zeros(m), x.nnz if issparse(x) else np.count_nonzero(x != 0)  # a bool mask counts faster
+        if nonzero <= SPARSE_COSINE_DENSITY * n * d:
             csr = self.feature_rows()
             counts = np.diff(csr.indptr)  # an empty row's shift is read from a later row and scales only zeros
             shift = -np.frexp(np.maximum.reduceat(np.append(np.abs(csr.data), 0.0), csr.indptr[:-1]))[1]
             data = np.ldexp(csr.data, np.repeat(shift, counts))
             norms = np.sqrt(np.bincount(np.repeat(np.arange(n), counts), weights=data * data, minlength=n))
+            keys = np.repeat(np.arange(n) * d, counts) + csr.indices  # ascending: rows in order, sorted columns
             ends = np.cumsum(np.append(0, counts[self.edge_src]))  # edge k gathers its source's entries ends[k]:ends[k+1]
             cuts = np.searchsorted(ends, np.arange(0, ends[-1], COSINE_CHUNK), side="right") - 1
-            for lo, hi in zip(cuts, np.append(cuts[1:], m)):
+            for lo, hi in zip(cuts, np.append(cuts[1:], m)):  # no chunk when no entry exists
                 k = counts[self.edge_src[lo:hi]]
                 at = np.arange(ends[lo], ends[hi]) + np.repeat(csr.indptr[self.edge_src[lo:hi]] - ends[lo:hi], k)
-                dst = np.repeat(self.edge_dst[lo:hi], k)
-                other = np.take(x, dst * d + csr.indices[at])  # the destination's values, scaled in place
-                np.multiply(np.ldexp(other, shift[dst], out=other), data[at], out=other)
-                dots[lo:hi] = np.bincount(np.repeat(np.arange(hi - lo), k), other, minlength=hi - lo)
+                want = np.repeat(self.edge_dst[lo:hi] * d, k) + csr.indices[at]
+                pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+                other = np.where(keys[pos] == want, data[pos], 0.0)  # the destination's values, scaled by its shift
+                dots[lo:hi] = np.bincount(np.repeat(np.arange(hi - lo), k), other * data[at], minlength=hi - lo)
         else:  # within 2^-240..2^240 no product or sum leaves the normal range, scaled or not
+            x = x.toarray() if issparse(x) else x
             step, below, top = max(1, COSINE_CHUNK // max(1, d)), 0, 0.0  # |values| < 2^-240, zeros too; the largest
             for lo in range(0, n, step):
                 a = np.abs(x[lo : lo + step])
@@ -159,10 +161,16 @@ def scan_csr(features: np.ndarray) -> sparse.csr_matrix:
     """``sparse.csr_matrix(features)`` bit for bit, by one row-major scan of the nonzero mask: no COO step, no sort."""
     n, d = features.shape
     step = max(1, (1 << 16) // max(1, d))  # rows per block of the mask, which then stays in cache
-    at = np.concatenate([np.flatnonzero(features[lo : lo + step] != 0) + lo * d for lo in range(0, max(n, 1), step)])
-    indptr = np.searchsorted(at, np.arange(n + 1) * d)
-    columns = at - np.repeat(np.arange(n) * d, np.diff(indptr))  # scipy makes both int32 while they fit
+    blocks = [np.flatnonzero(features[lo : lo + step] != 0) + lo * d for lo in range(0, max(n, 1), step)]
+    at, indptr, columns = _positions_csr(blocks, n, d)
     return sparse.csr_matrix((features.ravel()[at], columns, indptr), shape=(n, d))
+
+
+def _positions_csr(blocks: list, n: int, d: int):
+    """The ascending row-major positions in an n x d matrix held by ``blocks``, joined, their CSR indptr and columns."""
+    at = np.concatenate(blocks)
+    indptr = np.searchsorted(at, np.arange(n + 1) * d)
+    return at, indptr, at - np.repeat(np.arange(n) * d, np.diff(indptr))  # scipy makes both int32 while they fit
 
 
 def write_int_rows(path, rows: np.ndarray) -> None:
@@ -195,7 +203,9 @@ def build_graph(
     stable counting sort by source, gives ``out_ptr`` and ``out_perm``."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    features = np.asarray(features, dtype=np.float64)
+    if issparse(features) and not (features.format == "csr" and features.dtype == np.float64 and features.has_canonical_format):
+        raise TypeError("sparse features must be a float64 CSR matrix with sorted, distinct columns in each row")
+    features = features if issparse(features) else np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
         rows = features.shape[0] if features.ndim == 2 else "?"
         raise DimensionError(f"feature matrix has {rows} rows, graph has {num_nodes} nodes")
@@ -222,27 +232,32 @@ def build_graph(
     )
 
 
-def _digit_csv(data: bytes) -> np.ndarray | None:
-    """The matrix of a CSV of one-digit fields, read from its bytes; None for any other layout."""
+def _digit_csv(data: bytes) -> sparse.csr_matrix | None:
+    """``scan_csr`` of the matrix of a CSV of one-digit fields, read from its bytes; None for any other layout."""
     width = data.find(b"\n") + 1  # d digits, d - 1 commas and a newline
     if width < 2 or width % 2 or len(data) % width:
         return None
+    n, d, blocks = len(data) // width, width // 2, []
     # (digit, separator) pairs as uint16 less "0," ("0\n" last): a bad digit or separator leaves > 9
-    expected = np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", dtype="<u2")
-    digits = np.frombuffer(data, dtype="<u2").reshape(-1, width // 2) - expected
-    if (digits > 9).any():
-        return None
-    return digits.astype(np.float64)
+    pairs, expected = np.frombuffer(data, "<u2").reshape(n, d), np.frombuffer(b"0," * (d - 1) + b"0\n", "<u2")
+    for lo in range(0, n, step := max(1, (1 << 16) // d)):  # blocks of rows as in scan_csr; no dense matrix
+        digits = (pairs[lo : lo + step] - expected).ravel()
+        hit = np.flatnonzero(digits != 0)  # a bool mask is scanned faster than the digits
+        if (digits[hit] > 9).any():
+            return None
+        blocks.append(hit + lo * d)
+    at, indptr, columns = _positions_csr(blocks, n, d)
+    return sparse.csr_matrix(((pairs.ravel()[at] - expected[columns]).astype(np.float64), columns, indptr), shape=(n, d))
 
 
-def load_features(path, expected_nodes: int | None = None) -> np.ndarray:
+def load_features(path, expected_nodes: int | None = None) -> np.ndarray | sparse.csr_matrix:
     """Load a feature matrix from CSV (row order = node id) or the PINEF1
     binary format, detected by magic bytes: ``PINEF1``, the row and column
     counts as little-endian uint64 (a 22-byte header), then the rows as
     little-endian float32 and nothing after them.  The bytes are read once: a
     CSV of one-digit fields split by ``,``, every line ended by ``\n`` and of
-    one width, is reshaped from them, and ``np.loadtxt`` reads any other CSV
-    from them as UTF-8."""
+    one width, gives ``scan_csr``'s float64 CSR of its matrix, and any other
+    CSV is read from them by ``np.loadtxt`` as UTF-8 into a dense float64 array."""
     with open(path, "rb") as fh:
         data = fh.read()
     feats = None if data.startswith(MAGIC_FEATURES) else _digit_csv(data)
@@ -531,12 +546,12 @@ def check_count(name: str, value, low: int) -> None:
 def induced_subgraph(g: AttributedGraph, nodes) -> AttributedGraph:
     """Subgraph induced on ``nodes`` (as ``node_mask`` reads them), built by
     ``build_graph``: node k of the result is the k-th smallest id given.  Its
-    features are a copy, with a CSR cache of their own."""
+    features are a copy of those rows, in ``g``'s form, with a CSR cache of their own."""
     inside = node_mask(g.num_nodes, nodes)
     nodes, remap = np.flatnonzero(inside), np.cumsum(inside) - 1
     keep = inside[g.edge_src] & inside[g.edge_dst]
     return build_graph(
-        nodes.size, remap[g.edge_src[keep]], remap[g.edge_dst[keep]], np.take(g.features, nodes, axis=0),
+        nodes.size, remap[g.edge_src[keep]], remap[g.edge_dst[keep]], g.features[nodes],  # rows in g's form
         None if g.edge_type is None else g.edge_type[keep], [g.id_map[v] for v in nodes.tolist()],
     )
 
