@@ -5,9 +5,10 @@ import types
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pine import gat
-from pine.graph import build_graph, induced_subgraph
+from pine.graph import build_graph, induced_subgraph, load_graph
 from pine.pine_score import score_graph
 from pine.split import split_edges
 from pine.train import TrainConfig, train
@@ -232,6 +233,22 @@ class TestSerialization:
         gat.save_model(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "fabf1fc257f15538f09e31a95c1c77f5165af55b59a478a1934bee43822002ec"
+
+    def test_float32_parameters_trained_on_a_digit_csv_are_pinned(self, tmp_path):
+        # The file pin above trains in float64 and rounds to float32 on save, so a change to the last bit of
+        # the GAT's arithmetic can leave it alone.  This pin hashes the float32 parameters pine trains by
+        # default, on features the one-digit loader parses into the CSR that is the GAT's layer-0 input.
+        rng = np.random.default_rng(23)
+        src, dst = rng.integers(0, 40, (2, 160))
+        (tmp_path / "edges.txt").write_text("".join(f"{s} {t}\n" for s, t in zip(src.tolist(), dst.tolist())))
+        digits = (rng.random((40, 12)) < 0.2) * rng.integers(1, 10, (40, 12))
+        (tmp_path / "features.csv").write_text("".join(",".join(map(str, row)) + "\n" for row in digits.tolist()))
+        g = load_graph(tmp_path / "edges.txt", tmp_path / "features.csv")
+        config = TrainConfig(hidden_size=8, num_layers=2, max_epochs=5, patience=5, learning_rate=0.01, rng_seed=3)
+        model, _log = train(g, split_edges(g, rng_seed=3), config)
+        assert sparse.issparse(g.features) and model.layers[0].proj.dtype == np.float32
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in model.parameters())).hexdigest()
+        assert digest == "259ac63ccf71ba8a479ddacf84577adc1caa9fa56b097f61449ceeabaebd3cf0"
 
     def test_reloaded_model_scores_bit_equal_to_the_saved_one(self, tmp_path, rng):
         # the file holds no LeakyReLU slope: a model that carried one of its own

@@ -27,6 +27,7 @@ from pine.graph import (
     subgraph_by_edge_type,
     weak_components,
 )
+from pine.split import split_edges
 
 import graph_oracle
 from conftest import (
@@ -174,23 +175,29 @@ def loadtxt_outcome(path):
         return GraphFormatError, f"{path}: cannot parse feature CSV: {exc}"
 
 
+def assert_scan_csr(got, dense):
+    """``got`` is a CSR with ``scan_csr(dense)``'s arrays, dtypes and shape."""
+    want = graph.scan_csr(dense)
+    assert got.format == "csr" and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def assert_same_outcome(got, expected):
-    """``got`` is ``expected``'s error, its dense matrix, or (from the one-digit parse) ``scan_csr`` of that matrix:
-    the same arrays, dtypes and shape."""
+    """``got`` is ``expected``'s error, its dense matrix, or (from the one-digit parse) ``scan_csr`` of it."""
     if isinstance(expected, tuple):
         assert got == expected
     elif sparse.issparse(got):
-        want = graph.scan_csr(expected)
-        assert got.format == "csr" and got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert_scan_csr(got, expected)
     else:
         assert got.dtype == expected.dtype and got.shape == expected.shape and np.array_equal(got, expected)
 
 
+# about half the digits are 0, so sparse and all-zero rows come up as well as dense ones
+DIGIT = st.one_of(st.just(0), st.integers(0, 9))
 DIGIT_MATRICES = st.integers(1, 12).flatmap(
-    lambda d: st.lists(st.lists(st.integers(0, 9), min_size=d, max_size=d), min_size=1, max_size=12)
+    lambda d: st.lists(st.lists(DIGIT, min_size=d, max_size=d), min_size=1, max_size=12)
 )
 
 
@@ -234,6 +241,11 @@ class TestDigitCsvFeatures:
     @example([[7]])
     @example([[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]])
     @example([[1], [0], [9]])
+    @example([[0, 0, 0], [0, 4, 0], [0, 0, 0]])  # all-zero rows
+    @example([[0, 0], [0, 0]])  # an all-zero matrix
+    @example([[9] * 6] * 4)  # rows of 9s
+    @example([[0, 0, 3, 0, 0, 0, 0, 0, 0, 0]] * 3)  # 10 % nonzero, above SPARSE_COSINE_DENSITY: still a CSR
+    @example([[0] * 29999 + [5], [0] * 30000, [3] + [0] * 29999, [0] * 15000 + [1] + [0] * 14999])  # 2-row blocks
     @settings(max_examples=150, deadline=None)
     def test_digit_matrix_equals_loadtxt_without_calling_it(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("features") / "f.csv"
@@ -265,13 +277,16 @@ class TestDigitCsvFeatures:
             "/-0\n0,1\n",
             "0,1\n1\n0\n",
             "0,1\n1,0,",
+            "0,1\n" * 33000 + "1,:\n",
         ],
         ids=["comment", "comment-at-width", "blank-lines", "crlf", "two-digit", "signed", "float",
              "no-final-newline", "one-row-no-newline", "ragged", "space", "empty",
              # one-pass check: wrong separator, a byte just below "0" (it borrows) and just above "9",
              # a borrow into a separator one above ",", "\n" in a comma's column, "," in the newline's
              "semicolon", "slash", "colon", "borrow-into-separator", "newline-in-comma-column",
-             "comma-in-newline-column"],
+             "comma-in-newline-column",
+             # the parse reads 32768 two-column rows at a time: the bad field is in its second block
+             "bad-in-a-later-block"],
     )
     @pytest.mark.filterwarnings("ignore:loadtxt")
     def test_near_miss_layout_falls_back_to_loadtxt(self, tmp_path, text):
@@ -776,20 +791,24 @@ class TestEdgeCosine:
     def test_no_feature_columns(self):
         assert np.array_equal(build_graph(3, [0, 2], [1, 1], np.ones((3, 0))).edge_cosine(), [0.0, 0.0])
 
+    @pytest.mark.parametrize("form", ["dense", "csr"])
     @pytest.mark.parametrize("extra, dense", [(0, False), (1, True), (None, False)])
-    def test_route_follows_the_density(self, extra, dense):
+    def test_route_follows_the_density(self, extra, dense, form):
         # the dense rows are read (by einsum) only when more than SPARSE_COSINE_DENSITY of the 200 features
-        # are nonzero, and only the CSR route builds the feature CSR
+        # are nonzero, and only the CSR route builds the feature CSR of dense features; CSR features count
+        # their density against the 20 x 10 cells, not against their stored values
         nonzero = 0 if extra is None else int(graph.SPARSE_COSINE_DENSITY * 200) + extra
         feats = np.zeros(200)
         feats[:nonzero] = np.arange(1, nonzero + 1)
         rng = np.random.default_rng(nonzero)
         g = graph_with_features(rng.permutation(feats).reshape(20, 10), rng)
+        g.features = g.features if form == "dense" else graph.scan_csr(g.features)
         with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
             with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
                 with mock.patch("pine.graph.scan_csr", wraps=graph.scan_csr) as scan:
                     g.edge_cosine()
-        assert (einsum.call_count > 0, bincount.call_count > 0, scan.call_count) == (dense, not dense, int(not dense))
+        built = int(not dense and form == "dense")
+        assert (einsum.call_count > 0, bincount.call_count > 0, scan.call_count) == (dense, not dense, built)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.005, 0.5), st.integers(1, 7))
@@ -886,6 +905,102 @@ class TestEdgeCosine:
                 got = scaled.edge_cosine()
             assert g.num_edges > 20 and np.isfinite(got).all()
             assert np.allclose(got, g.edge_cosine(), rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(DIGIT_MATRICES.map(lambda rows: np.array(rows, dtype=np.float64)), feature_matrices(8, 6)),
+           st.sampled_from(["csr", "dense"]))
+    @example(np.zeros((5, 3)), "csr")
+    @example(np.zeros((5, 3)), "dense")
+    @example(np.array([[0.0, 0.0, 4.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "csr")  # lookups past the last key
+    def test_csr_features_give_the_bits_of_dense_ones(self, feats, route):
+        # the loader's CSR form and the dense matrix, over every ordered pair of nodes: the same cosines bit for
+        # bit on either route, with empty rows and all-zero features (no key to search) among them
+        n = feats.shape[0]
+        src, dst = np.nonzero(~np.eye(n, dtype=bool))
+        held = build_graph(n, src, dst, graph.scan_csr(feats))
+        assert sparse.issparse(held.features)
+        with routed(route):
+            want = build_graph(n, src, dst, feats).edge_cosine()
+            assert np.array_equal(held.edge_cosine().view(np.int64), want.view(np.int64))
+
+
+def write_digit_csv(path, digits: np.ndarray) -> None:
+    """Write an integer matrix of digits 0-9 as a one-digit CSV, without a Python loop over its rows."""
+    buf = np.full((digits.shape[0], 2 * digits.shape[1]), ord(","), dtype=np.uint8)
+    buf[:, 0::2], buf[:, -1] = digits + ord("0"), ord("\n")
+    path.write_bytes(buf.tobytes())
+
+
+class TestDigitCsrForm:
+    """A graph loaded from a one-digit CSV holds the loader's CSR, never its dense float64 matrix."""
+
+    @staticmethod
+    def components(tmp_path, n, d, density, typed=False):
+        """Write a graph with two components, nodes 0..n-7 (a path plus random edges) and the last six (a path),
+        and its features, digits 1-9 at ``density``; give its two paths and the features as a float64 matrix."""
+        rng = np.random.default_rng(17)
+        big, small = np.arange(n - 6), np.arange(n - 6, n)
+        extra = rng.integers(0, n - 6, (2, 3 * n))
+        src = np.concatenate([big[:-1], small[:-1], extra[0]])
+        dst = np.concatenate([big[1:], small[1:], extra[1]])
+        columns = [src, dst] + ([rng.integers(0, 2, src.size)] if typed else [])
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(" ".join(map(str, row)) + "\n" for row in zip(*map(np.ndarray.tolist, columns))))
+        digits = (rng.random((n, d)) < density) * rng.integers(1, 10, (n, d))
+        write_digit_csv(tmp_path / "features.csv", digits)
+        return edges, tmp_path / "features.csv", digits.astype(np.float64)
+
+    @staticmethod
+    def assert_rows(g, dense):
+        assert sparse.issparse(g.features)
+        assert_scan_csr(g.features, dense)
+        assert_scan_csr(g.feature_rows(), dense)
+
+    def test_subgraphs_keep_the_csr_and_share_its_cache(self, tmp_path):
+        edges, features, dense = self.components(tmp_path, 46, 30, 0.1, typed=True)
+        g = load_graph(edges, features)
+        self.assert_rows(g, dense)
+        core = largest_weak_component(g)  # two components: rebuilt from the gathered rows
+        self.assert_rows(core, dense[:40])
+        self.assert_rows(induced_subgraph(g, [3, 44, 0, 41]), dense[[0, 3, 41, 44]])
+        # one component, the message graph and the edge-type subgraphs: the same CSR and the same cache
+        shared = [largest_weak_component(core), split_edges(core, rng_seed=1).message_graph(core)]
+        shared += [subgraph_by_edge_type(core, t) for t in (0, 1)]
+        core.feature_rows(np.float32)
+        for sub in shared:
+            assert sub.features is core.features and sub.feature_csr is core.feature_csr
+            assert sub.feature_rows(np.float32) is core.feature_rows(np.float32)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: sparse.csc_matrix(x),
+            lambda x: sparse.lil_matrix(x),
+            lambda x: sparse.csr_matrix(x, dtype=np.float32),
+            lambda x: sparse.csr_matrix((np.ones(2), [1, 0], [0, 2, 2, 2]), shape=(3, 2)),
+            lambda x: sparse.csr_matrix((np.ones(2), [1, 1], [0, 2, 2, 2]), shape=(3, 2)),
+        ],
+        ids=["csc", "lil", "float32", "unsorted-columns", "repeated-column"],
+    )
+    def test_build_graph_takes_only_the_loaders_csr(self, make):
+        # edge_cosine searches each row's columns in order, and feature_rows reads a CSR's float64 arrays as they are
+        with pytest.raises(TypeError, match="sparse features must be a float64 CSR matrix with sorted, distinct columns"):
+            build_graph(3, [0], [1], make(np.eye(3, 2)))
+        assert sparse.issparse(build_graph(3, [0], [1], sparse.csr_array(np.eye(3, 2))).features)
+
+    def test_load_component_and_cosine_never_hold_the_dense_matrix(self, tmp_path):
+        # 8·n·d bytes is the dense float64 matrix; the file's bytes (2·n·d) are held while it is parsed
+        n, d = 2000, 1000
+        edges, features, _dense = self.components(tmp_path, n, d, 0.012)
+        tracemalloc.start()
+        try:
+            core = largest_weak_component(load_graph(edges, features))
+            cosines = core.edge_cosine()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(core.features) and core.num_nodes == n - 6 and cosines.size == core.num_edges
+        assert peak < 8 * n * d
 
 
 def gat_inline_softmax(g, w):

@@ -118,9 +118,11 @@ def transposed_csr_copies(text):
 
 def test_gat_makes_no_contiguous_copy_and_one_function_builds_the_feature_csr():
     # projections are stored in the layout their products use, a transpose is
-    # read as a view (X.T is CSC over X's arrays), and the CSR of the features
-    # is built by graph.scan_csr alone, called only by the per-graph cache
-    # AttributedGraph.feature_rows, which the GAT input and edge_cosine read
+    # read as a view (X.T is CSC over X's arrays), and the CSR of a dense
+    # features array is built by graph.scan_csr alone, called only by the
+    # per-graph cache AttributedGraph.feature_rows, which the GAT input and
+    # edge_cosine read; the CSR's other producer, graph._digit_csv, parses a
+    # one-digit CSV's bytes straight into it and reads no features array
     gat_source = (SOURCE / "gat.py").read_text(encoding="utf-8")
     assert not [callee for _owner, callee, _names in calls_by_function(gat_source) if "ascontiguousarray" in callee]
     assert transposed_csr_copies(gat_source) == []
@@ -130,6 +132,41 @@ def test_gat_makes_no_contiguous_copy_and_one_function_builds_the_feature_csr():
         found.update({(module.name, "builds", owner) for owner in builders})
         found.update({(module.name, "calls scan_csr", owner) for owner in users})
     assert found == {("graph.py", "builds", "scan_csr"), ("graph.py", "calls scan_csr", "AttributedGraph.feature_rows")}
+
+
+FORM_TESTS = ("issparse", "isspmatrix", "isspmatrix_csr", "isinstance")
+
+
+def feature_form_branches(text):
+    """(enclosing function, ``Class.method`` or None, callee) for every ``issparse``-style or ``isinstance`` test
+    and every ``.toarray()`` whose arguments or receiver name ``features``."""
+    return sorted(
+        (owner or "", callee)
+        for owner, callee, names in calls_by_function(text)
+        if (callee.split(".")[-1] in FORM_TESTS and "features" in names) or callee.endswith("features.toarray")
+    )
+
+
+def test_only_graph_branches_on_the_features_form():
+    # AttributedGraph.features holds a dense float64 array or the one-digit loader's CSR; graph.py alone reads
+    # which, and every other module goes through feature_rows, feature_dim, edge_cosine or passes it along
+    found = {m.name: feature_form_branches(m.read_text(encoding="utf-8")) for m in sorted(SOURCE.rglob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls and name != "graph.py"} == {}
+    assert ("build_graph", "issparse") in found["graph.py"]
+
+
+def test_feature_form_branches_are_recognised():
+    text = (
+        "from scipy import sparse\n"
+        "dense = not sparse.issparse(g.features)\n"
+        "def a(g):\n    return g.features.toarray() if issparse(g.features) else g.features\n"
+        "def b(g, x):\n    return isinstance(g.features, np.ndarray), isinstance(x, np.ndarray), issparse(x)\n"
+        "class G:\n    def rows(self):\n        return sparse.isspmatrix_csr(self.features), self.features.sum()\n"
+    )
+    assert feature_form_branches(text) == [
+        ("", "sparse.issparse"), ("G.rows", "sparse.isspmatrix_csr"), ("a", "g.features.toarray"), ("a", "issparse"),
+        ("b", "isinstance"),
+    ]
 
 
 def test_transposed_csr_copies_are_recognised():
