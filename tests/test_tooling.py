@@ -138,8 +138,8 @@ FORM_TESTS = ("issparse", "isspmatrix", "isspmatrix_csr", "isinstance")
 
 
 def feature_form_branches(text):
-    """(enclosing function, ``Class.method`` or None, callee) for every ``issparse``-style or ``isinstance`` test
-    and every ``.toarray()`` whose arguments or receiver name ``features``."""
+    """Sorted (enclosing function, ``Class.method`` or "" at module level, callee) for every ``issparse``-style or
+    ``isinstance`` test whose arguments name ``features``, and every ``.toarray()`` of an expression that does."""
     return sorted(
         (owner or "", callee)
         for owner, callee, names in calls_by_function(text)
