@@ -43,8 +43,8 @@ import compare  # noqa: E402
 
 PEAK_RSS_NOTE = (
     "peak_rss_mb is the worker's ru_maxrss, which a child inherits across fork and exec, so it reads the "
-    "high-water mark of the benchmark runner that started the worker, not pine's own: run in-process, the "
-    "seed-7 pipelines peak at 108 (cora-spread), 154 (cora-train) and 188 MB (scale-500k) by VmHWM"
+    "high-water mark of the benchmark runner that started the worker, not pine's own; it does not count the "
+    "child that pine.graph.load_graph forks to parse a large float feature CSV"
 )
 
 

@@ -10,11 +10,16 @@ that canonical order so per-edge quantities can be read either way.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import io
 import itertools
 import numbers
+import os
 import re
+import signal
 import struct
+import tempfile
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +29,7 @@ from scipy.sparse import csgraph, issparse
 MAGIC_FEATURES = b"PINEF1"
 SPARSE_COSINE_DENSITY = 0.05  # edge_cosine sums over the feature CSR up to this share of nonzero values (measured)
 COSINE_CHUNK = 1 << 18  # values edge_cosine gathers at a time
+CHILD_PARSE_BYTES = 1 << 20  # load_graph parses float CSVs of this size up in a forked child (measured crossover)
 
 
 class GraphFormatError(ValueError):
@@ -258,9 +264,18 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray | spars
     CSV of one-digit fields split by ``,``, every line ended by ``\n`` and of
     one width, gives ``scan_csr``'s float64 CSR of its matrix, and any other
     CSV is read from them by ``np.loadtxt`` as UTF-8 into a dense float64 array."""
+    return _features(path, *_read_features(path), expected_nodes)
+
+
+def _read_features(path) -> tuple[bytes, sparse.csr_matrix | None]:
+    """A feature file's bytes and ``_digit_csv``'s CSR of them, None for any other layout."""
     with open(path, "rb") as fh:
         data = fh.read()
-    feats = None if data.startswith(MAGIC_FEATURES) else _digit_csv(data)
+    return data, None if data.startswith(MAGIC_FEATURES) else _digit_csv(data)
+
+
+def _features(path, data: bytes, feats, expected_nodes: int | None):
+    """``load_features``' matrix of a file's bytes: ``feats`` where already parsed, else PINEF1's or ``np.loadtxt``'s."""
     if feats is None:  # one-digit fields are finite; float32 blobs and np.loadtxt values may not be
         if data.startswith(MAGIC_FEATURES):
             n, d = struct.unpack_from("<QQ", data[:22].ljust(22, b"\0"), 6)  # a short header fails below
@@ -273,8 +288,10 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray | spars
                 raise GraphFormatError(f"{path}: {extra} trailing bytes after the {n} x {d} PINEF1 rows")
             feats = np.frombuffer(data, "<f4", n * d, 22).reshape(n, d).astype(np.float64)
         else:
+            text = io.BytesIO(data)
+            text.name = str(path)  # np.loadtxt's warning on a file with no rows names its stream
             try:
-                feats = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), delimiter=",", ndmin=2)
+                feats = np.loadtxt(io.TextIOWrapper(text, encoding="utf-8"), delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise GraphFormatError(f"{path}: cannot parse feature CSV: {exc}") from exc
         bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
@@ -285,6 +302,25 @@ def load_features(path, expected_nodes: int | None = None) -> np.ndarray | spars
             f"{path}: {feats.shape[0]} feature rows but {expected_nodes} nodes in the edge list"
         )
     return feats
+
+
+def _parse_in_child(path, data: bytes):
+    """Fork a child that ``np.save``s ``_features``' matrix of CSV bytes into an unlinked temporary file
+    and exits with 0, or with 1 on any error or warning; (pid, file), pid 0 where no fork can be had."""
+    out = None
+    try:
+        out = tempfile.TemporaryFile(buffering=0)  # np.load reads it back by np.fromfile
+        pid = os.fork()
+    except (AttributeError, OSError):  # no temporary file, no os.fork on this platform, or the fork failed
+        return 0, out
+    if pid == 0:
+        try:  # os._exit(0) skips the finally
+            warnings.simplefilter("error")
+            np.save(out, _features(path, data, None, None))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    return pid, out
 
 
 # The bytes that ``bytes.split`` splits on.  ``str.split`` also splits on
@@ -478,30 +514,54 @@ def load_graph(
     orientation at load time, for raw citation files stored citing ->
     cited.  ``num_nodes`` adds trailing isolated nodes.  A file in
     ``_canonical_table``'s layout is parsed in one pass, to the same graph.
-    """
-    path = edge_list_path
-    data = _read_edge_bytes(path)
-    table = _canonical_table(data)
-    if table is None:
-        etype, values, fast, others = _tokenized(path, data)
-    else:
-        etype = table[:, 2] if table.shape[1] == 3 else None
-        values, fast, others = table[:, :2].T.ravel(), np.ones(2 * table.shape[0], dtype=bool), np.empty(0, object)
-    index, id_map = _densify(values, fast, others)
-    n = len(id_map)
-    if num_nodes is not None:
-        if num_nodes < n:
-            raise GraphFormatError(f"num_nodes={num_nodes} but edge list references {n} ids")
-        # trailing isolated nodes with dense ids
-        n = num_nodes
-    src, dst = np.split(index, 2)
-    if reverse_edges:
-        src, dst = dst, src
 
-    if feature_path is None:
-        features = np.ones((n, 1), dtype=np.float64)
-    else:
-        features = load_features(feature_path, expected_nodes=n)
+    A feature CSV of ``CHILD_PARSE_BYTES`` or more that ``load_features``
+    reads by ``np.loadtxt``, which holds the GIL, is parsed in a forked child
+    while the edge list is parsed here.  Where the child fails, warns or is
+    killed, or no fork can be had, it is parsed here instead, to the same
+    matrix or error, after any edge-list error; no child outlives the call.
+    """
+    path, read, pid, out = edge_list_path, None, 0, None
+    if feature_path is not None:
+        with contextlib.suppress(OSError):  # raised again after the edge list, whose errors come first
+            read = _read_features(feature_path)
+    try:
+        if read and read[1] is None and not read[0].startswith(MAGIC_FEATURES) and len(read[0]) >= CHILD_PARSE_BYTES:
+            pid, out = _parse_in_child(feature_path, read[0])
+        data = _read_edge_bytes(path)
+        table = _canonical_table(data)
+        if table is None:
+            etype, values, fast, others = _tokenized(path, data)
+        else:
+            etype = table[:, 2] if table.shape[1] == 3 else None
+            values, fast, others = table[:, :2].T.ravel(), np.ones(2 * table.shape[0], dtype=bool), np.empty(0, object)
+        index, id_map = _densify(values, fast, others)
+        n = len(id_map)
+        if num_nodes is not None:
+            if num_nodes < n:
+                raise GraphFormatError(f"num_nodes={num_nodes} but edge list references {n} ids")
+            # trailing isolated nodes with dense ids
+            n = num_nodes
+        src, dst = np.split(index, 2)
+        if reverse_edges:
+            src, dst = dst, src
+
+        if feature_path is None:
+            features = np.ones((n, 1), dtype=np.float64)
+        else:
+            feature_data, feats = read or _read_features(feature_path)
+            if pid:
+                status, pid = os.waitpid(pid, 0)[1], 0
+                if status == 0:  # else the child raised, warned or was killed: the parse here meets the same
+                    out.seek(0)
+                    feats = np.load(out)
+            features = _features(feature_path, feature_data, feats, n)
+    finally:
+        if pid:  # an error or an interrupt came before the join: no child outlives the call
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if out:
+            out.close()
 
     id_map += [str(i) for i in range(len(id_map), n)]
     return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)

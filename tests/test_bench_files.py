@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 from pathlib import Path
 
@@ -50,7 +51,8 @@ def test_fold_gives_median_quartiles_and_each_seed():
     assert out["per_layer"]["trace.overhead_s"]["median"] == pytest.approx(0.3)
     assert out["per_layer"]["train.epoch_ms"]["median"] == 7.0
     assert "gat.forward_ms" not in out["per_layer"]  # a layer that never ran has no value
-    assert "ru_maxrss" in out["notes"]["peak_rss_mb"]
+    assert "ru_maxrss" in out["notes"]["peak_rss_mb"] and "forks" in out["notes"]["peak_rss_mb"]
+    assert not re.search(r"\d\s*MB", out["notes"]["peak_rss_mb"])  # no in-process peak that goes stale
 
 
 def test_records_of_two_commits_are_not_folded_together():

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -302,6 +303,166 @@ class TestDigitCsvFeatures:
         path = write_csv(tmp_path, [[0, 1], [1, 0]])
         with pytest.raises(DimensionError, match="2 feature rows but 3 nodes"):
             load_features(path, expected_nodes=3)
+
+
+class TestEmptyFeatureCsv:
+    def test_warning_names_the_path(self, tmp_path):
+        # np.loadtxt's warning named the in-memory stream the bytes were read from
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.warns(UserWarning, match=re.escape(str(path))):
+            got = load_features(path)
+        with pytest.warns(UserWarning):
+            expected = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert got.dtype == expected.dtype and got.shape == expected.shape == (0, 1)
+
+    def test_warning_names_the_path_on_the_child_route(self, tmp_path, monkeypatch):
+        # the child turns the warning into an error and exits 1; the parse here warns as load_features does
+        monkeypatch.setattr(graph, "CHILD_PARSE_BYTES", 0)
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.warns(UserWarning, match=re.escape(str(path))):
+            g = load_graph(write_edges(tmp_path, ""), path)
+        assert g.num_nodes == 0 and g.features.shape == (0, 1)
+        assert_no_child()
+
+
+def assert_no_child():
+    """The test process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def load_outcome(edges, features):
+    """load_graph's graph, or its error's type, message and cause."""
+    try:
+        return load_graph(edges, features)
+    except Exception as exc:  # the error type, message and cause are compared
+        return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
+
+
+def assert_same_load(got, expected):
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert_graphs_identical(got, expected)
+
+
+FLOAT_CSVS = {
+    "float": "1.5,2\n0,-3.25\n4e2,0.125\n",
+    "ragged": "1.5,2\n0\n4,5\n",
+    "nan-row": "1.5,2\nnan,0\n4,5\n",
+    "wrong-row-count": "1.5,2\n0.5,1\n",
+}
+
+
+class TestFeatureParseInChild:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The fork calls of the test, with the child route taken by every CSV that np.loadtxt reads."""
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        fork = os.fork
+        monkeypatch.setattr(graph, "CHILD_PARSE_BYTES", 0)
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    def files(self, tmp_path, features, edges="0 1\n1 2\n"):
+        f = tmp_path / "features.csv"
+        f.write_text(features)
+        return write_edges(tmp_path, edges), f
+
+    def in_process(self, monkeypatch, edges, features):
+        with monkeypatch.context() as m:
+            m.setattr(graph, "CHILD_PARSE_BYTES", 1 << 62)
+            return load_outcome(edges, features)
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_CSVS))
+    def test_same_graph_or_error_as_in_process(self, tmp_path, monkeypatch, forks, name):
+        edges, features = self.files(tmp_path, FLOAT_CSVS[name])
+        expected = self.in_process(monkeypatch, edges, features)
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as spy:
+            got = load_outcome(edges, features)
+        assert len(forks) == 1
+        assert_same_load(got, expected)
+        # the child's matrix is read back; only an error in the child makes this process parse the CSV again
+        assert spy.called == (name in ("ragged", "nan-row"))
+        assert_no_child()
+
+    def test_scale_sized_matrix_is_read_back_bit_for_bit(self, tmp_path, monkeypatch, forks, rng):
+        rows = rng.standard_normal((500, 16)) * 10.0 ** rng.integers(-30, 30, (500, 16))
+        edges = "".join(f"{i} {(i * 7 + 1) % 500}\n" for i in range(500))
+        edges, features = self.files(tmp_path, "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()), edges)
+        expected = self.in_process(monkeypatch, edges, features)
+        got = load_graph(edges, features)
+        assert len(forks) == 1
+        assert_graphs_identical(got, expected)
+        assert np.array_equal(got.features, rows) and got.features.flags.writeable
+        assert_no_child()
+
+    def test_edge_error_comes_before_the_feature_error(self, tmp_path, forks):
+        edges, features = self.files(tmp_path, FLOAT_CSVS["ragged"], "0 1\n1 2 3 4\n")
+        with pytest.raises(GraphFormatError, match=rf"^{re.escape(str(edges))}:2: expected 'src dst \[type\]'"):
+            load_graph(edges, features)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_missing_feature_file_comes_after_the_edge_error(self, tmp_path, forks):
+        edges = write_edges(tmp_path, "0 1\n1 2 3 4\n")
+        with pytest.raises(GraphFormatError, match="expected 'src dst"):
+            load_graph(edges, tmp_path / "absent.csv")
+        with pytest.raises(FileNotFoundError):
+            load_graph(write_edges(tmp_path, "0 1\n", "good.txt"), tmp_path / "absent.csv")
+        assert not forks
+
+    def test_interrupt_in_the_edge_parse_leaves_no_child(self, tmp_path, monkeypatch, forks):
+        edges, features = self.files(tmp_path, FLOAT_CSVS["float"])
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(graph, "_densify", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_graph(edges, features)
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("failure", ["killed", "fork-fails", "no-fork"])
+    def test_parsed_here_when_the_child_cannot_report(self, tmp_path, monkeypatch, forks, failure):
+        edges, features = self.files(tmp_path, FLOAT_CSVS["float"])
+        expected = self.in_process(monkeypatch, edges, features)
+        if failure == "killed":  # np.save runs in the child only
+            monkeypatch.setattr(np, "save", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        elif failure == "fork-fails":
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "Resource temporarily unavailable")))
+        else:
+            monkeypatch.delattr(os, "fork")
+        with mock.patch("numpy.loadtxt", wraps=np.loadtxt) as spy:
+            got = load_graph(edges, features)
+        assert spy.called
+        assert_graphs_identical(got, expected)
+        assert_no_child()
+
+    @pytest.mark.parametrize("layout", ["digits", "binary"])
+    def test_digit_and_binary_features_stay_in_process(self, tmp_path, forks, layout):
+        feats = np.array([[0.0, 1.0], [1.0, 0.0], [3.0, 0.0]])
+        if layout == "binary":
+            path = tmp_path / "f.bin"
+            write_features_binary(path, feats)
+        else:
+            path = write_csv(tmp_path, feats.astype(int).tolist())
+        g = load_graph(write_edges(tmp_path, "0 1\n1 2\n"), path)
+        assert not forks
+        assert np.array_equal(g.features.toarray() if layout == "digits" else g.features, feats)
+
+    def test_small_float_csv_stays_in_process(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(graph, "CHILD_PARSE_BYTES", len(FLOAT_CSVS["float"]) + 1)
+        load_graph(*self.files(tmp_path, FLOAT_CSVS["float"]))
+        assert not forks
 
 
 def assert_graphs_identical(got, expected):

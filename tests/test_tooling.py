@@ -617,3 +617,49 @@ def test_constructor_keywords_and_assigned_attributes_are_recognised():
     )
     assert constructor_keywords(text, "build", "AttributedGraph") == {"num_edges", "edge_src", "id_map"}
     assert assigned_attributes(text, "build") == {"cache", "count", "c"}
+
+
+def fork_callers(text):
+    """The innermost function around each call of ``os.fork`` (or of a bare ``fork``),
+    ``<module>`` outside any, in source order."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr == "fork" and getattr(func.value, "id", None) == "os"
+                        or isinstance(func, ast.Name) and func.id == "fork"):
+                    found.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(text), "<module>")
+    return found
+
+
+def test_os_fork_is_called_in_one_function():
+    # load_graph's feature-parse child is the package's one process; a second fork site would be a
+    # second place that must reap its child on every path
+    modules = sorted(SOURCE.rglob("*.py"))
+    found = {str(m.relative_to(SOURCE)): fork_callers(m.read_text(encoding="utf-8")) for m in modules}
+    assert {name: callers for name, callers in found.items() if callers} == {"graph.py": ["_parse_in_child"]}
+
+
+def test_fork_callers_are_recognised():
+    text = (
+        "import os\n"
+        "from os import fork\n"
+        "def a():\n"
+        "    return os.fork()\n"
+        "def b():\n"
+        "    def inner():\n"
+        "        fork()\n"
+        "    return inner\n"
+        "def c():\n"
+        "    os.forkpty()\n"
+        "    pool.fork()\n"
+        "    f = os.fork\n"
+        "    os.register_at_fork(after_in_child=f)\n"
+        "os.fork()\n"
+    )
+    assert fork_callers(text) == ["a", "inner", "<module>"]
