@@ -191,50 +191,57 @@ def build_graph(
     num_nodes: int,
     src: np.ndarray,
     dst: np.ndarray,
-    features: np.ndarray,
+    features,
     edge_type: np.ndarray | None = None,
     id_map: list[str] | None = None,
 ) -> AttributedGraph:
-    """Assemble a graph from dense-id edge arrays, dropping self-loops and
-    collapsing duplicate (src, dst, type) triples: the one constructor of
-    ``AttributedGraph``, subgraphs included.  The one other way to make a
-    graph is ``largest_weak_component``'s ``dataclasses.replace`` of a graph
-    that is one component, whose arrays ``build_graph`` already ordered.
+    """Assemble a graph from dense-id edge arrays, dropping self-loops and collapsing duplicate (src, dst, type)
+    triples: the one constructor of ``AttributedGraph``, subgraphs included.  The one other way to make a graph is
+    ``largest_weak_component``'s ``dataclasses.replace`` of a graph that is one component, already ordered here.
 
-    Edge k is an entry of an N x N*T matrix at row dst and column
-    ``src * T + rank``, with ``rank`` ordering the T distinct types (T = 1 and
-    rank 0 untyped).  scipy's COO->CSR conversion sorts each row by column and
-    sums repeats, giving the canonical (dst, src, type) order, ``in_ptr`` and
-    the duplicate count; the CSR->CSC conversion of the canonical ids, a
-    stable counting sort by source, gives ``out_ptr`` and ``out_perm``."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if issparse(features) and not (features.format == "csr" and features.dtype == np.float64 and features.has_canonical_format):
-        raise TypeError("sparse features must be a float64 CSR matrix with sorted, distinct columns in each row")
-    features = features if issparse(features) else np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != num_nodes:
-        rows = features.shape[0] if features.ndim == 2 else "?"
-        raise DimensionError(f"feature matrix has {rows} rows, graph has {num_nodes} nodes")
+    Edge k gets the int64 key ``(dst * N + src) * T + rank``, ``rank`` ordering the T distinct types (T = 1 and
+    rank 0 untyped).  One ``np.sort`` of the keys gives the canonical (dst, src, type) order with repeats as equal
+    neighbours, and ``divmod`` the ends and types; one sort of ``src << b | canonical id`` (b the bit length of the
+    edge count) orders the edges by source, stably, into ``out_perm``; ``bincount``s give ``in_ptr`` and ``out_ptr``.
+    Where N * N * T or N * 2^b passes 2^63, a ``ValueError`` names N and T before anything of size N is made.
+    ``features`` is the matrix, checked before the edges, or a function of no arguments that returns it, called
+    once, after the edges are ordered."""
+
+    def checked(features):
+        if issparse(features) and not (features.format == "csr" and features.dtype == np.float64 and features.has_canonical_format):
+            raise TypeError("sparse features must be a float64 CSR matrix with sorted, distinct columns in each row")
+        features = features if issparse(features) else np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[0] != num_nodes:
+            rows = features.shape[0] if features.ndim == 2 else "?"
+            raise DimensionError(f"feature matrix has {rows} rows, graph has {num_nodes} nodes")
+        return features
+
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    if not callable(features):
+        features = checked(features)
     if src.size and (src.min() < 0 or src.max() >= num_nodes or dst.min() < 0 or dst.max() >= num_nodes):
         raise GraphFormatError("edge endpoint outside [0, N)")
 
     keep = src != dst
-    src, dst, kept = src[keep], dst[keep], int(keep.sum())
-    types, rank = None, 0
+    kept, types, rank = int(np.count_nonzero(keep)), None, 0
     if edge_type is not None:
         types, rank = np.unique(np.asarray(edge_type, dtype=np.int64)[keep], return_inverse=True)
-    t = 1 if types is None else max(types.size, 1)
-    # float64 ones: a sum of repeats is a count and never wraps to 0; scipy's int32 indices are cast to int64
-    incoming = sparse.csr_matrix((np.ones(kept), (dst, src * t + rank)), shape=(num_nodes, num_nodes * t))
-    in_ptr, column = incoming.indptr.astype(np.int64), incoming.indices.astype(np.int64)
-    src, dst = column // t, np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(in_ptr))
-    outgoing = sparse.csr_matrix((np.arange(src.size), src, in_ptr), shape=(num_nodes, num_nodes)).tocsc()
+    n, t, b = int(num_nodes), 1 if types is None else max(types.size, 1), kept.bit_length()
+    if n * n * t > 2**63 or n << b > 2**63:
+        raise ValueError(f"a graph of {n} nodes and {t} edge types overflows build_graph's int64 sort keys")
+    key = np.sort((dst * n + src)[keep] * t + rank)
+    key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0: the first of each run of repeats
+    cell, rank = (key, 0) if types is None else np.divmod(key, t)
+    dst, src = np.divmod(cell, n)
+    out_perm = np.sort(src << b | np.arange(key.size)) & ((1 << b) - 1)
+    in_ptr, out_ptr = (np.append(0, np.cumsum(np.bincount(v, minlength=n))) for v in (dst, src))
+    if callable(features):
+        features = checked(features())
     return AttributedGraph(
-        num_nodes=num_nodes, num_edges=src.size, edge_src=src, edge_dst=dst,
-        edge_type=None if types is None else types[column % t],
-        in_ptr=in_ptr, out_ptr=outgoing.indptr.astype(np.int64), out_perm=outgoing.data, features=features,
-        id_map=id_map if id_map is not None else [str(i) for i in range(num_nodes)],
-        dropped_self_loops=keep.size - kept, collapsed_duplicates=kept - src.size,
+        num_nodes=num_nodes, num_edges=key.size, edge_src=src, edge_dst=dst,
+        edge_type=None if types is None else types[rank], in_ptr=in_ptr, out_ptr=out_ptr, out_perm=out_perm,
+        features=features, id_map=id_map if id_map is not None else [str(i) for i in range(num_nodes)],
+        dropped_self_loops=keep.size - kept, collapsed_duplicates=kept - key.size,
     )
 
 
@@ -310,7 +317,9 @@ def _parse_in_child(path, data: bytes):
     out = None
     try:
         out = tempfile.TemporaryFile(buffering=0)  # np.load reads it back by np.fromfile
-        pid = os.fork()
+        with warnings.catch_warnings():  # Python 3.12+ warns of a fork beside threads (numpy's BLAS pool),
+            warnings.simplefilter("ignore", DeprecationWarning)  # harmless here: the child runs only np.loadtxt,
+            pid = os.fork()  # the finiteness check and np.save, with every warning an error
     except (AttributeError, OSError):  # no temporary file, no os.fork on this platform, or the fork failed
         return 0, out
     if pid == 0:
@@ -329,6 +338,7 @@ _SPACE = np.zeros(256, dtype=bool)
 _SPACE[list(b" \t\n\r\x0b\x0c")] = True
 _EXOTIC_SPACE = re.compile(r"[^\S \t\n\r\x0b\x0c]")
 _LINE_END = re.compile(rb"\r\n?|\n")
+_HEADER = re.compile(rb"(?:#[^\n]*\n)*")  # a leading block of lines that start with "#"
 _CANONICAL_DIGITS = 18  # every decimal of at most 18 digits fits in int64
 _RANK_SPAN = 4  # ids below this many times the token count are ranked by a mask, in about np.unique's memory
 _INT64 = np.iinfo(np.int64)
@@ -444,6 +454,13 @@ def _canonical_table(data: bytes) -> np.ndarray | None:
     return values.reshape(-1, cols) if values.size == ends.size else None
 
 
+def _headless(data: bytes) -> bytes:
+    r"""SNAP-style bytes for ``_canonical_table``: ``\r\n`` made ``\n`` and a leading block of lines that start with
+    ``#`` dropped; b"" where a lone ``\r``, which ends a line too, is left."""
+    data = data.replace(b"\r\n", b"\n")
+    return b"" if b"\r" in data else data[_HEADER.match(data).end() :]
+
+
 def _tokenized(path, data: bytes):
     """Edge types (None untyped) and ``_densify`` inputs of any edge-list file, read token by token."""
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -513,13 +530,16 @@ def load_graph(
     gets a single constant feature.  ``reverse_edges`` flips edge
     orientation at load time, for raw citation files stored citing ->
     cited.  ``num_nodes`` adds trailing isolated nodes.  A file in
-    ``_canonical_table``'s layout is parsed in one pass, to the same graph.
+    ``_canonical_table``'s layout, also after a leading block of ``#`` lines
+    or with ``\r\n`` line ends, is parsed in one pass, to the same graph.
 
     A feature CSV of ``CHILD_PARSE_BYTES`` or more that ``load_features``
     reads by ``np.loadtxt``, which holds the GIL, is parsed in a forked child
-    while the edge list is parsed here.  Where the child fails, warns or is
-    killed, or no fork can be had, it is parsed here instead, to the same
-    matrix or error, after any edge-list error; no child outlives the call.
+    while the edge list is parsed and sorted here: ``build_graph`` joins the
+    child through the features function it is given, once the edges are
+    ordered.  Where the child fails, warns or is killed, or no fork can be
+    had, it is parsed here instead, to the same matrix or error, after any
+    edge-list error; no child outlives the call.
     """
     path, read, pid, out = edge_list_path, None, 0, None
     if feature_path is not None:
@@ -529,7 +549,7 @@ def load_graph(
         if read and read[1] is None and not read[0].startswith(MAGIC_FEATURES) and len(read[0]) >= CHILD_PARSE_BYTES:
             pid, out = _parse_in_child(feature_path, read[0])
         data = _read_edge_bytes(path)
-        table = _canonical_table(data)
+        table = _canonical_table(_headless(data) if b"#" in data or b"\r" in data else data)
         if table is None:
             etype, values, fast, others = _tokenized(path, data)
         else:
@@ -546,25 +566,25 @@ def load_graph(
         if reverse_edges:
             src, dst = dst, src
 
-        if feature_path is None:
-            features = np.ones((n, 1), dtype=np.float64)
-        else:
+        def features():  # called by build_graph once the edges are ordered, so the sort runs beside the child
+            nonlocal pid
+            if feature_path is None:
+                return np.ones((n, 1), dtype=np.float64)
             feature_data, feats = read or _read_features(feature_path)
             if pid:
                 status, pid = os.waitpid(pid, 0)[1], 0
                 if status == 0:  # else the child raised, warned or was killed: the parse here meets the same
                     out.seek(0)
                     feats = np.load(out)
-            features = _features(feature_path, feature_data, feats, n)
+            return _features(feature_path, feature_data, feats, n)
+        id_map += [str(i) for i in range(len(id_map), n)]
+        return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
     finally:
         if pid:  # an error or an interrupt came before the join: no child outlives the call
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         if out:
             out.close()
-
-    id_map += [str(i) for i in range(len(id_map), n)]
-    return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
 
 
 def subgraph_by_edge_type(g: AttributedGraph, type_id: int) -> AttributedGraph:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import networkx as nx
@@ -459,6 +460,47 @@ class TestFeatureParseInChild:
         assert not forks
         assert np.array_equal(g.features.toarray() if layout == "digits" else g.features, feats)
 
+    def test_fork_warning_in_the_parent_is_ignored(self, tmp_path, monkeypatch, forks):
+        # Python 3.12+ warns in the parent when a process with threads forks, and the warning filter makes it an error
+        edges, features = self.files(tmp_path, FLOAT_CSVS["float"])
+        expected = self.in_process(monkeypatch, edges, features)
+        fork = os.fork
+
+        def warning():
+            pid = fork()
+            if pid:
+                warnings.warn("use of fork() may lead to deadlocks in the child", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(graph.os, "fork", warning)
+        with warnings.catch_warnings(), mock.patch("numpy.loadtxt", wraps=np.loadtxt) as spy:
+            warnings.simplefilter("error", DeprecationWarning)
+            got = load_graph(edges, features)
+        assert len(forks) == 1
+        assert_graphs_identical(got, expected)
+        assert not spy.called
+        assert_no_child()
+
+    def test_child_is_joined_after_the_edges_are_sorted(self, tmp_path, monkeypatch, forks):
+        edges, features = self.files(tmp_path, FLOAT_CSVS["float"])
+        expected = self.in_process(monkeypatch, edges, features)
+        events, sort, waitpid = [], np.sort, os.waitpid
+
+        def sorted_keys(*args, **kwargs):
+            events.append("sort")
+            return sort(*args, **kwargs)
+
+        def joined(*args):
+            events.append("waitpid")
+            return waitpid(*args)
+
+        monkeypatch.setattr(np, "sort", sorted_keys)
+        monkeypatch.setattr(os, "waitpid", joined)
+        got = load_graph(edges, features)
+        assert events == ["sort", "sort", "waitpid"]  # build_graph's two key sorts, then the join
+        assert len(forks) == 1
+        assert_graphs_identical(got, expected)
+
     def test_small_float_csv_stays_in_process(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(graph, "CHILD_PARSE_BYTES", len(FLOAT_CSVS["float"]) + 1)
         load_graph(*self.files(tmp_path, FLOAT_CSVS["float"]))
@@ -595,23 +637,25 @@ class TestLoaderOracle:
 
     @pytest.mark.parametrize("header", ["# generated\n", ""], ids=["comment", "canonical"])
     def test_benchmark_shaped_file(self, tmp_path, rng, header):
-        # the benchmark writes the canonical layout, which the one-pass parse reads
+        # the benchmark writes the canonical layout, which the one-pass parse reads, after a leading comment too
         n, m = 3000, 30000
         src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
         text = "".join(f"{s} {d}\n" for s, d in zip(src.tolist(), dst.tolist()))
         path = write_edges(tmp_path, header + text)
         with mock.patch.object(pine.graph, "_token_spans", wraps=pine.graph._token_spans) as tokenizer:
             got = load_graph(path)
-        assert tokenizer.called == bool(header)
+        assert not tokenizer.called
         assert_graphs_identical(got, graph_oracle.load_graph(path))
 
 
 CANONICAL_TOKENS = st.one_of(st.integers(0, 30), st.integers(0, 10**18 - 1)).map(str)
 NEAR_MISSES = [
-    "leading-zero", "minus", "plus", "letter", "19-digit", "crlf", "cr", "double-space", "odd-separator",
+    "leading-zero", "minus", "plus", "letter", "19-digit", "cr", "double-space", "odd-separator",
     "leading-space", "trailing-space", "joined-lines", "blank-line", "comment-line", "mixed-columns",
-    "one-column", "four-columns", "no-final-newline",
+    "one-column", "four-columns", "no-final-newline", "cr-in-header", "header-without-newline",
 ]
+# SNAP-style files that the one-pass parse reads once \r\n is made \n and a leading block of # lines dropped
+SNAP_STYLE = ["crlf", "all-crlf", "header", "header-crlf"]
 
 
 @st.composite
@@ -619,10 +663,10 @@ def canonical_or_near_miss(draw):
     """(None, text) for an edge list in the canonical layout: the same 2 or 3
     decimals of 1 to 18 digits without a leading zero on every line, split by
     one space or tab, each line ended by ``\n``; or (kind, text) for such a
-    file with one near miss of that kind."""
+    file with one near miss of that kind, or written SNAP-style."""
     columns = draw(st.sampled_from([2, 3]))
     rows = draw(st.lists(st.lists(CANONICAL_TOKENS, min_size=columns, max_size=columns), min_size=1, max_size=10))
-    miss = draw(st.sampled_from([None] * len(NEAR_MISSES) + NEAR_MISSES))
+    miss = draw(st.sampled_from([None] * len(NEAR_MISSES) + NEAR_MISSES + SNAP_STYLE))
     if miss in ("one-column", "four-columns"):
         rows = [row[:1] if miss == "one-column" else row + ["1"] * (4 - columns) for row in rows]
     seps = [[draw(st.sampled_from([" ", "\t"])) for _ in row[1:]] for row in rows]
@@ -638,10 +682,19 @@ def canonical_or_near_miss(draw):
     elif miss == "odd-separator":
         seps[r][0] = draw(st.sampled_from(list("-+,.#/\x0b\x0c\r")))
     ends[r] = {"crlf": "\r\n", "cr": "\r", "trailing-space": " \n", "joined-lines": " "}.get(miss, "\n")
+    if miss in ("all-crlf", "header-crlf"):
+        ends = ["\r\n"] * len(rows)
     lines = ["".join(t + s for t, s in zip(row, sep + [end])) for row, sep, end in zip(rows, seps, ends)]
     inserted = {"blank-line": "\n", "comment-line": "# x\n", "mixed-columns": " ".join(["1"] * (5 - columns)) + "\n"}
-    if miss in inserted:
-        lines.insert(draw(st.integers(0, len(lines))), inserted[miss])
+    if miss in inserted:  # a comment line after the first edge: a leading one is a header
+        lines.insert(draw(st.integers(int(miss == "comment-line"), len(lines))), inserted[miss])
+    if miss in ("header", "header-crlf", "cr-in-header", "header-without-newline"):
+        comments = draw(st.lists(st.text(alphabet="ab 1#\t", max_size=6), min_size=1, max_size=3))
+        end = {"header-crlf": "\r\n", "cr-in-header": "\r"}.get(miss, "\n")
+        lines[:0] = ["#" + c + end for c in comments]
+        if miss == "header-without-newline":  # a file of comments, the last without its line end
+            lines = lines[: len(comments)]
+            lines[-1] = lines[-1].rstrip("\n")
     text = ("" if miss != "leading-space" else " ") + "".join(lines)
     return miss, text[:-1] if miss == "no-final-newline" else text
 
@@ -657,6 +710,10 @@ class TestCanonicalTable:
     @example(("leading-zero", "0 01\n"), False)
     @example(("double-space", "1  2\n"), False)
     @example(("trailing-space", "1 2 \n"), False)
+    @example(("header", "# Directed graph\n# FromNodeId\tToNodeId\n1\t2\n3\t1\n"), False)
+    @example(("header-crlf", "# Nodes: 3\r\n1\t2\r\n3\t1\r\n"), True)
+    @example(("cr-in-header", "# a\rb\n1 2\n"), False)
+    @example(("comment-line", "1 2\n# x\n2 3\n"), False)
     @settings(max_examples=400, deadline=None)
     def test_matches_loop_oracle_on_the_path_the_layout_picks(self, tmp_path_factory, case, reverse):
         miss, text = case
@@ -666,7 +723,7 @@ class TestCanonicalTable:
             expected = outcome(graph_oracle.load_graph, path, reverse_edges=reverse)
         with mock.patch.object(pine.graph, "_token_spans", wraps=pine.graph._token_spans) as tokenizer:
             got = outcome(load_graph, path, reverse_edges=reverse)
-        assert tokenizer.called == (miss is not None)
+        assert tokenizer.called == (miss in NEAR_MISSES)
         if isinstance(expected, tuple):
             assert got == expected
         else:
@@ -760,6 +817,41 @@ class TestBuildGraphOracle:
         assert n * np.unique(etype).size > 2**31
         feats = np.ones((n, 1))
         assert_graphs_identical(build_graph(n, src, dst, feats, etype), graph_oracle.build_graph(n, src, dst, feats, etype))
+
+
+class TestBuildGraphSortKeys:
+    @pytest.mark.parametrize("n, types", [(2**32, None), (2**31 + 1, [5, 7])])
+    def test_keys_past_int64_name_the_graph_before_reading_features(self, n, types):
+        def features():
+            pytest.fail("features read for a graph whose sort keys overflow")
+
+        with pytest.raises(ValueError, match=rf"^a graph of {n} nodes and {len(types or [0])} edge types overflows"):
+            build_graph(n, [0, 1], [1, 0], features, types)
+
+    def test_features_function_is_called_once_after_the_endpoint_check(self):
+        calls = []
+
+        def features():
+            calls.append(None)
+            return np.arange(3.0)[:, None]
+
+        src, dst = [0, 1, 1, 2, 2], [1, 2, 2, 2, 0]
+        got = build_graph(3, src, dst, features)
+        assert len(calls) == 1
+        assert_graphs_identical(got, graph_oracle.build_graph(3, src, dst, np.arange(3.0)[:, None]))
+        with pytest.raises(GraphFormatError, match=r"outside \[0, N\)"):
+            build_graph(3, [0, 3], [1, 2], features)
+        assert len(calls) == 1
+
+    def test_a_matrix_is_checked_before_the_edges_and_a_function_after(self):
+        with pytest.raises(DimensionError, match="feature matrix has 2 rows, graph has 3 nodes"):
+            build_graph(3, [0, 3], [1, 2], np.ones((2, 1)))
+        with pytest.raises(GraphFormatError, match="outside"):
+            build_graph(3, [0, 3], [1, 2], lambda: np.ones((2, 1)))
+        with pytest.raises(DimensionError, match="feature matrix has 2 rows, graph has 3 nodes"):
+            build_graph(3, [0, 1], [1, 2], lambda: np.ones((2, 1)))
+        with pytest.raises(TypeError, match="sparse features must be a float64 CSR"):
+            build_graph(3, [0, 1], [1, 2], lambda: sparse.csc_matrix(np.ones((3, 1))))
 
 
 @st.composite
