@@ -30,6 +30,7 @@ MAGIC_FEATURES = b"PINEF1"
 SPARSE_COSINE_DENSITY = 0.05  # edge_cosine sums over the feature CSR up to this share of nonzero values (measured)
 COSINE_CHUNK = 1 << 18  # values edge_cosine gathers at a time
 CHILD_PARSE_BYTES = 1 << 20  # load_graph parses float CSVs of this size up in a forked child (measured crossover)
+_KEY_LIMIT = 2**63  # build_graph's int64 sort keys stay below this
 
 
 class GraphFormatError(ValueError):
@@ -191,34 +192,34 @@ def build_graph(
     num_nodes: int,
     src: np.ndarray,
     dst: np.ndarray,
-    features,
+    features: np.ndarray,
     edge_type: np.ndarray | None = None,
     id_map: list[str] | None = None,
 ) -> AttributedGraph:
-    """Assemble a graph from dense-id edge arrays, dropping self-loops and collapsing duplicate (src, dst, type)
-    triples: the one constructor of ``AttributedGraph``, subgraphs included.  The one other way to make a graph is
-    ``largest_weak_component``'s ``dataclasses.replace`` of a graph that is one component, already ordered here.
+    """Assemble a graph from dense-id edge arrays, dropping self-loops and
+    collapsing duplicate (src, dst, type) triples: the one constructor of
+    ``AttributedGraph``, subgraphs included.  The one other way to make a
+    graph is ``largest_weak_component``'s ``dataclasses.replace`` of a graph
+    that is one component, whose arrays ``build_graph`` already ordered.
 
-    Edge k gets the int64 key ``(dst * N + src) * T + rank``, ``rank`` ordering the T distinct types (T = 1 and
-    rank 0 untyped).  One ``np.sort`` of the keys gives the canonical (dst, src, type) order with repeats as equal
-    neighbours, and ``divmod`` the ends and types; one sort of ``src << b | canonical id`` (b the bit length of the
-    edge count) orders the edges by source, stably, into ``out_perm``; ``bincount``s give ``in_ptr`` and ``out_ptr``.
-    Where N * N * T or N * 2^b passes 2^63, a ``ValueError`` names N and T before anything of size N is made.
-    ``features`` is the matrix, checked before the edges, or a function of no arguments that returns it, called
-    once, after the edges are ordered."""
-
-    def checked(features):
-        if issparse(features) and not (features.format == "csr" and features.dtype == np.float64 and features.has_canonical_format):
-            raise TypeError("sparse features must be a float64 CSR matrix with sorted, distinct columns in each row")
-        features = features if issparse(features) else np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] != num_nodes:
-            rows = features.shape[0] if features.ndim == 2 else "?"
-            raise DimensionError(f"feature matrix has {rows} rows, graph has {num_nodes} nodes")
-        return features
-
-    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-    if not callable(features):
-        features = checked(features)
+    Edge k gets the int64 key ``(dst * N + src) * T + rank``, with ``rank``
+    ordering the T distinct types (T = 1 and rank 0 untyped).  One
+    ``np.sort`` of the keys gives the canonical (dst, src, type) order with
+    repeats as equal neighbours, and ``divmod`` the ends and types back;
+    where N * N * T passes 2^63, ``np.lexsort`` orders the (dst * N + src,
+    rank) pairs instead.  One sort of ``src << b | canonical id``, b the bit
+    length of the edge count, orders the edges by source, stably, into
+    ``out_perm``; ``bincount``s give ``in_ptr`` and ``out_ptr``.  Where
+    N * N or N * 2^b passes 2^63, a ``ValueError`` names N and the edge
+    count before anything of size N is made."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if issparse(features) and not (features.format == "csr" and features.dtype == np.float64 and features.has_canonical_format):
+        raise TypeError("sparse features must be a float64 CSR matrix with sorted, distinct columns in each row")
+    features = features if issparse(features) else np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] != num_nodes:
+        rows = features.shape[0] if features.ndim == 2 else "?"
+        raise DimensionError(f"feature matrix has {rows} rows, graph has {num_nodes} nodes")
     if src.size and (src.min() < 0 or src.max() >= num_nodes or dst.min() < 0 or dst.max() >= num_nodes):
         raise GraphFormatError("edge endpoint outside [0, N)")
 
@@ -227,21 +228,26 @@ def build_graph(
     if edge_type is not None:
         types, rank = np.unique(np.asarray(edge_type, dtype=np.int64)[keep], return_inverse=True)
     n, t, b = int(num_nodes), 1 if types is None else max(types.size, 1), kept.bit_length()
-    if n * n * t > 2**63 or n << b > 2**63:
-        raise ValueError(f"a graph of {n} nodes and {t} edge types overflows build_graph's int64 sort keys")
-    key = np.sort((dst * n + src)[keep] * t + rank)
-    key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0: the first of each run of repeats
-    cell, rank = (key, 0) if types is None else np.divmod(key, t)
+    if n * n > _KEY_LIMIT or n << b > _KEY_LIMIT:
+        raise ValueError(f"a graph of {n} nodes and {kept} edges overflows build_graph's int64 sort keys")
+    cell = (dst * n + src)[keep]
+    if n * n * t > _KEY_LIMIT:  # too many types to pack below the cell: sort the pairs
+        order = np.lexsort((rank, cell))
+        cell, rank = cell[order], rank[order]
+        first = (np.diff(cell, prepend=-1) != 0) | (np.diff(rank, prepend=-1) != 0)
+        cell, rank = cell[first], rank[first]
+    else:
+        key = np.sort(cell if types is None else cell * t + rank)
+        key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0: the first of each run of repeats
+        cell, rank = (key, 0) if types is None else np.divmod(key, t)
     dst, src = np.divmod(cell, n)
-    out_perm = np.sort(src << b | np.arange(key.size)) & ((1 << b) - 1)
+    out_perm = np.sort(src << b | np.arange(cell.size)) & ((1 << b) - 1)
     in_ptr, out_ptr = (np.append(0, np.cumsum(np.bincount(v, minlength=n))) for v in (dst, src))
-    if callable(features):
-        features = checked(features())
     return AttributedGraph(
-        num_nodes=num_nodes, num_edges=key.size, edge_src=src, edge_dst=dst,
+        num_nodes=num_nodes, num_edges=cell.size, edge_src=src, edge_dst=dst,
         edge_type=None if types is None else types[rank], in_ptr=in_ptr, out_ptr=out_ptr, out_perm=out_perm,
         features=features, id_map=id_map if id_map is not None else [str(i) for i in range(num_nodes)],
-        dropped_self_loops=keep.size - kept, collapsed_duplicates=kept - key.size,
+        dropped_self_loops=keep.size - kept, collapsed_duplicates=kept - cell.size,
     )
 
 
@@ -338,7 +344,6 @@ _SPACE = np.zeros(256, dtype=bool)
 _SPACE[list(b" \t\n\r\x0b\x0c")] = True
 _EXOTIC_SPACE = re.compile(r"[^\S \t\n\r\x0b\x0c]")
 _LINE_END = re.compile(rb"\r\n?|\n")
-_HEADER = re.compile(rb"(?:#[^\n]*\n)*")  # a leading block of lines that start with "#"
 _CANONICAL_DIGITS = 18  # every decimal of at most 18 digits fits in int64
 _RANK_SPAN = 4  # ids below this many times the token count are ranked by a mask, in about np.unique's memory
 _INT64 = np.iinfo(np.int64)
@@ -454,13 +459,6 @@ def _canonical_table(data: bytes) -> np.ndarray | None:
     return values.reshape(-1, cols) if values.size == ends.size else None
 
 
-def _headless(data: bytes) -> bytes:
-    r"""SNAP-style bytes for ``_canonical_table``: ``\r\n`` made ``\n`` and a leading block of lines that start with
-    ``#`` dropped; b"" where a lone ``\r``, which ends a line too, is left."""
-    data = data.replace(b"\r\n", b"\n")
-    return b"" if b"\r" in data else data[_HEADER.match(data).end() :]
-
-
 def _tokenized(path, data: bytes):
     """Edge types (None untyped) and ``_densify`` inputs of any edge-list file, read token by token."""
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -530,16 +528,13 @@ def load_graph(
     gets a single constant feature.  ``reverse_edges`` flips edge
     orientation at load time, for raw citation files stored citing ->
     cited.  ``num_nodes`` adds trailing isolated nodes.  A file in
-    ``_canonical_table``'s layout, also after a leading block of ``#`` lines
-    or with ``\r\n`` line ends, is parsed in one pass, to the same graph.
+    ``_canonical_table``'s layout is parsed in one pass, to the same graph.
 
     A feature CSV of ``CHILD_PARSE_BYTES`` or more that ``load_features``
     reads by ``np.loadtxt``, which holds the GIL, is parsed in a forked child
-    while the edge list is parsed and sorted here: ``build_graph`` joins the
-    child through the features function it is given, once the edges are
-    ordered.  Where the child fails, warns or is killed, or no fork can be
-    had, it is parsed here instead, to the same matrix or error, after any
-    edge-list error; no child outlives the call.
+    while the edge list is parsed here.  Where the child fails, warns or is
+    killed, or no fork can be had, it is parsed here instead, to the same
+    matrix or error, after any edge-list error; no child outlives the call.
     """
     path, read, pid, out = edge_list_path, None, 0, None
     if feature_path is not None:
@@ -549,7 +544,7 @@ def load_graph(
         if read and read[1] is None and not read[0].startswith(MAGIC_FEATURES) and len(read[0]) >= CHILD_PARSE_BYTES:
             pid, out = _parse_in_child(feature_path, read[0])
         data = _read_edge_bytes(path)
-        table = _canonical_table(_headless(data) if b"#" in data or b"\r" in data else data)
+        table = _canonical_table(data)
         if table is None:
             etype, values, fast, others = _tokenized(path, data)
         else:
@@ -566,25 +561,25 @@ def load_graph(
         if reverse_edges:
             src, dst = dst, src
 
-        def features():  # called by build_graph once the edges are ordered, so the sort runs beside the child
-            nonlocal pid
-            if feature_path is None:
-                return np.ones((n, 1), dtype=np.float64)
+        if feature_path is None:
+            features = np.ones((n, 1), dtype=np.float64)
+        else:
             feature_data, feats = read or _read_features(feature_path)
             if pid:
                 status, pid = os.waitpid(pid, 0)[1], 0
                 if status == 0:  # else the child raised, warned or was killed: the parse here meets the same
                     out.seek(0)
                     feats = np.load(out)
-            return _features(feature_path, feature_data, feats, n)
-        id_map += [str(i) for i in range(len(id_map), n)]
-        return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
+            features = _features(feature_path, feature_data, feats, n)
     finally:
         if pid:  # an error or an interrupt came before the join: no child outlives the call
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         if out:
             out.close()
+
+    id_map += [str(i) for i in range(len(id_map), n)]
+    return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
 
 
 def subgraph_by_edge_type(g: AttributedGraph, type_id: int) -> AttributedGraph:

@@ -481,26 +481,6 @@ class TestFeatureParseInChild:
         assert not spy.called
         assert_no_child()
 
-    def test_child_is_joined_after_the_edges_are_sorted(self, tmp_path, monkeypatch, forks):
-        edges, features = self.files(tmp_path, FLOAT_CSVS["float"])
-        expected = self.in_process(monkeypatch, edges, features)
-        events, sort, waitpid = [], np.sort, os.waitpid
-
-        def sorted_keys(*args, **kwargs):
-            events.append("sort")
-            return sort(*args, **kwargs)
-
-        def joined(*args):
-            events.append("waitpid")
-            return waitpid(*args)
-
-        monkeypatch.setattr(np, "sort", sorted_keys)
-        monkeypatch.setattr(os, "waitpid", joined)
-        got = load_graph(edges, features)
-        assert events == ["sort", "sort", "waitpid"]  # build_graph's two key sorts, then the join
-        assert len(forks) == 1
-        assert_graphs_identical(got, expected)
-
     def test_small_float_csv_stays_in_process(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(graph, "CHILD_PARSE_BYTES", len(FLOAT_CSVS["float"]) + 1)
         load_graph(*self.files(tmp_path, FLOAT_CSVS["float"]))
@@ -637,25 +617,23 @@ class TestLoaderOracle:
 
     @pytest.mark.parametrize("header", ["# generated\n", ""], ids=["comment", "canonical"])
     def test_benchmark_shaped_file(self, tmp_path, rng, header):
-        # the benchmark writes the canonical layout, which the one-pass parse reads, after a leading comment too
+        # the benchmark writes the canonical layout, which the one-pass parse reads
         n, m = 3000, 30000
         src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
         text = "".join(f"{s} {d}\n" for s, d in zip(src.tolist(), dst.tolist()))
         path = write_edges(tmp_path, header + text)
         with mock.patch.object(pine.graph, "_token_spans", wraps=pine.graph._token_spans) as tokenizer:
             got = load_graph(path)
-        assert not tokenizer.called
+        assert tokenizer.called == bool(header)
         assert_graphs_identical(got, graph_oracle.load_graph(path))
 
 
 CANONICAL_TOKENS = st.one_of(st.integers(0, 30), st.integers(0, 10**18 - 1)).map(str)
 NEAR_MISSES = [
-    "leading-zero", "minus", "plus", "letter", "19-digit", "cr", "double-space", "odd-separator",
+    "leading-zero", "minus", "plus", "letter", "19-digit", "crlf", "cr", "double-space", "odd-separator",
     "leading-space", "trailing-space", "joined-lines", "blank-line", "comment-line", "mixed-columns",
-    "one-column", "four-columns", "no-final-newline", "cr-in-header", "header-without-newline",
+    "one-column", "four-columns", "no-final-newline",
 ]
-# SNAP-style files that the one-pass parse reads once \r\n is made \n and a leading block of # lines dropped
-SNAP_STYLE = ["crlf", "all-crlf", "header", "header-crlf"]
 
 
 @st.composite
@@ -663,10 +641,10 @@ def canonical_or_near_miss(draw):
     """(None, text) for an edge list in the canonical layout: the same 2 or 3
     decimals of 1 to 18 digits without a leading zero on every line, split by
     one space or tab, each line ended by ``\n``; or (kind, text) for such a
-    file with one near miss of that kind, or written SNAP-style."""
+    file with one near miss of that kind."""
     columns = draw(st.sampled_from([2, 3]))
     rows = draw(st.lists(st.lists(CANONICAL_TOKENS, min_size=columns, max_size=columns), min_size=1, max_size=10))
-    miss = draw(st.sampled_from([None] * len(NEAR_MISSES) + NEAR_MISSES + SNAP_STYLE))
+    miss = draw(st.sampled_from([None] * len(NEAR_MISSES) + NEAR_MISSES))
     if miss in ("one-column", "four-columns"):
         rows = [row[:1] if miss == "one-column" else row + ["1"] * (4 - columns) for row in rows]
     seps = [[draw(st.sampled_from([" ", "\t"])) for _ in row[1:]] for row in rows]
@@ -682,19 +660,10 @@ def canonical_or_near_miss(draw):
     elif miss == "odd-separator":
         seps[r][0] = draw(st.sampled_from(list("-+,.#/\x0b\x0c\r")))
     ends[r] = {"crlf": "\r\n", "cr": "\r", "trailing-space": " \n", "joined-lines": " "}.get(miss, "\n")
-    if miss in ("all-crlf", "header-crlf"):
-        ends = ["\r\n"] * len(rows)
     lines = ["".join(t + s for t, s in zip(row, sep + [end])) for row, sep, end in zip(rows, seps, ends)]
     inserted = {"blank-line": "\n", "comment-line": "# x\n", "mixed-columns": " ".join(["1"] * (5 - columns)) + "\n"}
-    if miss in inserted:  # a comment line after the first edge: a leading one is a header
-        lines.insert(draw(st.integers(int(miss == "comment-line"), len(lines))), inserted[miss])
-    if miss in ("header", "header-crlf", "cr-in-header", "header-without-newline"):
-        comments = draw(st.lists(st.text(alphabet="ab 1#\t", max_size=6), min_size=1, max_size=3))
-        end = {"header-crlf": "\r\n", "cr-in-header": "\r"}.get(miss, "\n")
-        lines[:0] = ["#" + c + end for c in comments]
-        if miss == "header-without-newline":  # a file of comments, the last without its line end
-            lines = lines[: len(comments)]
-            lines[-1] = lines[-1].rstrip("\n")
+    if miss in inserted:
+        lines.insert(draw(st.integers(0, len(lines))), inserted[miss])
     text = ("" if miss != "leading-space" else " ") + "".join(lines)
     return miss, text[:-1] if miss == "no-final-newline" else text
 
@@ -710,10 +679,6 @@ class TestCanonicalTable:
     @example(("leading-zero", "0 01\n"), False)
     @example(("double-space", "1  2\n"), False)
     @example(("trailing-space", "1 2 \n"), False)
-    @example(("header", "# Directed graph\n# FromNodeId\tToNodeId\n1\t2\n3\t1\n"), False)
-    @example(("header-crlf", "# Nodes: 3\r\n1\t2\r\n3\t1\r\n"), True)
-    @example(("cr-in-header", "# a\rb\n1 2\n"), False)
-    @example(("comment-line", "1 2\n# x\n2 3\n"), False)
     @settings(max_examples=400, deadline=None)
     def test_matches_loop_oracle_on_the_path_the_layout_picks(self, tmp_path_factory, case, reverse):
         miss, text = case
@@ -723,7 +688,7 @@ class TestCanonicalTable:
             expected = outcome(graph_oracle.load_graph, path, reverse_edges=reverse)
         with mock.patch.object(pine.graph, "_token_spans", wraps=pine.graph._token_spans) as tokenizer:
             got = outcome(load_graph, path, reverse_edges=reverse)
-        assert tokenizer.called == (miss in NEAR_MISSES)
+        assert tokenizer.called == (miss is not None)
         if isinstance(expected, tuple):
             assert got == expected
         else:
@@ -820,38 +785,33 @@ class TestBuildGraphOracle:
 
 
 class TestBuildGraphSortKeys:
-    @pytest.mark.parametrize("n, types", [(2**32, None), (2**31 + 1, [5, 7])])
-    def test_keys_past_int64_name_the_graph_before_reading_features(self, n, types):
-        def features():
-            pytest.fail("features read for a graph whose sort keys overflow")
-
-        with pytest.raises(ValueError, match=rf"^a graph of {n} nodes and {len(types or [0])} edge types overflows"):
+    @pytest.mark.parametrize("types", [None, [5, 7]], ids=["untyped", "typed"])
+    def test_keys_past_int64_name_the_graph_before_anything_of_size_n(self, monkeypatch, types):
+        n = 2**32  # N * N = 2**64; the features are a view of one value, so nothing of size N exists
+        features = np.broadcast_to(np.zeros(1), (n, 1))
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: pytest.fail("in_ptr counted for keys past int64"))
+        with pytest.raises(ValueError, match=rf"^a graph of {n} nodes and 2 edges overflows build_graph's int64"):
             build_graph(n, [0, 1], [1, 0], features, types)
 
-    def test_features_function_is_called_once_after_the_endpoint_check(self):
-        calls = []
-
-        def features():
-            calls.append(None)
-            return np.arange(3.0)[:, None]
-
-        src, dst = [0, 1, 1, 2, 2], [1, 2, 2, 2, 0]
-        got = build_graph(3, src, dst, features)
-        assert len(calls) == 1
-        assert_graphs_identical(got, graph_oracle.build_graph(3, src, dst, np.arange(3.0)[:, None]))
-        with pytest.raises(GraphFormatError, match=r"outside \[0, N\)"):
-            build_graph(3, [0, 3], [1, 2], features)
-        assert len(calls) == 1
-
-    def test_a_matrix_is_checked_before_the_edges_and_a_function_after(self):
-        with pytest.raises(DimensionError, match="feature matrix has 2 rows, graph has 3 nodes"):
-            build_graph(3, [0, 3], [1, 2], np.ones((2, 1)))
-        with pytest.raises(GraphFormatError, match="outside"):
-            build_graph(3, [0, 3], [1, 2], lambda: np.ones((2, 1)))
-        with pytest.raises(DimensionError, match="feature matrix has 2 rows, graph has 3 nodes"):
-            build_graph(3, [0, 1], [1, 2], lambda: np.ones((2, 1)))
-        with pytest.raises(TypeError, match="sparse features must be a float64 CSR"):
-            build_graph(3, [0, 1], [1, 2], lambda: sparse.csc_matrix(np.ones((3, 1))))
+    @pytest.mark.parametrize("n, m, kinds", [(64, 40, 3), (64, 60, 60), (1024, 1000, 1000), (2048, 2000, 5)])
+    def test_types_too_many_to_pack_are_lexsorted_to_the_same_graph(self, rng, n, m, kinds):
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        etype = rng.choice(np.append(rng.integers(-(2**62), 2**62, kinds - 2), [2**62, -(2**62)]), m)
+        src[::9] = dst[::9]  # self-loops
+        k = m // 4  # the last quarter repeats the first quarter's ends, half of them with the same type
+        src[-k:], dst[-k:] = src[:k], dst[:k]
+        etype[-k:] = np.where(rng.random(k) < 0.5, etype[:k], etype[-k:])
+        feats = np.arange(n, dtype=np.float64)[:, None]
+        expected = graph_oracle.build_graph(n, src, dst, feats, etype)
+        nodes = np.flatnonzero(rng.random(n) < 0.7)
+        expected_sub = graph_oracle.induced_subgraph(expected, nodes)
+        for limit, lexsorted in [(2**63, False), (n * n, True)]:  # n * n >= n << b: only the types pass the limit
+            with mock.patch.object(graph, "_KEY_LIMIT", limit), mock.patch("numpy.lexsort", wraps=np.lexsort) as spy:
+                got = build_graph(n, src, dst, feats, etype)
+                sub = induced_subgraph(got, nodes)
+            assert spy.called == lexsorted
+            assert_graphs_identical(got, expected)
+            assert_graphs_identical(sub, expected_sub)
 
 
 @st.composite
@@ -877,8 +837,8 @@ EMPTY_GRAPHS = [(0, np.zeros((0, 3), dtype=np.int64)), (4, np.zeros((0, 3), dtyp
 
 
 class TestSortFreeGraphOracle:
-    """build_graph's scipy conversions, and the subgraphs that filter,
-    renumber and call it, against the lexsort builder and its subgraphs."""
+    """build_graph's key sorts, and the subgraphs that filter, renumber
+    and call it, against the lexsort builder and its subgraphs."""
 
     @pytest.mark.parametrize("typed", [False, True])
     @pytest.mark.parametrize("order", ["file", "reversed", "shuffled"])
