@@ -137,10 +137,6 @@ def _require_nodes(g: AttributedGraph) -> None:
         raise EmptyGraphError("graph has no nodes; spread and epidemic threshold are per-node averages")
 
 
-def _seed_mask(g: AttributedGraph, seeds) -> np.ndarray:
-    return node_mask(g.num_nodes, seeds, "seed")
-
-
 def _segment_cumsum(values: np.ndarray, in_ptr: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Inclusive prefix sums of ``values`` within each destination segment.
 
@@ -264,7 +260,7 @@ def influence_spread(g: AttributedGraph, config: DiffusionConfig, seeds) -> Diff
     caller that simulates many seed sets with one config makes them once.
     """
     config, first = _ready(g, config)
-    seed_ids = np.flatnonzero(_seed_mask(g, seeds))
+    seed_ids = np.flatnonzero(node_mask(g.num_nodes, seeds, "seed"))
     chunks = itertools.chain([first], _chunk_rows(g, config, (first[0].size - 1) // g.num_nodes))
     counts = np.concatenate([_reached_counts(g.num_nodes, *rows, seed_ids, config.max_steps) for rows in chunks])
     spreads = counts / g.num_nodes

@@ -203,7 +203,7 @@ def build_graph(
     that is one component, whose arrays ``build_graph`` already ordered.
 
     Edge k gets the int64 key ``(dst * N + src) * T + rank``, with ``rank``
-    ordering the T distinct types (T = 1 and rank 0 untyped).  One
+    the ``_dense_rank`` of the T distinct types (T = 1 and rank 0 untyped).  One
     ``np.sort`` of the keys gives the canonical (dst, src, type) order with
     repeats as equal neighbours, and ``divmod`` the ends and types back;
     where N * N * T passes 2^63, ``np.lexsort`` orders the (dst * N + src,
@@ -226,7 +226,7 @@ def build_graph(
     keep = src != dst
     kept, types, rank = int(np.count_nonzero(keep)), None, 0
     if edge_type is not None:
-        types, rank = np.unique(np.asarray(edge_type, dtype=np.int64)[keep], return_inverse=True)
+        types, rank = _dense_rank(np.asarray(edge_type, dtype=np.int64)[keep])
     n, t, b = int(num_nodes), 1 if types is None else max(types.size, 1), kept.bit_length()
     if n * n > _KEY_LIMIT or n << b > _KEY_LIMIT:
         raise ValueError(f"a graph of {n} nodes and {kept} edges overflows build_graph's int64 sort keys")
@@ -345,7 +345,7 @@ _SPACE[list(b" \t\n\r\x0b\x0c")] = True
 _EXOTIC_SPACE = re.compile(r"[^\S \t\n\r\x0b\x0c]")
 _LINE_END = re.compile(rb"\r\n?|\n")
 _CANONICAL_DIGITS = 18  # every decimal of at most 18 digits fits in int64
-_RANK_SPAN = 4  # ids below this many times the token count are ranked by a mask, in about np.unique's memory
+_RANK_SPAN = 4  # values below this many times their count are ranked by a mask, in about np.unique's memory
 _INT64 = np.iinfo(np.int64)
 
 
@@ -401,23 +401,27 @@ def _as_int(token: str) -> int | None:
         return None
 
 
+def _dense_rank(values: np.ndarray):
+    """The distinct int64 ``values`` ascending and each value's index among them: by a presence mask and its ``cumsum``
+    when all are nonnegative and below ``_RANK_SPAN`` times their count (one huge value makes no huge mask), else ``np.unique``."""
+    top = int(values.max(initial=-1))
+    if 0 <= top < _RANK_SPAN * values.size and values.min() >= 0:
+        present = np.zeros(top + 1, dtype=bool)
+        present[values] = True
+        return np.flatnonzero(present), np.cumsum(present)[values] - 1
+    else:
+        return np.unique(values, return_inverse=True)
+
+
 def _densify(values: np.ndarray, fast: np.ndarray, others: np.ndarray):
     """Dense index of each id token, and the ids in dense order, from the tokens' ``values``, which
     are canonical decimals (``fast``) and the other tokens as bytes (``others``): ids that ``int()``
     accepts by value, equal values by token string, then the other ids by string.
 
-    Canonical decimals are ranked by value: by a presence mask and its ``cumsum`` when all are
-    nonnegative and below ``_RANK_SPAN`` times the token count (so one huge id allocates no huge
-    mask), else by ``np.unique``; when every token is canonical that rank is the order.  Otherwise
-    the distinct canonical values, as strings, and the other tokens are ranked by one Python sort."""
-    ids = values[fast]
-    top = int(ids.max(initial=-1))
-    if 0 <= top < _RANK_SPAN * values.size and ids.min() >= 0:
-        present = np.zeros(top + 1, dtype=bool)
-        present[ids] = True
-        known, fast_inverse = np.flatnonzero(present), np.cumsum(present)[ids] - 1
-    else:
-        known, fast_inverse = np.unique(ids, return_inverse=True)
+    Canonical decimals are ranked by ``_dense_rank`` of their values; when every token is canonical
+    that rank is the order.  Otherwise the distinct canonical values, as strings, and the other
+    tokens are ranked by one Python sort."""
+    known, fast_inverse = _dense_rank(values[fast])
     if not others.size:
         return fast_inverse, list(map(str, known.tolist()))
     slot: dict[bytes, int] = {}  # distinct other tokens, in first-seen order
@@ -504,7 +508,6 @@ def load_graph(
     edge_list_path,
     feature_path=None,
     reverse_edges: bool = False,
-    num_nodes: int | None = None,
 ) -> AttributedGraph:
     r"""Load an attributed graph from an edge-list file plus a feature file.
 
@@ -518,16 +521,17 @@ def load_graph(
     lines the same number, and a type must be an integer in int64; else
     ``GraphFormatError`` names ``path:lineno``.
 
-    Node ids are tokens, densified to [0, N): ids that ``int()`` accepts
-    come first, by integer value, and tokens of equal value (``7``,
-    ``07``, ``+7``) are distinct nodes ordered by token string; every other
-    id follows, in string order.  ``id_map`` holds the tokens in that
-    order.  Self-loops are dropped and repeated (src, dst[, type]) edges
-    collapsed, counted in ``dropped_self_loops`` and
-    ``collapsed_duplicates``.  When ``feature_path`` is None every node
-    gets a single constant feature.  ``reverse_edges`` flips edge
-    orientation at load time, for raw citation files stored citing ->
-    cited.  ``num_nodes`` adds trailing isolated nodes.  A file in
+    Node ids are tokens, densified to [0, N), N the number of distinct ids
+    in the edge list: ids that ``int()`` accepts come first, by integer
+    value, and tokens of equal value (``7``, ``07``, ``+7``) are distinct
+    nodes ordered by token string; every other id follows, in string order.
+    ``id_map`` holds the tokens in that order.  Canonical decimal ids and
+    edge types share one rank, ``_dense_rank``.  Self-loops are dropped and
+    repeated (src, dst[, type]) edges collapsed, counted in
+    ``dropped_self_loops`` and ``collapsed_duplicates``.  When
+    ``feature_path`` is None every node gets a single constant feature.
+    ``reverse_edges`` flips edge orientation at load time, for raw citation
+    files stored citing -> cited.  A file in
     ``_canonical_table``'s layout is parsed in one pass, to the same graph.
 
     A feature CSV of ``CHILD_PARSE_BYTES`` or more that ``load_features``
@@ -552,11 +556,6 @@ def load_graph(
             values, fast, others = table[:, :2].T.ravel(), np.ones(2 * table.shape[0], dtype=bool), np.empty(0, object)
         index, id_map = _densify(values, fast, others)
         n = len(id_map)
-        if num_nodes is not None:
-            if num_nodes < n:
-                raise GraphFormatError(f"num_nodes={num_nodes} but edge list references {n} ids")
-            # trailing isolated nodes with dense ids
-            n = num_nodes
         src, dst = np.split(index, 2)
         if reverse_edges:
             src, dst = dst, src
@@ -578,7 +577,6 @@ def load_graph(
         if out:
             out.close()
 
-    id_map += [str(i) for i in range(len(id_map), n)]
     return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
 
 

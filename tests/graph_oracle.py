@@ -3,7 +3,8 @@ before the loading path was vectorized: one Python loop over lines and one
 over tokens, ``np.lexsort`` for the canonical order; and the two subgraph
 functions as they were before they stopped calling ``build_graph``.  Tests
 compare the package against them.  The code below is unchanged but for the
-names, and ``load_graph`` and the subgraph functions here call the
+names and ``load_graph``'s ``num_nodes`` parameter, since removed from
+the package, and ``load_graph`` and the subgraph functions here call the
 ``build_graph`` here."""
 
 import numpy as np
@@ -101,7 +102,6 @@ def load_graph(
     edge_list_path,
     feature_path=None,
     reverse_edges: bool = False,
-    num_nodes: int | None = None,
 ) -> AttributedGraph:
     """Load an attributed graph from an edge-list file plus a feature file.
 
@@ -130,11 +130,6 @@ def load_graph(
     ids = sorted(set(raw_src) | set(raw_dst), key=_id_sort_key)
     index = {v: k for k, v in enumerate(ids)}
     n = len(ids)
-    if num_nodes is not None:
-        if num_nodes < n:
-            raise GraphFormatError(f"num_nodes={num_nodes} but edge list references {n} ids")
-        # trailing isolated nodes with dense ids
-        n = num_nodes
     src = np.array([index[v] for v in raw_src], dtype=np.int64)
     dst = np.array([index[v] for v in raw_dst], dtype=np.int64)
     if reverse_edges:
@@ -146,8 +141,7 @@ def load_graph(
     else:
         features = load_features(feature_path, expected_nodes=n)
 
-    id_map = list(ids) + [str(i) for i in range(len(ids), n)]
-    return build_graph(n, src, dst, features, edge_type=etype, id_map=id_map)
+    return build_graph(n, src, dst, features, edge_type=etype, id_map=list(ids))
 
 
 def _id_sort_key(token: str):

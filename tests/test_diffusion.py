@@ -15,7 +15,7 @@ from pine.diffusion import (
     critical_sir_beta,
     influence_spread,
 )
-from pine.graph import AttributedGraph, EmptyGraphError, build_graph
+from pine.graph import AttributedGraph, EmptyGraphError, build_graph, node_mask
 
 from conftest import random_graph
 
@@ -29,7 +29,7 @@ def run_lt_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np
     once the summed influence of its active in-neighbors reaches its
     threshold.  Rounds repeat until a full pass adds nothing.
     """
-    active = diffusion._seed_mask(g, seeds)
+    active = node_mask(g.num_nodes, seeds, "seed")
     theta = rng.random(g.num_nodes)
     influence = weights.combined
     src, dst = g.edge_src, g.edge_dst
@@ -44,7 +44,7 @@ def run_lt_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np
 def run_ic_plus(g: AttributedGraph, weights: InfluenceWeights, seeds, rng) -> np.ndarray:
     """One independent-cascade run; each newly activated node gets a single
     activation attempt on each of its inactive out-neighbors."""
-    active = diffusion._seed_mask(g, seeds)
+    active = node_mask(g.num_nodes, seeds, "seed")
     influence = weights.combined
     frontier = np.nonzero(active)[0]
     out_ptr, out_perm, dst = g.out_ptr, g.out_perm, g.edge_dst
@@ -72,7 +72,7 @@ def run_sir(g: AttributedGraph, beta: float, gamma: float, seeds, rng, max_steps
     probability ``gamma``; at most ``max_steps`` steps run."""
     if not 0.0 <= beta <= 1.0 or not 0.0 <= gamma <= 1.0:
         raise ValueError("beta and gamma must lie in [0, 1]")
-    infected = diffusion._seed_mask(g, seeds)
+    infected = node_mask(g.num_nodes, seeds, "seed")
     recovered = np.zeros(g.num_nodes, dtype=bool)
     out_ptr, out_perm, dst = g.out_ptr, g.out_perm, g.edge_dst
     step = 0

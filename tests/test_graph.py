@@ -126,6 +126,13 @@ class TestLoadGraph:
         with pytest.raises(DimensionError):
             load_graph(e, f)
 
+    def test_gapped_ids_are_not_padded_to_the_feature_rows(self, tmp_path):
+        # ids 0, 1, 3 are three nodes; a fourth feature row names none of them
+        e = write_edges(tmp_path, "0 1\n1 3\n3 0\n")
+        f = write_csv(tmp_path, [[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(DimensionError, match=r"features\.csv: 4 feature rows but 3 nodes in the edge list"):
+            load_graph(e, f)
+
     def test_reverse_edges(self, tmp_path):
         e = write_edges(tmp_path, "5 7\n")
         g = load_graph(e, reverse_edges=True)
@@ -155,10 +162,11 @@ class TestLoadGraph:
 
     def test_edge_list_roundtrip_isomorphic(self, tmp_path, rng):
         g = random_graph(20, 0.2, rng)
+        g = induced_subgraph(g, np.union1d(g.edge_src, g.edge_dst))  # the loader counts only nodes with an edge
         out = tmp_path / "rt.txt"
         g.write_edge_list(out)
-        g2 = load_graph(out, num_nodes=g.num_nodes)
-        assert g2.num_edges == g.num_edges
+        g2 = load_graph(out)
+        assert g2.num_nodes == g.num_nodes and g2.num_edges == g.num_edges
         assert np.array_equal(g2.edge_src, g.edge_src)
         assert np.array_equal(g2.edge_dst, g.edge_dst)
 
@@ -552,15 +560,14 @@ def edge_list_files(draw):
 
 
 class TestLoaderOracle:
-    @given(edge_list_files(), st.booleans(), st.sampled_from([None, 0, 3, 40]))
+    @given(edge_list_files(), st.booleans())
     @settings(max_examples=400, deadline=None)
-    def test_matches_loop_oracle(self, tmp_path_factory, text, reverse, num_nodes):
+    def test_matches_loop_oracle(self, tmp_path_factory, text, reverse):
         path = tmp_path_factory.mktemp("edges") / "edges.txt"
         path.write_bytes(text.encode("utf-8"))
-        kwargs = dict(reverse_edges=reverse, num_nodes=num_nodes)
         with mock.patch.object(graph_oracle, "_id_sort_key", oracle_key_with_tie_rule):
-            expected = outcome(graph_oracle.load_graph, path, **kwargs)
-        got = outcome(load_graph, path, **kwargs)
+            expected = outcome(graph_oracle.load_graph, path, reverse_edges=reverse)
+        got = outcome(load_graph, path, reverse_edges=reverse)
         if isinstance(expected, tuple):
             assert got == expected
         else:
@@ -792,6 +799,20 @@ class TestBuildGraphSortKeys:
         monkeypatch.setattr(np, "bincount", lambda *a, **k: pytest.fail("in_ptr counted for keys past int64"))
         with pytest.raises(ValueError, match=rf"^a graph of {n} nodes and 2 edges overflows build_graph's int64"):
             build_graph(n, [0, 1], [1, 0], features, types)
+
+    @pytest.mark.parametrize("top, sorts", [(1, 0), (3, 0), (4 * 500 - 1, 0), (4 * 500, 1)])
+    def test_types_below_the_rank_span_are_ranked_without_unique(self, rng, top, sorts):
+        n, m = 300, 500  # no self-loop, so all m edges are kept: types in [0, 4 * m) are ranked by a mask
+        src = rng.integers(0, n, m)
+        dst = (src + rng.integers(1, n, m)) % n
+        etype = rng.integers(0, top + 1, m)
+        etype[0] = top
+        feats = np.ones((n, 1))
+        expected = graph_oracle.build_graph(n, src, dst, feats, etype)
+        with mock.patch("numpy.unique", wraps=np.unique) as unique:
+            got = build_graph(n, src, dst, feats, etype)
+        assert unique.call_count == sorts
+        assert_graphs_identical(got, expected)
 
     @pytest.mark.parametrize("n, m, kinds", [(64, 40, 3), (64, 60, 60), (1024, 1000, 1000), (2048, 2000, 5)])
     def test_types_too_many_to_pack_are_lexsorted_to_the_same_graph(self, rng, n, m, kinds):

@@ -410,14 +410,17 @@ def index_gathers(text, function):
 
 
 def test_sampler_sorts_without_unique_and_densify_ranks_by_counting():
-    # the sampler sorts each batch once itself, and _densify reaches for np.unique
-    # only when its ids are too spread out (or negative) for a presence mask
+    # the sampler sorts each batch once itself, and _dense_rank, which ranks node ids and edge
+    # types, reaches for np.unique only when its values are too spread out (or negative) for a mask
     split_source = (SOURCE / "split.py").read_text(encoding="utf-8")
     graph_source = (SOURCE / "graph.py").read_text(encoding="utf-8")
     assert numpy_calls(split_source, "sample_negatives", "argsort") == [[]]  # once per batch
     assert numpy_calls(split_source, "sample_negatives", "unique") == []
-    fallbacks = numpy_calls(graph_source, "_densify", "unique")
+    fallbacks = numpy_calls(graph_source, "_dense_rank", "unique")
     assert len(fallbacks) == 1 and fallbacks[0][-1][1] == "else" and "_RANK_SPAN" in fallbacks[0][-1][0]
+    callers = {owner for owner, callee, _names in calls_by_function(graph_source) if callee == "_dense_rank"}
+    assert callers == {"_densify", "build_graph"}
+    assert numpy_calls(graph_source, "_densify", "unique") == numpy_calls(graph_source, "build_graph", "unique") == []
 
 
 def test_narrow_row_gathers_use_take():
