@@ -56,39 +56,53 @@ def relative_out_degree(g: AttributedGraph, tuning: float = 0.5) -> ScoreVector:
     return ScoreVector(values)
 
 
+def _fixed_point(step, x, order, tol, max_iter, name, change, diverges):
+    """``x`` stepped until the ``order``-norm of the change falls below ``tol``.
+    Ten growing changes in a row raise ``ConvergenceError(diverges)``; after
+    ``max_iter`` steps the last iterate is returned with a ``RuntimeWarning``
+    that gives the last ``change`` and names the caller of ``name``."""
+    growth_streak = 0
+    delta = np.inf
+    for _ in range(max_iter):
+        x_new = step(x)
+        prev_delta = delta
+        delta = np.linalg.norm(x_new - x, order)
+        growth_streak = growth_streak + 1 if delta > prev_delta else 0
+        if growth_streak >= 10:
+            raise ConvergenceError(diverges)
+        x = x_new
+        if delta < tol:
+            return x
+    warnings.warn(
+        f"{name} did not converge in {max_iter} iterations ({change} {delta:.3g}, tol {tol:g})",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return x
+
+
 def pagerank(
     g: AttributedGraph,
     damping: float = 0.85,
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> ScoreVector:
-    """Power iteration with uniform teleport; dangling mass is spread
-    uniformly.  Scores sum to 1.  Without convergence in ``max_iter``
-    iterations the last iterate is returned with a ``RuntimeWarning``."""
+    """Power iteration with uniform teleport, to an L1 residual below ``tol``;
+    dangling mass is spread uniformly.  Scores sum to 1.  For damping < 1 only
+    rounding could fire ``_fixed_point``'s growth rule."""
     check_parameter("damping", damping)
     n = g.num_nodes
     if n == 0:
         return ScoreVector(np.zeros(0))
     out_deg = g.out_degrees().astype(np.float64)
     dangling = out_deg == 0
-    r = np.full(n, 1.0 / n)
     inv_out = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
     incoming = g.in_csr(inv_out[g.edge_src])  # row i sums r[j] / out_deg[j] over i's in-neighbours j
-    residual = np.inf
-    for _ in range(max_iter):
-        flow = incoming @ r
-        r_new = damping * (flow + r[dangling].sum() / n) + (1.0 - damping) / n
-        residual = np.abs(r_new - r).sum()
-        r = r_new
-        if residual < tol:
-            break
-    else:
-        warnings.warn(
-            f"pagerank did not converge in {max_iter} iterations (residual {residual:.3g}, tol {tol:g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return ScoreVector(r)
+    return ScoreVector(_fixed_point(
+        lambda r: damping * (incoming @ r + r[dangling].sum() / n) + (1.0 - damping) / n,
+        np.full(n, 1.0 / n), 1, tol, max_iter, "pagerank", "residual",
+        f"pagerank iteration diverges at damping={damping}",
+    ))
 
 
 def katz(
@@ -98,42 +112,16 @@ def katz(
     max_iter: int = 1000,
     normalize: bool = True,
 ) -> ScoreVector:
-    """Katz centrality x = sum_{k>=1} a^k (A^T)^k 1 by fixed-point iteration.
-
-    Divergence (increment norm growing for 10 consecutive iterations) raises
-    ConvergenceError with advice to lower the attenuation.  Without
-    convergence in ``max_iter`` iterations the last iterate is returned with
-    a ``RuntimeWarning``.
-    """
+    """Katz centrality x = sum_{k>=1} a^k (A^T)^k 1 by fixed-point iteration,
+    to an L2 increment below ``tol``.  Divergence raises ConvergenceError with
+    advice to lower the attenuation."""
     check_parameter("attenuation", attenuation)
     n = g.num_nodes
     incoming = g.in_csr()
-    x = np.zeros(n)
-    growth_streak = 0
-    prev_delta = np.inf
-    for _ in range(max_iter):
-        at_x = incoming @ (1.0 + x)
-        x_new = attenuation * at_x
-        delta = np.linalg.norm(x_new - x)
-        if delta > prev_delta:
-            growth_streak += 1
-            if growth_streak >= 10:
-                raise ConvergenceError(
-                    f"katz iteration diverges at attenuation={attenuation}; "
-                    "use a smaller attenuation (below 1/spectral-radius)"
-                )
-        else:
-            growth_streak = 0
-        prev_delta = delta
-        x = x_new
-        if delta < tol:
-            break
-    else:
-        warnings.warn(
-            f"katz did not converge in {max_iter} iterations (last increment {prev_delta:.3g}, tol {tol:g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    x = _fixed_point(
+        lambda x: attenuation * (incoming @ (1.0 + x)), np.zeros(n), 2, tol, max_iter, "katz", "last increment",
+        f"katz iteration diverges at attenuation={attenuation}; use a smaller attenuation (below 1/spectral-radius)",
+    )
     if normalize:
         norm = np.linalg.norm(x)
         if norm > 0:
