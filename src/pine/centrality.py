@@ -87,19 +87,22 @@ def pagerank(
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> ScoreVector:
-    """Power iteration with uniform teleport, to an L1 residual below ``tol``;
-    dangling mass is spread uniformly.  Scores sum to 1.  For damping < 1 only
-    rounding could fire ``_fixed_point``'s growth rule."""
+    """PageRank in the direction spread travels: that of the graph with its
+    edges turned round, so a node gathers rank from the nodes it supplies
+    and the nodes with no in-edge are dangling.  Power iteration with uniform
+    teleport, to an L1 residual below ``tol``; dangling mass is spread
+    uniformly.  Scores sum to 1.  For damping < 1 only rounding could fire
+    ``_fixed_point``'s growth rule."""
     check_parameter("damping", damping)
     n = g.num_nodes
     if n == 0:
         return ScoreVector(np.zeros(0))
-    out_deg = g.out_degrees().astype(np.float64)
-    dangling = out_deg == 0
-    inv_out = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
-    incoming = g.in_csr(inv_out[g.edge_src])  # row i sums r[j] / out_deg[j] over i's in-neighbours j
+    in_deg = g.in_degrees().astype(np.float64)
+    dangling = in_deg == 0
+    inv_in = np.where(dangling, 0.0, 1.0 / np.maximum(in_deg, 1.0))
+    outgoing = g.in_csr(inv_in[g.edge_dst]).T  # row j sums r[i] / in_deg[i] over j's out-neighbours i
     return ScoreVector(_fixed_point(
-        lambda r: damping * (incoming @ r + r[dangling].sum() / n) + (1.0 - damping) / n,
+        lambda r: damping * (outgoing @ r + r[dangling].sum() / n) + (1.0 - damping) / n,
         np.full(n, 1.0 / n), 1, tol, max_iter, "pagerank", "residual",
         f"pagerank iteration diverges at damping={damping}",
     ))
@@ -112,14 +115,15 @@ def katz(
     max_iter: int = 1000,
     normalize: bool = True,
 ) -> ScoreVector:
-    """Katz centrality x = sum_{k>=1} a^k (A^T)^k 1 by fixed-point iteration,
+    """Katz centrality x = sum_{k>=1} a^k A^k 1, which counts the walks that
+    leave each node (the direction spread travels), by fixed-point iteration
     to an L2 increment below ``tol``.  Divergence raises ConvergenceError with
     advice to lower the attenuation."""
     check_parameter("attenuation", attenuation)
     n = g.num_nodes
-    incoming = g.in_csr()
+    outgoing = g.in_csr().T
     x = _fixed_point(
-        lambda x: attenuation * (incoming @ (1.0 + x)), np.zeros(n), 2, tol, max_iter, "katz", "last increment",
+        lambda x: attenuation * (outgoing @ (1.0 + x)), np.zeros(n), 2, tol, max_iter, "katz", "last increment",
         f"katz iteration diverges at attenuation={attenuation}; use a smaller attenuation (below 1/spectral-radius)",
     )
     if normalize:

@@ -29,6 +29,12 @@ def path3():
     return build_graph(3, [0, 1], [1, 2], np.ones((3, 2)))
 
 
+def reverse(g):
+    """``g`` with every edge turned round: PageRank and Katz score the graph
+    in the direction spread travels, which their in-edge oracles read on it."""
+    return build_graph(g.num_nodes, g.edge_dst, g.edge_src, g.features)
+
+
 def dense_adjacency(g):
     a = np.zeros((g.num_nodes, g.num_nodes))
     a[g.edge_src, g.edge_dst] = 1.0
@@ -133,7 +139,7 @@ class TestPageRank:
         for trial in range(5):
             g = random_graph(5, 0.4, np.random.default_rng(trial))
             mine = ct.pagerank(g, tol=1e-14, max_iter=2000).values
-            assert np.allclose(mine, pagerank_dense_oracle(g), atol=1e-8)
+            assert np.allclose(mine, pagerank_dense_oracle(reverse(g)), atol=1e-8)
 
     def test_sums_to_one_with_floor(self, rng):
         g = random_graph(30, 0.1, rng)
@@ -160,7 +166,8 @@ class TestPageRank:
         n = g.num_nodes
         uniform = {v: 1.0 for v in range(n)}
         expected = nx.pagerank(
-            to_networkx(g), alpha=damping, personalization=uniform, dangling=uniform, tol=1e-14, max_iter=10_000
+            to_networkx(g).reverse(), alpha=damping, personalization=uniform, dangling=uniform, tol=1e-14,
+            max_iter=10_000,
         )
         mine = ct.pagerank(g, damping=damping, tol=1e-14, max_iter=10_000).values
         assert np.allclose(mine, [expected[v] for v in range(n)], rtol=0, atol=1e-8)
@@ -217,7 +224,7 @@ class TestCsrIterationsBitEqualToBincount:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # max_iter 3 stops before convergence
                 values = ct.pagerank(g, damping=damping, max_iter=max_iter).values
-            expected = pagerank_bincount_oracle(g, damping=damping, max_iter=max_iter)
+            expected = pagerank_bincount_oracle(reverse(g), damping=damping, max_iter=max_iter)
             assert np.array_equal(values.view(np.int64), expected.view(np.int64)), name
 
     @pytest.mark.parametrize("attenuation", [0.005, 0.05, 0.3, 2.0])
@@ -225,7 +232,7 @@ class TestCsrIterationsBitEqualToBincount:
         # 0.3 and 2.0 diverge on the graphs with cycles
         outcomes = set()
         for name, g in [*bincount_oracle_cases(), ("empty", build_graph(0, [], [], np.ones((0, 1))))]:
-            expected = katz_bincount_oracle(g, attenuation)
+            expected = katz_bincount_oracle(reverse(g), attenuation)
             if isinstance(expected, str):
                 with pytest.raises(ct.ConvergenceError, match="diverges"):
                     ct.katz(g, attenuation=attenuation, normalize=False)
@@ -243,13 +250,13 @@ class TestKatz:
 
     def test_one_term_series(self):
         g = build_graph(2, [0], [1], np.ones((2, 1)))
-        assert np.allclose(ct.katz(g, 0.1, normalize=False).values, [0.0, 0.1])
+        assert np.allclose(ct.katz(g, 0.1, normalize=False).values, [0.1, 0.0])  # the edge's one walk leaves 0
 
     def test_matches_dense_solve(self, rng):
         # 6-node DAG: x = (I - a A^T)^{-1} a A^T 1
         g = random_graph(6, 0.35, rng)
         alpha = 0.05
-        at = dense_adjacency(g).T
+        at = dense_adjacency(reverse(g)).T
         x = np.linalg.solve(np.eye(6) - alpha * at, alpha * at @ np.ones(6))
         mine = ct.katz(g, alpha, tol=1e-15, max_iter=5000, normalize=False).values
         assert np.allclose(mine, x, atol=1e-8)
@@ -292,18 +299,25 @@ class TestKatz:
         # A graph of 8 nodes has spectral radius at most 7, below 1 / 0.1.
         g = graph_from_pairs(*case)
         n = g.num_nodes
-        G = to_networkx(g)
+        G = to_networkx(g).reverse()
         G.add_nodes_from([n, n + 1])
         expected = nx.katz_centrality_numpy(G, alpha=attenuation, beta=1, normalized=False)
         mine = ct.katz(g, attenuation=attenuation, normalize=False).values
         assert np.allclose(mine, [expected[v] - 1.0 for v in range(n)], rtol=0, atol=1e-8)
 
     def test_small_attenuation_ranks_by_in_degree(self, rng):
+        # a walk of length 2 weighs a^2, too little to overturn one more in-edge
         g = random_graph(12, 0.25, rng)
-        indeg = g.in_degrees()
-        if len(set(indeg.tolist())) == g.num_nodes:
-            order_katz = np.argsort(ct.katz(g, 1e-6).values)
-            assert np.array_equal(order_katz, np.argsort(indeg, kind="stable"))
+        order_katz = np.argsort(ct.katz(reverse(g), 1e-6).values)
+        assert np.all(np.diff(g.in_degrees()[order_katz]) >= 0)
+
+
+@pytest.mark.parametrize("method", [ct.pagerank, ct.katz])
+def test_star_hub_ranks_first(method):
+    # spread leaves the hub along its 4 out-edges; summed along in-edges, the hub ranked last
+    g = build_graph(5, [0, 0, 0, 0], [1, 2, 3, 4], np.ones((5, 1)))
+    values = method(g).values
+    assert np.all(values[0] > values[1:])
 
 
 def closeness_bfs_oracle(g):
