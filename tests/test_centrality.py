@@ -153,8 +153,17 @@ class TestPageRank:
 
     def test_no_convergence_warns(self):
         g = build_graph(3, [0, 1], [1, 2], np.ones((3, 1)))
-        with pytest.warns(RuntimeWarning, match=r"did not converge in 1 iterations \(residual 0\.\d+"):
+        with pytest.warns(RuntimeWarning, match=r"did not converge in 1 iterations \(residual 0\.\d+") as record:
             values = ct.pagerank(g, max_iter=1).values
+        assert values.sum() == pytest.approx(1.0)
+        assert [w.filename for w in record] == [__file__]  # the caller of pagerank, not the shared loop
+
+    def test_zero_tol_warns_at_max_iter_without_raising(self):
+        # no residual falls below 0, and with damping < 1 the residuals do not keep growing, so the
+        # loop runs to max_iter and warns; the growth rule that stops a diverging Katz stays quiet
+        g = zipf_hub_graph(n=500, m=6000, seed=1)
+        with pytest.warns(RuntimeWarning, match=r"^pagerank did not converge in 3000 iterations \(residual .+, tol 0\)$"):
+            values = ct.pagerank(g, tol=0.0, max_iter=3000).values
         assert values.sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("damping", [0.5, 0.85])
@@ -271,9 +280,10 @@ class TestKatz:
     def test_no_convergence_warns(self):
         # on the 3-cycle each node's series is a + a^2 + ... = 999; 1000 terms sum to 631.67
         g = build_graph(3, [0, 1, 2], [1, 2, 0], np.ones((3, 1)))
-        with pytest.warns(RuntimeWarning, match=r"katz did not converge in 1000 iterations \(last increment 0\.6\d+"):
+        with pytest.warns(RuntimeWarning, match=r"katz did not converge in 1000 iterations \(last increment 0\.6\d+") as record:
             values = ct.katz(g, attenuation=0.999, normalize=False).values
         assert np.allclose(values, 999.0 * (1.0 - 0.999**1000))
+        assert [w.filename for w in record] == [__file__]  # the caller of katz, not the shared loop
 
     def test_convergence_does_not_warn(self):
         g = build_graph(3, [0, 1, 2], [1, 2, 0], np.ones((3, 1)))
@@ -284,7 +294,8 @@ class TestKatz:
 
     def test_divergence_detected(self):
         g = build_graph(2, [0, 1], [1, 0], np.ones((2, 1)))
-        with pytest.raises(ct.ConvergenceError, match="attenuation"):
+        advice = r"^katz iteration diverges at attenuation=2\.0; use a smaller attenuation \(below 1/spectral-radius\)$"
+        with pytest.raises(ct.ConvergenceError, match=advice):
             ct.katz(g, attenuation=2.0)
 
     @pytest.mark.parametrize("attenuation", [0.005, 0.1])

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import subprocess
@@ -9,9 +10,11 @@ import pytest
 
 import pine
 from pine import gat, graph, pine_score
+from pine.diffusion import influence_spread
 from pine.graph import build_graph, subgraph_by_edge_type
 from pine.metrics import spearman
 from pine.pine_score import calibrate_by_out_degree, score_graph, select_edge_types
+from pine.pipeline import _load, compute_method_scores
 from pine.scores import ScoreVector
 from pine.train import TrainConfig
 
@@ -237,3 +240,19 @@ def test_scores_do_not_depend_on_the_openblas_thread_count():
         proc = subprocess.run([sys.executable, "-c", SCORE_BYTES], env=env, capture_output=True, text=True, check=True)
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_pine_seeds_outspread_out_degree_under_icp(seed, workloads, tmp_path):
+    # the paper's claim on graphs whose features follow their topics, with cora-train's config: on
+    # these graphs pine's seeds win under IC+, lose under SIR and win under LT+ on some seeds only.
+    # Run r of each call draws from the same stream, so the per-run gaps are paired.
+    generated = workloads.write_workload(workloads.WORKLOADS["cora-train"], seed, str(tmp_path))
+    config, g, seed_count = _load(generated.config)
+    dconf = dataclasses.replace(config.diffusion, model="icp", num_runs=1000)
+    counts = {}
+    for method in ("out_degree", "pine"):
+        seeds = compute_method_scores(g, method, config, seed_count).top_fraction(config.seed_fraction)
+        counts[method] = influence_spread(g, dconf, seeds).activated_counts
+    gap = (counts["pine"] - counts["out_degree"]) / g.num_nodes
+    assert gap.mean() > 10 * gap.std(ddof=1) / np.sqrt(gap.size), (gap.mean(), gap.std(ddof=1))

@@ -622,22 +622,32 @@ def test_constructor_keywords_and_assigned_attributes_are_recognised():
     assert assigned_attributes(text, "build") == {"cache", "count", "c"}
 
 
-def fork_callers(text):
-    """The innermost function around each call of ``os.fork`` (or of a bare ``fork``),
+def enclosing_functions(text, matches):
+    """The innermost function around each node for which ``matches`` holds,
     ``<module>`` outside any, in source order."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (isinstance(func, ast.Attribute) and func.attr == "fork" and getattr(func.value, "id", None) == "os"
-                        or isinstance(func, ast.Name) and func.id == "fork"):
-                    found.append(owner)
+            if matches(child):
+                found.append(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(ast.parse(text), "<module>")
     return found
+
+
+def is_call_of(node, module, name):
+    """Whether ``node`` calls ``module.name`` or a bare ``name``."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Attribute) and func.attr == name and getattr(func.value, "id", None) == module
+            or isinstance(func, ast.Name) and func.id == name)
+
+
+def fork_callers(text):
+    """The innermost function around each call of ``os.fork`` (or of a bare ``fork``),
+    ``<module>`` outside any, in source order."""
+    return enclosing_functions(text, lambda node: is_call_of(node, "os", "fork"))
 
 
 def test_os_fork_is_called_in_one_function():
@@ -666,3 +676,44 @@ def test_fork_callers_are_recognised():
         "os.fork()\n"
     )
     assert fork_callers(text) == ["a", "inner", "<module>"]
+
+
+def convergence_reporters(text):
+    """The innermost function around each call of ``warnings.warn`` (or of a bare ``warn``)
+    and each ``raise`` of ``ConvergenceError``, ``<module>`` outside any, in source order."""
+
+    def reports(node):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return ast.unparse(exc).split(".")[-1] == "ConvergenceError"
+        return is_call_of(node, "warnings", "warn")
+
+    return enclosing_functions(text, reports)
+
+
+def test_only_the_fixed_point_loop_reports_on_convergence():
+    # PageRank and Katz share one loop, which alone warns at max_iter and raises on growth
+    text = (SOURCE / "centrality.py").read_text(encoding="utf-8")
+    assert convergence_reporters(text) == ["_fixed_point", "_fixed_point"]
+
+
+def test_convergence_reporters_are_recognised():
+    text = (
+        "import warnings\n"
+        "from warnings import warn\n"
+        "def a():\n"
+        "    raise ConvergenceError('x')\n"
+        "def b():\n"
+        "    def inner():\n"
+        "        warn('y')\n"
+        "    warnings.warn('z', RuntimeWarning)\n"
+        "    raise ct.ConvergenceError\n"
+        "def c():\n"
+        "    raise ValueError('x')\n"
+        "    log.warn('x')\n"
+        "    warnings.warning('x')\n"
+        "    raise\n"
+        "    e = ConvergenceError('x')\n"
+        "warnings.warn('w')\n"
+    )
+    assert convergence_reporters(text) == ["a", "inner", "b", "b", "<module>"]
